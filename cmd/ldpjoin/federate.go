@@ -69,7 +69,7 @@ func (c *fedColumn) n() float64 {
 	return c.join.N()
 }
 
-func runFederate(args []string) {
+func runFederate(args []string) error {
 	fs := flag.NewFlagSet("federate", flag.ExitOnError)
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), `Usage: ldpjoin federate -peers URL[,URL...] -columns A,B [flags]
@@ -112,16 +112,16 @@ multi-way join. The protocol configuration (-k, -m, -eps, -seed,
 	}
 	if len(peers) == 0 || len(columns) == 0 {
 		fs.Usage()
-		fatal(fmt.Errorf("federate needs -peers and -columns (or -path)"))
+		return fmt.Errorf("federate needs -peers and -columns (or -path)")
 	}
 	if len(path) > 0 && len(path) < 3 {
-		fatal(fmt.Errorf("-path needs at least 3 columns (join end, matrix middle(s), join end), got %d", len(path)))
+		return fmt.Errorf("-path needs at least 3 columns (join end, matrix middle(s), join end), got %d", len(path))
 	}
 	left, right := "", ""
 	if *joinFlag != "" {
 		pair := splitNonEmpty(*joinFlag)
 		if len(pair) != 2 {
-			fatal(fmt.Errorf("-join wants exactly left,right, got %q", *joinFlag))
+			return fmt.Errorf("-join wants exactly left,right, got %q", *joinFlag)
 		}
 		left, right = pair[0], pair[1]
 	} else if len(path) == 0 && len(columns) > 1 {
@@ -130,10 +130,10 @@ multi-way join. The protocol configuration (-k, -m, -eps, -seed,
 
 	params := core.Params{K: *k, M: *m, Epsilon: *eps}
 	if err := params.Validate(); err != nil {
-		fatal(err)
+		return err
 	}
 	if *attrs < 2 {
-		fatal(fmt.Errorf("-attrs must be at least 2, got %d", *attrs))
+		return fmt.Errorf("-attrs must be at least 2, got %d", *attrs)
 	}
 	mp := core.MatrixParams{K: *k, M1: *m, M2: *m, Epsilon: *eps}
 	fams := make([]*hashing.Family, *attrs)
@@ -150,11 +150,11 @@ multi-way join. The protocol configuration (-k, -m, -eps, -seed,
 				int64(protocol.SnapshotEncodedSize(params)), int64(protocol.SnapshotEncodedSizeMatrix(mp)),
 				int64(protocol.PlusSnapshotMaxEncodedSize(params)))
 			if err != nil {
-				fatal(fmt.Errorf("pulling %q from %s: %w", col, peer, err))
+				return fmt.Errorf("pulling %q from %s: %w", col, peer, err)
 			}
 			if plusSnap != nil {
 				if err := mergePlusPeer(&fed, plusSnap, params, *seed); err != nil {
-					fatal(fmt.Errorf("merging %q from %s: %w", col, peer, err))
+					return fmt.Errorf("merging %q from %s: %w", col, peer, err)
 				}
 				fmt.Printf("pulled %-12s from %-28s %10.0f reports (%v, attr %d, merged total %.0f)\n",
 					col, peer, plusSnap.N(), protocol.KindPlus, 0, fed.n())
@@ -162,18 +162,18 @@ multi-way join. The protocol configuration (-k, -m, -eps, -seed,
 			}
 			kind, attr, err := snap.Slot(params, mp, fams)
 			if err != nil {
-				fatal(fmt.Errorf("pulling %q from %s: %w", col, peer, err))
+				return fmt.Errorf("pulling %q from %s: %w", col, peer, err)
 			}
 			if fed == nil {
 				fed = &fedColumn{kind: kind, attr: attr}
 			} else if fed.kind != kind || fed.attr != attr {
-				fatal(fmt.Errorf("column %q: %s reports %v state of attribute %d, earlier peers %v of attribute %d",
-					col, peer, kind, attr, fed.kind, fed.attr))
+				return fmt.Errorf("column %q: %s reports %v state of attribute %d, earlier peers %v of attribute %d",
+					col, peer, kind, attr, fed.kind, fed.attr)
 			}
 			if kind == protocol.KindMatrix {
 				agg, err := snap.MatrixAggregator()
 				if err != nil {
-					fatal(fmt.Errorf("restoring %q from %s: %w", col, peer, err))
+					return fmt.Errorf("restoring %q from %s: %w", col, peer, err)
 				}
 				if fed.matrix == nil {
 					fed.matrix = agg
@@ -183,7 +183,7 @@ multi-way join. The protocol configuration (-k, -m, -eps, -seed,
 			} else {
 				agg, err := snap.Aggregator()
 				if err != nil {
-					fatal(fmt.Errorf("restoring %q from %s: %w", col, peer, err))
+					return fmt.Errorf("restoring %q from %s: %w", col, peer, err)
 				}
 				if fed.join == nil {
 					fed.join = agg
@@ -221,28 +221,28 @@ multi-way join. The protocol configuration (-k, -m, -eps, -seed,
 	if right != "" {
 		skL, skR := merged[left], merged[right]
 		if skL == nil || skR == nil {
-			fatal(fmt.Errorf("-join pair %s,%s must be among the pulled columns", left, right))
+			return fmt.Errorf("-join pair %s,%s must be among the pulled columns", left, right)
 		}
 		switch {
 		case skL.kind == protocol.KindPlus && skR.kind == protocol.KindPlus:
 			est, err := core.EstimateJoinPlusColumns(skL.finPlus, skR.finPlus)
 			if err != nil {
-				fatal(fmt.Errorf("plus join %s,%s: %w", left, right, err))
+				return fmt.Errorf("plus join %s,%s: %w", left, right, err)
 			}
 			fmt.Printf("\nestimated |%s ⋈ %s| over the federation: %.6g (low %.6g, high %.6g)\n",
 				left, right, est.Estimate, est.LowEstimate, est.HighEstimate)
 		case skL.kind == protocol.KindJoin && skR.kind == protocol.KindJoin:
 			fmt.Printf("\nestimated |%s ⋈ %s| over the federation: %.6g\n", left, right, skL.finJoin.JoinSize(skR.finJoin))
 		default:
-			fatal(fmt.Errorf("pairwise join needs two join columns or two plus columns (%s is %v, %s is %v); use -path for chains",
-				left, skL.kind, right, skR.kind))
+			return fmt.Errorf("pairwise join needs two join columns or two plus columns (%s is %v, %s is %v); use -path for chains",
+				left, skL.kind, right, skR.kind)
 		}
 	}
 
 	if len(path) > 0 {
 		est, err := chainEstimate(path, merged)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Printf("\nestimated |%s| over the federation: %.6g\n", strings.Join(path, " ⋈ "), est)
 	}
@@ -250,6 +250,7 @@ multi-way join. The protocol configuration (-k, -m, -eps, -seed,
 	if right == "" && len(path) == 0 {
 		fmt.Println("single column pulled; pass two columns (or -join / -path) for a join estimate")
 	}
+	return nil
 }
 
 // chainEstimate validates the chain's composition with the same shared

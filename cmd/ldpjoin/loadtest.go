@@ -99,7 +99,7 @@ func (w *ltWorker) observe(op int, latency time.Duration, ok bool, rng *rand.Ran
 	}
 }
 
-func runLoadtest(args []string) {
+func runLoadtest(args []string) error {
 	fs := flag.NewFlagSet("loadtest", flag.ExitOnError)
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), `Usage: ldpjoin loadtest -server URL [flags]
@@ -131,18 +131,18 @@ protocol configuration (-k, -m, -eps, -seed) must match the server's.
 
 	if *server == "" {
 		fs.Usage()
-		fatal(fmt.Errorf("loadtest needs -server"))
+		return fmt.Errorf("loadtest needs -server")
 	}
 	if *concurrency < 1 {
-		fatal(fmt.Errorf("-concurrency must be at least 1, got %d", *concurrency))
+		return fmt.Errorf("-concurrency must be at least 1, got %d", *concurrency)
 	}
 	if *values < 1 {
-		fatal(fmt.Errorf("-values must be at least 1, got %d", *values))
+		return fmt.Errorf("-values must be at least 1, got %d", *values)
 	}
 	base := strings.TrimSuffix(*server, "/")
 	params := core.Params{K: *k, M: *m, Epsilon: *eps}
 	if err := params.Validate(); err != nil {
-		fatal(err)
+		return err
 	}
 
 	var rt http.RoundTripper = &http.Transport{
@@ -163,15 +163,18 @@ protocol configuration (-k, -m, -eps, -seed) must match the server's.
 	}
 	if *reports > 0 {
 		if err := seedColumns(client, base, params, *seed, names, *reports); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 
 	ingestBody, err := encodeIngestBatch(params, *seed, *ingestBatch)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	ops := buildMix(*mixFlag, names, *values, ingestBody)
+	ops, err := buildMix(*mixFlag, names, *values, ingestBody)
+	if err != nil {
+		return err
+	}
 	fmt.Printf("loadtest: %d workers against %s for %s (mix %s)\n", *concurrency, base, *duration, *mixFlag)
 
 	workers, elapsed := driveMix(client, base, ops, *concurrency, *duration)
@@ -181,13 +184,14 @@ protocol configuration (-k, -m, -eps, -seed) must match the server's.
 	if *out != "" {
 		data, err := json.MarshalIndent(sum, "", "  ")
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Printf("summary written to %s\n", *out)
 	}
+	return nil
 }
 
 // bearerTransport stamps the loadtest's tenant identity on every
@@ -231,7 +235,7 @@ func encodeIngestBatch(p core.Params, seed int64, batch int) ([]byte, error) {
 }
 
 // buildMix parses "join=6,chain=2,…" into the weighted op set.
-func buildMix(mix string, names map[string]string, values int, ingestBody []byte) []ltOp {
+func buildMix(mix string, names map[string]string, values int, ingestBody []byte) ([]ltOp, error) {
 	bodies := map[string][]byte{"ingest": ingestBody}
 	targets := map[string]func(rng *rand.Rand) string{
 		"ingest": func(*rand.Rand) string {
@@ -255,16 +259,16 @@ func buildMix(mix string, names map[string]string, values int, ingestBody []byte
 	for _, part := range splitNonEmpty(mix) {
 		name, weightStr, found := strings.Cut(part, "=")
 		if !found {
-			fatal(fmt.Errorf("-mix entry %q is not op=weight", part))
+			return nil, fmt.Errorf("-mix entry %q is not op=weight", part)
 		}
 		name = strings.TrimSpace(name)
 		target, ok := targets[name]
 		if !ok {
-			fatal(fmt.Errorf("-mix op %q unknown (want join, chain, freq, status, stats, ingest)", name))
+			return nil, fmt.Errorf("-mix op %q unknown (want join, chain, freq, status, stats, ingest)", name)
 		}
 		weight, err := strconv.Atoi(strings.TrimSpace(weightStr))
 		if err != nil || weight < 0 {
-			fatal(fmt.Errorf("-mix weight %q is not a non-negative integer", weightStr))
+			return nil, fmt.Errorf("-mix weight %q is not a non-negative integer", weightStr)
 		}
 		if weight == 0 {
 			continue
@@ -280,9 +284,9 @@ func buildMix(mix string, names map[string]string, values int, ingestBody []byte
 		ops = append(ops, ltOp{name: name, weight: weight, target: target, body: bodies[name]})
 	}
 	if total == 0 {
-		fatal(fmt.Errorf("-mix %q selects nothing", mix))
+		return nil, fmt.Errorf("-mix %q selects nothing", mix)
 	}
-	return ops
+	return ops, nil
 }
 
 // pickOp draws an op index by weight; total is the precomputed weight

@@ -31,7 +31,9 @@ func TestLoadtestEndToEnd(t *testing.T) {
 		"-reports", "400", "-values", "32",
 		"-k", "5", "-m", "128", "-eps", "4", "-seed", "7",
 	}
-	runLoadtest(args)
+	if err := runLoadtest(args); err != nil {
+		t.Fatal(err)
+	}
 
 	// Every seeded column is finalized.
 	for _, name := range []string{"lt_a", "lt_b", "lt_ab", "lt_c"} {
@@ -66,5 +68,7 @@ func TestLoadtestEndToEnd(t *testing.T) {
 
 	// Rerun: seeding is skipped (no 409s from double finalize), the mix
 	// still runs clean.
-	runLoadtest(args)
+	if err := runLoadtest(args); err != nil {
+		t.Fatal(err)
+	}
 }

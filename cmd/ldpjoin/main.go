@@ -29,12 +29,19 @@ import (
 )
 
 func main() {
+	// The two server-facing modes return their failure instead of
+	// exiting, so the tests that run them in-process fail by name; only
+	// main turns an error into an exit status.
 	if len(os.Args) > 1 && os.Args[1] == "federate" {
-		runFederate(os.Args[2:])
+		if err := runFederate(os.Args[2:]); err != nil {
+			fatal(err)
+		}
 		return
 	}
 	if len(os.Args) > 1 && os.Args[1] == "loadtest" {
-		runLoadtest(os.Args[2:])
+		if err := runLoadtest(os.Args[2:]); err != nil {
+			fatal(err)
+		}
 		return
 	}
 	dsName := flag.String("dataset", "zipf1.1", "dataset name (see DESIGN.md Table II) or zipfA.B")

@@ -50,6 +50,17 @@ import (
 	"ldpjoin/internal/store"
 )
 
+// Slow-client bounds on the listener. A client gets readHeaderTimeout to
+// deliver its request line and headers and an idle keep-alive connection
+// is reaped after idleTimeout, so parked sockets cannot pin goroutines
+// and file descriptors forever. Body reads and response writes carry no
+// deadline: a /reports or /merge upload is legitimately large and its
+// duration is the client's bandwidth, not a fault.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
 	k := flag.Int("k", 18, "sketch depth (rows)")
@@ -57,7 +68,6 @@ func main() {
 	eps := flag.Float64("eps", 4, "privacy budget epsilon")
 	seed := flag.Int64("seed", 1, "public hash seed (shared with clients)")
 	shards := flag.Int("shards", 0, "aggregation shards per join column (0 = GOMAXPROCS)")
-	matrixShards := flag.Int("matrix-shards", 0, "aggregation shards per matrix column — each costs K*M*M cells of memory (0 = 1)")
 	workers := flag.Int("workers", 0, "fold worker goroutines (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "ingestion queue depth in batches (0 = 4x workers)")
 	maxReports := flag.Int("max-reports", 0, "max reports per request body (0 = default; <0 = unlimited, removes the per-request memory bound)")
@@ -75,7 +85,7 @@ func main() {
 	flag.Parse()
 
 	srv, err := service.NewWithOptions(core.Params{K: *k, M: *m, Epsilon: *eps}, *seed, service.Options{
-		Ingest:            ingest.Options{Shards: *shards, Workers: *workers, Queue: *queue, MatrixShards: *matrixShards},
+		Ingest:            ingest.Options{Shards: *shards, Workers: *workers, Queue: *queue},
 		MaxStreamReports:  *maxReports,
 		Attributes:        *attrs,
 		QueryCacheEntries: *queryCache,
@@ -97,7 +107,10 @@ func main() {
 	}
 	fmt.Println(")")
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := &http.Server{
+		Addr: *addr, Handler: srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout,
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)

@@ -108,6 +108,28 @@ func (ma *MatrixAggregator) Add(r MatrixReport) {
 	ma.n++
 }
 
+// AddBatch ingests a batch of wire-decoded tuple reports with the same
+// skip-and-report bounds check as Aggregator.AddBatch.
+func (ma *MatrixAggregator) AddBatch(reports []MatrixReport) error {
+	if ma.done {
+		panic("core: MatrixAggregator.AddBatch after Finalize")
+	}
+	p := ma.params
+	var err error
+	for _, r := range reports {
+		if int(r.Row) >= p.K || int(r.L1) >= p.M1 || int(r.L2) >= p.M2 || (r.Y != 1 && r.Y != -1) {
+			if err == nil {
+				err = fmt.Errorf("core: matrix report (y=%d, row=%d, l1=%d, l2=%d) out of sketch bounds (%d, %d, %d)",
+					r.Y, r.Row, r.L1, r.L2, p.K, p.M1, p.M2)
+			}
+			continue
+		}
+		ma.mats[r.Row][int(r.L1)*p.M2+int(r.L2)] += float64(r.Y)
+		ma.n++
+	}
+	return err
+}
+
 // Merge folds other (not yet finalized, same parameters and families)
 // into ma. Like Aggregator.Merge it is exact: unfinalized cells hold
 // integers, so merging is order-independent and loses nothing.

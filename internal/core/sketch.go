@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 
@@ -61,6 +62,31 @@ func (a *Aggregator) Add(r Report) {
 	}
 	a.rows[r.Row][r.Col] += float64(r.Y)
 	a.n++
+}
+
+// AddBatch ingests a batch of wire-decoded reports, bounds-checking each
+// one: a report outside the sketch (or with a sign other than ±1) is
+// skipped, and the first such report comes back as the error. It is the
+// ingest engine's fold loop — one call per batch, so the per-report work
+// stays a concrete loop over the aggregator's own rows.
+func (a *Aggregator) AddBatch(reports []Report) error {
+	if a.done {
+		panic("core: Aggregator.AddBatch after Finalize")
+	}
+	k, m := a.params.K, a.params.M
+	var err error
+	for _, r := range reports {
+		if int(r.Row) >= k || int(r.Col) >= m || (r.Y != 1 && r.Y != -1) {
+			if err == nil {
+				err = fmt.Errorf("core: report (y=%d, row=%d, col=%d) out of sketch bounds (%d, %d)",
+					r.Y, r.Row, r.Col, k, m)
+			}
+			continue
+		}
+		a.rows[r.Row][r.Col] += float64(r.Y)
+		a.n++
+	}
+	return err
 }
 
 // CollectColumn simulates the full protocol for a column of private

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ldpjoin/internal/dataset"
+	"ldpjoin/internal/hashing"
 	"ldpjoin/internal/join"
 )
 
@@ -24,6 +25,60 @@ func TestAggregatorCounts(t *testing.T) {
 	}
 	if sk.Params() != p || sk.Family() != fam {
 		t.Fatal("sketch metadata lost")
+	}
+}
+
+// TestAddBatchMatchesAdd: the fold loop the ingest engine calls lands
+// exactly the cells a per-report Add does, and a report outside the
+// sketch (or with a bad sign) is skipped and reported, not folded.
+func TestAddBatchMatchesAdd(t *testing.T) {
+	p := testParams()
+	fam := p.NewFamily(1)
+	rng := rand.New(rand.NewSource(2))
+	reports := make([]Report, 500)
+	for i := range reports {
+		reports[i] = Perturb(uint64(i%37), p, fam, rng)
+	}
+	one, batch := NewAggregator(p, fam), NewAggregator(p, fam)
+	for _, r := range reports {
+		one.Add(r)
+	}
+	bad := []Report{{Y: 1, Row: uint32(p.K)}, {Y: 1, Col: uint32(p.M)}, {Y: 0}}
+	if err := batch.AddBatch(append(bad, reports...)); err == nil {
+		t.Fatal("out-of-bounds reports not reported")
+	}
+	if batch.N() != one.N() {
+		t.Fatalf("N = %g, want %g: a rejected report was counted", batch.N(), one.N())
+	}
+	for j, row := range one.Rows() {
+		for x, v := range row {
+			if batch.Rows()[j][x] != v {
+				t.Fatalf("cell [%d, %d] = %g, want %g", j, x, batch.Rows()[j][x], v)
+			}
+		}
+	}
+
+	mp := MatrixParams{K: 3, M1: 8, M2: 4, Epsilon: 2}
+	famA, famB := hashing.NewFamily(5, mp.K, mp.M1), hashing.NewFamily(6, mp.K, mp.M2)
+	mone, mbatch := NewMatrixAggregator(mp, famA, famB), NewMatrixAggregator(mp, famA, famB)
+	tuples := make([]MatrixReport, 200)
+	for i := range tuples {
+		tuples[i] = PerturbTuple(uint64(i%11), uint64(i%7), mp, famA, famB, rng)
+		mone.Add(tuples[i])
+	}
+	mbad := []MatrixReport{{Y: 1, Row: uint32(mp.K)}, {Y: 1, L1: uint32(mp.M1)}, {Y: 1, L2: uint32(mp.M2)}, {Y: 2}}
+	if err := mbatch.AddBatch(append(mbad, tuples...)); err == nil {
+		t.Fatal("out-of-bounds matrix reports not reported")
+	}
+	if mbatch.N() != mone.N() {
+		t.Fatalf("matrix N = %g, want %g", mbatch.N(), mone.N())
+	}
+	for j, mat := range mone.Mats() {
+		for i, v := range mat {
+			if mbatch.Mats()[j][i] != v {
+				t.Fatalf("matrix cell [%d, %d] = %g, want %g", j, i, mbatch.Mats()[j][i], v)
+			}
+		}
 	}
 }
 

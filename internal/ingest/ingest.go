@@ -4,8 +4,10 @@
 // population — are folded into LDPJoinSketch aggregation state.
 //
 // An Engine owns a bounded task queue and a fixed pool of worker
-// goroutines. Ingestion state is split into per-shard aggregators
-// (Column); batches of reports are routed round-robin to shards and
+// goroutines. Ingestion state is split into per-shard aggregators by one
+// generic column type — Column and MatrixColumn are its instantiations
+// over join and matrix reports, PlusColumn three Columns plus a phase
+// boundary; batches of reports are routed round-robin to shards and
 // folded concurrently, and Finalize merges the shards in shard order
 // before restoring the sketch. Because an unfinalized aggregator cell
 // holds an exact integer (each report contributes ±1, see
@@ -69,15 +71,6 @@ type Options struct {
 	// Workers is the number of fold goroutines. It never affects results,
 	// only throughput. <= 0 selects GOMAXPROCS.
 	Workers int
-	// MatrixShards is the number of per-column partial aggregators a
-	// matrix column keeps. Matrix state is K·M1·M2 cells *per shard*, so
-	// the default is 1: batches folding into one matrix column serialize
-	// on its mutex, while distinct columns still fold concurrently on
-	// the worker pool (the same trade CollectMatrix makes). Raise it
-	// only when a single hot matrix column is the ingest bottleneck and
-	// the memory multiplier is acceptable; results never depend on it.
-	// <= 0 selects 1.
-	MatrixShards int
 	// Queue bounds the task queue (in batches); producers block when it
 	// is full. <= 0 selects 4×Workers.
 	Queue int
@@ -89,9 +82,6 @@ func (o Options) normalized() Options {
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.MatrixShards <= 0 {
-		o.MatrixShards = 1
 	}
 	if o.Queue <= 0 {
 		o.Queue = 4 * o.Workers
@@ -204,12 +194,41 @@ func (e *Engine) Close() {
 	e.workers.Wait()
 }
 
-// Column is one logical sketch under construction: Options.Shards
-// partial aggregators fed round-robin by Enqueue. It is safe for
-// concurrent use.
-type Column struct {
+// aggregator is what a column needs of a core aggregator. Every sketch
+// the paper builds server-side is linear — an unfinalized cell is an
+// integer sum of ±1 reports — so fold, shard merge, cross-node merge and
+// drain are the same operations for every kind; only the report type R,
+// the aggregator A and the finalized sketch S differ.
+type aggregator[R, A, S any] interface {
+	AddBatch([]R) error
+	Merge(A)
+	Finalize() S
+	N() float64
+	Done() bool
+}
+
+// columnKind is the per-kind configuration of a column: everything the
+// generic column cannot derive from its type parameters.
+type columnKind[R, A any] struct {
+	shards   int                        // partial aggregators per column
+	newAgg   func() A                   // an empty aggregator under the column's params and families
+	check    func(A) error              // nil when the aggregator may merge into the column
+	put      func([]R)                  // returns a consumed batch to its protocol pool
+	snapshot func(A) *protocol.Snapshot // wraps unfinalized state without copying
+}
+
+// column is one logical sketch under construction: kind.shards partial
+// aggregators fed round-robin by Enqueue. It is safe for concurrent use.
+//
+// Each shard's aggregator is allocated lazily on its first fold (or
+// adopted from the first merge routed to it), so creating a column is
+// cheap and a column that never sees traffic never pays for cells —
+// which matters most for matrix columns, whose aggregator is K·M1·M2
+// float64s.
+type column[R any, A aggregator[R, A, S], S any] struct {
 	eng    *Engine
-	shards []*shard
+	kind   columnKind[R, A]
+	shards []shard[A]
 	next   atomic.Uint64
 	n      atomic.Int64
 
@@ -224,10 +243,19 @@ type Column struct {
 	err   error
 }
 
-type shard struct {
-	mu  sync.Mutex
-	agg *core.Aggregator
+type shard[A any] struct {
+	mu   sync.Mutex
+	agg  A
+	live bool // agg is set: by the shard's first fold, or an adopted merge
 }
+
+func newColumn[R any, A aggregator[R, A, S], S any](e *Engine, kind columnKind[R, A]) *column[R, A, S] {
+	return &column[R, A, S]{eng: e, kind: kind, shards: make([]shard[A], kind.shards)}
+}
+
+// Column is one single-attribute LDPJoinSketch under construction:
+// Options.Shards partial aggregators on the engine's worker pool.
+type Column = column[core.Report, *core.Aggregator, *core.Sketch]
 
 // NewColumn creates an empty column on the engine, aggregating under the
 // engine's own hash family (join attribute 0 of a chain deployment).
@@ -244,18 +272,28 @@ func (e *Engine) NewColumnWithFamily(fam *hashing.Family) *Column {
 	if fam.K() != e.params.K || fam.M() != e.params.M {
 		panic("ingest: column family does not match engine params")
 	}
-	c := &Column{eng: e, shards: make([]*shard, e.opts.Shards)}
-	for i := range c.shards {
-		c.shards[i] = &shard{agg: core.NewAggregator(e.params, fam)}
-	}
-	return c
+	p := e.params
+	return newColumn(e, columnKind[core.Report, *core.Aggregator]{
+		shards: e.opts.Shards,
+		newAgg: func() *core.Aggregator { return core.NewAggregator(p, fam) },
+		check: func(agg *core.Aggregator) error {
+			if agg.Params() != p || agg.Family().Seed() != fam.Seed() {
+				return fmt.Errorf("ingest: aggregator (k=%d, m=%d, ε=%g, seed=%d) does not match column (k=%d, m=%d, ε=%g, seed=%d)",
+					agg.Params().K, agg.Params().M, agg.Params().Epsilon, agg.Family().Seed(),
+					p.K, p.M, p.Epsilon, fam.Seed())
+			}
+			return nil
+		},
+		put:      protocol.PutReportBatch,
+		snapshot: protocol.SnapshotOfAggregator,
+	})
 }
 
 // Enqueue routes one batch of wire-format reports to a shard and
 // schedules the fold, blocking while the engine queue is full. It is
 // shorthand for EnqueueAll with a single batch.
-func (c *Column) Enqueue(batch []core.Report) error {
-	return c.EnqueueAll([][]core.Report{batch})
+func (c *column[R, A, S]) Enqueue(batch []R) error {
+	return c.EnqueueAll([][]R{batch})
 }
 
 // EnqueueAll routes a set of batches to shards and schedules the folds,
@@ -268,28 +306,29 @@ func (c *Column) Enqueue(batch []core.Report) error {
 // the worker: a report outside the sketch (or with an invalid sign) is
 // dropped and surfaces as an error from Finalize, which then yields no
 // sketch at all.
-func (c *Column) EnqueueAll(batches [][]core.Report) error {
+func (c *column[R, A, S]) EnqueueAll(batches [][]R) error {
 	return c.enqueueAll(batches, false)
 }
 
 // EnqueueAllPooled is EnqueueAll for batches drawn from the protocol
-// batch pool (BatchReader.Next, DecodeReportsPayload): once a fold has
-// consumed a batch it is recycled with protocol.PutReportBatch. The
-// ownership transfer is therefore total — the caller must not read,
-// reuse, or re-enqueue a batch after a successful call, because its
-// backing array may already be carrying the next decoded batch. On
-// error the batches were not scheduled and remain the caller's.
-func (c *Column) EnqueueAllPooled(batches [][]core.Report) error {
+// batch pool (BatchReader.Next, DecodeReportsPayload and their matrix
+// counterparts): once a fold has consumed a batch it is recycled into
+// the kind's pool. The ownership transfer is therefore total — the
+// caller must not read, reuse, or re-enqueue a batch after a successful
+// call, because its backing array may already be carrying the next
+// decoded batch. On error the batches were not scheduled and remain the
+// caller's.
+func (c *column[R, A, S]) EnqueueAllPooled(batches [][]R) error {
 	return c.enqueueAll(batches, true)
 }
 
-func (c *Column) enqueueAll(batches [][]core.Report, recycle bool) error {
+func (c *column[R, A, S]) enqueueAll(batches [][]R, recycle bool) error {
 	var folds []func()
 	var total int64
 	for _, batch := range batches {
 		if len(batch) == 0 {
 			if recycle {
-				protocol.PutReportBatch(batch)
+				c.kind.put(batch)
 			}
 			continue
 		}
@@ -316,27 +355,32 @@ func (c *Column) enqueueAll(batches [][]core.Report, recycle bool) error {
 	return nil
 }
 
-// fold builds the worker task adding one batch to the next shard. With
-// recycle set the fold is where the batch dies — EnqueueAllPooled
-// transferred total ownership — so after the reports land in the shard
-// the batch goes back to the protocol batch pool for the next decode.
-func (c *Column) fold(batch []core.Report, recycle bool) func() {
-	sh := c.shards[c.next.Add(1)%uint64(len(c.shards))]
+// nextShard picks the shard the next fold or merge lands in.
+func (c *column[R, A, S]) nextShard() *shard[A] {
+	return &c.shards[c.next.Add(1)%uint64(len(c.shards))]
+}
+
+// fold builds the worker task adding one batch to the next shard: one
+// AddBatch call, so the per-report loop runs inside core on the concrete
+// aggregator. With recycle set the fold is where the batch dies —
+// EnqueueAllPooled transferred total ownership — so after the reports
+// land in the shard the batch goes back to the protocol batch pool for
+// the next decode.
+func (c *column[R, A, S]) fold(batch []R, recycle bool) func() {
+	sh := c.nextShard()
 	return func() {
 		defer c.wg.Done()
-		k, m := c.eng.params.K, c.eng.params.M
 		sh.mu.Lock()
-		for _, r := range batch {
-			if int(r.Row) >= k || int(r.Col) >= m || (r.Y != 1 && r.Y != -1) {
-				c.setErr(fmt.Errorf("ingest: report (y=%d, row=%d, col=%d) out of sketch bounds (%d, %d)",
-					r.Y, r.Row, r.Col, k, m))
-				continue
-			}
-			sh.agg.Add(r)
+		if !sh.live {
+			sh.agg, sh.live = c.kind.newAgg(), true
 		}
+		err := sh.agg.AddBatch(batch)
 		sh.mu.Unlock()
+		if err != nil {
+			c.setErr(err)
+		}
 		if recycle {
-			protocol.PutReportBatch(batch)
+			c.kind.put(batch)
 		}
 	}
 }
@@ -346,9 +390,9 @@ func (c *Column) fold(batch []core.Report, recycle bool) func() {
 // reach the sketch if it is out of bounds — and in that case Finalize
 // returns an error instead of a sketch, so N never silently disagrees
 // with a finalized result.
-func (c *Column) N() int64 { return c.n.Load() }
+func (c *column[R, A, S]) N() int64 { return c.n.Load() }
 
-func (c *Column) setErr(err error) {
+func (c *column[R, A, S]) setErr(err error) {
 	c.errMu.Lock()
 	if c.err == nil {
 		c.err = err
@@ -356,31 +400,47 @@ func (c *Column) setErr(err error) {
 	c.errMu.Unlock()
 }
 
+func (c *column[R, A, S]) firstErr() error {
+	c.errMu.Lock()
+	defer c.errMu.Unlock()
+	return c.err
+}
+
 // drain retires the column — no further Enqueue, Merge, or State call
-// succeeds — waits out the outstanding folds, and merges the shards in
-// shard order into one unfinalized aggregator (reusing shard 0's state,
-// so draining allocates nothing). It returns an error if any enqueued
-// report was out of bounds, or ErrFinalized on a second drain.
-func (c *Column) drain() (*core.Aggregator, error) {
+// succeeds — waits out the outstanding folds, and merges the populated
+// shards in shard order into one unfinalized aggregator (reusing the
+// first populated shard's state, so draining allocates nothing; an
+// untouched column yields a fresh empty aggregator, so Snapshot of an
+// empty column still works). It returns an error if any enqueued report
+// was out of bounds, or ErrFinalized on a second drain.
+func (c *column[R, A, S]) drain() (A, error) {
+	var total A
 	c.mu.Lock()
 	if c.finalized {
 		c.mu.Unlock()
-		return nil, ErrFinalized
+		return total, ErrFinalized
 	}
 	c.finalized = true
 	c.mu.Unlock()
 	c.wg.Wait()
 
-	c.errMu.Lock()
-	err := c.err
-	c.errMu.Unlock()
-	if err != nil {
-		return nil, err
+	if err := c.firstErr(); err != nil {
+		return total, err
 	}
-
-	total := c.shards[0].agg
-	for _, sh := range c.shards[1:] {
+	have := false
+	for i := range c.shards {
+		sh := &c.shards[i]
+		if !sh.live {
+			continue
+		}
+		if !have {
+			total, have = sh.agg, true
+			continue
+		}
 		total.Merge(sh.agg)
+	}
+	if !have {
+		total = c.kind.newAgg()
 	}
 	return total, nil
 }
@@ -389,26 +449,27 @@ func (c *Column) drain() (*core.Aggregator, error) {
 // shard order, and restores the sketch. The column cannot be used
 // afterwards. It returns an error if any enqueued report was out of
 // bounds, or ErrFinalized on a second call.
-func (c *Column) Finalize() (*core.Sketch, error) {
+func (c *column[R, A, S]) Finalize() (S, error) {
 	total, err := c.drain()
 	if err != nil {
-		return nil, err
+		var none S
+		return none, err
 	}
 	return total.Finalize(), nil
 }
 
 // Snapshot drains the column exactly like Finalize but stops before the
 // debias-and-restore step, wrapping the merged unfinalized state as a
-// mergeable snapshot. Because the merge reuses shard 0's rows and the
+// mergeable snapshot. Because the merge reuses a shard's cells and the
 // snapshot shares them, the per-shard aggregators drain straight into
 // the snapshot with no intermediate copy. The column cannot be used
 // afterwards; encode the snapshot before anything else touches it.
-func (c *Column) Snapshot() (*protocol.Snapshot, error) {
+func (c *column[R, A, S]) Snapshot() (*protocol.Snapshot, error) {
 	total, err := c.drain()
 	if err != nil {
 		return nil, err
 	}
-	return protocol.SnapshotOfAggregator(total), nil
+	return c.kind.snapshot(total), nil
 }
 
 // State copies the column's current aggregation state into a fresh
@@ -421,27 +482,37 @@ func (c *Column) Snapshot() (*protocol.Snapshot, error) {
 // column lock for the duration of the copy, which briefly blocks
 // concurrent Enqueue calls and excludes the lock-free shard merge that
 // Finalize and Snapshot perform after retiring the column.
-func (c *Column) State() (*core.Aggregator, error) {
+func (c *column[R, A, S]) State() (A, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.finalized {
-		return nil, ErrFinalized
+		var none A
+		return none, ErrFinalized
 	}
-	c.errMu.Lock()
-	err := c.err
-	c.errMu.Unlock()
-	if err != nil {
-		return nil, err
+	if err := c.firstErr(); err != nil {
+		var none A
+		return none, err
 	}
-	// Use shard 0's family, not the engine's: a NewColumnWithFamily
-	// column aggregates under its own attribute family.
-	total := core.NewAggregator(c.eng.params, c.shards[0].agg.Family())
-	for _, sh := range c.shards {
+	total := c.kind.newAgg()
+	for i := range c.shards {
+		sh := &c.shards[i]
 		sh.mu.Lock()
-		total.Merge(sh.agg)
+		if sh.live {
+			total.Merge(sh.agg)
+		}
 		sh.mu.Unlock()
 	}
 	return total, nil
+}
+
+// Capture is State wrapped as a mergeable snapshot: the point-in-time
+// export in the form the store and the federation routes carry.
+func (c *column[R, A, S]) Capture() (*protocol.Snapshot, error) {
+	total, err := c.State()
+	if err != nil {
+		return nil, err
+	}
+	return c.kind.snapshot(total), nil
 }
 
 // Settle blocks until every fold accepted so far has landed in a
@@ -451,24 +522,22 @@ func (c *Column) State() (*core.Aggregator, error) {
 // returns (under that exclusion), State is a complete copy of every
 // accepted report, which is what lets a background checkpoint cover
 // exactly the WAL records written so far.
-func (c *Column) Settle() { c.wg.Wait() }
+func (c *column[R, A, S]) Settle() { c.wg.Wait() }
 
 // MergeAggregator folds an unfinalized aggregator — typically restored
 // from another collector's snapshot — into the column. The merge is
 // exact: unfinalized cells are integer sums, so a column fed by merges
 // finalizes byte-identically to one fed the underlying reports. It
 // follows the Enqueue lifecycle (ErrFinalized after Finalize/Snapshot,
-// atomic with respect to both) and consumes agg: the caller must not
-// use it afterwards.
-func (c *Column) MergeAggregator(agg *core.Aggregator) error {
+// atomic with respect to both) and consumes agg: an untouched shard
+// adopts it outright (zero copy), a populated one folds it in cell-wise;
+// either way the caller must not use it afterwards.
+func (c *column[R, A, S]) MergeAggregator(agg A) error {
 	if agg.Done() {
 		return fmt.Errorf("ingest: cannot merge a finalized aggregator")
 	}
-	probe := c.shards[0].agg
-	if !probe.Compatible(agg) {
-		return fmt.Errorf("ingest: aggregator (k=%d, m=%d, ε=%g, seed=%d) does not match column (k=%d, m=%d, ε=%g, seed=%d)",
-			agg.Params().K, agg.Params().M, agg.Params().Epsilon, agg.Family().Seed(),
-			probe.Params().K, probe.Params().M, probe.Params().Epsilon, probe.Family().Seed())
+	if err := c.kind.check(agg); err != nil {
+		return err
 	}
 
 	c.mu.Lock()
@@ -480,11 +549,19 @@ func (c *Column) MergeAggregator(agg *core.Aggregator) error {
 	c.mu.Unlock()
 	defer c.wg.Done()
 
-	sh := c.shards[c.next.Add(1)%uint64(len(c.shards))]
+	// Read the count while agg is still private: once a shard adopts it,
+	// a fold already queued for that shard adds to it concurrently, and
+	// those reports were counted when they were enqueued.
+	n := int64(agg.N())
+	sh := c.nextShard()
 	sh.mu.Lock()
-	sh.agg.Merge(agg)
+	if sh.live {
+		sh.agg.Merge(agg)
+	} else {
+		sh.agg, sh.live = agg, true
+	}
 	sh.mu.Unlock()
-	c.n.Add(int64(agg.N()))
+	c.n.Add(n)
 	return nil
 }
 

@@ -2,8 +2,6 @@ package ingest
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"ldpjoin/internal/core"
 	"ldpjoin/internal/hashing"
@@ -11,51 +9,18 @@ import (
 )
 
 // MatrixColumn is one middle-table (two-attribute) sketch under
-// construction: the matrix counterpart of Column, with the same
-// lifecycle (Enqueue until the first drain, then ErrFinalized), the same
-// shard-and-merge exactness argument (unfinalized matrix cells are
-// integer sums, so fold order and shard count cannot change the
-// finalized sketch), and the same worker pool. It is safe for concurrent
-// use.
-//
-// A matrix replica is M1×M2 cells, so one aggregator is K·M1·M2
-// float64s — far heavier than a scalar column's K·M. Matrix columns
-// therefore shard by Options.MatrixShards (default 1: folds into one
-// column serialize on its mutex, while distinct columns still fold
-// concurrently on the worker pool — the same trade CollectMatrix
-// makes), and each shard's aggregator is allocated lazily on its first
-// fold, so creating a column is cheap and a column that never sees
-// traffic never pays for cells.
-type MatrixColumn struct {
-	eng    *Engine
-	params core.MatrixParams
-	famA   *hashing.Family
-	famB   *hashing.Family
-	shards []*matrixShard
-	next   atomic.Uint64
-	n      atomic.Int64
+// construction: the same generic column as Column — same lifecycle,
+// same shard-and-merge exactness argument, same worker pool — over
+// matrix reports.
+type MatrixColumn = column[core.MatrixReport, *core.MatrixAggregator, *core.MatrixSketch]
 
-	mu        sync.Mutex
-	finalized bool
-	wg        sync.WaitGroup
-
-	errMu sync.Mutex
-	err   error
-}
-
-type matrixShard struct {
-	mu  sync.Mutex
-	agg *core.MatrixAggregator // nil until the shard's first fold
-}
-
-// ensure returns the shard's aggregator, allocating it on first use.
-// Callers hold sh.mu.
-func (sh *matrixShard) ensure(c *MatrixColumn) *core.MatrixAggregator {
-	if sh.agg == nil {
-		sh.agg = core.NewMatrixAggregator(c.params, c.famA, c.famB)
-	}
-	return sh.agg
-}
+// matrixShards is the number of partial aggregators a matrix column
+// keeps. A matrix replica is M1×M2 cells, so one aggregator is K·M1·M2
+// float64s — far heavier than a scalar column's K·M — and every extra
+// shard multiplies that: folds into one matrix column serialize on its
+// mutex, while distinct columns still fold concurrently on the worker
+// pool (the same trade CollectMatrix makes).
+const matrixShards = 1
 
 // NewMatrixColumn creates an empty matrix column on the engine for the
 // given matrix parameters and attribute families. The parameters may
@@ -63,240 +28,28 @@ func (sh *matrixShard) ensure(c *MatrixColumn) *core.MatrixAggregator {
 // pool and queue; famA must span M1 buckets and famB M2, both with K
 // replicas.
 func (e *Engine) NewMatrixColumn(p core.MatrixParams, famA, famB *hashing.Family) *MatrixColumn {
+	return e.newMatrixColumn(p, famA, famB, matrixShards)
+}
+
+func (e *Engine) newMatrixColumn(p core.MatrixParams, famA, famB *hashing.Family, shards int) *MatrixColumn {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
 	if famA.K() != p.K || famB.K() != p.K || famA.M() != p.M1 || famB.M() != p.M2 {
 		panic("ingest: matrix column families do not match params")
 	}
-	c := &MatrixColumn{eng: e, params: p, famA: famA, famB: famB,
-		shards: make([]*matrixShard, e.opts.MatrixShards)}
-	for i := range c.shards {
-		c.shards[i] = &matrixShard{}
-	}
-	return c
-}
-
-// Params returns the matrix parameters the column folds under.
-func (c *MatrixColumn) Params() core.MatrixParams { return c.params }
-
-// Enqueue routes one batch of wire-format matrix reports to a shard and
-// schedules the fold; shorthand for EnqueueAll with a single batch.
-func (c *MatrixColumn) Enqueue(batch []core.MatrixReport) error {
-	return c.EnqueueAll([][]core.MatrixReport{batch})
-}
-
-// EnqueueAll routes a set of matrix report batches to shards and
-// schedules the folds, blocking while the engine queue is full. The call
-// is atomic with respect to Finalize and Close exactly like
-// Column.EnqueueAll: every batch lands before a concurrent drain, or
-// none does. The engine takes ownership of the batch slices.
-func (c *MatrixColumn) EnqueueAll(batches [][]core.MatrixReport) error {
-	return c.enqueueAll(batches, false)
-}
-
-// EnqueueAllPooled is EnqueueAll for batches drawn from the protocol
-// batch pool; consumed batches are recycled with
-// protocol.PutMatrixBatch, under the same total-ownership contract as
-// Column.EnqueueAllPooled.
-func (c *MatrixColumn) EnqueueAllPooled(batches [][]core.MatrixReport) error {
-	return c.enqueueAll(batches, true)
-}
-
-func (c *MatrixColumn) enqueueAll(batches [][]core.MatrixReport, recycle bool) error {
-	var folds []func()
-	var total int64
-	for _, batch := range batches {
-		if len(batch) == 0 {
-			if recycle {
-				protocol.PutMatrixBatch(batch)
+	return newColumn(e, columnKind[core.MatrixReport, *core.MatrixAggregator]{
+		shards: shards,
+		newAgg: func() *core.MatrixAggregator { return core.NewMatrixAggregator(p, famA, famB) },
+		check: func(agg *core.MatrixAggregator) error {
+			if ap := agg.Params(); ap != p || agg.FamilyA().Seed() != famA.Seed() || agg.FamilyB().Seed() != famB.Seed() {
+				return fmt.Errorf("ingest: matrix aggregator (k=%d, m1=%d, m2=%d, ε=%g, seeds=%d,%d) does not match column (k=%d, m1=%d, m2=%d, ε=%g, seeds=%d,%d)",
+					ap.K, ap.M1, ap.M2, ap.Epsilon, agg.FamilyA().Seed(), agg.FamilyB().Seed(),
+					p.K, p.M1, p.M2, p.Epsilon, famA.Seed(), famB.Seed())
 			}
-			continue
-		}
-		folds = append(folds, c.fold(batch, recycle))
-		total += int64(len(batch))
-	}
-	if len(folds) == 0 {
-		return nil
-	}
-
-	c.mu.Lock()
-	if c.finalized {
-		c.mu.Unlock()
-		return ErrFinalized
-	}
-	c.wg.Add(len(folds))
-	c.mu.Unlock()
-
-	if err := c.eng.submitAll(folds); err != nil {
-		c.wg.Add(-len(folds))
-		return err
-	}
-	c.n.Add(total)
-	return nil
-}
-
-// fold builds the worker task adding one batch to the next shard; with
-// recycle set it returns the consumed batch to the protocol pool like
-// Column.fold.
-func (c *MatrixColumn) fold(batch []core.MatrixReport, recycle bool) func() {
-	sh := c.shards[c.next.Add(1)%uint64(len(c.shards))]
-	return func() {
-		defer c.wg.Done()
-		p := c.params
-		sh.mu.Lock()
-		agg := sh.ensure(c)
-		for _, r := range batch {
-			if int(r.Row) >= p.K || int(r.L1) >= p.M1 || int(r.L2) >= p.M2 || (r.Y != 1 && r.Y != -1) {
-				c.setErr(fmt.Errorf("ingest: matrix report (y=%d, row=%d, l1=%d, l2=%d) out of sketch bounds (%d, %d, %d)",
-					r.Y, r.Row, r.L1, r.L2, p.K, p.M1, p.M2))
-				continue
-			}
-			agg.Add(r)
-		}
-		sh.mu.Unlock()
-		if recycle {
-			protocol.PutMatrixBatch(batch)
-		}
-	}
-}
-
-// N returns the number of reports accepted so far, including batches
-// still queued behind the workers.
-func (c *MatrixColumn) N() int64 { return c.n.Load() }
-
-func (c *MatrixColumn) setErr(err error) {
-	c.errMu.Lock()
-	if c.err == nil {
-		c.err = err
-	}
-	c.errMu.Unlock()
-}
-
-// drain retires the column, waits out the outstanding folds, and merges
-// the populated shards in shard order (an untouched column yields a
-// fresh empty aggregator, so Snapshot of an empty column still works).
-func (c *MatrixColumn) drain() (*core.MatrixAggregator, error) {
-	c.mu.Lock()
-	if c.finalized {
-		c.mu.Unlock()
-		return nil, ErrFinalized
-	}
-	c.finalized = true
-	c.mu.Unlock()
-	c.wg.Wait()
-
-	c.errMu.Lock()
-	err := c.err
-	c.errMu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-
-	var total *core.MatrixAggregator
-	for _, sh := range c.shards {
-		if sh.agg == nil {
-			continue
-		}
-		if total == nil {
-			total = sh.agg
-			continue
-		}
-		total.Merge(sh.agg)
-	}
-	if total == nil {
-		total = core.NewMatrixAggregator(c.params, c.famA, c.famB)
-	}
-	return total, nil
-}
-
-// Finalize drains the column, merges the shards, and restores the matrix
-// sketch out of the double Hadamard domain. The column cannot be used
-// afterwards.
-func (c *MatrixColumn) Finalize() (*core.MatrixSketch, error) {
-	total, err := c.drain()
-	if err != nil {
-		return nil, err
-	}
-	return total.Finalize(), nil
-}
-
-// Snapshot drains the column like Finalize but stops before the restore
-// step, wrapping the merged unfinalized state as a mergeable snapshot
-// that shares the first populated shard's matrices. The column cannot be
-// used afterwards; encode the snapshot before anything else touches it.
-func (c *MatrixColumn) Snapshot() (*protocol.Snapshot, error) {
-	total, err := c.drain()
-	if err != nil {
-		return nil, err
-	}
-	return protocol.SnapshotOfMatrixAggregator(total), nil
-}
-
-// State copies the column's current aggregation state into a fresh
-// unfinalized matrix aggregator without consuming the column: the
-// point-in-time export for live federation pulls, with the same locking
-// discipline as Column.State.
-func (c *MatrixColumn) State() (*core.MatrixAggregator, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.finalized {
-		return nil, ErrFinalized
-	}
-	c.errMu.Lock()
-	err := c.err
-	c.errMu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	total := core.NewMatrixAggregator(c.params, c.famA, c.famB)
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		if sh.agg != nil {
-			total.Merge(sh.agg)
-		}
-		sh.mu.Unlock()
-	}
-	return total, nil
-}
-
-// Settle blocks until every fold accepted so far has landed in a
-// shard, under the same caller-excludes-enqueues contract as
-// Column.Settle.
-func (c *MatrixColumn) Settle() { c.wg.Wait() }
-
-// MergeAggregator folds an unfinalized matrix aggregator — typically
-// restored from another collector's snapshot — into the column, exactly.
-// It follows the Enqueue lifecycle and consumes agg: an untouched shard
-// adopts it outright (zero copy), a populated one folds it in cell-wise.
-func (c *MatrixColumn) MergeAggregator(agg *core.MatrixAggregator) error {
-	if agg.Done() {
-		return fmt.Errorf("ingest: cannot merge a finalized matrix aggregator")
-	}
-	if agg.Params() != c.params || agg.FamilyA().Seed() != c.famA.Seed() || agg.FamilyB().Seed() != c.famB.Seed() {
-		ap := agg.Params()
-		return fmt.Errorf("ingest: matrix aggregator (k=%d, m1=%d, m2=%d, ε=%g, seeds=%d,%d) does not match column (k=%d, m1=%d, m2=%d, ε=%g, seeds=%d,%d)",
-			ap.K, ap.M1, ap.M2, ap.Epsilon, agg.FamilyA().Seed(), agg.FamilyB().Seed(),
-			c.params.K, c.params.M1, c.params.M2, c.params.Epsilon, c.famA.Seed(), c.famB.Seed())
-	}
-
-	c.mu.Lock()
-	if c.finalized {
-		c.mu.Unlock()
-		return ErrFinalized
-	}
-	c.wg.Add(1)
-	c.mu.Unlock()
-	defer c.wg.Done()
-
-	sh := c.shards[c.next.Add(1)%uint64(len(c.shards))]
-	sh.mu.Lock()
-	if sh.agg == nil {
-		sh.agg = agg
-	} else {
-		sh.agg.Merge(agg)
-	}
-	sh.mu.Unlock()
-	c.n.Add(int64(agg.N()))
-	return nil
+			return nil
+		},
+		put:      protocol.PutMatrixBatch,
+		snapshot: protocol.SnapshotOfMatrixAggregator,
+	})
 }

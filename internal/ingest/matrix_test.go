@@ -37,13 +37,12 @@ func TestMatrixColumnByteIdentical(t *testing.T) {
 	}
 	want := ref.Finalize()
 
-	for _, opts := range []Options{
-		{Shards: 1, Workers: 1},
-		{Shards: 3, Workers: 2, MatrixShards: 3},
-		{Shards: 8, Workers: 4, MatrixShards: 8},
-	} {
-		e := NewEngine(core.Params{K: p.K, M: p.M1, Epsilon: p.Epsilon}, famA, opts)
-		col := e.NewMatrixColumn(p, famA, famB)
+	// The shard count is the matrix kind's constant (1) in production;
+	// the in-package constructor takes it explicitly so the
+	// shard-count independence of the generic column stays pinned.
+	for _, tc := range []struct{ shards, workers int }{{1, 1}, {3, 2}, {8, 4}} {
+		e := NewEngine(core.Params{K: p.K, M: p.M1, Epsilon: p.Epsilon}, famA, Options{Workers: tc.workers})
+		col := e.newMatrixColumn(p, famA, famB, tc.shards)
 		var batches [][]core.MatrixReport
 		for off := 0; off < len(reports); off += 777 {
 			batches = append(batches, reports[off:min(off+777, len(reports))])
@@ -60,7 +59,7 @@ func TestMatrixColumnByteIdentical(t *testing.T) {
 		}
 		for j := 0; j < p.K; j++ {
 			if !reflect.DeepEqual(got.Mat(j), want.Mat(j)) {
-				t.Fatalf("matrixShards=%d: replica %d differs from sequential build", opts.MatrixShards, j)
+				t.Fatalf("shards=%d: replica %d differs from sequential build", tc.shards, j)
 			}
 		}
 		e.Close()
@@ -110,13 +109,14 @@ func TestMatrixColumnLifecycle(t *testing.T) {
 // everything, exercising the snapshot round trip on the way.
 func TestMatrixColumnFederation(t *testing.T) {
 	p, famA, famB := matrixTestSetup()
-	e := NewEngine(core.Params{K: p.K, M: p.M1, Epsilon: p.Epsilon}, famA, Options{Shards: 4, Workers: 2, MatrixShards: 4})
+	e := NewEngine(core.Params{K: p.K, M: p.M1, Epsilon: p.Epsilon}, famA, Options{Shards: 4, Workers: 2})
 	defer e.Close()
+	newCol := func() *MatrixColumn { return e.newMatrixColumn(p, famA, famB, 4) }
 
 	half1 := matrixReports(p, famA, famB, 4, 4000)
 	half2 := matrixReports(p, famA, famB, 5, 3000)
 
-	all := e.NewMatrixColumn(p, famA, famB)
+	all := newCol()
 	if err := all.EnqueueAll([][]core.MatrixReport{half1, half2}); err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +125,8 @@ func TestMatrixColumnFederation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	remote := e.NewMatrixColumn(p, famA, famB)
-	local := e.NewMatrixColumn(p, famA, famB)
+	remote := newCol()
+	local := newCol()
 	if err := remote.Enqueue(half1); err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestMatrixColumnFederation(t *testing.T) {
 	// Mismatched families are refused.
 	foreignB := hashing.NewFamily(99, p.K, p.M2)
 	foreign := core.NewMatrixAggregator(p, famA, foreignB)
-	victim := e.NewMatrixColumn(p, famA, famB)
+	victim := newCol()
 	if err := victim.MergeAggregator(foreign); err == nil {
 		t.Fatal("family-mismatched merge accepted")
 	}

@@ -35,7 +35,6 @@ var (
 // reports and the advance are accepted is well defined — the property
 // the WAL relies on to replay a crash into byte-identical state.
 type PlusColumn struct {
-	eng    *Engine
 	sample *Column
 	low    *Column
 	high   *Column
@@ -53,24 +52,22 @@ type PlusColumn struct {
 // Both families must share the engine's dimensions.
 func (e *Engine) NewPlusColumn(famSample, famGroup *hashing.Family) *PlusColumn {
 	return &PlusColumn{
-		eng:    e,
 		sample: e.NewColumnWithFamily(famSample),
 		low:    e.NewColumnWithFamily(famGroup),
 		high:   e.NewColumnWithFamily(famGroup),
 	}
 }
 
-// column maps a wire group to its backing column.
-func (c *PlusColumn) column(group protocol.PlusGroup) (*Column, error) {
+// column maps a wire group, already validated by checkGroupLocked, to
+// its backing column.
+func (c *PlusColumn) column(group protocol.PlusGroup) *Column {
 	switch group {
 	case protocol.PlusSample:
-		return c.sample, nil
+		return c.sample
 	case protocol.PlusLow:
-		return c.low, nil
-	case protocol.PlusHigh:
-		return c.high, nil
+		return c.low
 	}
-	return nil, fmt.Errorf("ingest: invalid plus group %d", group)
+	return c.high
 }
 
 // CheckGroup reports whether a batch for the group would currently be
@@ -101,32 +98,19 @@ func (c *PlusColumn) phaseLocked() string {
 	return "in phase 1"
 }
 
-// EnqueueAll routes a set of batches for one phase group to the
+// EnqueueAllPooled routes a set of batches for one phase group to the
 // backing column, after checking the group against the current phase.
 // The phase check and the enqueue happen under the column mutex, so a
-// concurrent Advance cannot slip between them.
-func (c *PlusColumn) EnqueueAll(group protocol.PlusGroup, batches [][]core.Report) error {
-	return c.enqueueAll(group, batches, false)
-}
-
-// EnqueueAllPooled is EnqueueAll for batches drawn from the protocol
-// batch pool, under the same total-ownership contract as
+// concurrent Advance cannot slip between them. The batches come from
+// the protocol batch pool, under the same total-ownership contract as
 // Column.EnqueueAllPooled.
 func (c *PlusColumn) EnqueueAllPooled(group protocol.PlusGroup, batches [][]core.Report) error {
-	return c.enqueueAll(group, batches, true)
-}
-
-func (c *PlusColumn) enqueueAll(group protocol.PlusGroup, batches [][]core.Report, recycle bool) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.checkGroupLocked(group); err != nil {
 		return err
 	}
-	col, err := c.column(group)
-	if err != nil {
-		return err
-	}
-	return col.enqueueAll(batches, recycle)
+	return c.column(group).EnqueueAllPooled(batches)
 }
 
 // Advanced reports whether the phase boundary has passed.
@@ -164,7 +148,7 @@ func (c *PlusColumn) proposeLocked(domain uint64, theta float64) ([]uint64, erro
 	// worker timing — kill-and-reopen recovery replays that stream and
 	// must propose the same set. New enqueues block on c.mu meanwhile,
 	// so the wait has a fixed target.
-	c.sample.wg.Wait()
+	c.sample.Settle()
 	agg, err := c.sample.State()
 	if err != nil {
 		return nil, err
@@ -223,11 +207,6 @@ func (c *PlusColumn) N() int64 {
 	return c.sample.N() + c.low.N() + c.high.N()
 }
 
-// Counts returns the per-phase report counts.
-func (c *PlusColumn) Counts() (sample, low, high int64) {
-	return c.sample.N(), c.low.N(), c.high.N()
-}
-
 // Finalize drains all three backing columns and restores the finalized
 // column state. The column must have advanced — before the phase
 // boundary there are no group sketches to estimate from — and cannot
@@ -260,6 +239,27 @@ func (c *PlusColumn) Finalize() (*core.PlusState, error) {
 	}, nil
 }
 
+// export assembles the composite snapshot, taking each backing column's
+// state with take — Snapshot to drain it, Capture to copy it. Callers
+// hold c.mu.
+func (c *PlusColumn) export(take func(*Column) (*protocol.Snapshot, error), fi []uint64) (*protocol.PlusSnapshot, error) {
+	ps := &protocol.PlusSnapshot{Advanced: c.advanced}
+	var err error
+	if ps.Sample, err = take(c.sample); err != nil {
+		return nil, err
+	}
+	if c.advanced {
+		ps.Domain, ps.Theta, ps.FI = c.domain, c.theta, fi
+		if ps.Low, err = take(c.low); err != nil {
+			return nil, err
+		}
+		if ps.High, err = take(c.high); err != nil {
+			return nil, err
+		}
+	}
+	return ps, nil
+}
+
 // Snapshot drains the column into a mergeable composite snapshot — the
 // checkpoint form of a collecting plus column. Like Column.Snapshot it
 // consumes the column and shares the drained rows; encode before
@@ -267,28 +267,7 @@ func (c *PlusColumn) Finalize() (*core.PlusState, error) {
 func (c *PlusColumn) Snapshot() (*protocol.PlusSnapshot, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sampleAgg, err := c.sample.drain()
-	if err != nil {
-		return nil, err
-	}
-	ps := &protocol.PlusSnapshot{
-		Advanced: c.advanced,
-		Sample:   protocol.SnapshotOfAggregator(sampleAgg),
-	}
-	if c.advanced {
-		lowAgg, err := c.low.drain()
-		if err != nil {
-			return nil, err
-		}
-		highAgg, err := c.high.drain()
-		if err != nil {
-			return nil, err
-		}
-		ps.Domain, ps.Theta, ps.FI = c.domain, c.theta, c.fi
-		ps.Low = protocol.SnapshotOfAggregator(lowAgg)
-		ps.High = protocol.SnapshotOfAggregator(highAgg)
-	}
-	return ps, nil
+	return c.export((*Column).Snapshot, c.fi)
 }
 
 // State copies the column's current state into a fresh composite
@@ -303,77 +282,64 @@ func (c *PlusColumn) State() (*protocol.PlusSnapshot, error) {
 	// deterministic function of the accepted stream — the property the
 	// federation conformance (byte-identical to single-node ingestion)
 	// rests on.
-	c.sample.wg.Wait()
-	c.low.wg.Wait()
-	c.high.wg.Wait()
-	sampleAgg, err := c.sample.State()
-	if err != nil {
-		return nil, err
+	c.sample.Settle()
+	c.low.Settle()
+	c.high.Settle()
+	return c.export((*Column).Capture, slices.Clone(c.fi))
+}
+
+// CheckMerge places an unfinalized composite snapshot's phase against
+// the column's — the one copy of the merge-admission policy. A snapshot
+// that advanced while the column has not can merge once the column
+// follows its frozen (domain, θ, FI): adopt reports that. One behind the
+// column's phase, or one that froze a different FI set, can never merge
+// exactly.
+func (c *PlusColumn) CheckMerge(snap *protocol.PlusSnapshot) (adopt bool, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.checkMerge(snap)
+}
+
+func (c *PlusColumn) checkMerge(snap *protocol.PlusSnapshot) (adopt bool, err error) {
+	switch {
+	case snap.Finalized:
+		return false, fmt.Errorf("ingest: cannot merge a finalized plus snapshot")
+	case snap.Advanced && !c.advanced:
+		return true, nil
+	case c.advanced && !snap.Advanced:
+		return false, fmt.Errorf("%w: merging a phase-1 snapshot into a phase-2 column", ErrPlusPhase)
+	case c.advanced && (snap.Domain != c.domain || snap.Theta != c.theta || !slices.Equal(snap.FI, c.fi)):
+		return false, fmt.Errorf("ingest: plus snapshot froze a different frequent-item set than the column")
 	}
-	ps := &protocol.PlusSnapshot{
-		Advanced: c.advanced,
-		Sample:   protocol.SnapshotOfAggregator(sampleAgg),
-	}
-	if c.advanced {
-		lowAgg, err := c.low.State()
-		if err != nil {
-			return nil, err
-		}
-		highAgg, err := c.high.State()
-		if err != nil {
-			return nil, err
-		}
-		ps.Domain, ps.Theta, ps.FI = c.domain, c.theta, slices.Clone(c.fi)
-		ps.Low = protocol.SnapshotOfAggregator(lowAgg)
-		ps.High = protocol.SnapshotOfAggregator(highAgg)
-	}
-	return ps, nil
+	return false, nil
 }
 
 // MergePlus folds another collector's unfinalized composite snapshot
-// into the column, phase by phase. The phases must agree: a snapshot
-// from the other side of the advance cannot merge (the service adopts
-// the snapshot's advance first when the local column can still follow),
-// and two advanced columns must have frozen identical (domain, θ, FI).
-// Merging is exact for the same reason single-phase merging is —
-// unfinalized cells are integer sums.
+// into the column, phase by phase. The phases must agree (CheckMerge):
+// the service adopts a snapshot's advance first when the local column
+// can still follow. Merging is exact for the same reason single-phase
+// merging is — unfinalized cells are integer sums.
 func (c *PlusColumn) MergePlus(snap *protocol.PlusSnapshot) error {
-	if snap.Finalized {
-		return fmt.Errorf("ingest: cannot merge a finalized plus snapshot")
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if snap.Advanced != c.advanced {
-		if c.advanced {
-			return fmt.Errorf("%w: merging a phase-1 snapshot into a phase-2 column", ErrPlusPhase)
-		}
+	if adopt, err := c.checkMerge(snap); err != nil {
+		return err
+	} else if adopt {
 		return fmt.Errorf("%w: merging a phase-2 snapshot into a phase-1 column", ErrPlusPhase)
 	}
-	if snap.Advanced {
-		if snap.Domain != c.domain || snap.Theta != c.theta || !slices.Equal(snap.FI, c.fi) {
-			return fmt.Errorf("ingest: plus snapshot froze a different frequent-item set than the column")
+	// Low and High are nil until the snapshot advanced.
+	for _, phase := range []struct {
+		col  *Column
+		snap *protocol.Snapshot
+	}{{c.sample, snap.Sample}, {c.low, snap.Low}, {c.high, snap.High}} {
+		if phase.snap == nil {
+			continue
 		}
-	}
-	sampleAgg, err := snap.Sample.Aggregator()
-	if err != nil {
-		return err
-	}
-	if err := c.sample.MergeAggregator(sampleAgg); err != nil {
-		return err
-	}
-	if snap.Advanced {
-		lowAgg, err := snap.Low.Aggregator()
+		agg, err := phase.snap.Aggregator()
 		if err != nil {
 			return err
 		}
-		if err := c.low.MergeAggregator(lowAgg); err != nil {
-			return err
-		}
-		highAgg, err := snap.High.Aggregator()
-		if err != nil {
-			return err
-		}
-		if err := c.high.MergeAggregator(highAgg); err != nil {
+		if err := phase.col.MergeAggregator(agg); err != nil {
 			return err
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"sync"
 	"testing"
+	"time"
 
 	"ldpjoin/internal/core"
 	"ldpjoin/internal/dataset"
@@ -119,6 +120,63 @@ func TestColumnMergeAggregator(t *testing.T) {
 	}
 	if !bytes.Equal(marshal(t, sk2), want) {
 		t.Fatal("merge-fed column differs from stream-fed column")
+	}
+}
+
+// TestColumnMergeAdoptsUnderQueuedFolds: a merge into an untouched shard
+// adopts the aggregator while folds for that shard are still queued, so
+// from the adoption on the workers add to it. MergeAggregator must take
+// the merged count before that (run under -race: reading it afterwards
+// races the fold, and counts the folded reports twice).
+func TestColumnMergeAdoptsUnderQueuedFolds(t *testing.T) {
+	p := testParams()
+	fam := p.NewFamily(42)
+	reports := perturbColumn(p, 11, dataset.Zipf(5, 8000, 2000, 1.3))
+	half := len(reports) / 2
+
+	ref := core.NewAggregator(p, fam)
+	for _, r := range reports {
+		ref.Add(r)
+	}
+	want := marshal(t, ref.Finalize())
+
+	eng := NewEngine(p, fam, Options{Shards: 1, Workers: 1, Queue: 64})
+	defer eng.Close()
+	for round := 0; round < 20; round++ {
+		// Park the only worker so the folds stay queued and the shard
+		// stays untouched until the merge has adopted.
+		gate := make(chan struct{})
+		if err := eng.submit(func() { <-gate }); err != nil {
+			t.Fatal(err)
+		}
+		col := eng.NewColumn()
+		for lo := 0; lo < half; lo += 100 {
+			if err := col.Enqueue(reports[lo:min(lo+100, half)]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		remote := core.NewAggregator(p, fam)
+		for _, r := range reports[half:] {
+			remote.Add(r)
+		}
+		merged := make(chan error, 1)
+		go func() { merged <- col.MergeAggregator(remote) }()
+		time.Sleep(time.Millisecond) // no happens-before edge: the folds start while the merge returns
+		close(gate)
+		if err := <-merged; err != nil {
+			t.Fatal(err)
+		}
+		col.Settle()
+		if got := col.N(); got != int64(len(reports)) {
+			t.Fatalf("round %d: N = %d, want %d", round, got, len(reports))
+		}
+		sk, err := col.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(marshal(t, sk), want) {
+			t.Fatalf("round %d: adopted merge differs from the serial fold", round)
+		}
 	}
 }
 

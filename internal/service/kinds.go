@@ -1,0 +1,180 @@
+package service
+
+import (
+	"bufio"
+	"fmt"
+	"io"
+	"net/http"
+
+	"ldpjoin/internal/protocol"
+	"ldpjoin/internal/store"
+)
+
+// The mutating path — reports, merge, finalize, snapshot export,
+// checkpoints, recovery — is written once, over the two interfaces
+// below. Every server-side structure of the paper is a linear sketch, so
+// the order of operations (register, debit, gate, WAL-append, apply,
+// ack) is the same for all of them; what differs is which codec reads
+// the bytes and which ingest column folds them, and that is all a kind
+// supplies. A fourth kind is one more file like join.go, matrix.go and
+// plus.go and one more entry in kinds.
+
+// kindOps is what a column kind supplies before a column exists: how to
+// read its report streams, open a column, and place and restore its
+// snapshots. Implementations are stateless.
+type kindOps interface {
+	// checkAttr validates the attribute slot a column of this kind would
+	// occupy.
+	checkAttr(s *Server, attr int) error
+	// decodeReports drains the rest of a report stream whose header has
+	// been read into owned, pooled batches. When it returns ok=false the
+	// HTTP error has already been written.
+	decodeReports(w http.ResponseWriter, s *Server, name string, body *bufio.Reader, h protocol.Header) (batchSet, bool)
+	// newColumn opens an empty collecting column in slot attr.
+	newColumn(s *Server, attr int) column
+	// snapshotBound is the largest encoded snapshot of this kind the
+	// server's configuration can produce.
+	snapshotBound(s *Server) int
+	// slot checks a decoded snapshot of this kind against the
+	// deployment's parameters and families and returns the attribute
+	// slot its seed fingerprint names.
+	slot(s *Server, snap protocol.ColumnSnapshot) (attr int, err error)
+	// restore rebuilds the finalized column a finalized snapshot of this
+	// kind carries; the caller fills in the attribute slot.
+	restore(snap protocol.ColumnSnapshot) (*finishedColumn, error)
+}
+
+// kinds is the kind table, keyed by the stream and manifest kind byte.
+var kinds = map[protocol.Kind]kindOps{
+	protocol.KindJoin:   joinKind{},
+	protocol.KindMatrix: matrixKind{},
+	protocol.KindPlus:   plusKind{},
+}
+
+// column is a collecting column of any kind, as the mutating path sees
+// it. The batchSet and prepared-merge values it consumes were produced
+// by its own kind (registerPending refuses a name claimed by another),
+// so implementations assert their concrete types.
+type column interface {
+	// N returns the reports accepted so far.
+	N() int64
+	// Settle blocks until every accepted fold has landed; see
+	// ingest.Column.Settle for the exclusion the caller owes it.
+	Settle()
+	// admit is the phase gate: it refuses a batch set the column's
+	// current phase cannot take. Only plus columns have phases.
+	admit(b batchSet) error
+	// appendReports makes the batch set durable in the column's WAL.
+	appendReports(st *store.Store, name string, attr int, b batchSet) error
+	// enqueuePooled hands the batch set to the ingest engine, which
+	// recycles each batch into the protocol pool once folded: on success
+	// the caller must not touch b again.
+	enqueuePooled(b batchSet) error
+	// capture copies the column's current state into a mergeable
+	// snapshot without consuming the column. As with drain, a failed
+	// call's snapshot is meaningless (it may hold a nil pointer): check
+	// the error, never the value.
+	capture() (protocol.ColumnSnapshot, error)
+	// drain retires the column into a mergeable snapshot.
+	drain() (protocol.ColumnSnapshot, error)
+	// finalize retires the column into its finalized form; the caller
+	// fills in the attribute slot.
+	finalize() (*finishedColumn, error)
+	// prepareMerge restores the mergeable state a compatible, unfinalized
+	// peer snapshot carries and checks it against the column's phase —
+	// everything that can refuse the merge, so nothing the column would
+	// reject reaches the WAL. A non-nil adopt is the advance a plus
+	// column must cross first because the snapshot is a phase ahead.
+	prepareMerge(snap protocol.ColumnSnapshot) (m any, adopt *advanceRequest, err error)
+	// merge folds a prepared merge into the column, consuming it.
+	merge(m any) error
+}
+
+// batchSet is one request's decoded reports, of whichever report type
+// its kind streams.
+type batchSet interface {
+	// count is the number of reports in the set.
+	count() int
+	// group names the phase group a plus batch set feeds; "" otherwise.
+	group() string
+}
+
+// reportBatches is the batchSet of the kinds whose streams carry nothing
+// but reports. n is kept beside the batches because the count outlives
+// them: after enqueuePooled the slices belong to the pool.
+type reportBatches[R any] struct {
+	batches [][]R
+	n       int
+}
+
+func (b reportBatches[R]) count() int  { return b.n }
+func (reportBatches[R]) group() string { return "" }
+
+// readAllBatches drains a batch reader into owned batches, enforcing the
+// per-request report cap and the no-empty-stream rule — an empty stream
+// (valid header, zero reports) must not create the column, or a typo'd
+// name would appear as a phantom "collecting" column in /v1/stats
+// forever. When it returns ok=false the HTTP error has already been
+// written.
+func readAllBatches[R any](w http.ResponseWriter, s *Server, name string,
+	next func(int) ([]R, error), count func() int) (reportBatches[R], bool) {
+	var batches [][]R
+	for {
+		batch, err := next(protocol.DefaultBatchSize)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			httpError(w, http.StatusBadRequest, "decoding report stream: %v", err)
+			return reportBatches[R]{}, false
+		}
+		if s.maxStream >= 0 && count() > s.maxStream {
+			httpError(w, http.StatusRequestEntityTooLarge,
+				"stream exceeds %d reports per request", s.maxStream)
+			return reportBatches[R]{}, false
+		}
+		batches = append(batches, batch)
+	}
+	if count() == 0 {
+		httpError(w, http.StatusBadRequest, "empty report stream for column %q", name)
+		return reportBatches[R]{}, false
+	}
+	return reportBatches[R]{batches: batches, n: count()}, true
+}
+
+// rebatch splits one recovered WAL record's reports at the live ingest
+// granularity: a record coalesces up to 2^20 reports, and folding that
+// as a single task would serialize recovery on one shard. Split, and
+// replay fans out across the engine's workers like the original traffic
+// did (fold order cannot change the result — integer cells commute). The
+// pooled enqueue recycles the decoded chunks; the sub-slice partition is
+// safe to recycle because only a chunk whose region reaches the end of
+// the decoded array can pass the pool's capacity guard (see
+// protocol.PutReportBatch).
+func rebatch[R any](reports []R) reportBatches[R] {
+	b := reportBatches[R]{n: len(reports)}
+	for len(reports) > 0 {
+		n := min(protocol.DefaultBatchSize, len(reports))
+		b.batches = append(b.batches, reports[:n])
+		reports = reports[n:]
+	}
+	return b
+}
+
+// spanInRange checks that a column spanning span attributes from attr
+// fits the attribute families the server derives.
+func (s *Server) spanInRange(attr, span int) error {
+	if attr < 0 || attr+span > len(s.fams) {
+		return fmt.Errorf("attribute %d out of range: the server derives %d attribute families (a matrix column spans attr and attr+1)",
+			attr, len(s.fams))
+	}
+	return nil
+}
+
+// slotOf is the join and matrix kinds' slot: the snapshot's seed
+// fingerprint names its attribute slot within the deployment's derived
+// families.
+func (s *Server) slotOf(snap protocol.ColumnSnapshot) (int, error) {
+	_, attr, err := snap.(*protocol.Snapshot).Slot(s.params, s.matrixP, s.fams)
+	return attr, err
+}

@@ -17,6 +17,7 @@ import (
 
 	"ldpjoin/internal/core"
 	"ldpjoin/internal/dataset"
+	"ldpjoin/internal/protocol"
 	"ldpjoin/internal/store"
 )
 
@@ -252,6 +253,9 @@ func TestErrorEnvelopeAllRoutes(t *testing.T) {
 		{"double finalize", "POST", "/v1/columns/F/finalize", nil, 409, "column_finalized", "F"},
 		{"garbage merge", "POST", "/v1/columns/X/merge", []byte("0123456789012345678901234567890123456789012345678901234567890123"), 400, "bad_request", ""},
 		{"advance of non-plus column", "POST", "/v1/columns/C/advance?domain=100&theta=0.01", nil, 409, "column_conflict", "C"},
+		// Bounded before decoding: the body is refused for its size, not
+		// buffered whole and then judged by its (tiny, deduplicated) FI.
+		{"oversized advance body", "POST", "/v1/columns/C/advance", []byte(`{"domain":100,"theta":0.01,"fi":[` + strings.Repeat("1,", maxAdvanceBody/2) + `1]}`), 413, "payload_too_large", ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -278,6 +282,24 @@ func TestErrorEnvelopeAllRoutes(t *testing.T) {
 
 // TestColumnsListing: GET /v1/columns reports every column with its
 // lifecycle state and privacy spend.
+// TestAdvanceBodyBoundFitsIndentedMaximalFI: the /advance body bound
+// must admit the largest legitimate request however the client's
+// encoder spaces it — a maximal FI set of 20-digit values, one item per
+// indented line.
+func TestAdvanceBodyBoundFitsIndentedMaximalFI(t *testing.T) {
+	fi := make([]uint64, protocol.MaxPlusFI)
+	for i := range fi {
+		fi[i] = ^uint64(0)
+	}
+	body, err := json.MarshalIndent(advanceRequest{Domain: ^uint64(0), Theta: 0.000123456789, FI: fi}, "", "    ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) > maxAdvanceBody {
+		t.Fatalf("indented maximal advance body is %d bytes, above the %d-byte bound", len(body), maxAdvanceBody)
+	}
+}
+
 func TestColumnsListing(t *testing.T) {
 	_, ts, p := testServer(t)
 	stream := encodeColumn(t, p, 3, dataset.Zipf(3, 150, 100, 1.2))

@@ -4,7 +4,10 @@
 // answers join-size and frequency queries and exports sketches for
 // persistence. It is the deployable face of the paper's server side.
 //
-// Columns are polymorphic over the sketch kind. A KindJoin stream feeds
+// Columns are polymorphic over the sketch kind, and the kind is a value:
+// the mutating path (reports, merge, finalize, snapshot, checkpoints,
+// recovery) is written once over the per-kind ops table in kinds.go,
+// join.go, matrix.go and plus.go. A KindJoin stream feeds
 // a single-attribute LDPJoinSketch column; a KindMatrix stream feeds a
 // two-attribute (middle-table) matrix column, the §VI building block of
 // chain joins; a KindPlus stream feeds a two-phase LDPJoinSketch+
@@ -165,21 +168,22 @@ type Options struct {
 	TenantEpsilonBudget float64
 }
 
-// pendingColumn is a collecting column of one kind: exactly one of
-// join/matrix/plus is set, per kind.
+// pendingColumn is a collecting column: its identity, the kind's column
+// behind the one interface the mutating path is written over, and the
+// two locks that order that path.
 type pendingColumn struct {
-	kind   protocol.Kind
-	attr   int
-	join   *ingest.Column
-	matrix *ingest.MatrixColumn
-	plus   *ingest.PlusColumn
+	kind  protocol.Kind
+	attr  int
+	state column
 
-	// opMu serializes a plus column's mutating requests — report
+	// opMu serializes the column's mutating requests — report
 	// append+enqueue, advance, merge — so the WAL is written in
-	// acceptance order. Without it, a sample batch could pass the phase
-	// gate, lose the race to a concurrent advance's WAL append, and be
-	// logged after the advance record — which replay would then reject.
-	// Join and matrix columns never take it: their records commute.
+	// acceptance order. A plus column depends on it: without it, a sample
+	// batch could pass the phase gate, lose the race to a concurrent
+	// advance's WAL append, and be logged after the advance record —
+	// which replay would then reject. Join and matrix records commute, so
+	// for them the order is merely harmless; appends to one column's log
+	// serialize on the log's own mutex across the fsync anyway.
 	opMu sync.Mutex
 
 	// walGate is the background checkpointer's exclusion point. Every
@@ -189,21 +193,9 @@ type pendingColumn struct {
 	// the rotated-out segments: no request can be between "durable in a
 	// covered segment" and "visible to the capture" while the gate is
 	// held, so a checkpoint can neither lose an acknowledged report nor
-	// double-count one on replay. Handlers acquire opMu (plus columns)
-	// before walGate, and the checkpointer takes only walGate — one
-	// order, no cycles.
+	// double-count one on replay. Handlers acquire opMu before walGate,
+	// and the checkpointer takes only walGate — one order, no cycles.
 	walGate sync.RWMutex
-}
-
-// n returns the reports accepted so far.
-func (c *pendingColumn) n() int64 {
-	switch c.kind {
-	case protocol.KindMatrix:
-		return c.matrix.N()
-	case protocol.KindPlus:
-		return c.plus.N()
-	}
-	return c.join.N()
 }
 
 // finishedColumn is a finalized column of one kind.
@@ -225,6 +217,22 @@ func (c *finishedColumn) n() float64 {
 	}
 	return c.join.N()
 }
+
+// snapshot wraps the finalized state as a snapshot without copying.
+func (c *finishedColumn) snapshot() protocol.ColumnSnapshot {
+	switch c.kind {
+	case protocol.KindMatrix:
+		return protocol.SnapshotOfMatrixSketch(c.matrix)
+	case protocol.KindPlus:
+		return protocol.PlusSnapshotOfState(c.plus)
+	}
+	return protocol.SnapshotOfSketch(c.join)
+}
+
+// lostToFinalize reports whether err means the column was retired —
+// finalized or drained — underneath the caller: a benign race, because
+// whoever retired it made (or is making) its state durable.
+func lostToFinalize(err error) bool { return errors.Is(err, ingest.ErrFinalized) }
 
 // Server aggregates LDP reports into named columns. It is safe for
 // concurrent use; Close releases the engine workers.
@@ -349,7 +357,9 @@ func NewWithOptions(p core.Params, seed int64, o Options) (*Server, error) {
 // server: finalized snapshots restore straight into the finished
 // registry, collecting state replays through the ingestion engine
 // exactly like live traffic. It runs before the server serves its
-// first request, so it touches the maps without locking.
+// first request, so it touches the maps without locking. The ten
+// store.Replayer methods are the per-shape entry points of four
+// operations — finalized, merge, reports, advance.
 type recoverer struct{ s *Server }
 
 // col returns the in-memory column for a recovering name, creating it
@@ -359,47 +369,24 @@ func (r recoverer) col(info store.ColumnInfo) (*pendingColumn, error) {
 	if ok {
 		return col, nil
 	}
-	if info.Kind == protocol.KindPlus {
-		if info.Attr != 0 {
-			return nil, fmt.Errorf("recovered plus column %q on attribute %d; plus columns are pinned to attribute 0", info.Name, info.Attr)
-		}
-		col = &pendingColumn{kind: info.Kind, plus: r.s.engine.NewPlusColumn(r.s.famPlusSample, r.s.famPlusGroup)}
-		r.s.pending[info.Name] = col
-		return col, nil
+	ops, ok := kinds[info.Kind]
+	if !ok {
+		return nil, fmt.Errorf("recovered column %q has unknown kind %d", info.Name, info.Kind)
 	}
-	maxAttr := info.Attr
-	if info.Kind == protocol.KindMatrix {
-		maxAttr++
+	if err := ops.checkAttr(r.s, info.Attr); err != nil {
+		return nil, fmt.Errorf("recovered column %q: %w", info.Name, err)
 	}
-	if info.Attr < 0 || maxAttr >= len(r.s.fams) {
-		return nil, fmt.Errorf("recovered column %q needs attribute %d; raise Options.Attributes (%d)",
-			info.Name, maxAttr, len(r.s.fams))
-	}
-	col = &pendingColumn{kind: info.Kind, attr: info.Attr}
-	if info.Kind == protocol.KindMatrix {
-		col.matrix = r.s.engine.NewMatrixColumn(r.s.matrixP, r.s.fams[info.Attr], r.s.fams[info.Attr+1])
-	} else {
-		col.join = r.s.engine.NewColumnWithFamily(r.s.fams[info.Attr])
-	}
+	col = &pendingColumn{kind: info.Kind, attr: info.Attr, state: ops.newColumn(r.s, info.Attr)}
 	r.s.pending[info.Name] = col
 	return col, nil
 }
 
-func (r recoverer) RecoverFinalized(info store.ColumnInfo, snap *protocol.Snapshot) error {
-	fin := &finishedColumn{kind: info.Kind, attr: info.Attr}
-	if snap.Kind == protocol.SnapshotMatrix {
-		ms, err := snap.MatrixSketch()
-		if err != nil {
-			return err
-		}
-		fin.matrix = ms
-	} else {
-		sk, err := snap.Sketch()
-		if err != nil {
-			return err
-		}
-		fin.join = sk
+func (r recoverer) finalized(info store.ColumnInfo, snap protocol.ColumnSnapshot) error {
+	fin, err := kinds[info.Kind].restore(snap)
+	if err != nil {
+		return err
 	}
+	fin.attr = info.Attr
 	// Recovery runs single-threaded before the first request, so it may
 	// grow the registry's map in place instead of copy-and-swapping once
 	// per recovered column.
@@ -407,140 +394,76 @@ func (r recoverer) RecoverFinalized(info store.ColumnInfo, snap *protocol.Snapsh
 	return nil
 }
 
-func (r recoverer) RecoverCheckpoint(info store.ColumnInfo, snap *protocol.Snapshot) error {
-	return r.recoverSnapshotMerge(info, snap)
-}
-
-func (r recoverer) RecoverMerge(info store.ColumnInfo, snap *protocol.Snapshot) error {
-	return r.recoverSnapshotMerge(info, snap)
-}
-
-func (r recoverer) recoverSnapshotMerge(info store.ColumnInfo, snap *protocol.Snapshot) error {
+// merge restores a checkpoint or replays a logged federation merge. A
+// plus snapshot a phase ahead of the column can only be a checkpoint —
+// it carries the phase boundary, so the column re-freezes the recorded
+// (domain, θ, FI), the covered advance record, not a recomputation,
+// before the groups merge in. A logged merge never is: the live handler
+// appends the advance record ahead of any post-advance merge, so the
+// column's phase already matches by the time the merge replays.
+func (r recoverer) merge(info store.ColumnInfo, snap protocol.ColumnSnapshot) error {
 	col, err := r.col(info)
 	if err != nil {
 		return err
 	}
-	if snap.Kind == protocol.SnapshotMatrix {
-		agg, err := snap.MatrixAggregator()
-		if err != nil {
-			return err
-		}
-		return col.matrix.MergeAggregator(agg)
-	}
-	agg, err := snap.Aggregator()
+	m, adopt, err := col.state.prepareMerge(snap)
 	if err != nil {
 		return err
 	}
-	return col.join.MergeAggregator(agg)
-}
-
-func (r recoverer) RecoverReports(info store.ColumnInfo, reports []core.Report) error {
-	col, err := r.col(info)
-	if err != nil {
-		return err
-	}
-	// Re-batch at the live ingest granularity: a WAL record coalesces up
-	// to 2^20 reports, and folding that as a single task would serialize
-	// recovery on one shard. Split, and replay fans out across the
-	// engine's workers like the original traffic did (fold order cannot
-	// change the result — integer cells commute). The pooled enqueue
-	// recycles the decoded chunks; the sub-slice partition is safe to
-	// recycle because only a chunk whose region reaches the end of the
-	// decoded array can pass the pool's capacity guard (see
-	// protocol.PutReportBatch).
-	var batches [][]core.Report
-	for len(reports) > 0 {
-		n := min(protocol.DefaultBatchSize, len(reports))
-		batches = append(batches, reports[:n])
-		reports = reports[n:]
-	}
-	return col.join.EnqueueAllPooled(batches)
-}
-
-func (r recoverer) RecoverMatrixReports(info store.ColumnInfo, reports []core.MatrixReport) error {
-	col, err := r.col(info)
-	if err != nil {
-		return err
-	}
-	var batches [][]core.MatrixReport
-	for len(reports) > 0 {
-		n := min(protocol.DefaultBatchSize, len(reports))
-		batches = append(batches, reports[:n])
-		reports = reports[n:]
-	}
-	return col.matrix.EnqueueAllPooled(batches)
-}
-
-// explicitFI normalizes a decoded FI slice for PlusColumn.Advance,
-// where nil means "compute from the sample": a persisted or imported
-// empty set must stay explicit, never trigger recomputation.
-func explicitFI(fi []uint64) []uint64 {
-	if fi == nil {
-		return []uint64{}
-	}
-	return fi
-}
-
-func (r recoverer) RecoverPlusFinalized(info store.ColumnInfo, snap *protocol.PlusSnapshot) error {
-	state, err := snap.PlusState()
-	if err != nil {
-		return err
-	}
-	r.s.finished.seed(info.Name, &finishedColumn{kind: protocol.KindPlus, attr: info.Attr, plus: state})
-	return nil
-}
-
-// RecoverPlusCheckpoint restores a plus column's shutdown checkpoint:
-// the composite snapshot carries the phase boundary, so an advanced
-// checkpoint re-freezes the recorded (domain, θ, FI) — the covered
-// advance record, not a recomputation — before its groups merge in.
-func (r recoverer) RecoverPlusCheckpoint(info store.ColumnInfo, snap *protocol.PlusSnapshot) error {
-	col, err := r.col(info)
-	if err != nil {
-		return err
-	}
-	if snap.Advanced && !col.plus.Advanced() {
-		if _, err := col.plus.Advance(snap.Domain, snap.Theta, explicitFI(snap.FI)); err != nil {
+	if adopt != nil {
+		if err := r.advance(info, adopt.Domain, adopt.Theta, adopt.FI); err != nil {
 			return err
 		}
 	}
-	return col.plus.MergePlus(snap)
+	return col.state.merge(m)
 }
 
-func (r recoverer) RecoverPlusReports(info store.ColumnInfo, group protocol.PlusGroup, reports []core.Report) error {
+func (r recoverer) reports(info store.ColumnInfo, b batchSet) error {
 	col, err := r.col(info)
 	if err != nil {
 		return err
 	}
-	// Re-batch at the live ingest granularity, as in RecoverReports.
-	var batches [][]core.Report
-	for len(reports) > 0 {
-		n := min(protocol.DefaultBatchSize, len(reports))
-		batches = append(batches, reports[:n])
-		reports = reports[n:]
-	}
-	return col.plus.EnqueueAllPooled(group, batches)
+	return col.state.enqueuePooled(b)
 }
 
-func (r recoverer) RecoverPlusAdvance(info store.ColumnInfo, domain uint64, theta float64, fi []uint64) error {
+func (r recoverer) advance(info store.ColumnInfo, domain uint64, theta float64, fi []uint64) error {
 	col, err := r.col(info)
 	if err != nil {
 		return err
 	}
-	_, err = col.plus.Advance(domain, theta, explicitFI(fi))
+	_, err = col.state.(plusColumn).Advance(domain, theta, explicitFI(fi))
 	return err
 }
 
-// RecoverPlusMerge replays a logged federation merge. The WAL already
-// holds an advance record ahead of any post-advance merge (the live
-// merge handler appends it before the merge record), so the column's
-// phase always matches by the time the merge replays.
+func (r recoverer) RecoverFinalized(info store.ColumnInfo, snap *protocol.Snapshot) error {
+	return r.finalized(info, snap)
+}
+func (r recoverer) RecoverPlusFinalized(info store.ColumnInfo, snap *protocol.PlusSnapshot) error {
+	return r.finalized(info, snap)
+}
+func (r recoverer) RecoverCheckpoint(info store.ColumnInfo, snap *protocol.Snapshot) error {
+	return r.merge(info, snap)
+}
+func (r recoverer) RecoverPlusCheckpoint(info store.ColumnInfo, snap *protocol.PlusSnapshot) error {
+	return r.merge(info, snap)
+}
+func (r recoverer) RecoverMerge(info store.ColumnInfo, snap *protocol.Snapshot) error {
+	return r.merge(info, snap)
+}
 func (r recoverer) RecoverPlusMerge(info store.ColumnInfo, snap *protocol.PlusSnapshot) error {
-	col, err := r.col(info)
-	if err != nil {
-		return err
-	}
-	return col.plus.MergePlus(snap)
+	return r.merge(info, snap)
+}
+func (r recoverer) RecoverReports(info store.ColumnInfo, reports []core.Report) error {
+	return r.reports(info, rebatch(reports))
+}
+func (r recoverer) RecoverMatrixReports(info store.ColumnInfo, reports []core.MatrixReport) error {
+	return r.reports(info, rebatch(reports))
+}
+func (r recoverer) RecoverPlusReports(info store.ColumnInfo, group protocol.PlusGroup, reports []core.Report) error {
+	return r.reports(info, plusBatches{rebatch(reports), group})
+}
+func (r recoverer) RecoverPlusAdvance(info store.ColumnInfo, domain uint64, theta float64, fi []uint64) error {
+	return r.advance(info, domain, theta, fi)
 }
 
 // Shutdown marks the server closed, drains and stops the ingestion
@@ -580,24 +503,11 @@ func (s *Server) Shutdown() error {
 	}
 	var firstErr error
 	for name, col := range pending {
-		var err error
-		if col.kind == protocol.KindPlus {
-			var snap *protocol.PlusSnapshot
-			if snap, err = col.plus.Snapshot(); err == nil {
-				err = s.st.CheckpointPlus(name, col.attr, snap)
-			}
-		} else {
-			var snap *protocol.Snapshot
-			if col.kind == protocol.KindMatrix {
-				snap, err = col.matrix.Snapshot()
-			} else {
-				snap, err = col.join.Snapshot()
-			}
-			if err == nil {
-				err = s.st.Checkpoint(name, col.attr, snap)
-			}
+		snap, err := col.state.drain()
+		if err == nil {
+			err = s.st.Checkpoint(name, col.attr, snap)
 		}
-		if err == ingest.ErrFinalized {
+		if lostToFinalize(err) {
 			continue // a concurrent finalize won; the store holds its final state
 		}
 		if err != nil && firstErr == nil {
@@ -661,38 +571,17 @@ func (s *Server) CheckpointNow(name string) error {
 		col.walGate.Unlock()
 		return nil
 	}
-	var snap *protocol.Snapshot
-	var plusSnap *protocol.PlusSnapshot
-	switch col.kind {
-	case protocol.KindPlus:
-		// PlusColumn.State settles its three sketches itself.
-		plusSnap, err = col.plus.State()
-	case protocol.KindMatrix:
-		col.matrix.Settle()
-		var agg *core.MatrixAggregator
-		if agg, err = col.matrix.State(); err == nil {
-			snap = protocol.SnapshotOfMatrixAggregator(agg)
-		}
-	default:
-		col.join.Settle()
-		var agg *core.Aggregator
-		if agg, err = col.join.State(); err == nil {
-			snap = protocol.SnapshotOfAggregator(agg)
-		}
-	}
+	col.state.Settle()
+	snap, err := col.state.capture()
 	col.walGate.Unlock()
 	if err != nil {
-		if errors.Is(err, ingest.ErrFinalized) {
+		if lostToFinalize(err) {
 			return nil // a concurrent finalize won; final.snap supersedes
 		}
 		return err
 	}
 
-	if col.kind == protocol.KindPlus {
-		err = s.st.SaveCheckpointPlus(name, covered, plusSnap)
-	} else {
-		err = s.st.SaveCheckpoint(name, covered, snap)
-	}
+	err = s.st.SaveCheckpoint(name, covered, snap)
 	if errors.Is(err, store.ErrColumnFinalized) || errors.Is(err, store.ErrClosed) {
 		return nil
 	}
@@ -741,27 +630,54 @@ func (s *Server) Handler() http.Handler {
 	return s.instrument(s.admit(mux))
 }
 
-// attrParam parses the ?attr= slot of an ingesting request. A matrix
-// column spans (attr, attr+1), so its slot must leave room for the
-// right attribute.
-func (s *Server) attrParam(r *http.Request, kind protocol.Kind) (int, error) {
-	raw := r.URL.Query().Get("attr")
-	if raw == "" {
-		return 0, nil
+// lookup resolves a name to its finalized column or, failing that, its
+// collecting one; both nil means the name is unknown. Only a collecting
+// column touches the lifecycle mutex, and then just for the map lookup.
+// A finalize can move the column between the two lookups, so the
+// registry is re-checked before the name is declared unknown.
+func (s *Server) lookup(name string) (*finishedColumn, *pendingColumn) {
+	if fin, ok := s.finished.get(name); ok {
+		return fin, nil
 	}
-	attr, err := strconv.Atoi(raw)
-	if err != nil {
-		return 0, fmt.Errorf("invalid ?attr=%q", raw)
+	s.mu.Lock()
+	col := s.pending[name]
+	s.mu.Unlock()
+	if col != nil {
+		return nil, col
 	}
-	maxAttr := attr
-	if kind == protocol.KindMatrix {
-		maxAttr++
+	fin, _ := s.finished.get(name)
+	return fin, nil
+}
+
+// collecting resolves the collecting column a lifecycle request
+// (advance, finalize) names. When it returns ok=false the HTTP error —
+// 409 for a finalized column, 404 for an unknown one — has been written.
+func (s *Server) collecting(w http.ResponseWriter, name string) (*pendingColumn, bool) {
+	s.mu.Lock()
+	_, done := s.finished.get(name)
+	col, ok := s.pending[name]
+	s.mu.Unlock()
+	switch {
+	case done:
+		writeError(w, http.StatusConflict, codeFinalized, name, "column %q is already finalized", name)
+	case !ok:
+		writeError(w, http.StatusNotFound, codeNotFound, name, "column %q has no reports", name)
 	}
-	if attr < 0 || maxAttr >= len(s.fams) {
-		return 0, fmt.Errorf("attribute %d out of range: the server derives %d attribute families (a matrix column spans attr and attr+1)",
-			attr, len(s.fams))
+	return col, ok && !done
+}
+
+// attrParam parses the ?attr= slot of an ingesting request and checks
+// it against the kind: a matrix column spans (attr, attr+1), so its slot
+// must leave room for the right attribute; a plus column is pinned to 0.
+func (s *Server) attrParam(r *http.Request, ops kindOps) (int, error) {
+	attr := 0
+	if raw := r.URL.Query().Get("attr"); raw != "" {
+		var err error
+		if attr, err = strconv.Atoi(raw); err != nil {
+			return 0, fmt.Errorf("invalid ?attr=%q", raw)
+		}
 	}
-	return attr, nil
+	return attr, ops.checkAttr(s, attr)
 }
 
 // registerPending looks up or creates the collecting column for a
@@ -790,21 +706,18 @@ func (s *Server) registerPending(w http.ResponseWriter, name string, kind protoc
 			return nil, false
 		}
 	} else {
-		col = &pendingColumn{kind: kind, attr: attr}
-		switch kind {
-		case protocol.KindMatrix:
-			col.matrix = s.engine.NewMatrixColumn(s.matrixP, s.fams[attr], s.fams[attr+1])
-		case protocol.KindPlus:
-			col.plus = s.engine.NewPlusColumn(s.famPlusSample, s.famPlusGroup)
-		default:
-			col.join = s.engine.NewColumnWithFamily(s.fams[attr])
-		}
+		col = &pendingColumn{kind: kind, attr: attr, state: kinds[kind].newColumn(s, attr)}
 		s.pending[name] = col
 	}
 	s.mu.Unlock()
 	return col, true
 }
 
+// handleReports is the one ingest path, for every column kind: decode,
+// register, debit, gate, WAL-append, enqueue, ack — in that order, each
+// step's place load-bearing (see the comments at each). The stream
+// header's kind byte picks the kinds entry that reads the body and the
+// column that folds it; nothing else differs.
 func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 	if s.refuseClosed(w) {
 		return
@@ -821,29 +734,19 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "decoding report stream: %v", err)
 		return
 	}
-	attr, err := s.attrParam(r, h.Kind)
+	ops := kinds[h.Kind] // ReadHeader admits only the three kinds
+	attr, err := s.attrParam(r, ops)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if h.Kind == protocol.KindMatrix {
-		s.handleMatrixReports(w, r, name, attr, body, h)
-		return
-	}
-	if h.Kind == protocol.KindPlus {
-		s.handlePlusReports(w, r, name, attr, body, h)
-		return
-	}
-
-	br, err := protocol.NewBatchReaderFrom(body, h, s.params)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "decoding report stream: %v", err)
-		return
-	}
-	batches, ok := readAllBatches(w, s, name, br.Next, br.Count)
+	batch, ok := ops.decodeReports(w, s, name, body, h)
 	if !ok {
 		return
 	}
+	// Everything the ack needs of the batch is read now: once enqueued,
+	// the batch belongs to the engine and the pool.
+	ingested, group := batch.count(), batch.group()
 
 	// Register the column under the same lock acquisition as the
 	// closed and finalized checks, *before* the WAL append. The order
@@ -853,14 +756,30 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 	// to a registered column — which is what lets the shutdown
 	// checkpoint retire every record, acknowledged or not, instead of
 	// leaving unacknowledged tails to resurrect on restart.
-	col, ok := s.registerPending(w, name, protocol.KindJoin, attr)
+	col, ok := s.registerPending(w, name, h.Kind, attr)
 	if !ok {
 		return
 	}
 	// Reserve the batch's privacy spend against the tenant's budget
-	// before anything is durable; a refused or failed ingest refunds.
-	release, ok := s.debitReports(w, r, name, br.Count())
+	// before anything is durable, and before taking the column's
+	// operation lock: the ledger is reserve-then-refund (a refused or
+	// failed ingest refunds), so a phase conflict below refunds the same
+	// way — and no response, success or error, is ever written while
+	// opMu is held. A parked client reading slowly must never wedge the
+	// column's phase machinery (the PR 5 lesson, enforced by the lockio
+	// analyzer).
+	release, ok := s.debitReports(w, r, name, ingested)
 	if !ok {
+		return
+	}
+	// The phase gate, the WAL append, and the enqueue run under the
+	// column's operation mutex so the log is written in acceptance order
+	// — see pendingColumn.opMu.
+	col.opMu.Lock()
+	if err := col.state.admit(batch); err != nil {
+		col.opMu.Unlock()
+		release(false)
+		s.conflict(w, name, err)
 		return
 	}
 
@@ -873,8 +792,9 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 	// checkpoint covers both halves of this request or neither.
 	col.walGate.RLock()
 	if s.st != nil {
-		if err := s.st.AppendReports(name, attr, batches); err != nil {
+		if err := col.state.appendReports(s.st, name, attr, batch); err != nil {
 			col.walGate.RUnlock()
+			col.opMu.Unlock()
 			release(false)
 			s.storeAppendError(w, name, err)
 			return
@@ -887,168 +807,36 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 	// entirely before the merge or not at all — and recycles each batch
 	// into the protocol pool once its fold has consumed it (the WAL
 	// append above already read them).
-	if err := col.join.EnqueueAllPooled(batches); err != nil {
-		col.walGate.RUnlock()
-		release(false)
-		s.columnConflict(w, codeConflict, name, "column %q: %v", name, err)
-		return
-	}
-	col.walGate.RUnlock()
-	release(true)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"column": name, "kind": protocol.KindJoin.String(), "ingested": br.Count(), "total": col.join.N(),
-	})
-}
-
-// readAllBatches drains a batch reader (join or matrix) into owned
-// batches, enforcing the per-request report cap and the no-empty-stream
-// rule — an empty stream (valid header, zero reports) must not create
-// the column, or a typo'd name would appear as a phantom "collecting"
-// column in /v1/stats forever. When it returns ok=false the HTTP error
-// has already been written.
-func readAllBatches[T any](w http.ResponseWriter, s *Server, name string,
-	next func(int) ([]T, error), count func() int) ([][]T, bool) {
-	var batches [][]T
-	for {
-		batch, err := next(protocol.DefaultBatchSize)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "decoding report stream: %v", err)
-			return nil, false
-		}
-		if s.maxStream >= 0 && count() > s.maxStream {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				"stream exceeds %d reports per request", s.maxStream)
-			return nil, false
-		}
-		batches = append(batches, batch)
-	}
-	if count() == 0 {
-		httpError(w, http.StatusBadRequest, "empty report stream for column %q", name)
-		return nil, false
-	}
-	return batches, true
-}
-
-// handleMatrixReports is the KindMatrix branch of handleReports: the
-// same decode-register-debit-log-enqueue order over the matrix column
-// path.
-func (s *Server) handleMatrixReports(w http.ResponseWriter, r *http.Request, name string, attr int, body *bufio.Reader, h protocol.Header) {
-	br, err := protocol.NewMatrixBatchReaderFrom(body, h, s.matrixP)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "decoding matrix report stream: %v", err)
-		return
-	}
-	batches, ok := readAllBatches(w, s, name, br.Next, br.Count)
-	if !ok {
-		return
-	}
-
-	col, ok := s.registerPending(w, name, protocol.KindMatrix, attr)
-	if !ok {
-		return
-	}
-	release, ok := s.debitReports(w, r, name, br.Count())
-	if !ok {
-		return
-	}
-	col.walGate.RLock()
-	if s.st != nil {
-		if err := s.st.AppendMatrixReports(name, attr, batches); err != nil {
-			col.walGate.RUnlock()
-			release(false)
-			s.storeAppendError(w, name, err)
-			return
-		}
-	}
-	if err := col.matrix.EnqueueAllPooled(batches); err != nil {
-		col.walGate.RUnlock()
-		release(false)
-		s.columnConflict(w, codeConflict, name, "column %q: %v", name, err)
-		return
-	}
-	col.walGate.RUnlock()
-	release(true)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"column": name, "kind": protocol.KindMatrix.String(), "ingested": br.Count(), "total": col.matrix.N(),
-	})
-}
-
-// handlePlusReports is the KindPlus branch of handleReports: the same
-// decode-register-log-enqueue order, plus the phase gate. The gate, the
-// WAL append, and the enqueue run under the column's operation mutex so
-// the log is written in acceptance order — see pendingColumn.opMu.
-func (s *Server) handlePlusReports(w http.ResponseWriter, r *http.Request, name string, attr int, body *bufio.Reader, h protocol.Header) {
-	if attr != 0 {
-		httpError(w, http.StatusBadRequest,
-			"plus columns are pinned to attribute 0: their sample and group families derive from the base seed")
-		return
-	}
-	br, group, err := protocol.NewPlusBatchReaderFrom(body, h, s.params)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "decoding plus report stream: %v", err)
-		return
-	}
-	batches, ok := readAllBatches(w, s, name, br.Next, br.Count)
-	if !ok {
-		return
-	}
-	col, ok := s.registerPending(w, name, protocol.KindPlus, attr)
-	if !ok {
-		return
-	}
-	// Reserve the spend before taking the column's operation lock: the
-	// ledger is reserve-then-refund anyway (a failed append refunds),
-	// so a group conflict below refunds the same way — and no response,
-	// success or error, is ever written while opMu is held. A parked
-	// client reading slowly must never wedge the column's phase
-	// machinery (the PR 5 lesson, enforced by the lockio analyzer).
-	release, ok := s.debitReports(w, r, name, br.Count())
-	if !ok {
-		return
-	}
-	col.opMu.Lock()
-	if err := col.plus.CheckGroup(group); err != nil {
-		col.opMu.Unlock()
-		release(false)
-		s.plusConflict(w, name, err)
-		return
-	}
-	col.walGate.RLock()
-	if s.st != nil {
-		if err := s.st.AppendPlusReports(name, attr, group, batches); err != nil {
-			col.walGate.RUnlock()
-			col.opMu.Unlock()
-			release(false)
-			s.storeAppendError(w, name, err)
-			return
-		}
-	}
-	if err := col.plus.EnqueueAllPooled(group, batches); err != nil {
+	if err := col.state.enqueuePooled(batch); err != nil {
 		col.walGate.RUnlock()
 		col.opMu.Unlock()
 		release(false)
-		s.columnConflict(w, codeConflict, name, "column %q: %v", name, err)
+		s.conflict(w, name, err)
 		return
 	}
 	col.walGate.RUnlock()
-	total := col.plus.N()
+	total := col.state.N()
 	col.opMu.Unlock()
 	release(true)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"column": name, "kind": protocol.KindPlus.String(), "group": group.String(),
-		"ingested": br.Count(), "total": total,
-	})
+	resp := map[string]any{"column": name, "kind": h.Kind.String(), "ingested": ingested, "total": total}
+	if group != "" {
+		resp["group"] = group
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
-// plusConflict maps a plus phase-machine error to the HTTP response:
-// the column exists but is on the wrong side of its phase boundary for
-// the request — a conflict, not a malformed request.
-func (s *Server) plusConflict(w http.ResponseWriter, name string, err error) {
+// conflict answers a request the column's state refuses — the wrong
+// side of a plus phase boundary, a column drained underneath it: the
+// column exists, so a conflict, not a malformed request.
+func (s *Server) conflict(w http.ResponseWriter, name string, err error) {
 	s.columnConflict(w, codeConflict, name, "column %q: %v", name, err)
 }
+
+// maxAdvanceBody bounds the JSON body of POST .../advance: the largest
+// frequent-item set the codecs carry at 32 bytes an item — 20 digits, a
+// comma, and slack for the whitespace or one-item-per-line indentation
+// an encoder may add — plus room for the other fields.
+const maxAdvanceBody = 32*protocol.MaxPlusFI + 1024
 
 // advanceRequest is the JSON body of POST /v1/columns/{name}/advance.
 // A nil FI asks the server to compute the set from the column's own
@@ -1071,7 +859,15 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var req advanceRequest
 	if r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		// Bound the body before decoding: the FI-count check below only
+		// runs once the decoder has buffered the whole array.
+		err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxAdvanceBody)).Decode(&req)
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			httpError(w, http.StatusRequestEntityTooLarge, "advance request exceeds %d bytes", tooLarge.Limit)
+			return
+		}
+		if err != nil {
 			httpError(w, http.StatusBadRequest, "decoding advance request: %v", err)
 			return
 		}
@@ -1117,19 +913,12 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	s.mu.Lock()
-	if _, done := s.finished.get(name); done {
-		s.mu.Unlock()
-		writeError(w, http.StatusConflict, codeFinalized, name, "column %q is already finalized", name)
-		return
-	}
-	col, ok := s.pending[name]
-	s.mu.Unlock()
+	col, ok := s.collecting(w, name)
 	if !ok {
-		writeError(w, http.StatusNotFound, codeNotFound, name, "column %q has no reports", name)
 		return
 	}
-	if col.kind != protocol.KindPlus {
+	plus, ok := col.state.(plusColumn)
+	if !ok {
 		writeError(w, http.StatusConflict, codeConflict, name, "column %q is a %s column; advance applies to plus columns", name, col.kind.String())
 		return
 	}
@@ -1139,17 +928,17 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	col.opMu.Lock()
 	// Check the phase before anything reaches the WAL: a second advance
 	// record would be rejected at replay, so it must never be written.
-	if col.plus.Advanced() {
+	if plus.Advanced() {
 		col.opMu.Unlock()
-		s.plusConflict(w, name, ingest.ErrPlusAdvanced)
+		s.conflict(w, name, ingest.ErrPlusAdvanced)
 		return
 	}
 	fi := req.FI
 	if fi == nil {
 		var err error
-		if fi, err = col.plus.ProposeFI(req.Domain, req.Theta); err != nil {
+		if fi, err = plus.ProposeFI(req.Domain, req.Theta); err != nil {
 			col.opMu.Unlock()
-			s.plusConflict(w, name, err)
+			s.conflict(w, name, err)
 			return
 		}
 	}
@@ -1166,11 +955,11 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	frozen, err := col.plus.Advance(req.Domain, req.Theta, explicitFI(fi))
+	frozen, err := plus.Advance(req.Domain, req.Theta, explicitFI(fi))
 	col.walGate.RUnlock()
 	col.opMu.Unlock()
 	if err != nil {
-		s.plusConflict(w, name, err)
+		s.conflict(w, name, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -1192,30 +981,27 @@ func (s *Server) handleFI(w http.ResponseWriter, r *http.Request) {
 			"domain": domain, "theta": theta, "fi": explicitFI(fi),
 		})
 	}
-	if fin, ok := s.finished.get(name); ok {
-		if fin.kind != protocol.KindPlus {
-			writeError(w, http.StatusConflict, codeConflict, name, "column %q is a %s column; /fi applies to plus columns", name, fin.kind.String())
-			return
-		}
+	notPlus := func(kind protocol.Kind) {
+		writeError(w, http.StatusConflict, codeConflict, name, "column %q is a %s column; /fi applies to plus columns", name, kind.String())
+	}
+	fin, col := s.lookup(name)
+	switch {
+	case fin != nil && fin.kind != protocol.KindPlus:
+		notPlus(fin.kind)
+		return
+	case fin != nil:
 		writeFrozen(fin.plus.Domain, fin.plus.Theta, fin.plus.FI, true)
 		return
-	}
-	s.mu.Lock()
-	col, ok := s.pending[name]
-	s.mu.Unlock()
-	if !ok {
-		if fin, ok := s.finished.get(name); ok && fin.kind == protocol.KindPlus {
-			writeFrozen(fin.plus.Domain, fin.plus.Theta, fin.plus.FI, true)
-			return
-		}
+	case col == nil:
 		writeError(w, http.StatusNotFound, codeNotFound, name, "unknown column %q", name)
 		return
 	}
-	if col.kind != protocol.KindPlus {
-		writeError(w, http.StatusConflict, codeConflict, name, "column %q is a %s column; /fi applies to plus columns", name, col.kind.String())
+	plus, ok := col.state.(plusColumn)
+	if !ok {
+		notPlus(col.kind)
 		return
 	}
-	if domain, theta, fi, advanced := col.plus.AdvanceInfo(); advanced {
+	if domain, theta, fi, advanced := plus.AdvanceInfo(); advanced {
 		writeFrozen(domain, theta, fi, false)
 		return
 	}
@@ -1236,9 +1022,9 @@ func (s *Server) handleFI(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "invalid ?theta=%q (want a threshold in (0,1))", rawT)
 		return
 	}
-	fi, err := col.plus.ProposeFI(domain, theta)
+	fi, err := plus.ProposeFI(domain, theta)
 	if err != nil {
-		s.plusConflict(w, name, err)
+		s.conflict(w, name, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -1252,51 +1038,22 @@ func (s *Server) handleFinalize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name := r.PathValue("name")
-	s.mu.Lock()
-	if _, done := s.finished.get(name); done {
-		s.mu.Unlock()
-		writeError(w, http.StatusConflict, codeFinalized, name, "column %q is already finalized", name)
-		return
-	}
-	col, ok := s.pending[name]
-	s.mu.Unlock()
+	col, ok := s.collecting(w, name)
 	if !ok {
-		writeError(w, http.StatusNotFound, codeNotFound, name, "column %q has no reports", name)
 		return
 	}
 	// Finalize drains the column's queued folds; do it outside the lock
 	// so ingestion into other columns proceeds meanwhile. A concurrent
 	// finalize of the same column loses with ErrFinalized.
-	fin := &finishedColumn{kind: col.kind, attr: col.attr}
-	var snap *protocol.Snapshot
-	var plusSnap *protocol.PlusSnapshot
-	var err error
-	var n float64
-	switch col.kind {
-	case protocol.KindMatrix:
-		fin.matrix, err = col.matrix.Finalize()
-		if err == nil {
-			snap, n = protocol.SnapshotOfMatrixSketch(fin.matrix), fin.matrix.N()
-		}
-	case protocol.KindPlus:
-		fin.plus, err = col.plus.Finalize()
-		if err == nil {
-			plusSnap, n = protocol.PlusSnapshotOfState(fin.plus), fin.plus.Population()
-		}
-	default:
-		fin.join, err = col.join.Finalize()
-		if err == nil {
-			snap, n = protocol.SnapshotOfSketch(fin.join), fin.join.N()
-		}
-	}
-	if err == ingest.ErrFinalized {
+	fin, err := col.state.finalize()
+	if lostToFinalize(err) {
 		s.columnConflict(w, codeFinalized, name, "column %q is already finalized", name)
 		return
 	}
 	if errors.Is(err, ingest.ErrPlusNotAdvanced) {
 		// The column is untouched (the phase check precedes the drain):
 		// advance it, ingest phase 2, then finalize.
-		s.plusConflict(w, name, err)
+		s.conflict(w, name, err)
 		return
 	}
 	if err != nil {
@@ -1314,13 +1071,10 @@ func (s *Server) handleFinalize(w http.ResponseWriter, r *http.Request) {
 	// the request reports the failure; the WAL stays in place, so a
 	// restart rebuilds the column collecting and an identical sketch is
 	// one finalize away.
+	fin.attr = col.attr
 	var persistErr error
 	if s.st != nil {
-		if col.kind == protocol.KindPlus {
-			persistErr = s.st.FinalizePlus(name, col.attr, plusSnap)
-		} else {
-			persistErr = s.st.Finalize(name, col.attr, snap)
-		}
+		persistErr = s.st.Finalize(name, col.attr, fin.snapshot())
 	}
 	// Retire the pending entry and publish the finalized column in one
 	// critical section: a status or register request holding mu sees the
@@ -1334,53 +1088,37 @@ func (s *Server) handleFinalize(w http.ResponseWriter, r *http.Request) {
 			"column %q finalized in memory, but persisting failed: %v", name, persistErr)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"column": name, "kind": col.kind.String(), "reports": n})
+	writeJSON(w, http.StatusOK, map[string]any{"column": name, "kind": col.kind.String(), "reports": fin.n()})
 }
 
-// finalizedStatus is the status payload of a finalized column.
-func finalizedStatus(name string, fin *finishedColumn) map[string]any {
-	return map[string]any{
-		"column": name, "kind": fin.kind.String(), "attr": fin.attr,
-		"state": "finalized", "reports": fin.n(),
-	}
-}
-
-// handleStatus answers from the lock-free registry when the column is
-// finalized; only a collecting column touches the lifecycle mutex, and
-// then just for the map lookup — the response is encoded and written
-// after the lock is released, so a slow status reader cannot stall
+// handleStatus encodes and writes its response after lookup has
+// released the lifecycle mutex, so a slow status reader cannot stall
 // ingestion.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	if fin, ok := s.finished.get(name); ok {
-		writeJSON(w, http.StatusOK, finalizedStatus(name, fin))
-		return
-	}
-	s.mu.Lock()
-	col, ok := s.pending[name]
-	s.mu.Unlock()
-	if ok {
+	fin, col := s.lookup(name)
+	switch {
+	case fin != nil:
+		writeJSON(w, http.StatusOK, map[string]any{
+			"column": name, "kind": fin.kind.String(), "attr": fin.attr,
+			"state": "finalized", "reports": fin.n(),
+		})
+	case col != nil:
 		payload := map[string]any{
 			"column": name, "kind": col.kind.String(), "attr": col.attr,
-			"state": "collecting", "reports": col.n(),
+			"state": "collecting", "reports": col.state.N(),
 		}
-		if col.kind == protocol.KindPlus {
+		if plus, ok := col.state.(plusColumn); ok {
 			phase := 1
-			if col.plus.Advanced() {
+			if plus.Advanced() {
 				phase = 2
 			}
 			payload["phase"] = phase
 		}
 		writeJSON(w, http.StatusOK, payload)
-		return
+	default:
+		writeError(w, http.StatusNotFound, codeNotFound, name, "unknown column %q", name)
 	}
-	// A finalize can move the column between the two lookups; re-check
-	// the registry before declaring the name unknown.
-	if fin, ok := s.finished.get(name); ok {
-		writeJSON(w, http.StatusOK, finalizedStatus(name, fin))
-		return
-	}
-	writeError(w, http.StatusNotFound, codeNotFound, name, "unknown column %q", name)
 }
 
 func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
@@ -1410,70 +1148,43 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSnapshot exports a column as a SNAP snapshot. A collecting
-// column yields a point-in-time unfinalized (mergeable) snapshot taken
-// under the shard locks without consuming the column, so a federator
-// can poll a live collector; a finalized column yields its finalized
-// snapshot. The response carries X-Ldpjoin-Finalized so callers can
-// tell the two apart without decoding.
+// column yields a point-in-time unfinalized (mergeable) snapshot of
+// every request acknowledged so far, taken without consuming the
+// column, so a federator can poll a live collector; a finalized column
+// yields its finalized snapshot. The response carries
+// X-Ldpjoin-Finalized so callers can tell the two apart without
+// decoding.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if s.refuseClosed(w) {
 		return
 	}
 	name := r.PathValue("name")
-	fin, done := s.finished.get(name)
-	var col *pendingColumn
-	var collecting bool
-	if !done {
-		s.mu.Lock()
-		col, collecting = s.pending[name]
-		s.mu.Unlock()
-		if !collecting {
-			// A finalize between the two lookups moved the column.
-			fin, done = s.finished.get(name)
-		}
-	}
-
+	fin, col := s.lookup(name)
 	var data []byte
-	var finalized bool
 	switch {
-	case done:
+	case fin != nil:
 		var err error
-		switch fin.kind {
-		case protocol.KindPlus:
-			data, err = protocol.EncodePlusSnapshot(protocol.PlusSnapshotOfState(fin.plus))
-		case protocol.KindMatrix:
-			data, err = protocol.EncodeSnapshot(protocol.SnapshotOfMatrixSketch(fin.matrix))
-		default:
-			data, err = protocol.EncodeSnapshot(protocol.SnapshotOfSketch(fin.join))
-		}
-		if err != nil {
+		if data, err = fin.snapshot().Encode(); err != nil {
 			httpError(w, http.StatusInternalServerError, "encoding snapshot: %v", err)
 			return
 		}
-		finalized = true
-	case collecting:
+	case col != nil:
 		// A concurrent finalize can retire the column between the lookup
-		// and the copy; State then reports ErrFinalized and the client
+		// and the copy; capture then reports ErrFinalized and the client
 		// retries against the finalized sketch.
-		var err error
-		switch col.kind {
-		case protocol.KindPlus:
-			var ps *protocol.PlusSnapshot
-			if ps, err = col.plus.State(); err == nil {
-				data, err = protocol.EncodePlusSnapshot(ps)
-			}
-		case protocol.KindMatrix:
-			var agg *core.MatrixAggregator
-			if agg, err = col.matrix.State(); err == nil {
-				data, err = protocol.EncodeSnapshot(protocol.SnapshotOfMatrixAggregator(agg))
-			}
-		default:
-			var agg *core.Aggregator
-			if agg, err = col.join.State(); err == nil {
-				data, err = protocol.EncodeSnapshot(protocol.SnapshotOfAggregator(agg))
-			}
+		// Settle first, under the operation lock: every mutating request
+		// holds opMu across its enqueue, so nothing adds folds while this
+		// waits, and the export covers exactly the acknowledged requests —
+		// an acked report is in the next pull, and a federated merge of
+		// live pulls is byte-identical to single-node ingestion.
+		col.opMu.Lock()
+		col.state.Settle()
+		snap, err := col.state.capture()
+		col.opMu.Unlock()
+		if err == nil {
+			data, err = snap.Encode()
 		}
-		if err == ingest.ErrFinalized {
+		if lostToFinalize(err) {
 			writeError(w, http.StatusConflict, codeFinalized, name, "column %q finalized while exporting; retry", name)
 			return
 		}
@@ -1487,7 +1198,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	s.snapshots.bump(name)
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Ldpjoin-Finalized", fmt.Sprintf("%v", finalized))
+	w.Header().Set("X-Ldpjoin-Finalized", strconv.FormatBool(fin != nil))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(data)
 }
@@ -1498,15 +1209,19 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // eventual sketch is byte-identical to single-node ingestion of the
 // union stream. A finalized snapshot can only be installed under a name
 // with no local state (import); merging into or on top of finalized
-// state is refused, because that cannot be exact. The column's kind and
-// attribute slot come from the snapshot's seed fingerprint.
+// state is refused, because that cannot be exact. The column's kind
+// comes from the snapshot's header and its attribute slot from the seed
+// fingerprint. A plus snapshot's phase must not be behind the column's,
+// and when it is ahead — it advanced, the local column has not — the
+// column adopts the snapshot's frozen (domain, θ, FI) first, durably,
+// then merges.
 func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 	if s.refuseClosed(w) {
 		return
 	}
 	name := r.PathValue("name")
-	// Read the fixed-size header first: its kind byte picks the exact
-	// body bound — a join snapshot is K·M cells, a matrix snapshot K·M²
+	// Read the fixed-size header first: its kind picks the exact body
+	// bound — a join snapshot is K·M cells, a matrix snapshot K·M²
 	// (~1000× larger at defaults) — so a request is never buffered
 	// beyond the size its declared kind justifies, and garbage bodies
 	// are rejected after 60 bytes.
@@ -1515,28 +1230,22 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "reading snapshot header: %v", err)
 		return
 	}
-	if protocol.IsPlusSnapshot(header) {
-		s.handlePlusMerge(w, r, name, header)
-		return
-	}
-	snapKind, err := protocol.PeekSnapshotKind(header)
+	kind, err := protocol.PeekColumnKind(header)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "decoding snapshot: %v", err)
 		return
 	}
-	limit := int64(protocol.SnapshotEncodedSize(s.params))
-	if snapKind == protocol.SnapshotMatrix {
-		limit = int64(protocol.SnapshotEncodedSizeMatrix(s.matrixP))
-		// A durable merge must fit one WAL record, and a matrix snapshot
-		// has no valid split. Refuse oversized configurations up front —
-		// before buffering anything — with an actionable message instead
-		// of a 500 from the append layer after 100s of MiB of work.
-		if s.st != nil && limit > protocol.MaxRecordPayload {
-			writeError(w, http.StatusConflict, codeConflict, name,
-				"matrix snapshots encode to %d bytes under this configuration, above the %d-byte WAL record bound: durable matrix merges need a smaller sketch width (or an in-memory server)",
-				limit, protocol.MaxRecordPayload)
-			return
-		}
+	ops := kinds[kind]
+	limit := int64(ops.snapshotBound(s))
+	// A durable merge must fit one WAL record, and a snapshot has no
+	// valid split. Refuse oversized configurations up front — before
+	// buffering anything — with an actionable message instead of a 500
+	// from the append layer after 100s of MiB of work.
+	if s.st != nil && limit > protocol.MaxRecordPayload {
+		writeError(w, http.StatusConflict, codeConflict, name,
+			"%s snapshots can encode to %d bytes under this configuration, above the %d-byte WAL record bound: durable %s merges need a smaller sketch width (or an in-memory server)",
+			kind, limit, protocol.MaxRecordPayload, kind)
+		return
 	}
 	rest, err := io.ReadAll(io.LimitReader(r.Body, limit-int64(len(header))+1))
 	if err != nil {
@@ -1548,28 +1257,24 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusRequestEntityTooLarge, "snapshot exceeds the %d-byte bound its kind has under this configuration", limit)
 		return
 	}
-	snap, err := protocol.DecodeSnapshot(data)
+	snap, err := protocol.DecodeColumnSnapshot(data)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "decoding snapshot: %v", err)
 		return
 	}
-	kind, attr, err := snap.Slot(s.params, s.matrixP, s.fams)
+	attr, err := ops.slot(s, snap)
 	if err != nil {
 		writeError(w, http.StatusConflict, codeConflict, name, "%v", err)
 		return
 	}
 
-	if snap.Finalized {
-		fin := &finishedColumn{kind: kind, attr: attr}
-		if kind == protocol.KindMatrix {
-			fin.matrix, err = snap.MatrixSketch()
-		} else {
-			fin.join, err = snap.Sketch()
-		}
+	if snap.IsFinalized() {
+		fin, err := ops.restore(snap)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, "restoring snapshot: %v", err)
 			return
 		}
+		fin.attr = attr
 		// Check and install under one lock acquisition: releasing the
 		// lock between the no-pending check and the install would let a
 		// concurrent reports request register the column in the gap —
@@ -1607,7 +1312,7 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		writeJSON(w, http.StatusOK, map[string]any{
-			"column": name, "kind": kind.String(), "merged": snap.N, "total": snap.N, "finalized": true,
+			"column": name, "kind": kind.String(), "merged": snap.Reports(), "total": snap.Reports(), "finalized": true,
 		})
 		return
 	}
@@ -1620,19 +1325,41 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// Decode the aggregator before taking the WAL gate: a snapshot the
-	// column would reject must not be logged, and the gate should not be
-	// held across decoding work.
-	var magg *core.MatrixAggregator
-	var jagg *core.Aggregator
-	if kind == protocol.KindMatrix {
-		magg, err = snap.MatrixAggregator()
-	} else {
-		jagg, err = snap.Aggregator()
-	}
+	// opMu is released explicitly on every path before a response is
+	// written — never held across a client socket write (lockio rule).
+	col.opMu.Lock()
+	// Restore the mergeable state and place it against the column's
+	// phase before taking the WAL gate: a record the in-memory column
+	// rejects must never be logged, or replay would reject it too and
+	// wedge recovery — and the gate should not be held across decoding
+	// work.
+	m, adopt, err := col.state.prepareMerge(snap)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "restoring snapshot: %v", err)
+		col.opMu.Unlock()
+		s.columnConflict(w, codeConflict, name, "merging into column %q: %v", name, err)
 		return
+	}
+	if adopt != nil {
+		// Adopt the snapshot's advance before merging — durably first,
+		// so replay crosses the boundary at the same point. The WAL gate
+		// keeps the (append, advance) pair on one side of any checkpoint
+		// rotation.
+		col.walGate.RLock()
+		if s.st != nil {
+			if err := s.st.AppendPlusAdvance(name, attr, adopt.Domain, adopt.Theta, adopt.FI); err != nil {
+				col.walGate.RUnlock()
+				col.opMu.Unlock()
+				s.storeAppendError(w, name, err)
+				return
+			}
+		}
+		_, err := col.state.(plusColumn).Advance(adopt.Domain, adopt.Theta, adopt.FI)
+		col.walGate.RUnlock()
+		if err != nil {
+			col.opMu.Unlock()
+			s.conflict(w, name, err)
+			return
+		}
 	}
 	// Shared-mode gate: the (append, merge) pair must land on one side of
 	// any checkpoint rotation, as in handleReports.
@@ -1640,169 +1367,22 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 	if s.st != nil {
 		if err := s.st.AppendMerge(name, kind, attr, data); err != nil {
 			col.walGate.RUnlock()
+			col.opMu.Unlock()
 			s.storeAppendError(w, name, err)
 			return
 		}
 	}
-	if kind == protocol.KindMatrix {
-		err = col.matrix.MergeAggregator(magg)
-	} else {
-		err = col.join.MergeAggregator(jagg)
-	}
+	err = col.state.merge(m)
 	col.walGate.RUnlock()
+	total := col.state.N()
+	col.opMu.Unlock()
 	if err != nil {
 		s.columnConflict(w, codeConflict, name, "merging into column %q: %v", name, err)
 		return
 	}
 	s.merges.bump(name)
 	writeJSON(w, http.StatusOK, map[string]any{
-		"column": name, "kind": kind.String(), "merged": snap.N, "total": col.n(), "finalized": false,
-	})
-}
-
-// handlePlusMerge folds another collector's composite plus snapshot
-// into the named column. An unfinalized composite merges exactly into a
-// collecting (or new) plus column; the snapshot's phase must not be
-// behind the column's, and when the snapshot is ahead — it advanced,
-// the local column has not — the column adopts the snapshot's frozen
-// (domain, θ, FI) first, durably, then merges. A finalized composite
-// installs under a fresh name only, as with the other kinds.
-func (s *Server) handlePlusMerge(w http.ResponseWriter, r *http.Request, name string, header []byte) {
-	limit := int64(protocol.PlusSnapshotMaxEncodedSize(s.params))
-	if s.st != nil && limit > protocol.MaxRecordPayload {
-		// As with matrix merges: a durable merge must fit one WAL record,
-		// and a composite snapshot has no valid split.
-		writeError(w, http.StatusConflict, codeConflict, name,
-			"plus snapshots can encode to %d bytes under this configuration, above the %d-byte WAL record bound: durable plus merges need a smaller sketch width (or an in-memory server)",
-			limit, protocol.MaxRecordPayload)
-		return
-	}
-	rest, err := io.ReadAll(io.LimitReader(r.Body, limit-int64(len(header))+1))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "reading snapshot body: %v", err)
-		return
-	}
-	data := append(header, rest...)
-	if int64(len(data)) > limit {
-		httpError(w, http.StatusRequestEntityTooLarge, "plus snapshot exceeds the %d-byte bound this configuration allows", limit)
-		return
-	}
-	snap, err := protocol.DecodePlusSnapshot(data)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "decoding plus snapshot: %v", err)
-		return
-	}
-	if err := snap.CompatibleWithPlus(s.params, s.seed); err != nil {
-		writeError(w, http.StatusConflict, codeConflict, name, "%v", err)
-		return
-	}
-
-	if snap.Finalized {
-		state, err := snap.PlusState()
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "restoring plus snapshot: %v", err)
-			return
-		}
-		fin := &finishedColumn{kind: protocol.KindPlus, plus: state}
-		// Check and install under one lock acquisition, as in the
-		// finalized import of the other kinds.
-		s.mu.Lock()
-		if s.closed.Load() {
-			s.mu.Unlock()
-			httpError(w, http.StatusServiceUnavailable, "server is shut down")
-			return
-		}
-		if _, done := s.finished.get(name); done {
-			s.mu.Unlock()
-			writeError(w, http.StatusConflict, codeFinalized, name, "column %q is already finalized; merging finalized snapshots is not exact", name)
-			return
-		}
-		if _, collecting := s.pending[name]; collecting {
-			s.mu.Unlock()
-			writeError(w, http.StatusConflict, codeConflict, name, "column %q is collecting; a finalized snapshot can only be imported under a fresh name", name)
-			return
-		}
-		s.finished.install(name, fin)
-		s.mu.Unlock()
-		s.merges.bump(name)
-		if s.st != nil {
-			if err := s.st.FinalizePlus(name, 0, snap); err != nil {
-				writeError(w, http.StatusInternalServerError, codeInternal, name,
-					"column %q imported in memory, but persisting failed: %v", name, err)
-				return
-			}
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"column": name, "kind": protocol.KindPlus.String(), "merged": snap.N(), "total": snap.N(), "finalized": true,
-		})
-		return
-	}
-
-	col, ok := s.registerPending(w, name, protocol.KindPlus, 0)
-	if !ok {
-		return
-	}
-	// opMu is released explicitly on every path before a response is
-	// written — never held across a client socket write (lockio rule).
-	col.opMu.Lock()
-	if snap.Advanced && !col.plus.Advanced() {
-		// Adopt the snapshot's advance before merging — durably first,
-		// so replay crosses the boundary at the same point. The WAL gate
-		// keeps the (append, advance) pair on one side of any checkpoint
-		// rotation.
-		col.walGate.RLock()
-		if s.st != nil {
-			if err := s.st.AppendPlusAdvance(name, 0, snap.Domain, snap.Theta, snap.FI); err != nil {
-				col.walGate.RUnlock()
-				col.opMu.Unlock()
-				s.storeAppendError(w, name, err)
-				return
-			}
-		}
-		_, err := col.plus.Advance(snap.Domain, snap.Theta, explicitFI(snap.FI))
-		col.walGate.RUnlock()
-		if err != nil {
-			col.opMu.Unlock()
-			s.plusConflict(w, name, err)
-			return
-		}
-	}
-	// Refuse a phase-mismatched merge before it reaches the WAL: a
-	// record the in-memory column rejects must never be logged, or
-	// replay would reject it too and wedge recovery. After the adoption
-	// above the only mismatches left are a snapshot behind the column's
-	// phase or one that froze a different FI set.
-	if domain, theta, fi, advanced := col.plus.AdvanceInfo(); advanced {
-		switch {
-		case !snap.Advanced:
-			col.opMu.Unlock()
-			s.plusConflict(w, name, fmt.Errorf("%w: merging a phase-1 snapshot into a phase-2 column", ingest.ErrPlusPhase))
-			return
-		case snap.Domain != domain || snap.Theta != theta || !slices.Equal(snap.FI, fi):
-			col.opMu.Unlock()
-			writeError(w, http.StatusConflict, codeConflict, name, "column %q: plus snapshot froze a different frequent-item set than the column", name)
-			return
-		}
-	}
-	col.walGate.RLock()
-	if s.st != nil {
-		if err := s.st.AppendMerge(name, protocol.KindPlus, 0, data); err != nil {
-			col.walGate.RUnlock()
-			col.opMu.Unlock()
-			s.storeAppendError(w, name, err)
-			return
-		}
-	}
-	err = col.plus.MergePlus(snap)
-	col.walGate.RUnlock()
-	col.opMu.Unlock()
-	if err != nil {
-		s.plusConflict(w, name, err)
-		return
-	}
-	s.merges.bump(name)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"column": name, "kind": protocol.KindPlus.String(), "merged": snap.N(), "total": col.n(), "finalized": false,
+		"column": name, "kind": kind.String(), "merged": snap.Reports(), "total": total, "finalized": false,
 	})
 }
 
@@ -2211,7 +1791,7 @@ func (s *Server) handleColumns(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Unlock()
 	list := make([]columnInfo, 0, len(pending)+len(view))
 	for name, col := range pending {
-		n := float64(col.n())
+		n := float64(col.state.N())
 		list = append(list, columnInfo{
 			Name: name, Kind: col.kind.String(), State: "collecting",
 			Attr: col.attr, Reports: n, EpsilonSpent: n * s.params.Epsilon,
@@ -2273,13 +1853,12 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		"planner": map[string]any{
 			"chainValidations": s.chainValidations.Load(),
 		},
-		"attributes":   len(s.fams),
-		"columns":      columns,
-		"shards":       o.Shards,
-		"matrixShards": o.MatrixShards,
-		"workers":      o.Workers,
-		"queue":        o.Queue,
-		"queueDepth":   s.engine.QueueDepth(),
+		"attributes": len(s.fams),
+		"columns":    columns,
+		"shards":     o.Shards,
+		"workers":    o.Workers,
+		"queue":      o.Queue,
+		"queueDepth": s.engine.QueueDepth(),
 	}
 	if s.tenants != nil {
 		tenants := make(map[string]any)

@@ -258,7 +258,7 @@ func TestSnapshotFinalizeRace(t *testing.T) {
 	if col == nil {
 		t.Fatal("column R not pending")
 	}
-	if _, err := col.join.Finalize(); err != nil {
+	if _, err := col.state.finalize(); err != nil {
 		t.Fatal(err)
 	}
 	code, body := get(t, ts.URL+"/v1/columns/R/snapshot")

@@ -24,9 +24,8 @@ type Checkpointer struct {
 // nil when both triggers are disabled (the pre-checkpointer behavior:
 // checkpoints only at shutdown). run is called sequentially, one due
 // column at a time, and must capture the column's state and call
-// SaveCheckpoint / SaveCheckpointPlus; errors are counted in Stats and
-// retried on the next tick, because the bytes tracker is only reset by
-// a successful save.
+// SaveCheckpoint; errors are counted in Stats and retried on the next
+// tick, because the bytes tracker is only reset by a successful save.
 func (st *Store) StartCheckpointer(run func(name string) error) *Checkpointer {
 	if st.opts.CheckpointBytes <= 0 && st.opts.CheckpointInterval <= 0 {
 		return nil

@@ -342,11 +342,14 @@ func replaySegments(dir string, after uint64, noSync bool, handle func(typ proto
 
 // removeCovered deletes the segments and checkpoints a newer checkpoint
 // (or the finalized sketch) has made redundant: segments with
-// seq <= covered and checkpoints other than keepCkpt (pass keepCkpt = 0
+// seq <= covered and checkpoints older than keepCkpt (pass keepCkpt = 0
 // to drop every checkpoint — a column's first segment is seq 1, so no
-// real checkpoint ever covers seq 0). Failures are returned but
-// recoverable: recovery picks the newest checkpoint and ignores covered
-// segments, so leftover files cost disk, not correctness.
+// real checkpoint ever covers seq 0). A checkpoint newer than keepCkpt
+// stays: two background checkpoints can finish out of order, and the
+// newer one has already deleted the segments only it still covers.
+// Failures are returned but recoverable: recovery picks the newest
+// checkpoint and ignores covered segments, so leftover files cost disk,
+// not correctness.
 func removeCovered(dir string, covered uint64, keepCkpt uint64) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -359,7 +362,7 @@ func removeCovered(dir string, covered uint64, keepCkpt uint64) error {
 				firstErr = err
 			}
 		}
-		if seq, ok := parseSeq(e.Name(), ckptPrefix, ckptSuffix); ok && seq != keepCkpt {
+		if seq, ok := parseSeq(e.Name(), ckptPrefix, ckptSuffix); ok && (seq < keepCkpt || keepCkpt == 0) {
 			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil && firstErr == nil {
 				firstErr = err
 			}

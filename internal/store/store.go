@@ -59,7 +59,6 @@ import (
 	"time"
 
 	"ldpjoin/internal/core"
-	"ldpjoin/internal/hashing"
 	"ldpjoin/internal/protocol"
 )
 
@@ -412,15 +411,22 @@ func (st *Store) column(name string, kind protocol.Kind, attr int) (*columnMeta,
 	if meta.Finalized {
 		return meta, nil, ErrColumnFinalized
 	}
+	log, err := st.openLog(name, meta)
+	return meta, log, err
+}
+
+// openLog returns the open WAL of a collecting column, opening it on
+// first use. Callers hold st.mu.
+func (st *Store) openLog(name string, meta *columnMeta) (*columnLog, error) {
 	log, ok := st.logs[name]
 	if !ok {
 		var err error
 		if log, err = openColumnLog(st.colDir(meta.ID), st.opts.SegmentBytes, st.opts.NoSync); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		st.logs[name] = log
 	}
-	return meta, log, nil
+	return log, nil
 }
 
 // AppendReports makes a request's accepted join report batches durable:
@@ -430,7 +436,7 @@ func (st *Store) column(name string, kind protocol.Kind, attr int) (*columnMeta,
 // acknowledge the request after a nil return.
 func (st *Store) AppendReports(name string, attr int, batches [][]core.Report) error {
 	return appendReportRecords(st, name, protocol.KindJoin, attr,
-		protocol.RecordReports, protocol.ReportSize, protocol.AppendReportsPayload, batches)
+		protocol.RecordReports, nil, protocol.ReportSize, protocol.AppendReportsPayload, batches)
 }
 
 // AppendMatrixReports is AppendReports for a matrix column: accepted
@@ -438,18 +444,28 @@ func (st *Store) AppendReports(name string, attr int, batches [][]core.Report) e
 // attr is the left attribute of the pair the column spans.
 func (st *Store) AppendMatrixReports(name string, attr int, batches [][]core.MatrixReport) error {
 	return appendReportRecords(st, name, protocol.KindMatrix, attr,
-		protocol.RecordMatrixReports, protocol.MatrixReportSize, protocol.AppendMatrixReportsPayload, batches)
+		protocol.RecordMatrixReports, nil, protocol.MatrixReportSize, protocol.AppendMatrixReportsPayload, batches)
 }
 
-// appendReportRecords frames report batches — itemSize wire bytes per
-// report, encoded by encode — as records of rtype, splitting at
-// maxReportsPerRecord, and appends them to the column's WAL with one
+// AppendPlusReports is AppendReports for one phase group of a plus
+// column: RecordPlusReports records whose payload leads with the group
+// byte. The caller has already gated the group against the column's
+// phase; replay re-applies the same order, so what was accepted is what
+// recovers.
+func (st *Store) AppendPlusReports(name string, attr int, group protocol.PlusGroup, batches [][]core.Report) error {
+	return appendReportRecords(st, name, protocol.KindPlus, attr,
+		protocol.RecordPlusReports, []byte{byte(group)}, protocol.ReportSize, protocol.AppendReportsPayload, batches)
+}
+
+// appendReportRecords frames report batches — prefix, then itemSize wire
+// bytes per report, encoded by encode — as records of rtype, splitting
+// at maxReportsPerRecord, and appends them to the column's WAL with one
 // sync. Records are framed one at a time into a reused buffer and
 // written as they are built, so the peak extra memory is one record
 // (maxReportsPerRecord reports), not a second copy of the whole
 // request.
 func appendReportRecords[T any](st *Store, name string, kind protocol.Kind, attr int,
-	rtype protocol.RecordType, itemSize int, encode func([]byte, []T) []byte, batches [][]T) error {
+	rtype protocol.RecordType, prefix []byte, itemSize int, encode func([]byte, []T) []byte, batches [][]T) error {
 	total := 0
 	for _, batch := range batches {
 		total += len(batch)
@@ -462,61 +478,15 @@ func appendReportRecords[T any](st *Store, name string, kind protocol.Kind, attr
 		return err
 	}
 	bi, off := 0, 0 // cursor into batches
-	frame := make([]byte, 0, min(total, maxReportsPerRecord)*itemSize+protocol.RecordOverhead)
+	frame := make([]byte, 0, len(prefix)+min(total, maxReportsPerRecord)*itemSize+protocol.RecordOverhead)
 	payload := make([]byte, 0, cap(frame)-protocol.RecordOverhead)
 	next := func() []byte {
-		payload = payload[:0]
-		for bi < len(batches) && len(payload) < maxReportsPerRecord*itemSize {
-			room := maxReportsPerRecord - len(payload)/itemSize
-			batch := batches[bi][off:]
-			n := min(room, len(batch))
-			payload = encode(payload, batch[:n])
-			if off += n; off == len(batches[bi]) {
-				bi, off = bi+1, 0
-			}
-		}
-		if len(payload) == 0 {
-			return nil
-		}
-		frame = protocol.AppendRecord(frame[:0], rtype, payload)
-		return frame
-	}
-	written, err := log.appendFunc(next)
-	if err != nil {
-		return err
-	}
-	st.noteAppend(name, written)
-	return nil
-}
-
-// AppendPlusReports makes a plus column's accepted report batches for
-// one phase group durable: RecordPlusReports records whose payload
-// leads with the group byte, split at maxReportsPerRecord, one sync.
-// The caller has already gated the group against the column's phase;
-// replay re-applies the same order, so what was accepted is what
-// recovers.
-func (st *Store) AppendPlusReports(name string, attr int, group protocol.PlusGroup, batches [][]core.Report) error {
-	total := 0
-	for _, batch := range batches {
-		total += len(batch)
-	}
-	if total == 0 {
-		return nil
-	}
-	_, log, err := st.column(name, protocol.KindPlus, attr)
-	if err != nil {
-		return err
-	}
-	bi, off := 0, 0 // cursor into batches
-	frame := make([]byte, 0, min(total, maxReportsPerRecord)*protocol.ReportSize+1+protocol.RecordOverhead)
-	payload := make([]byte, 0, cap(frame)-protocol.RecordOverhead)
-	next := func() []byte {
-		payload = append(payload[:0], byte(group))
+		payload = append(payload[:0], prefix...)
 		count := 0
 		for bi < len(batches) && count < maxReportsPerRecord {
 			batch := batches[bi][off:]
 			n := min(maxReportsPerRecord-count, len(batch))
-			payload = protocol.AppendReportsPayload(payload, batch[:n])
+			payload = encode(payload, batch[:n])
 			count += n
 			if off += n; off == len(batches[bi]) {
 				bi, off = bi+1, 0
@@ -525,7 +495,7 @@ func (st *Store) AppendPlusReports(name string, attr int, group protocol.PlusGro
 		if count == 0 {
 			return nil
 		}
-		frame = protocol.AppendRecord(frame[:0], protocol.RecordPlusReports, payload)
+		frame = protocol.AppendRecord(frame[:0], rtype, payload)
 		return frame
 	}
 	written, err := log.appendFunc(next)
@@ -541,17 +511,8 @@ func (st *Store) AppendPlusReports(name string, attr int, group protocol.PlusGro
 // appended before the advance is applied or acknowledged — group
 // reports accepted after it depend on replay seeing the boundary first.
 func (st *Store) AppendPlusAdvance(name string, attr int, domain uint64, theta float64, fi []uint64) error {
-	_, log, err := st.column(name, protocol.KindPlus, attr)
-	if err != nil {
-		return err
-	}
-	payload := protocol.AppendPlusAdvancePayload(nil, domain, theta, fi)
-	written, err := log.append(protocol.AppendRecord(nil, protocol.RecordPlusAdvance, payload))
-	if err != nil {
-		return err
-	}
-	st.noteAppend(name, written)
-	return nil
+	return st.appendRecord(name, protocol.KindPlus, attr, protocol.RecordPlusAdvance,
+		protocol.AppendPlusAdvancePayload(nil, domain, theta, fi))
 }
 
 // AppendMerge makes an accepted snapshot merge durable. The snapshot is
@@ -563,11 +524,16 @@ func (st *Store) AppendMerge(name string, kind protocol.Kind, attr int, encoded 
 	if len(encoded) > protocol.MaxRecordPayload {
 		return fmt.Errorf("store: snapshot of %d bytes exceeds the %d-byte WAL record bound", len(encoded), protocol.MaxRecordPayload)
 	}
+	return st.appendRecord(name, kind, attr, protocol.RecordMerge, encoded)
+}
+
+// appendRecord appends one record to the column's WAL and syncs it.
+func (st *Store) appendRecord(name string, kind protocol.Kind, attr int, rtype protocol.RecordType, payload []byte) error {
 	_, log, err := st.column(name, kind, attr)
 	if err != nil {
 		return err
 	}
-	written, err := log.append(protocol.AppendRecord(nil, protocol.RecordMerge, encoded))
+	written, err := log.append(protocol.AppendRecord(nil, rtype, payload))
 	if err != nil {
 		return err
 	}
@@ -576,16 +542,18 @@ func (st *Store) AppendMerge(name string, kind protocol.Kind, attr int, encoded 
 }
 
 // Checkpoint seals the column's log and persists its merged unfinalized
-// state, after which the covered WAL segments are deleted. The snapshot
-// must contain everything ever appended to the column — which is why
-// the service checkpoints only at shutdown, after the ingestion engine
-// has drained. The column accepts no further appends this process
-// lifetime; a reopened store continues it from the checkpoint.
-func (st *Store) Checkpoint(name string, attr int, snap *protocol.Snapshot) error {
-	if snap.Finalized {
+// state — a join or matrix SNAP, or a plus column's composite PSNP with
+// its phase boundary — after which the covered WAL segments are deleted.
+// The snapshot must contain everything ever appended to the column —
+// which is why the service checkpoints only at shutdown, after the
+// ingestion engine has drained. The column accepts no further appends
+// this process lifetime; a reopened store continues it from the
+// checkpoint.
+func (st *Store) Checkpoint(name string, attr int, snap protocol.ColumnSnapshot) error {
+	if snap.IsFinalized() {
 		return fmt.Errorf("store: checkpoint of %q with a finalized snapshot; use Finalize", name)
 	}
-	meta, log, err := st.column(name, kindOfSnapshot(snap), attr)
+	meta, log, err := st.column(name, snap.ColumnKind(), attr)
 	if err != nil {
 		return err
 	}
@@ -600,7 +568,20 @@ func (st *Store) Checkpoint(name string, attr int, snap *protocol.Snapshot) erro
 		// sentinel.
 		return nil
 	}
-	data, err := protocol.EncodeSnapshot(snap)
+	if err := st.writeCheckpoint(name, meta, covered, snap); err != nil {
+		return err
+	}
+	st.mu.Lock()
+	st.stats.Checkpoints++
+	delete(st.ckpt, name)
+	st.mu.Unlock()
+	return nil
+}
+
+// writeCheckpoint persists snap as the column's ckpt-<covered>.snap and
+// deletes the segments and older checkpoints it covers.
+func (st *Store) writeCheckpoint(name string, meta *columnMeta, covered uint64, snap protocol.ColumnSnapshot) error {
+	data, err := snap.Encode()
 	if err != nil {
 		return fmt.Errorf("store: encoding checkpoint of %q: %w", name, err)
 	}
@@ -613,33 +594,29 @@ func (st *Store) Checkpoint(name string, attr int, snap *protocol.Snapshot) erro
 	// checkpoint and ignores covered segments), so a failed remove must
 	// not be escalated as a failed checkpoint.
 	_ = removeCovered(dir, covered, covered)
-	st.mu.Lock()
-	st.stats.Checkpoints++
-	delete(st.ckpt, name)
-	st.mu.Unlock()
 	return nil
 }
 
-// Finalize persists a column's terminal state — its finalized SNAP —
-// and retires the WAL and any checkpoint. It also installs finalized
-// state under names with no prior log (snapshot import); in both cases
-// the column durably refuses appends from here on. The write is ordered
-// before the retirement, so a crash in between recovers as finalized
-// with some dead segment files left to delete.
-func (st *Store) Finalize(name string, attr int, snap *protocol.Snapshot) error {
-	if !snap.Finalized {
+// Finalize persists a column's terminal state — its finalized SNAP or
+// PSNP — and retires the WAL and any checkpoint. It also installs
+// finalized state under names with no prior log (snapshot import); in
+// both cases the column durably refuses appends from here on. The write
+// is ordered before the retirement, so a crash in between recovers as
+// finalized with some dead segment files left to delete.
+func (st *Store) Finalize(name string, attr int, snap protocol.ColumnSnapshot) error {
+	if !snap.IsFinalized() {
 		return fmt.Errorf("store: finalize of %q with an unfinalized snapshot", name)
 	}
-	meta, log, err := st.column(name, kindOfSnapshot(snap), attr)
+	meta, log, err := st.column(name, snap.ColumnKind(), attr)
 	if err != nil {
 		return err
 	}
 	if _, err := log.seal(); err != nil {
 		return err
 	}
-	data, err := protocol.EncodeSnapshot(snap)
+	data, err := snap.Encode()
 	if err != nil {
-		return fmt.Errorf("store: encoding finalized sketch of %q: %w", name, err)
+		return fmt.Errorf("store: encoding finalized state of %q: %w", name, err)
 	}
 	dir := st.colDir(meta.ID)
 	if err := writeFileAtomic(filepath.Join(dir, finalName), data, st.opts.NoSync); err != nil {
@@ -658,72 +635,10 @@ func (st *Store) Finalize(name string, attr int, snap *protocol.Snapshot) error 
 	return merr
 }
 
-// CheckpointPlus is Checkpoint for a plus column: the column's merged
-// unfinalized composite state — phase boundary included — persisted as
-// one PSNP blob covering the sealed log.
-func (st *Store) CheckpointPlus(name string, attr int, snap *protocol.PlusSnapshot) error {
-	if snap.Finalized {
-		return fmt.Errorf("store: checkpoint of %q with a finalized plus snapshot; use FinalizePlus", name)
-	}
-	meta, log, err := st.column(name, protocol.KindPlus, attr)
-	if err != nil {
-		return err
-	}
-	covered, err := log.seal()
-	if err != nil {
-		return err
-	}
-	if covered == 0 {
-		// As in Checkpoint: no durable state means nothing to cover.
-		return nil
-	}
-	data, err := protocol.EncodePlusSnapshot(snap)
-	if err != nil {
-		return fmt.Errorf("store: encoding plus checkpoint of %q: %w", name, err)
-	}
-	dir := st.colDir(meta.ID)
-	if err := writeFileAtomic(filepath.Join(dir, ckptName(covered)), data, st.opts.NoSync); err != nil {
-		return err
-	}
-	_ = removeCovered(dir, covered, covered)
-	st.mu.Lock()
-	st.stats.Checkpoints++
-	delete(st.ckpt, name)
-	st.mu.Unlock()
-	return nil
-}
-
-// FinalizePlus is Finalize for a plus column: its terminal composite
-// state persisted as final.snap, the log retired, appends durably
-// refused from here on.
+// FinalizePlus is Finalize under the name the benchmark harness calls;
+// it goes with the harness's next edit.
 func (st *Store) FinalizePlus(name string, attr int, snap *protocol.PlusSnapshot) error {
-	if !snap.Finalized {
-		return fmt.Errorf("store: finalize of %q with an unfinalized plus snapshot", name)
-	}
-	meta, log, err := st.column(name, protocol.KindPlus, attr)
-	if err != nil {
-		return err
-	}
-	if _, err := log.seal(); err != nil {
-		return err
-	}
-	data, err := protocol.EncodePlusSnapshot(snap)
-	if err != nil {
-		return fmt.Errorf("store: encoding finalized plus state of %q: %w", name, err)
-	}
-	dir := st.colDir(meta.ID)
-	if err := writeFileAtomic(filepath.Join(dir, finalName), data, st.opts.NoSync); err != nil {
-		return err
-	}
-	st.mu.Lock()
-	meta.Finalized = true
-	merr := st.writeManifest()
-	st.stats.Finalized++
-	delete(st.logs, name)
-	delete(st.ckpt, name)
-	st.mu.Unlock()
-	_ = removeCovered(dir, ^uint64(0), 0)
-	return merr
+	return st.Finalize(name, attr, snap)
 }
 
 // lookupColumn returns the meta and open log of an existing collecting
@@ -743,15 +658,8 @@ func (st *Store) lookupColumn(name string) (*columnMeta, *columnLog, error) {
 	if meta.Finalized {
 		return meta, nil, ErrColumnFinalized
 	}
-	log, ok := st.logs[name]
-	if !ok {
-		var err error
-		if log, err = openColumnLog(st.colDir(meta.ID), st.opts.SegmentBytes, st.opts.NoSync); err != nil {
-			return nil, nil, err
-		}
-		st.logs[name] = log
-	}
-	return meta, log, nil
+	log, err := st.openLog(name, meta)
+	return meta, log, err
 }
 
 // Rotate cuts a collecting column's WAL for a background checkpoint:
@@ -778,40 +686,19 @@ func (st *Store) Rotate(name string) (covered uint64, err error) {
 	return covered, nil
 }
 
-// SaveCheckpoint persists a background checkpoint of a collecting join
-// or matrix column: snap — the column's complete in-memory state at the
-// moment Rotate cut the WAL — is written as ckpt-<covered>.snap, after
-// which the covered segments (and older checkpoints) are deleted.
-// Unlike Checkpoint it does not seal the log: the column keeps
-// collecting, and a recovery restores the checkpoint then replays only
-// the segments above covered. A column finalized since the cut is a
-// benign race (ErrColumnFinalized): final.snap already holds a superset
-// of the state, so the checkpoint is simply dropped.
-func (st *Store) SaveCheckpoint(name string, covered uint64, snap *protocol.Snapshot) error {
-	if snap.Finalized {
+// SaveCheckpoint persists a background checkpoint of a collecting
+// column: snap — the column's complete in-memory state at the moment
+// Rotate cut the WAL — is written as ckpt-<covered>.snap, after which
+// the covered segments (and older checkpoints) are deleted. Unlike
+// Checkpoint it does not seal the log: the column keeps collecting, and
+// a recovery restores the checkpoint then replays only the segments
+// above covered. A column finalized since the cut is a benign race
+// (ErrColumnFinalized): final.snap already holds a superset of the
+// state, so the checkpoint is simply dropped.
+func (st *Store) SaveCheckpoint(name string, covered uint64, snap protocol.ColumnSnapshot) error {
+	if snap.IsFinalized() {
 		return fmt.Errorf("store: background checkpoint of %q with a finalized snapshot; use Finalize", name)
 	}
-	data, err := protocol.EncodeSnapshot(snap)
-	if err != nil {
-		return fmt.Errorf("store: encoding checkpoint of %q: %w", name, err)
-	}
-	return st.saveCheckpoint(name, covered, data)
-}
-
-// SaveCheckpointPlus is SaveCheckpoint for a plus column's composite
-// PSNP state.
-func (st *Store) SaveCheckpointPlus(name string, covered uint64, snap *protocol.PlusSnapshot) error {
-	if snap.Finalized {
-		return fmt.Errorf("store: background checkpoint of %q with a finalized plus snapshot; use FinalizePlus", name)
-	}
-	data, err := protocol.EncodePlusSnapshot(snap)
-	if err != nil {
-		return fmt.Errorf("store: encoding plus checkpoint of %q: %w", name, err)
-	}
-	return st.saveCheckpoint(name, covered, data)
-}
-
-func (st *Store) saveCheckpoint(name string, covered uint64, data []byte) error {
 	if covered == 0 {
 		// Nothing durable to cover — and ckpt-00000000 would collide
 		// with removeCovered's keep-none sentinel, as in Checkpoint.
@@ -821,14 +708,9 @@ func (st *Store) saveCheckpoint(name string, covered uint64, data []byte) error 
 	if err != nil {
 		return err
 	}
-	dir := st.colDir(meta.ID)
-	if err := writeFileAtomic(filepath.Join(dir, ckptName(covered)), data, st.opts.NoSync); err != nil {
+	if err := st.writeCheckpoint(name, meta, covered, snap); err != nil {
 		return err
 	}
-	// Durable past this point; deleting covered files is cleanup, never
-	// correctness — recovery takes the newest checkpoint and ignores
-	// covered segments.
-	_ = removeCovered(dir, covered, covered)
 	st.mu.Lock()
 	st.stats.Checkpoints++
 	st.stats.BackgroundCheckpoints++
@@ -877,31 +759,11 @@ func (st *Store) recoverColumn(name string, meta *columnMeta, r Replayer, stats 
 	// crash between its write and the retirement left segments behind.
 	// The manifest flag is fixed up if the crash hit before its write.
 	if data, err := os.ReadFile(filepath.Join(dir, finalName)); err == nil {
-		if meta.Kind == protocol.KindPlus {
-			snap, err := st.decodePlusSnapshot(meta, data, true)
-			if err != nil {
-				return fmt.Errorf("%s: %w", finalName, err)
-			}
-			if err := r.RecoverPlusFinalized(col, snap); err != nil {
-				return err
-			}
-			if !meta.Finalized {
-				st.mu.Lock()
-				meta.Finalized = true
-				err := st.writeManifest()
-				st.mu.Unlock()
-				if err != nil {
-					return err
-				}
-			}
-			stats.FinalizedColumns++
-			return nil
-		}
 		snap, err := st.decodeSnapshot(meta, data, true)
 		if err != nil {
 			return fmt.Errorf("%s: %w", finalName, err)
 		}
-		if err := r.RecoverFinalized(col, snap); err != nil {
+		if err := deliver(r, col, snap, Replayer.RecoverFinalized, Replayer.RecoverPlusFinalized); err != nil {
 			return err
 		}
 		if !meta.Finalized {
@@ -928,22 +790,12 @@ func (st *Store) recoverColumn(name string, meta *columnMeta, r Replayer, stats 
 		if err != nil {
 			return err
 		}
-		if meta.Kind == protocol.KindPlus {
-			snap, err := st.decodePlusSnapshot(meta, data, false)
-			if err != nil {
-				return fmt.Errorf("%s: %w", ckptName(ckptSeq), err)
-			}
-			if err := r.RecoverPlusCheckpoint(col, snap); err != nil {
-				return err
-			}
-		} else {
-			snap, err := st.decodeSnapshot(meta, data, false)
-			if err != nil {
-				return fmt.Errorf("%s: %w", ckptName(ckptSeq), err)
-			}
-			if err := r.RecoverCheckpoint(col, snap); err != nil {
-				return err
-			}
+		snap, err := st.decodeSnapshot(meta, data, false)
+		if err != nil {
+			return fmt.Errorf("%s: %w", ckptName(ckptSeq), err)
+		}
+		if err := deliver(r, col, snap, Replayer.RecoverCheckpoint, Replayer.RecoverPlusCheckpoint); err != nil {
+			return err
 		}
 		stats.Checkpoints++
 	}
@@ -997,22 +849,11 @@ func (st *Store) recoverColumn(name string, meta *columnMeta, r Replayer, stats 
 				return err
 			}
 		case protocol.RecordMerge:
-			if meta.Kind == protocol.KindPlus {
-				snap, err := st.decodePlusSnapshot(meta, payload, false)
-				if err != nil {
-					return err
-				}
-				if err := r.RecoverPlusMerge(col, snap); err != nil {
-					return err
-				}
-				stats.Merges++
-				break
-			}
 			snap, err := st.decodeSnapshot(meta, payload, false)
 			if err != nil {
 				return err
 			}
-			if err := r.RecoverMerge(col, snap); err != nil {
+			if err := deliver(r, col, snap, Replayer.RecoverMerge, Replayer.RecoverPlusMerge); err != nil {
 				return err
 			}
 			stats.Merges++
@@ -1037,57 +878,35 @@ func (st *Store) recoverColumn(name string, meta *columnMeta, r Replayer, stats 
 	return nil
 }
 
-// kindOfSnapshot maps a snapshot's shape to the column kind it persists.
-func kindOfSnapshot(snap *protocol.Snapshot) protocol.Kind {
-	if snap.Kind == protocol.SnapshotMatrix {
-		return protocol.KindMatrix
+// deliver hands a decoded snapshot to the Replayer method of its shape:
+// the adapter between the store, which treats every snapshot alike, and
+// the Replayer interface's per-shape method pairs.
+func deliver(r Replayer, col ColumnInfo, snap protocol.ColumnSnapshot,
+	plain func(Replayer, ColumnInfo, *protocol.Snapshot) error,
+	plus func(Replayer, ColumnInfo, *protocol.PlusSnapshot) error) error {
+	if ps, ok := snap.(*protocol.PlusSnapshot); ok {
+		return plus(r, col, ps)
 	}
-	return protocol.KindJoin
+	return plain(r, col, snap.(*protocol.Snapshot))
 }
 
 // decodeSnapshot decodes, validates, and fingerprint-checks one stored
-// SNAP payload against the column's kind and attribute-derived hash
-// seeds — a log written under other families refuses to load rather than
-// poisoning a sketch.
-func (st *Store) decodeSnapshot(meta *columnMeta, data []byte, wantFinal bool) (*protocol.Snapshot, error) {
-	snap, err := protocol.DecodeSnapshot(data)
+// SNAP or PSNP payload against the column's kind and attribute-derived
+// hash seeds — a log written under other families refuses to load
+// rather than poisoning a sketch.
+func (st *Store) decodeSnapshot(meta *columnMeta, data []byte, wantFinal bool) (protocol.ColumnSnapshot, error) {
+	snap, err := protocol.DecodeColumnSnapshot(data)
 	if err != nil {
 		return nil, err
 	}
-	switch meta.Kind {
-	case protocol.KindJoin:
-		if err := snap.CompatibleWithJoin(st.params, hashing.AttributeSeed(st.seed, meta.Attr)); err != nil {
-			return nil, err
-		}
-	case protocol.KindMatrix:
-		seedA := hashing.AttributeSeed(st.seed, meta.Attr)
-		seedB := hashing.AttributeSeed(st.seed, meta.Attr+1)
-		if err := snap.CompatibleWithMatrix(st.matrixParams(), seedA, seedB); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("store: unknown column kind %d", meta.Kind)
+	if snap.ColumnKind() != meta.Kind {
+		return nil, fmt.Errorf("%w: %v snapshot in a %v column", protocol.ErrSnapshotMismatch, snap.ColumnKind(), meta.Kind)
 	}
-	if snap.Finalized != wantFinal {
-		return nil, fmt.Errorf("snapshot finalized=%v, want %v", snap.Finalized, wantFinal)
-	}
-	return snap, nil
-}
-
-// decodePlusSnapshot is decodeSnapshot for the composite PSNP form a
-// plus column persists: decoded, validated, and every embedded phase
-// fingerprint-checked against the sample/group seeds this store's
-// configuration derives for the column's attribute slot.
-func (st *Store) decodePlusSnapshot(meta *columnMeta, data []byte, wantFinal bool) (*protocol.PlusSnapshot, error) {
-	snap, err := protocol.DecodePlusSnapshot(data)
-	if err != nil {
+	if err := snap.CompatibleWithSlot(st.params, st.seed, meta.Attr); err != nil {
 		return nil, err
 	}
-	if err := snap.CompatibleWithPlus(st.params, hashing.AttributeSeed(st.seed, meta.Attr)); err != nil {
-		return nil, err
-	}
-	if snap.Finalized != wantFinal {
-		return nil, fmt.Errorf("plus snapshot finalized=%v, want %v", snap.Finalized, wantFinal)
+	if snap.IsFinalized() != wantFinal {
+		return nil, fmt.Errorf("snapshot finalized=%v, want %v", snap.IsFinalized(), wantFinal)
 	}
 	return snap, nil
 }

@@ -327,6 +327,50 @@ func TestStoreCheckpointCoversSegments(t *testing.T) {
 	}
 }
 
+// TestStoreStaleCheckpointKeepsNewer: two background checkpoints of one
+// column may finish out of order (the policy loop's run overlapping a
+// direct CheckpointNow). The newer one has already deleted the segments
+// it covers, so the stale one landing late must not delete it — recovery
+// takes the newest checkpoint, and nothing else holds those reports.
+func TestStoreStaleCheckpointKeepsNewer(t *testing.T) {
+	dir := t.TempDir()
+	st := open(t, dir, Options{})
+	if _, err := st.Recover(newReplayLog()); err != nil {
+		t.Fatal(err)
+	}
+	cut := func(seed int64, n int) uint64 {
+		if err := st.AppendReports("a", 0, [][]core.Report{testReports(seed, n)}); err != nil {
+			t.Fatal(err)
+		}
+		covered, err := st.Rotate("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return covered
+	}
+	older := cut(1, 100)
+	newer := cut(2, 60)
+	if newer <= older {
+		t.Fatalf("rotation did not advance: %d then %d", older, newer)
+	}
+	if err := st.SaveCheckpoint("a", newer, testSnapshot(t, 3, 160)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SaveCheckpoint("a", older, testSnapshot(t, 1, 100)); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	got := newReplayLog()
+	stats, err := open(t, dir, Options{}).Recover(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck := got.checkpoints["a"]; stats.Checkpoints != 1 || ck == nil || ck.N != 160 {
+		t.Fatalf("recovered %+v, checkpoint %v, want the newer 160-report checkpoint", stats, ck != nil && ck.N == 160)
+	}
+}
+
 func TestStoreFinalizeRetiresLog(t *testing.T) {
 	dir := t.TempDir()
 	st := open(t, dir, Options{})
@@ -685,7 +729,7 @@ func TestStorePlusColumn(t *testing.T) {
 		Low:    protocol.SnapshotOfAggregator(aggL),
 		High:   protocol.SnapshotOfAggregator(aggH),
 	}
-	if err := st2.CheckpointPlus("p", 0, ckpt); err != nil {
+	if err := st2.Checkpoint("p", 0, ckpt); err != nil {
 		t.Fatal(err)
 	}
 	if err := st2.AppendPlusReports("p", 0, protocol.PlusLow, [][]core.Report{low[:5]}); !errors.Is(err, ErrColumnFinalized) {

@@ -8,7 +8,9 @@ import (
 // PoolOwn enforces the pooled-buffer ownership contract from
 // internal/protocol's batch pools: once a call transfers ownership of
 // a pooled slice — EnqueueAllPooled on an ingest column (the batches
-// are recycled after apply) or a direct protocol.PutReportBatch /
+// are recycled after apply), enqueuePooled on the service package's
+// per-kind column interface (the batch set it forwards to
+// EnqueueAllPooled), or a direct protocol.PutReportBatch /
 // protocol.PutMatrixBatch — the caller must not read, write, store,
 // return, or otherwise touch that value again, including through
 // sub-slices and aliases. The pool may hand the backing array to a
@@ -63,6 +65,10 @@ func classifyPoolConsumer(info *types.Info, call *ast.CallExpr) ([]ast.Expr, str
 				}
 			}
 			return args, "EnqueueAllPooled"
+		}
+		if fn.Name() == "enqueuePooled" && receiverPkgLastSegment(fn) == "service" {
+			// The batch set is opaque here; all of it transfers.
+			return call.Args, "enqueuePooled"
 		}
 		return nil, ""
 	}

@@ -110,3 +110,55 @@ func (s *server) handleShadowApply(reports [][]byte) error {
 	//ldpjoinvet:ignore walorder shadow column for A/B accuracy, never acked to clients
 	return s.col.EnqueueAll(reports)
 }
+
+// column is the unified handlers' shape: the service package's own
+// per-kind interface stands between the handler and both the store
+// append and the ingest apply, so its method names carry the roles.
+type column interface {
+	appendReports(st *store.Store, name string, reports [][]byte) error
+	enqueuePooled(reports [][]byte) error
+	merge(blob []byte) error
+	n() int
+}
+
+type unified struct {
+	st  *store.Store
+	col column
+}
+
+// The contract shape through the interface.
+func (s *unified) handleReports(reports [][]byte) error {
+	if s.st != nil {
+		if err := s.col.appendReports(s.st, "col", reports); err != nil {
+			return err
+		}
+	}
+	return s.col.enqueuePooled(reports)
+}
+
+// Apply-before-append through the interface is the same bug.
+func (s *unified) handleApplyThenAppend(reports [][]byte) error {
+	if err := s.col.enqueuePooled(reports); err != nil { // want `ingest s\.col\.enqueuePooled is not dominated by a store WAL append`
+		return err
+	}
+	return s.col.appendReports(s.st, "col", reports)
+}
+
+// A merge is an apply; the store's AppendMerge is still its append.
+func (s *unified) handleMerge(blob []byte) error {
+	if s.st != nil {
+		if err := s.st.AppendMerge("col", blob); err != nil {
+			return err
+		}
+	}
+	return s.col.merge(blob)
+}
+
+func (s *unified) handleMergeVolatile(blob []byte) error {
+	return s.col.merge(blob) // want `ingest s\.col\.merge is not dominated by a store WAL append`
+}
+
+// Reading through the interface owes the WAL nothing.
+func (s *unified) handleStatus() int {
+	return s.col.n()
+}

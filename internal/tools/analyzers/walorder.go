@@ -17,6 +17,13 @@ import (
 // AppendPlusAdvance, AppendMerge, Finalize, FinalizePlus on a
 // store-package receiver).
 //
+// The unified handlers reach both sides through the service package's
+// own per-kind column interface, so its methods count too: enqueuePooled
+// and merge on a service-package receiver are applies, appendReports on
+// one is an append. The contract is checked where the order is decided —
+// the handler — and the one-line per-kind implementations behind the
+// interface are what those names promise.
+//
 // The one sanctioned exception is built in: an append guarded only by
 // a store-nil check (`if s.st != nil { ...append... }`) still counts
 // as dominating, because a nil store is the explicit in-memory mode
@@ -39,6 +46,13 @@ var walApplyMethods = map[string]bool{
 	"MergeAggregator":  true,
 	"MergePlus":        true,
 }
+
+// walColumnApplyMethods and walColumnAppendMethods are the same two
+// roles on the service package's per-kind column interface.
+var (
+	walColumnApplyMethods  = map[string]bool{"enqueuePooled": true, "merge": true}
+	walColumnAppendMethods = map[string]bool{"appendReports": true}
+)
 
 // walAppendMethods are the store-side durability points.
 var walAppendMethods = map[string]bool{
@@ -250,10 +264,19 @@ func (w *walOrderScan) containsAppend(n ast.Node) bool {
 // applyCall returns a description when call is an ingest-side apply.
 func (w *walOrderScan) applyCall(call *ast.CallExpr) string {
 	fn, recv := methodCall(w.pass.TypesInfo, call)
-	if fn == nil || !walApplyMethods[fn.Name()] {
+	if fn == nil {
 		return ""
 	}
-	if receiverPkgLastSegment(fn) != "ingest" {
+	switch receiverPkgLastSegment(fn) {
+	case "ingest":
+		if !walApplyMethods[fn.Name()] {
+			return ""
+		}
+	case "service":
+		if !walColumnApplyMethods[fn.Name()] {
+			return ""
+		}
+	default:
 		return ""
 	}
 	return types.ExprString(recv) + "." + fn.Name()
@@ -262,7 +285,16 @@ func (w *walOrderScan) applyCall(call *ast.CallExpr) string {
 // isAppendCall reports whether call is a store-side WAL append.
 func (w *walOrderScan) isAppendCall(call *ast.CallExpr) bool {
 	fn, _ := methodCall(w.pass.TypesInfo, call)
-	return fn != nil && walAppendMethods[fn.Name()] && receiverPkgLastSegment(fn) == "store"
+	if fn == nil {
+		return false
+	}
+	switch receiverPkgLastSegment(fn) {
+	case "store":
+		return walAppendMethods[fn.Name()]
+	case "service":
+		return walColumnAppendMethods[fn.Name()]
+	}
+	return false
 }
 
 // isStoreNilCheck matches `x != nil` where x is a store-package
