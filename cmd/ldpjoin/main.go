@@ -33,7 +33,7 @@ func main() {
 	// exiting, so the tests that run them in-process fail by name; only
 	// main turns an error into an exit status.
 	if len(os.Args) > 1 && os.Args[1] == "federate" {
-		if err := runFederate(os.Args[2:]); err != nil {
+		if err := runFederate(os.Args[2:], os.Stdout); err != nil {
 			fatal(err)
 		}
 		return

@@ -63,7 +63,7 @@ const (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
-	k := flag.Int("k", 18, "sketch depth (rows)")
+	k := flag.Int("k", 18, "sketch depth (rows; at most 65535, the u16 the wire format carries)")
 	m := flag.Int("m", 1024, "sketch width (columns, power of two)")
 	eps := flag.Float64("eps", 4, "privacy budget epsilon")
 	seed := flag.Int64("seed", 1, "public hash seed (shared with clients)")

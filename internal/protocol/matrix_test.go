@@ -30,7 +30,7 @@ func TestMatrixStreamRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []core.MatrixReport
-	h, n, err := ReadMatrixStream(&buf, p, func(r core.MatrixReport) { got = append(got, r) })
+	h, n, err := readMatrixStream(&buf, p, func(r core.MatrixReport) { got = append(got, r) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestMatrixStreamParamMismatch(t *testing.T) {
 	}
 	other := p
 	other.M2 = 32
-	if _, _, err := ReadMatrixStream(&buf, other, func(core.MatrixReport) {}); err == nil {
+	if _, _, err := readMatrixStream(&buf, other, func(core.MatrixReport) {}); err == nil {
 		t.Fatal("expected param mismatch error")
 	}
 }
@@ -71,7 +71,7 @@ func TestMatrixStreamRejectsJoinStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := core.MatrixParams{K: 2, M1: 16, M2: 16, Epsilon: 1}
-	if _, _, err := ReadMatrixStream(&buf, p, func(core.MatrixReport) {}); err == nil {
+	if _, _, err := readMatrixStream(&buf, p, func(core.MatrixReport) {}); err == nil {
 		t.Fatal("expected kind error")
 	}
 }
@@ -89,7 +89,7 @@ func TestMatrixStreamOutOfBoundsReport(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReadMatrixStream(&buf, p, func(core.MatrixReport) {}); err == nil {
+	if _, _, err := readMatrixStream(&buf, p, func(core.MatrixReport) {}); err == nil {
 		t.Fatal("expected bounds error")
 	}
 }
@@ -132,7 +132,7 @@ func TestCorruptStreamsNeverPanic(t *testing.T) {
 					t.Fatalf("trial %d: reader panicked: %v", trial, r)
 				}
 			}()
-			_, _, _ = ReadStream(bytes.NewReader(corrupted), p, func(core.Report) {})
+			_, _, _ = readStream(bytes.NewReader(corrupted), p, func(core.Report) {})
 		}()
 	}
 }

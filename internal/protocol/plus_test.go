@@ -113,7 +113,7 @@ func TestPlusStreamRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out []core.Report
-	h, group, n, err := ReadPlusStream(bytes.NewReader(buf.Bytes()), p, func(r core.Report) { out = append(out, r) })
+	h, group, n, err := readPlusStream(bytes.NewReader(buf.Bytes()), p, func(r core.Report) { out = append(out, r) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,10 +132,10 @@ func TestPlusStreamRoundTrip(t *testing.T) {
 	var jb bytes.Buffer
 	jw, _ := NewReportWriter(&jb, p)
 	jw.Flush()
-	if _, _, _, err := ReadPlusStream(bytes.NewReader(jb.Bytes()), p, func(core.Report) {}); err == nil {
+	if _, _, _, err := readPlusStream(bytes.NewReader(jb.Bytes()), p, func(core.Report) {}); err == nil {
 		t.Fatal("join stream accepted as plus")
 	}
-	if _, _, err := ReadStream(bytes.NewReader(buf.Bytes()), p, func(core.Report) {}); err == nil {
+	if _, _, err := readStream(bytes.NewReader(buf.Bytes()), p, func(core.Report) {}); err == nil {
 		t.Fatal("plus stream accepted as join")
 	}
 }
@@ -374,6 +374,37 @@ func FuzzPlusReportsPayload(f *testing.F) {
 		}
 		if !bytes.Equal(AppendPlusReportsPayload(nil, group, reports), data) {
 			t.Fatal("accepted payload is not canonical")
+		}
+	})
+}
+
+// FuzzPlusSnapshotRoundTrip drives the PSNP decoder — the input of
+// POST /merge, the store's plus checkpoints and, through the merge
+// route, the federator — over arbitrary bytes: it must never panic, and
+// any composite it accepts must re-encode to exactly the input.
+func FuzzPlusSnapshotRoundTrip(f *testing.F) {
+	for _, name := range []string{"plus_phase1.snap", "plus_phase2.snap", "plus_finalized.snap"} {
+		seed, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+		f.Add(seed[:len(seed)-1])
+		f.Add(seed[:plusSnapHeaderSize])
+	}
+	f.Add([]byte("PSNP"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := DecodePlusSnapshot(data)
+		if err != nil {
+			return
+		}
+		re, err := EncodePlusSnapshot(s)
+		if err != nil {
+			t.Fatalf("decoded plus snapshot fails to re-encode: %v", err)
+		}
+		if !bytes.Equal(re, data) {
+			t.Fatalf("encoding is not canonical: %d in, %d out", len(data), len(re))
 		}
 	})
 }

@@ -148,39 +148,53 @@ func AppendReportsPayload(buf []byte, reports []core.Report) []byte {
 	return buf
 }
 
-// DecodeReportsPayload decodes a RecordReports payload, bounds-checking
-// every report against the expected parameters exactly like the stream
-// decoder — a corrupted-but-checksum-valid log (or a log written under
-// other parameters) surfaces as an error, never as out-of-range state
-// in a sketch. Payloads of up to DefaultBatchSize reports — the size
-// the ingest path writes, so the common case during WAL replay — decode
-// into a pooled batch the caller may recycle with PutReportBatch.
-func DecodeReportsPayload(payload []byte, expect core.Params) ([]core.Report, error) {
-	if len(payload)%ReportSize != 0 {
-		return nil, fmt.Errorf("%w: reports payload of %d bytes is not a multiple of %d", ErrBadRecord, len(payload), ReportSize)
+// AppendMatrixReportsPayload encodes a batch of matrix reports as a
+// RecordMatrixReports payload: the same 11-byte wire encoding the
+// KindMatrix report streams use.
+func AppendMatrixReportsPayload(buf []byte, reports []core.MatrixReport) []byte {
+	for _, r := range reports {
+		buf = AppendMatrixReport(buf, r)
 	}
-	var reports []core.Report
-	if n := len(payload) / ReportSize; n <= DefaultBatchSize {
-		reports = GetReportBatch()
+	return buf
+}
+
+// decodePayload decodes a reports payload with the stream reader's own
+// decodeBatch, so every report is bounds-checked against the expected
+// parameters exactly like a streamed one — a corrupted-but-checksum-
+// valid log (or a log written under other parameters) surfaces as an
+// error, never as out-of-range state in a sketch. Payloads of up to
+// DefaultBatchSize reports — the size the ingest path writes, so the
+// common case during WAL replay — decode into a pooled batch the caller
+// may recycle.
+func decodePayload[R, P any](payload []byte, expect P, c *reportCodec[R, P]) ([]R, error) {
+	if len(payload)%c.size != 0 {
+		return nil, fmt.Errorf("%w: %ss payload of %d bytes is not a multiple of %d", ErrBadRecord, c.noun, len(payload), c.size)
+	}
+	var reports []R
+	if n := len(payload) / c.size; n <= DefaultBatchSize {
+		reports = c.pool.Get()
 	} else {
-		reports = make([]core.Report, 0, n)
+		reports = make([]R, 0, n)
 	}
-	for off := 0; off < len(payload); off += ReportSize {
-		rep, err := DecodeReport(payload[off : off+ReportSize])
-		if err != nil {
-			n := len(reports)
-			PutReportBatch(reports)
-			return nil, fmt.Errorf("%w: report %d: %v", ErrBadRecord, n, err)
-		}
-		if int(rep.Row) >= expect.K || int(rep.Col) >= expect.M {
-			n := len(reports)
-			PutReportBatch(reports)
-			return nil, fmt.Errorf("%w: report %d indices (%d,%d) out of sketch bounds (%d,%d)",
-				ErrBadRecord, n, rep.Row, rep.Col, expect.K, expect.M)
-		}
-		reports = append(reports, rep)
+	reports, err := c.decodeBatch(reports, payload, expect)
+	if err != nil {
+		n := len(reports)
+		c.pool.Put(reports)
+		return nil, fmt.Errorf("%w: %v (%s %d)", ErrBadRecord, err, c.noun, n)
 	}
 	return reports, nil
+}
+
+// DecodeReportsPayload decodes a RecordReports payload; recycle the
+// result with PutReportBatch.
+func DecodeReportsPayload(payload []byte, expect core.Params) ([]core.Report, error) {
+	return decodePayload(payload, expect, &reportCodecJoin)
+}
+
+// DecodeMatrixReportsPayload decodes a RecordMatrixReports payload;
+// recycle the result with PutMatrixBatch.
+func DecodeMatrixReportsPayload(payload []byte, expect core.MatrixParams) ([]core.MatrixReport, error) {
+	return decodePayload(payload, expect, &reportCodecMatrix)
 }
 
 // AppendPlusReportsPayload encodes a batch of phase-tagged reports as a
@@ -258,47 +272,4 @@ func DecodePlusAdvancePayload(payload []byte) (domain uint64, theta float64, fi 
 		}
 	}
 	return domain, theta, fi, nil
-}
-
-// AppendMatrixReportsPayload encodes a batch of matrix reports as a
-// RecordMatrixReports payload: the same 11-byte wire encoding the
-// KindMatrix report streams use.
-func AppendMatrixReportsPayload(buf []byte, reports []core.MatrixReport) []byte {
-	for _, r := range reports {
-		buf = AppendMatrixReport(buf, r)
-	}
-	return buf
-}
-
-// DecodeMatrixReportsPayload decodes a RecordMatrixReports payload,
-// bounds-checking every report against the expected matrix parameters
-// exactly like the stream decoder. Payloads of up to DefaultBatchSize
-// reports decode into a pooled batch the caller may recycle with
-// PutMatrixBatch.
-func DecodeMatrixReportsPayload(payload []byte, expect core.MatrixParams) ([]core.MatrixReport, error) {
-	if len(payload)%MatrixReportSize != 0 {
-		return nil, fmt.Errorf("%w: matrix reports payload of %d bytes is not a multiple of %d", ErrBadRecord, len(payload), MatrixReportSize)
-	}
-	var reports []core.MatrixReport
-	if n := len(payload) / MatrixReportSize; n <= DefaultBatchSize {
-		reports = GetMatrixBatch()
-	} else {
-		reports = make([]core.MatrixReport, 0, n)
-	}
-	for off := 0; off < len(payload); off += MatrixReportSize {
-		rep, err := DecodeMatrixReport(payload[off : off+MatrixReportSize])
-		if err != nil {
-			n := len(reports)
-			PutMatrixBatch(reports)
-			return nil, fmt.Errorf("%w: matrix report %d: %v", ErrBadRecord, n, err)
-		}
-		if int(rep.Row) >= expect.K || int(rep.L1) >= expect.M1 || int(rep.L2) >= expect.M2 {
-			n := len(reports)
-			PutMatrixBatch(reports)
-			return nil, fmt.Errorf("%w: matrix report %d indices (%d,%d,%d) out of sketch bounds (%d,%d,%d)",
-				ErrBadRecord, n, rep.Row, rep.L1, rep.L2, expect.K, expect.M1, expect.M2)
-		}
-		reports = append(reports, rep)
-	}
-	return reports, nil
 }

@@ -8,51 +8,180 @@ import (
 	"ldpjoin/internal/core"
 )
 
-// ReportWriter streams join reports onto a connection: a client gateway
-// in the paper's workflow. It buffers internally; call Flush (or Close on
+// MaxWireK is the largest sketch depth the wire format can carry: the
+// stream header stores K, and every report its row, as a u16.
+const MaxWireK = 1<<16 - 1
+
+// CheckWireK refuses a sketch depth the wire format cannot carry. Every
+// stream reader and writer is built through it, and a server checks it
+// at startup, so an oversized K fails once and by name instead of as a
+// header mismatch on every stream.
+func CheckWireK(k int) error {
+	if k > MaxWireK {
+		return fmt.Errorf("protocol: k=%d exceeds %d, the largest depth the wire format's u16 row field carries", k, MaxWireK)
+	}
+	return nil
+}
+
+// reportCodec is all the stream reader, the stream writer, the WAL
+// payload codec and the batch pool know about a report type R checked
+// against parameters P. The batch functions are the only per-type loops
+// in the package: the generic code above them makes one call per chunk
+// of reports, never one per report.
+type reportCodec[R, P any] struct {
+	size int    // wire bytes per report
+	noun string // what error messages call one R
+	pool *batchPool[R]
+	// appendBatch encodes reports back to back onto dst.
+	appendBatch func(dst []byte, reports []R) []byte
+	// decodeBatch decodes src, a whole number of encoded reports, onto
+	// dst, checking every report's indices against expect. On an error
+	// it returns dst extended by the reports before the failing one.
+	decodeBatch func(dst []R, src []byte, expect P) ([]R, error)
+}
+
+var (
+	reportCodecJoin = reportCodec[core.Report, core.Params]{
+		size: ReportSize, noun: "report", pool: reportBatches,
+		appendBatch: AppendReportsPayload, decodeBatch: decodeReports,
+	}
+	reportCodecMatrix = reportCodec[core.MatrixReport, core.MatrixParams]{
+		size: MatrixReportSize, noun: "matrix report", pool: matrixBatches,
+		appendBatch: AppendMatrixReportsPayload, decodeBatch: decodeMatrixReports,
+	}
+)
+
+func decodeReports(dst []core.Report, src []byte, expect core.Params) ([]core.Report, error) {
+	for ; len(src) >= ReportSize; src = src[ReportSize:] {
+		rep, err := DecodeReport(src)
+		if err != nil {
+			return dst, err
+		}
+		if int(rep.Row) >= expect.K || int(rep.Col) >= expect.M {
+			return dst, fmt.Errorf("protocol: indices (%d,%d) out of sketch bounds (%d,%d)",
+				rep.Row, rep.Col, expect.K, expect.M)
+		}
+		dst = append(dst, rep)
+	}
+	return dst, nil
+}
+
+func decodeMatrixReports(dst []core.MatrixReport, src []byte, expect core.MatrixParams) ([]core.MatrixReport, error) {
+	for ; len(src) >= MatrixReportSize; src = src[MatrixReportSize:] {
+		rep, err := DecodeMatrixReport(src)
+		if err != nil {
+			return dst, err
+		}
+		if int(rep.Row) >= expect.K || int(rep.L1) >= expect.M1 || int(rep.L2) >= expect.M2 {
+			return dst, fmt.Errorf("protocol: indices (%d,%d,%d) out of sketch bounds (%d,%d,%d)",
+				rep.Row, rep.L1, rep.L2, expect.K, expect.M1, expect.M2)
+		}
+		dst = append(dst, rep)
+	}
+	return dst, nil
+}
+
+// reportWriter streams reports onto a connection: a client gateway in
+// the paper's workflow. It buffers internally; call Flush (or Close on
 // the underlying connection after Flush) when done.
-type ReportWriter struct {
-	bw  *bufio.Writer
-	buf []byte
+type reportWriter[R any] struct {
+	bw          *bufio.Writer
+	buf         []byte
+	one         [1]R
+	appendBatch func([]byte, []R) []byte
+}
+
+// ReportWriter streams join (and plus) reports, MatrixReportWriter
+// two-attribute middle-table reports.
+type (
+	ReportWriter       = reportWriter[core.Report]
+	MatrixReportWriter = reportWriter[core.MatrixReport]
+)
+
+func newReportWriter[R, P any](w io.Writer, h Header, c *reportCodec[R, P]) (*reportWriter[R], error) {
+	if err := CheckWireK(h.K); err != nil {
+		return nil, err
+	}
+	bw := bufio.NewWriter(w)
+	if err := WriteHeader(bw, h); err != nil {
+		return nil, err
+	}
+	return &reportWriter[R]{bw: bw, buf: make([]byte, 0, c.size), appendBatch: c.appendBatch}, nil
 }
 
 // NewReportWriter writes the stream header for the given parameters and
 // returns a writer for the reports.
 func NewReportWriter(w io.Writer, p core.Params) (*ReportWriter, error) {
-	bw := bufio.NewWriter(w)
-	h := Header{Kind: KindJoin, K: p.K, M: p.M, Epsilon: p.Epsilon}
-	if err := WriteHeader(bw, h); err != nil {
-		return nil, err
+	return newReportWriter(w, Header{Kind: KindJoin, K: p.K, M: p.M, Epsilon: p.Epsilon}, &reportCodecJoin)
+}
+
+// NewPlusReportWriter writes a KindPlus header — the join layout with
+// the phase group in the m2 slot — and returns a writer for the
+// reports. One stream carries reports for exactly one group: clients
+// are assigned to a phase, they do not interleave.
+func NewPlusReportWriter(w io.Writer, p core.Params, group PlusGroup) (*ReportWriter, error) {
+	if group > PlusHigh {
+		return nil, fmt.Errorf("protocol: invalid plus group %d", group)
 	}
-	return &ReportWriter{bw: bw, buf: make([]byte, 0, ReportSize)}, nil
+	return newReportWriter(w, Header{Kind: KindPlus, K: p.K, M: p.M, M2: int(group), Epsilon: p.Epsilon}, &reportCodecJoin)
+}
+
+// NewMatrixReportWriter writes a KindMatrix header for the given matrix
+// parameters and returns a writer for the reports.
+func NewMatrixReportWriter(w io.Writer, p core.MatrixParams) (*MatrixReportWriter, error) {
+	return newReportWriter(w, Header{Kind: KindMatrix, K: p.K, M: p.M1, M2: p.M2, Epsilon: p.Epsilon}, &reportCodecMatrix)
 }
 
 // Write streams one report.
-func (w *ReportWriter) Write(r core.Report) error {
-	w.buf = AppendReport(w.buf[:0], r)
+func (w *reportWriter[R]) Write(r R) error {
+	w.one[0] = r
+	w.buf = w.appendBatch(w.buf[:0], w.one[:])
 	_, err := w.bw.Write(w.buf)
 	return err
 }
 
 // Flush pushes buffered reports to the underlying writer.
-func (w *ReportWriter) Flush() error { return w.bw.Flush() }
+func (w *reportWriter[R]) Flush() error { return w.bw.Flush() }
 
-// DefaultBatchSize is the batch granularity BatchReader.Next falls back
-// to when the caller passes max <= 0.
+// DefaultBatchSize is the batch granularity a batch reader's Next falls
+// back to when the caller passes max <= 0.
 const DefaultBatchSize = 4096
 
-// BatchReader incrementally decodes a KindJoin report stream into
-// batches — the pull-based feed of the ingestion engine. The header is
-// read and validated against the expected parameters at construction;
-// every report is bounds-checked before it is handed out, so a corrupt
-// or hostile stream surfaces as an error, never as a panic in a fold
-// worker.
-type BatchReader struct {
+// batchReader incrementally decodes a report stream into batches — the
+// pull-based feed of the ingestion engine. The header is validated
+// against the expected parameters at construction; every report is
+// bounds-checked before it is handed out, so a corrupt or hostile
+// stream surfaces as an error, never as a panic in a fold worker.
+type batchReader[R, P any] struct {
 	br     *bufio.Reader
 	h      Header
-	expect core.Params
-	buf    [ReportSize]byte
+	expect P
+	codec  *reportCodec[R, P]
 	n      int
+}
+
+// BatchReader reads KindJoin and KindPlus streams, MatrixBatchReader
+// KindMatrix streams.
+type (
+	BatchReader       = batchReader[core.Report, core.Params]
+	MatrixBatchReader = batchReader[core.MatrixReport, core.MatrixParams]
+)
+
+// newBatchReader checks the header h read off a stream against want,
+// the header a stream for expect must carry. br must be positioned at
+// the first report.
+func newBatchReader[R, P any](br *bufio.Reader, h, want Header, expect P, c *reportCodec[R, P]) (*batchReader[R, P], error) {
+	if err := CheckWireK(want.K); err != nil {
+		return nil, err
+	}
+	if h.Kind != want.Kind {
+		return nil, fmt.Errorf("protocol: expected %v stream, got kind %d", want.Kind, h.Kind)
+	}
+	if h != want {
+		return nil, fmt.Errorf("protocol: %v stream params (k=%d,m=%d,m2=%d,eps=%g) do not match server (k=%d,m=%d,m2=%d,eps=%g)",
+			h.Kind, h.K, h.M, h.M2, h.Epsilon, want.K, want.M, want.M2, want.Epsilon)
+	}
+	return &batchReader[R, P]{br: br, h: h, expect: expect, codec: c}, nil
 }
 
 // NewBatchReader reads the stream header from r and validates it against
@@ -69,104 +198,11 @@ func NewBatchReader(r io.Reader, expect core.Params) (*BatchReader, error) {
 // NewBatchReaderFrom builds a batch reader over a stream whose header
 // has already been read — the kind-dispatch path of a server that peeks
 // at the header before choosing a column kind. br must be positioned at
-// the first report.
+// the first report. A join header's m2 slot carries nothing and is not
+// compared.
 func NewBatchReaderFrom(br *bufio.Reader, h Header, expect core.Params) (*BatchReader, error) {
-	if h.Kind != KindJoin {
-		return nil, fmt.Errorf("protocol: expected join stream, got kind %d", h.Kind)
-	}
-	if h.K != expect.K || h.M != expect.M || h.Epsilon != expect.Epsilon {
-		return nil, fmt.Errorf("protocol: stream params (k=%d,m=%d,eps=%g) do not match server (k=%d,m=%d,eps=%g)",
-			h.K, h.M, h.Epsilon, expect.K, expect.M, expect.Epsilon)
-	}
-	return &BatchReader{br: br, h: h, expect: expect}, nil
-}
-
-// Header returns the validated stream header.
-func (r *BatchReader) Header() Header { return r.h }
-
-// Count returns the number of reports decoded so far.
-func (r *BatchReader) Count() int { return r.n }
-
-// Next decodes up to max reports (DefaultBatchSize when max <= 0) into a
-// batch drawn from the package batch pool; the caller owns it and may
-// recycle it with PutReportBatch once the reports are consumed. At the
-// clean end of the stream it returns (nil, io.EOF). A decode, bounds, or
-// truncation error discards the partially decoded batch: a malformed
-// stream never delivers reports beyond the last complete Next.
-func (r *BatchReader) Next(max int) ([]core.Report, error) {
-	if max <= 0 {
-		max = DefaultBatchSize
-	}
-	batch := GetReportBatch()
-	for len(batch) < max {
-		if _, err := io.ReadFull(r.br, r.buf[:]); err != nil {
-			if err == io.EOF {
-				if len(batch) > 0 {
-					return batch, nil
-				}
-				PutReportBatch(batch)
-				return nil, io.EOF
-			}
-			PutReportBatch(batch)
-			return nil, fmt.Errorf("protocol: reading report %d: %w", r.n, err)
-		}
-		rep, err := DecodeReport(r.buf[:])
-		if err != nil {
-			PutReportBatch(batch)
-			return nil, err
-		}
-		if int(rep.Row) >= r.expect.K || int(rep.Col) >= r.expect.M {
-			PutReportBatch(batch)
-			return nil, fmt.Errorf("protocol: report %d indices (%d,%d) out of sketch bounds (%d,%d)",
-				r.n, rep.Row, rep.Col, r.expect.K, r.expect.M)
-		}
-		batch = append(batch, rep)
-		r.n++
-	}
-	return batch, nil
-}
-
-// ReadStream reads a KindJoin stream until EOF, passing every report to
-// sink. It returns the header and the number of reports delivered to
-// sink — on error that is fewer than the decoder consumed, because a
-// failing batch is discarded whole. It is the push-based convenience
-// over BatchReader.
-func ReadStream(r io.Reader, expect core.Params, sink func(core.Report)) (Header, int, error) {
-	br, err := NewBatchReader(r, expect)
-	if err != nil {
-		return Header{}, 0, err
-	}
-	delivered := 0
-	for {
-		batch, err := br.Next(0)
-		if err == io.EOF {
-			return br.Header(), delivered, nil
-		}
-		if err != nil {
-			return br.Header(), delivered, err
-		}
-		for _, rep := range batch {
-			sink(rep)
-		}
-		delivered += len(batch)
-		PutReportBatch(batch)
-	}
-}
-
-// NewPlusReportWriter writes a KindPlus header — the join layout with
-// the phase group in the m2 slot — and returns a writer for the
-// reports. One stream carries reports for exactly one group: clients
-// are assigned to a phase, they do not interleave.
-func NewPlusReportWriter(w io.Writer, p core.Params, group PlusGroup) (*ReportWriter, error) {
-	if group > PlusHigh {
-		return nil, fmt.Errorf("protocol: invalid plus group %d", group)
-	}
-	bw := bufio.NewWriter(w)
-	h := Header{Kind: KindPlus, K: p.K, M: p.M, M2: int(group), Epsilon: p.Epsilon}
-	if err := WriteHeader(bw, h); err != nil {
-		return nil, err
-	}
-	return &ReportWriter{bw: bw, buf: make([]byte, 0, ReportSize)}, nil
+	want := Header{Kind: KindJoin, K: expect.K, M: expect.M, M2: h.M2, Epsilon: expect.Epsilon}
+	return newBatchReader(br, h, want, expect, &reportCodecJoin)
 }
 
 // NewPlusBatchReaderFrom builds a batch reader over a KindPlus stream
@@ -174,87 +210,12 @@ func NewPlusReportWriter(w io.Writer, p core.Params, group PlusGroup) (*ReportWr
 // stream feeds. br must be positioned at the first report; reports
 // decode and bounds-check exactly like a join stream.
 func NewPlusBatchReaderFrom(br *bufio.Reader, h Header, expect core.Params) (*BatchReader, PlusGroup, error) {
-	if h.Kind != KindPlus {
-		return nil, 0, fmt.Errorf("protocol: expected plus stream, got kind %d", h.Kind)
-	}
-	if h.M2 < 0 || h.M2 > int(PlusHigh) {
+	if h.Kind == KindPlus && h.M2 > int(PlusHigh) {
 		return nil, 0, fmt.Errorf("protocol: invalid plus group %d", h.M2)
 	}
-	if h.K != expect.K || h.M != expect.M || h.Epsilon != expect.Epsilon {
-		return nil, 0, fmt.Errorf("protocol: stream params (k=%d,m=%d,eps=%g) do not match server (k=%d,m=%d,eps=%g)",
-			h.K, h.M, h.Epsilon, expect.K, expect.M, expect.Epsilon)
-	}
-	return &BatchReader{br: br, h: h, expect: expect}, PlusGroup(h.M2), nil
-}
-
-// ReadPlusStream reads a KindPlus stream until EOF, passing every
-// report to sink. It returns the header, the stream's phase group and
-// the number of reports delivered.
-func ReadPlusStream(r io.Reader, expect core.Params, sink func(core.Report)) (Header, PlusGroup, int, error) {
-	br := bufio.NewReader(r)
-	h, err := ReadHeader(br)
-	if err != nil {
-		return Header{}, 0, 0, err
-	}
-	pr, group, err := NewPlusBatchReaderFrom(br, h, expect)
-	if err != nil {
-		return Header{}, 0, 0, err
-	}
-	delivered := 0
-	for {
-		batch, err := pr.Next(0)
-		if err == io.EOF {
-			return pr.Header(), group, delivered, nil
-		}
-		if err != nil {
-			return pr.Header(), group, delivered, err
-		}
-		for _, rep := range batch {
-			sink(rep)
-		}
-		delivered += len(batch)
-		PutReportBatch(batch)
-	}
-}
-
-// MatrixReportWriter streams two-attribute (middle-table) reports onto a
-// connection.
-type MatrixReportWriter struct {
-	bw  *bufio.Writer
-	buf []byte
-}
-
-// NewMatrixReportWriter writes a KindMatrix header for the given matrix
-// parameters and returns a writer for the reports.
-func NewMatrixReportWriter(w io.Writer, p core.MatrixParams) (*MatrixReportWriter, error) {
-	bw := bufio.NewWriter(w)
-	h := Header{Kind: KindMatrix, K: p.K, M: p.M1, M2: p.M2, Epsilon: p.Epsilon}
-	if err := WriteHeader(bw, h); err != nil {
-		return nil, err
-	}
-	return &MatrixReportWriter{bw: bw, buf: make([]byte, 0, MatrixReportSize)}, nil
-}
-
-// Write streams one matrix report.
-func (w *MatrixReportWriter) Write(r core.MatrixReport) error {
-	w.buf = AppendMatrixReport(w.buf[:0], r)
-	_, err := w.bw.Write(w.buf)
-	return err
-}
-
-// Flush pushes buffered reports to the underlying writer.
-func (w *MatrixReportWriter) Flush() error { return w.bw.Flush() }
-
-// MatrixBatchReader incrementally decodes a KindMatrix report stream
-// into batches: the middle-table counterpart of BatchReader, with the
-// same contract — header validated up front, every report bounds-checked
-// before it is handed out, a failing batch discarded whole.
-type MatrixBatchReader struct {
-	br     *bufio.Reader
-	h      Header
-	expect core.MatrixParams
-	buf    [MatrixReportSize]byte
-	n      int
+	want := Header{Kind: KindPlus, K: expect.K, M: expect.M, M2: h.M2, Epsilon: expect.Epsilon}
+	rd, err := newBatchReader(br, h, want, expect, &reportCodecJoin)
+	return rd, PlusGroup(h.M2), err
 }
 
 // NewMatrixBatchReader reads the stream header from r and validates it
@@ -272,85 +233,60 @@ func NewMatrixBatchReader(r io.Reader, expect core.MatrixParams) (*MatrixBatchRe
 // whose header has already been read; br must be positioned at the first
 // report.
 func NewMatrixBatchReaderFrom(br *bufio.Reader, h Header, expect core.MatrixParams) (*MatrixBatchReader, error) {
-	if h.Kind != KindMatrix {
-		return nil, fmt.Errorf("protocol: expected matrix stream, got kind %d", h.Kind)
-	}
-	if h.K != expect.K || h.M != expect.M1 || h.M2 != expect.M2 || h.Epsilon != expect.Epsilon {
-		return nil, fmt.Errorf("protocol: matrix stream params (k=%d,m1=%d,m2=%d,eps=%g) do not match server (k=%d,m1=%d,m2=%d,eps=%g)",
-			h.K, h.M, h.M2, h.Epsilon, expect.K, expect.M1, expect.M2, expect.Epsilon)
-	}
-	return &MatrixBatchReader{br: br, h: h, expect: expect}, nil
+	want := Header{Kind: KindMatrix, K: expect.K, M: expect.M1, M2: expect.M2, Epsilon: expect.Epsilon}
+	return newBatchReader(br, h, want, expect, &reportCodecMatrix)
 }
 
 // Header returns the validated stream header.
-func (r *MatrixBatchReader) Header() Header { return r.h }
+func (r *batchReader[R, P]) Header() Header { return r.h }
 
-// Count returns the number of reports decoded so far.
-func (r *MatrixBatchReader) Count() int { return r.n }
+// Count returns the number of reports Next has delivered so far.
+func (r *batchReader[R, P]) Count() int { return r.n }
 
-// Next decodes up to max matrix reports (DefaultBatchSize when max <= 0)
-// into a batch drawn from the package batch pool; the caller owns it and
-// may recycle it with PutMatrixBatch once the reports are consumed. At
-// the clean end of the stream it returns (nil, io.EOF).
-func (r *MatrixBatchReader) Next(max int) ([]core.MatrixReport, error) {
+// Next decodes up to max reports (DefaultBatchSize when max <= 0) into a
+// batch drawn from the report type's batch pool; the caller owns it and
+// may recycle it with PutReportBatch / PutMatrixBatch once the reports
+// are consumed. At the clean end of the stream it returns (nil, io.EOF).
+// A decode, bounds, or truncation error discards the partially decoded
+// batch: a malformed stream never delivers reports beyond the last
+// complete Next.
+//
+// Reports decode straight out of the buffered reader's window — no
+// per-reader scratch, no copy — one decodeBatch call per window of
+// whole reports.
+func (r *batchReader[R, P]) Next(max int) ([]R, error) {
 	if max <= 0 {
 		max = DefaultBatchSize
 	}
-	batch := GetMatrixBatch()
+	c := r.codec
+	window := r.br.Size() / c.size
+	batch := c.pool.Get()
 	for len(batch) < max {
-		if _, err := io.ReadFull(r.br, r.buf[:]); err != nil {
-			if err == io.EOF {
-				if len(batch) > 0 {
-					return batch, nil
-				}
-				PutMatrixBatch(batch)
-				return nil, io.EOF
-			}
-			PutMatrixBatch(batch)
-			return nil, fmt.Errorf("protocol: reading matrix report %d: %w", r.n, err)
+		src, readErr := r.br.Peek(min(max-len(batch), window) * c.size)
+		whole := len(src) - len(src)%c.size
+		var err error
+		batch, err = c.decodeBatch(batch, src[:whole], r.expect)
+		switch {
+		case err != nil: // a report that does not decode, or out of bounds
+		case readErr == io.EOF && whole < len(src):
+			err = io.ErrUnexpectedEOF // the stream ended inside a report
+		case readErr != io.EOF:
+			err = readErr // nil, or the stream broke
 		}
-		rep, err := DecodeMatrixReport(r.buf[:])
 		if err != nil {
-			PutMatrixBatch(batch)
-			return nil, err
+			n := r.n + len(batch)
+			c.pool.Put(batch)
+			return nil, fmt.Errorf("%w (%s %d)", err, c.noun, n)
 		}
-		if int(rep.Row) >= r.expect.K || int(rep.L1) >= r.expect.M1 || int(rep.L2) >= r.expect.M2 {
-			PutMatrixBatch(batch)
-			return nil, fmt.Errorf("protocol: matrix report %d indices (%d,%d,%d) out of bounds (%d,%d,%d)",
-				r.n, rep.Row, rep.L1, rep.L2, r.expect.K, r.expect.M1, r.expect.M2)
+		_, _ = r.br.Discard(whole) // cannot fail: whole bytes were just peeked
+		if readErr == io.EOF {
+			break
 		}
-		batch = append(batch, rep)
-		r.n++
 	}
+	if len(batch) == 0 {
+		c.pool.Put(batch)
+		return nil, io.EOF
+	}
+	r.n += len(batch)
 	return batch, nil
 }
-
-// ReadMatrixStream reads a KindMatrix stream until EOF, passing every
-// report to sink after bounds-checking it against the expected
-// parameters. Like ReadStream it is the push-based convenience over the
-// batch reader, and delivers only whole batches.
-func ReadMatrixStream(r io.Reader, expect core.MatrixParams, sink func(core.MatrixReport)) (Header, int, error) {
-	br, err := NewMatrixBatchReader(r, expect)
-	if err != nil {
-		return Header{}, 0, err
-	}
-	delivered := 0
-	for {
-		batch, err := br.Next(0)
-		if err == io.EOF {
-			return br.Header(), delivered, nil
-		}
-		if err != nil {
-			return br.Header(), delivered, err
-		}
-		for _, rep := range batch {
-			sink(rep)
-		}
-		delivered += len(batch)
-		PutMatrixBatch(batch)
-	}
-}
-
-// The connection-serving Collector that used to live here moved to
-// internal/ingest, where it feeds the sharded ingestion engine instead
-// of a single aggregation goroutine.

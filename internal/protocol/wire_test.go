@@ -125,7 +125,7 @@ func TestReadStreamParamsMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	other := core.Params{K: 8, M: 64, Epsilon: 2}
-	if _, _, err := ReadStream(&buf, other, func(core.Report) {}); err == nil {
+	if _, _, err := readStream(&buf, other, func(core.Report) {}); err == nil {
 		t.Fatal("expected params mismatch error")
 	}
 }
@@ -135,7 +135,7 @@ func TestReadStreamWrongKind(t *testing.T) {
 	if err := WriteHeader(&buf, Header{Kind: KindMatrix, K: 1, M: 2, M2: 2, Epsilon: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReadStream(&buf, core.Params{K: 1, M: 2, Epsilon: 1}, func(core.Report) {}); err == nil {
+	if _, _, err := readStream(&buf, core.Params{K: 1, M: 2, Epsilon: 1}, func(core.Report) {}); err == nil {
 		t.Fatal("expected kind error")
 	}
 }
@@ -154,7 +154,7 @@ func TestReadStreamTruncatedReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:buf.Len()-3]
-	_, n, err := ReadStream(bytes.NewReader(trunc), p, func(core.Report) {})
+	_, n, err := readStream(bytes.NewReader(trunc), p, func(core.Report) {})
 	if err == nil {
 		t.Fatal("expected truncation error")
 	}
@@ -188,7 +188,7 @@ func TestWriterReaderRoundTripMany(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []core.Report
-	h, n, err := ReadStream(&buf, p, func(r core.Report) { got = append(got, r) })
+	h, n, err := readStream(&buf, p, func(r core.Report) { got = append(got, r) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"math/rand"
 	"net/http/httptest"
@@ -95,25 +96,36 @@ func encodeMatrixColumn(t *testing.T, attr int, clientSeed int64, a, b []uint64)
 // server ingested.
 func decodeStreamReports(t *testing.T, stream []byte) []core.Report {
 	t.Helper()
-	var out []core.Report
-	if _, _, err := protocol.ReadStream(bytes.NewReader(stream), mtParams, func(r core.Report) {
-		out = append(out, r)
-	}); err != nil {
+	rd, err := protocol.NewBatchReader(bytes.NewReader(stream), mtParams)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return out
+	return drainBatches(t, rd.Next)
 }
 
 // decodeMatrixStreamReports is decodeStreamReports for KindMatrix.
 func decodeMatrixStreamReports(t *testing.T, stream []byte) []core.MatrixReport {
 	t.Helper()
-	var out []core.MatrixReport
-	if _, _, err := protocol.ReadMatrixStream(bytes.NewReader(stream), mtMatrix, func(r core.MatrixReport) {
-		out = append(out, r)
-	}); err != nil {
+	rd, err := protocol.NewMatrixBatchReader(bytes.NewReader(stream), mtMatrix)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return out
+	return drainBatches(t, rd.Next)
+}
+
+func drainBatches[R any](t *testing.T, next func(int) ([]R, error)) []R {
+	t.Helper()
+	var out []R
+	for {
+		batch, err := next(0)
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, batch...)
+	}
 }
 
 // TestServiceMatrixEndToEnd is the acceptance test of the polymorphic
@@ -431,9 +443,14 @@ func TestServiceFrequencyMemoized(t *testing.T) {
 	if first["estimate"] != second["estimate"] || first["estimateMedian"] != second["estimateMedian"] {
 		t.Fatalf("cached frequency differs: %v vs %v", first, second)
 	}
+	// The cache keys on the parsed value, not its spelling.
+	code, padded := get(t, ts.URL+"/v1/frequency?column=A&value=03")
+	if code != 200 || padded["cached"] != true || padded["estimate"] != first["estimate"] {
+		t.Fatalf("zero-padded repeat of the same value: %d %v", code, padded)
+	}
 	_, stats := get(t, ts.URL+"/v1/stats")
 	qc := stats["queryCache"].(map[string]any)
-	if qc["hits"].(float64) != 1 || qc["misses"].(float64) != 1 {
+	if qc["hits"].(float64) != 2 || qc["misses"].(float64) != 1 {
 		t.Fatalf("frequency cache counters = %v", qc)
 	}
 }

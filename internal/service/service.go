@@ -297,6 +297,11 @@ func NewWithOptions(p core.Params, seed int64, o Options) (*Server, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("service: %w", err)
 	}
+	// Refuse at startup a depth no report stream could carry, rather
+	// than answering every stream with a header mismatch.
+	if err := protocol.CheckWireK(p.K); err != nil {
+		return nil, fmt.Errorf("service: %w", err)
+	}
 	maxStream := o.MaxStreamReports
 	if maxStream == 0 {
 		maxStream = DefaultMaxStreamReports
@@ -1732,8 +1737,7 @@ type freqResult struct {
 
 func (s *Server) handleFrequency(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("column")
-	valueStr := r.URL.Query().Get("value")
-	value, err := strconv.ParseUint(valueStr, 10, 64)
+	value, err := strconv.ParseUint(r.URL.Query().Get("value"), 10, 64)
 	if name == "" || err != nil {
 		httpError(w, http.StatusBadRequest, "frequency needs ?column= and a numeric ?value=")
 		return
@@ -1748,8 +1752,9 @@ func (s *Server) handleFrequency(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// A finalized sketch never changes, so the estimate is memoized
-	// alongside join results in the unified query cache.
-	v, cached, err := s.cache.do(cacheKey("freq", name, valueStr), func() (any, error) {
+	// alongside join results in the unified query cache — under the
+	// parsed value, so 7, 07 and 007 are one entry.
+	v, cached, err := s.cache.do(cacheKey("freq", name, strconv.FormatUint(value, 10)), func() (any, error) {
 		return freqResult{mean: fin.join.Frequency(value), median: fin.join.FrequencyMedian(value)}, nil
 	})
 	if err != nil {

@@ -383,3 +383,13 @@ func TestServiceConcurrentIngest(t *testing.T) {
 		t.Fatalf("status = %d %v, want %d reports", code, body, gateways*perGateway)
 	}
 }
+
+// TestServiceRefusesDepthBeyondWire: a depth the stream header's u16
+// cannot carry is a startup error naming the wire bound, not a server
+// that answers 400 "params do not match" to every report stream.
+func TestServiceRefusesDepthBeyondWire(t *testing.T) {
+	_, err := New(core.Params{K: protocol.MaxWireK + 1, M: 16, Epsilon: 4}, 42)
+	if err == nil || !strings.Contains(err.Error(), "wire format") {
+		t.Fatalf("k=%d: err = %v, want a startup error naming the wire bound", protocol.MaxWireK+1, err)
+	}
+}

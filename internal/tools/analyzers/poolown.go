@@ -10,8 +10,9 @@ import (
 // a pooled slice — EnqueueAllPooled on an ingest column (the batches
 // are recycled after apply), enqueuePooled on the service package's
 // per-kind column interface (the batch set it forwards to
-// EnqueueAllPooled), or a direct protocol.PutReportBatch /
-// protocol.PutMatrixBatch — the caller must not read, write, store,
+// EnqueueAllPooled), a direct protocol.PutReportBatch /
+// protocol.PutMatrixBatch, or, inside protocol, the Put of the generic
+// batchPool both forward to — the caller must not read, write, store,
 // return, or otherwise touch that value again, including through
 // sub-slices and aliases. The pool may hand the backing array to a
 // concurrent decoder immediately; a use-after-transfer is a data race
@@ -69,6 +70,12 @@ func classifyPoolConsumer(info *types.Info, call *ast.CallExpr) ([]ast.Expr, str
 		if fn.Name() == "enqueuePooled" && receiverPkgLastSegment(fn) == "service" {
 			// The batch set is opaque here; all of it transfers.
 			return call.Args, "enqueuePooled"
+		}
+		if fn.Name() == "Put" && receiverPkgLastSegment(fn) == "protocol" && len(call.Args) > 0 {
+			recv := fn.Type().(*types.Signature).Recv().Type()
+			if n, ok := deref(recv).(*types.Named); ok && n.Obj().Name() == "batchPool" {
+				return call.Args[:1], "batchPool.Put"
+			}
 		}
 		return nil, ""
 	}
