@@ -13,6 +13,12 @@
 // shared runners are far too noisy for a single-iteration smoke run to
 // be a hard gate, so there the gate documents the drift and the
 // committed baseline is refreshed deliberately from a quiet machine.
+//
+// Allocation counts are the exception: they do not depend on how busy
+// the runner is. A baseline entry that carries "max allocs/op" sets a
+// ceiling on the benchmark's allocs/op, and going over it — or no longer
+// reporting allocations at all — fails the gate even under
+// BENCHGATE_LENIENT.
 package main
 
 import (
@@ -56,13 +62,20 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer, lenient bool)
 		return 2
 	}
 
-	regressions := compare(base, cur, *maxRegress, stdout)
-	if len(regressions) == 0 {
+	regressions, overAllocs := compare(base, cur, *maxRegress, stdout)
+	if len(regressions)+len(overAllocs) == 0 {
 		fmt.Fprintln(stdout, "benchgate: OK")
 		return 0
 	}
 	for _, r := range regressions {
 		fmt.Fprintf(stderr, "benchgate: REGRESSION %s\n", r)
+	}
+	for _, a := range overAllocs {
+		fmt.Fprintf(stderr, "benchgate: ALLOCS %s\n", a)
+	}
+	if len(overAllocs) > 0 {
+		fmt.Fprintf(stderr, "benchgate: %d benchmark(s) over their allocs/op ceiling (deterministic: never lenient)\n", len(overAllocs))
+		return 1
 	}
 	if lenient {
 		fmt.Fprintf(stderr, "benchgate: BENCHGATE_LENIENT set; %d regression(s) reported as warnings\n", len(regressions))
@@ -94,11 +107,15 @@ func load(path string, stdin io.Reader) (summary, error) {
 	return s, nil
 }
 
+// maxAllocsKey is the baseline-only metric that puts a blocking ceiling
+// on a benchmark's allocs/op.
+const maxAllocsKey = "max allocs/op"
+
 // compare walks the union of (package, benchmark) keys, prints one
 // line per comparable benchmark, and returns the descriptions of those
-// whose ns/op grew beyond maxRegress.
-func compare(base, cur summary, maxRegress float64, out io.Writer) []string {
-	var regressions []string
+// whose ns/op grew beyond maxRegress and of those over the allocs/op
+// ceiling their baseline entry sets.
+func compare(base, cur summary, maxRegress float64, out io.Writer) (regressions, overAllocs []string) {
 	for _, pkg := range sortedKeys(union(base, cur)) {
 		bb, cb := base[pkg], cur[pkg]
 		for _, name := range sortedKeys(union(bb, cb)) {
@@ -123,9 +140,20 @@ func compare(base, cur summary, maxRegress float64, out io.Writer) []string {
 				}
 				fmt.Fprintf(out, "  %-7s %s.%s  %.0f -> %.0f ns/op (%+.1f%%)\n", verdict, pkg, name, baseNs, curNs, delta*100)
 			}
+			if ceiling, gated := bb[name][maxAllocsKey]; gated && curOK {
+				allocs, reported := cb[name]["allocs/op"]
+				switch {
+				case !reported:
+					overAllocs = append(overAllocs, fmt.Sprintf("%s.%s: no allocs/op reported (ceiling %.0f)", pkg, name, ceiling))
+				case allocs > ceiling:
+					overAllocs = append(overAllocs, fmt.Sprintf("%s.%s: %.0f allocs/op, ceiling %.0f", pkg, name, allocs, ceiling))
+				default:
+					fmt.Fprintf(out, "  allocs  %s.%s  %.0f allocs/op (ceiling %.0f)\n", pkg, name, allocs, ceiling)
+				}
+			}
 		}
 	}
-	return regressions
+	return regressions, overAllocs
 }
 
 // metric fetches a benchmark's ns/op from one package's results.

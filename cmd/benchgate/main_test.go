@@ -130,3 +130,49 @@ func TestReadsCurrentFromStdin(t *testing.T) {
 		t.Fatalf("stdin current: exit %d, want 0; stderr: %s", code, errBuf.String())
 	}
 }
+
+// TestAllocsCeilingBlocksEvenWhenLenient: a baseline entry with
+// "max allocs/op" gates the benchmark's allocation count, and — being
+// deterministic — that gate does not soften under BENCHGATE_LENIENT.
+func TestAllocsCeilingBlocksEvenWhenLenient(t *testing.T) {
+	dir := t.TempDir()
+	base := writeSummary(t, dir, "base.json", summary{
+		"p": {
+			"BenchmarkRecover": {"n": 10, "ns/op": 1000, "allocs/op": 344, maxAllocsKey: 400},
+			"BenchmarkDecode":  {"n": 10, "ns/op": 1000, "allocs/op": 0, maxAllocsKey: 0},
+			"BenchmarkUngated": {"n": 10, "ns/op": 1000, "allocs/op": 2},
+		},
+	})
+	for _, tc := range []struct {
+		name    string
+		recover map[string]float64
+		decode  map[string]float64
+		want    int
+		stderr  string
+	}{
+		{"under", map[string]float64{"ns/op": 1000, "allocs/op": 400}, map[string]float64{"ns/op": 1000, "allocs/op": 0}, 0, ""},
+		{"over", map[string]float64{"ns/op": 1000, "allocs/op": 401}, map[string]float64{"ns/op": 1000, "allocs/op": 0}, 1,
+			"ALLOCS p.BenchmarkRecover: 401 allocs/op, ceiling 400"},
+		{"zero ceiling", map[string]float64{"ns/op": 1000, "allocs/op": 300}, map[string]float64{"ns/op": 1000, "allocs/op": 1}, 1,
+			"ALLOCS p.BenchmarkDecode: 1 allocs/op, ceiling 0"},
+		{"unreported", map[string]float64{"ns/op": 1000}, map[string]float64{"ns/op": 1000, "allocs/op": 0}, 1,
+			"ALLOCS p.BenchmarkRecover: no allocs/op reported"},
+	} {
+		cur := writeSummary(t, dir, "cur.json", summary{
+			"p": {
+				"BenchmarkRecover": tc.recover,
+				"BenchmarkDecode":  tc.decode,
+				"BenchmarkUngated": {"ns/op": 1000, "allocs/op": 50}, // no ceiling: not gated
+			},
+		})
+		for _, lenient := range []bool{false, true} {
+			var out, errBuf bytes.Buffer
+			if code := run([]string{"-baseline", base, cur}, nil, &out, &errBuf, lenient); code != tc.want {
+				t.Fatalf("%s (lenient=%v): exit %d, want %d; stderr: %s", tc.name, lenient, code, tc.want, errBuf.String())
+			}
+			if !strings.Contains(errBuf.String(), tc.stderr) {
+				t.Fatalf("%s: stderr %q lacks %q", tc.name, errBuf.String(), tc.stderr)
+			}
+		}
+	}
+}

@@ -74,3 +74,32 @@ var (
 	benchSinkItems []uint64
 	benchSinkFloat float64
 )
+
+// BenchmarkAggregatorAddBatch is the ledger entry for the fold loop:
+// one AddBatch of 4,096 reports (the ingest batch size) into a K=18,
+// M=1024 aggregator, the daemon's default. The signs are RANDOM on
+// purpose — and the batches rotate, so the predictor cannot learn one
+// batch's sequence either. A report's sign is a fair coin by
+// construction, so a fold that branches on it mispredicts every other
+// report; constant or alternating signs predict perfectly and hide
+// exactly the cost this benchmark exists to hold down.
+func BenchmarkAggregatorAddBatch(b *testing.B) {
+	p := Params{K: 18, M: 1024, Epsilon: 4}
+	agg := NewAggregator(p, hashing.NewFamily(42, p.K, p.M))
+	rng := rand.New(rand.NewSource(7))
+	batches := make([][]Report, 16)
+	for i := range batches {
+		batches[i] = make([]Report, 4096)
+		for j := range batches[i] {
+			batches[i][j] = Report{Y: int8(2*rng.Intn(2) - 1), Row: uint32(rng.Intn(p.K)), Col: uint32(rng.Intn(p.M))}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := agg.AddBatch(batches[i%len(batches)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/4096, "ns/report")
+}

@@ -109,25 +109,36 @@ func (ma *MatrixAggregator) Add(r MatrixReport) {
 }
 
 // AddBatch ingests a batch of wire-decoded tuple reports with the same
-// skip-and-report bounds check as Aggregator.AddBatch.
+// skip-and-report bounds check, and the same branch-free treatment of
+// the sign, as Aggregator.AddBatch.
+//
+//ldpjoin:hotpath
 func (ma *MatrixAggregator) AddBatch(reports []MatrixReport) error {
 	if ma.done {
 		panic("core: MatrixAggregator.AddBatch after Finalize")
 	}
 	p := ma.params
 	var err error
+	skipped := 0
 	for _, r := range reports {
-		if int(r.Row) >= p.K || int(r.L1) >= p.M1 || int(r.L2) >= p.M2 || (r.Y != 1 && r.Y != -1) {
+		if int(r.Row) >= p.K || int(r.L1) >= p.M1 || int(r.L2) >= p.M2 || uint8(r.Y+1)&^2 != 0 {
 			if err == nil {
-				err = fmt.Errorf("core: matrix report (y=%d, row=%d, l1=%d, l2=%d) out of sketch bounds (%d, %d, %d)",
-					r.Y, r.Row, r.L1, r.L2, p.K, p.M1, p.M2)
+				err = ma.boundsError(r)
 			}
+			skipped++
 			continue
 		}
 		ma.mats[r.Row][int(r.L1)*p.M2+int(r.L2)] += float64(r.Y)
-		ma.n++
 	}
+	ma.n += float64(len(reports) - skipped)
 	return err
+}
+
+// boundsError is the error of a report AddBatch skipped.
+func (ma *MatrixAggregator) boundsError(r MatrixReport) error {
+	p := ma.params
+	return fmt.Errorf("core: matrix report (y=%d, row=%d, l1=%d, l2=%d) out of sketch bounds (%d, %d, %d)",
+		r.Y, r.Row, r.L1, r.L2, p.K, p.M1, p.M2)
 }
 
 // Merge folds other (not yet finalized, same parameters and families)

@@ -69,24 +69,37 @@ func (a *Aggregator) Add(r Report) {
 // skipped, and the first such report comes back as the error. It is the
 // ingest engine's fold loop — one call per batch, so the per-report work
 // stays a concrete loop over the aggregator's own rows.
+//
+// Y is a fair coin by construction, so the loop never branches on it:
+// y+1 is 0 or 2 exactly when y is ±1, which folds the sign into the
+// never-taken validity test, and the cell update is float64(y) itself.
+//
+//ldpjoin:hotpath
 func (a *Aggregator) AddBatch(reports []Report) error {
 	if a.done {
 		panic("core: Aggregator.AddBatch after Finalize")
 	}
 	k, m := a.params.K, a.params.M
 	var err error
+	skipped := 0
 	for _, r := range reports {
-		if int(r.Row) >= k || int(r.Col) >= m || (r.Y != 1 && r.Y != -1) {
+		if int(r.Row) >= k || int(r.Col) >= m || uint8(r.Y+1)&^2 != 0 {
 			if err == nil {
-				err = fmt.Errorf("core: report (y=%d, row=%d, col=%d) out of sketch bounds (%d, %d)",
-					r.Y, r.Row, r.Col, k, m)
+				err = a.boundsError(r)
 			}
+			skipped++
 			continue
 		}
 		a.rows[r.Row][r.Col] += float64(r.Y)
-		a.n++
 	}
+	a.n += float64(len(reports) - skipped)
 	return err
+}
+
+// boundsError is the error of a report AddBatch skipped.
+func (a *Aggregator) boundsError(r Report) error {
+	return fmt.Errorf("core: report (y=%d, row=%d, col=%d) out of sketch bounds (%d, %d)",
+		r.Y, r.Row, r.Col, a.params.K, a.params.M)
 }
 
 // CollectColumn simulates the full protocol for a column of private

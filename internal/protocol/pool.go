@@ -14,22 +14,18 @@ import (
 // batchPool recycles those batches: decoders draw from the pool, the
 // fold workers (the single point where a batch dies) put them back.
 //
-// Put only accepts batches with capacity exactly DefaultBatchSize. That
-// is not just a size filter — it is the aliasing guard that makes
-// recycling safe with the recovery path, which decodes one WAL payload
-// into a single slice and re-batches it by sub-slicing. A sub-slice
-// s[a:b] of a larger decode has capacity cap(s)−a > DefaultBatchSize
-// for every chunk but the last, so it is rejected; the last chunk's
-// region [a, cap) extends to the end of the backing array and overlaps
-// no other chunk, so append-style reuse (which writes only within
-// [a, a+cap)) can never scribble on another live batch's cells.
+// The pool holds array pointers, not slices: a *[DefaultBatchSize]R is
+// pointer-shaped, so neither Get nor Put allocates (a slice would have
+// to be boxed, one 24-byte header per recycled batch). Put therefore
+// accepts only batches with capacity exactly DefaultBatchSize — and that
+// is also the aliasing guard: a sub-slice s[a:b] of a larger array has
+// capacity cap(s)−a, so the only sub-slice that passes is the tail whose
+// region [a, cap) overlaps no other chunk, and append-style reuse can
+// never scribble on another live batch's cells.
 type batchPool[R any] struct{ pool sync.Pool }
 
 func newBatchPool[R any]() *batchPool[R] {
-	return &batchPool[R]{pool: sync.Pool{New: func() any {
-		b := make([]R, 0, DefaultBatchSize)
-		return &b
-	}}}
+	return &batchPool[R]{pool: sync.Pool{New: func() any { return new([DefaultBatchSize]R) }}}
 }
 
 var (
@@ -41,18 +37,19 @@ var (
 // when one is available.
 //
 //ldpjoin:hotpath
-func (p *batchPool[R]) Get() []R { return (*p.pool.Get().(*[]R))[:0] }
+func (p *batchPool[R]) Get() []R { return p.pool.Get().(*[DefaultBatchSize]R)[:0] }
 
 // Put recycles a batch obtained from Get (or any slice whose capacity is
 // exactly DefaultBatchSize — see the aliasing analysis above). The
 // caller must not touch b afterwards. Batches of any other capacity are
 // dropped for the garbage collector.
+//
+//ldpjoin:hotpath
 func (p *batchPool[R]) Put(b []R) {
 	if cap(b) != DefaultBatchSize {
 		return
 	}
-	b = b[:0]
-	p.pool.Put(&b)
+	p.pool.Put((*[DefaultBatchSize]R)(b[:DefaultBatchSize]))
 }
 
 // GetReportBatch returns an empty report batch from the join pool.

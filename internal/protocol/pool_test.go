@@ -8,7 +8,7 @@ import (
 
 // TestReportBatchPoolInvariant: whatever is Put, Get must always hand
 // out an empty batch with exactly DefaultBatchSize capacity — the
-// invariant the ingest folds and the recovery re-batcher rely on.
+// invariant the ingest folds and the chunked WAL replay rely on.
 func TestReportBatchPoolInvariant(t *testing.T) {
 	// Feed the pool legitimate, undersized, and oversized batches.
 	PutReportBatch(GetReportBatch()[:17])

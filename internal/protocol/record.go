@@ -28,6 +28,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"ldpjoin/internal/core"
 )
@@ -93,15 +94,30 @@ var ErrBadRecord = errors.New("protocol: bad WAL record")
 // The payload must not exceed MaxRecordPayload (the writer's bug if it
 // does, hence the panic).
 func AppendRecord(buf []byte, typ RecordType, payload []byte) []byte {
-	if len(payload) > MaxRecordPayload {
-		panic(fmt.Sprintf("protocol: WAL record payload %d exceeds %d bytes", len(payload), MaxRecordPayload))
-	}
 	start := len(buf)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, byte(typ))
+	buf = BeginRecord(buf, typ)
 	buf = append(buf, payload...)
-	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
-	return buf
+	return FinishRecord(buf, start)
+}
+
+// BeginRecord and FinishRecord frame a record whose payload the caller
+// encodes in place, with no second buffer to copy it out of: BeginRecord
+// appends the header of a record of type typ to buf, the caller appends
+// the payload, and FinishRecord — given the len(buf) BeginRecord was
+// called at — fills in the payload length and appends the checksum.
+func BeginRecord(buf []byte, typ RecordType) []byte {
+	return append(buf, 0, 0, 0, 0, byte(typ))
+}
+
+// FinishRecord completes the record BeginRecord opened at buf[start:].
+// Like AppendRecord it panics on a payload over MaxRecordPayload.
+func FinishRecord(buf []byte, start int) []byte {
+	length := len(buf) - start - recordHeaderSize
+	if length > MaxRecordPayload {
+		panic(fmt.Sprintf("protocol: WAL record payload %d exceeds %d bytes", length, MaxRecordPayload))
+	}
+	binary.BigEndian.PutUint32(buf[start:], uint32(length))
+	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
 }
 
 // ReadRecord reads one record from r. It returns io.EOF at the clean
@@ -111,31 +127,63 @@ func AppendRecord(buf []byte, typ RecordType, payload []byte) []byte {
 // bytes; the returned payload is freshly allocated and owned by the
 // caller.
 func ReadRecord(r io.Reader) (RecordType, []byte, error) {
-	var hdr [recordHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	rr := RecordReader{r: r, left: math.MaxInt64}
+	return rr.Next()
+}
+
+// RecordReader is ReadRecord for a replayer, which reads record after
+// record and knows how long its log is: every payload lands in one
+// buffer the reader keeps and grows, so replaying a log of any length
+// allocates one buffer, and a length field is believed no further than
+// the bytes the log really has left. The zero value reads nothing; Reset
+// points it at a log.
+type RecordReader struct {
+	r    io.Reader
+	left int64 // bytes r can still deliver
+	hdr  [recordHeaderSize]byte
+	buf  []byte
+}
+
+// Reset points the reader at r, a log (or the rest of one) of size
+// bytes, keeping its buffer.
+func (rr *RecordReader) Reset(r io.Reader, size int64) { rr.r, rr.left = r, size }
+
+// Next reads the next record, with ReadRecord's results, except that the
+// payload is valid only until the next call. A length field claiming
+// more than the log has left is a bad record by arithmetic alone and is
+// refused before anything is allocated or read: a torn or hostile
+// length costs a replayer no more memory than the bytes really there.
+func (rr *RecordReader) Next() (RecordType, []byte, error) {
+	if _, err := io.ReadFull(rr.r, rr.hdr[:]); err != nil {
 		if err == io.EOF {
 			return 0, nil, io.EOF
 		}
 		return 0, nil, fmt.Errorf("%w: torn header: %v", ErrBadRecord, err)
 	}
-	length := binary.BigEndian.Uint32(hdr[:4])
-	typ := RecordType(hdr[4])
+	length := binary.BigEndian.Uint32(rr.hdr[:4])
+	typ := RecordType(rr.hdr[4])
 	if length > MaxRecordPayload {
 		return 0, nil, fmt.Errorf("%w: payload length %d exceeds %d", ErrBadRecord, length, MaxRecordPayload)
 	}
 	if typ < RecordReports || typ > RecordPlusAdvance {
 		return 0, nil, fmt.Errorf("%w: unknown record type %d", ErrBadRecord, typ)
 	}
-	rest := make([]byte, int(length)+recordTrailerSize)
-	if _, err := io.ReadFull(r, rest); err != nil {
+	need := int(length) + recordTrailerSize
+	if int64(need) > rr.left-recordHeaderSize {
+		return 0, nil, fmt.Errorf("%w: torn payload: length %d exceeds the %d bytes left in the log",
+			ErrBadRecord, length, max(rr.left-RecordOverhead, 0))
+	}
+	rr.buf = slices.Grow(rr.buf[:0], need)[:need]
+	if _, err := io.ReadFull(rr.r, rr.buf); err != nil {
 		return 0, nil, fmt.Errorf("%w: torn payload: %v", ErrBadRecord, err)
 	}
-	payload, trailer := rest[:length], rest[length:]
-	crc := crc32.ChecksumIEEE(hdr[:])
+	payload, trailer := rr.buf[:length], rr.buf[length:]
+	crc := crc32.ChecksumIEEE(rr.hdr[:])
 	crc = crc32.Update(crc, crc32.IEEETable, payload)
 	if want := binary.BigEndian.Uint32(trailer); crc != want {
 		return 0, nil, fmt.Errorf("%w: checksum mismatch (computed %08x, stored %08x)", ErrBadRecord, crc, want)
 	}
+	rr.left -= int64(recordHeaderSize + need)
 	return typ, payload, nil
 }
 
@@ -205,10 +253,10 @@ func AppendPlusReportsPayload(buf []byte, group PlusGroup, reports []core.Report
 	return AppendReportsPayload(buf, reports)
 }
 
-// DecodePlusReportsPayload decodes a RecordPlusReports payload,
-// bounds-checking the group byte and every report against the expected
-// parameters exactly like the stream decoder.
-func DecodePlusReportsPayload(payload []byte, expect core.Params) (PlusGroup, []core.Report, error) {
+// SplitPlusReportsPayload checks the group byte a RecordPlusReports
+// payload leads with and returns it with the rest: a RecordReports
+// payload, for DecodeReportsPayload, whole or in slices.
+func SplitPlusReportsPayload(payload []byte) (PlusGroup, []byte, error) {
 	if len(payload) < 1 {
 		return 0, nil, fmt.Errorf("%w: empty plus reports payload", ErrBadRecord)
 	}
@@ -216,7 +264,18 @@ func DecodePlusReportsPayload(payload []byte, expect core.Params) (PlusGroup, []
 	if group > PlusHigh {
 		return 0, nil, fmt.Errorf("%w: invalid plus group %d", ErrBadRecord, group)
 	}
-	reports, err := DecodeReportsPayload(payload[1:], expect)
+	return group, payload[1:], nil
+}
+
+// DecodePlusReportsPayload decodes a RecordPlusReports payload,
+// bounds-checking the group byte and every report against the expected
+// parameters exactly like the stream decoder.
+func DecodePlusReportsPayload(payload []byte, expect core.Params) (PlusGroup, []core.Report, error) {
+	group, body, err := SplitPlusReportsPayload(payload)
+	if err != nil {
+		return 0, nil, err
+	}
+	reports, err := DecodeReportsPayload(body, expect)
 	if err != nil {
 		return 0, nil, err
 	}

@@ -2,8 +2,10 @@ package protocol
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"ldpjoin/internal/core"
 )
@@ -35,8 +37,9 @@ type reportCodec[R, P any] struct {
 	// appendBatch encodes reports back to back onto dst.
 	appendBatch func(dst []byte, reports []R) []byte
 	// decodeBatch decodes src, a whole number of encoded reports, onto
-	// dst, checking every report's indices against expect. On an error
-	// it returns dst extended by the reports before the failing one.
+	// dst, which must have spare capacity for them, checking every
+	// report's indices against expect. On an error it returns dst
+	// extended by the reports before the failing one.
 	decodeBatch func(dst []R, src []byte, expect P) ([]R, error)
 }
 
@@ -51,34 +54,69 @@ var (
 	}
 )
 
+// decodeReports is the join decodeBatch kernel: one pass from wire bytes
+// to reports, validating as it goes. The sign of a report is a fair coin
+// by construction (a ±1 Hadamard coefficient flipped by randomized
+// response), so nothing here branches on it: the sign byte joins the
+// indices in one never-taken validity test and becomes ±1 by arithmetic.
+// dst must have room for len(src)/ReportSize more reports — growing it is
+// the caller's job, which keeps the kernel allocation-free. The failing
+// report, if any, is decoded again through DecodeReport, off the hot
+// path, for its error.
+//
+//ldpjoin:hotpath
 func decodeReports(dst []core.Report, src []byte, expect core.Params) ([]core.Report, error) {
-	for ; len(src) >= ReportSize; src = src[ReportSize:] {
-		rep, err := DecodeReport(src)
-		if err != nil {
-			return dst, err
+	base := len(dst)
+	dst = dst[:base+len(src)/ReportSize]
+	out, k, m := dst[base:], expect.K, expect.M
+	for i := range out {
+		sign, row, col := src[0], uint32(binary.BigEndian.Uint16(src[1:3])), binary.BigEndian.Uint32(src[3:7])
+		if sign > 1 || int(row) >= k || int(col) >= m {
+			return dst[:base+i], reportError(src, expect)
 		}
-		if int(rep.Row) >= expect.K || int(rep.Col) >= expect.M {
-			return dst, fmt.Errorf("protocol: indices (%d,%d) out of sketch bounds (%d,%d)",
-				rep.Row, rep.Col, expect.K, expect.M)
-		}
-		dst = append(dst, rep)
+		out[i] = core.Report{Y: int8(sign)<<1 - 1, Row: row, Col: col}
+		src = src[ReportSize:]
 	}
 	return dst, nil
 }
 
+// reportError is the error of a report decodeReports refused.
+func reportError(b []byte, expect core.Params) error {
+	rep, err := DecodeReport(b)
+	if err != nil {
+		return err
+	}
+	return fmt.Errorf("protocol: indices (%d,%d) out of sketch bounds (%d,%d)",
+		rep.Row, rep.Col, expect.K, expect.M)
+}
+
+// decodeMatrixReports is decodeReports for matrix reports.
+//
+//ldpjoin:hotpath
 func decodeMatrixReports(dst []core.MatrixReport, src []byte, expect core.MatrixParams) ([]core.MatrixReport, error) {
-	for ; len(src) >= MatrixReportSize; src = src[MatrixReportSize:] {
-		rep, err := DecodeMatrixReport(src)
-		if err != nil {
-			return dst, err
+	base := len(dst)
+	dst = dst[:base+len(src)/MatrixReportSize]
+	out, k, m1, m2 := dst[base:], expect.K, expect.M1, expect.M2
+	for i := range out {
+		sign, row := src[0], uint32(binary.BigEndian.Uint16(src[1:3]))
+		l1, l2 := binary.BigEndian.Uint32(src[3:7]), binary.BigEndian.Uint32(src[7:11])
+		if sign > 1 || int(row) >= k || int(l1) >= m1 || int(l2) >= m2 {
+			return dst[:base+i], matrixReportError(src, expect)
 		}
-		if int(rep.Row) >= expect.K || int(rep.L1) >= expect.M1 || int(rep.L2) >= expect.M2 {
-			return dst, fmt.Errorf("protocol: indices (%d,%d,%d) out of sketch bounds (%d,%d,%d)",
-				rep.Row, rep.L1, rep.L2, expect.K, expect.M1, expect.M2)
-		}
-		dst = append(dst, rep)
+		out[i] = core.MatrixReport{Y: int8(sign)<<1 - 1, Row: row, L1: l1, L2: l2}
+		src = src[MatrixReportSize:]
 	}
 	return dst, nil
+}
+
+// matrixReportError is the error of a report decodeMatrixReports refused.
+func matrixReportError(b []byte, expect core.MatrixParams) error {
+	rep, err := DecodeMatrixReport(b)
+	if err != nil {
+		return err
+	}
+	return fmt.Errorf("protocol: indices (%d,%d,%d) out of sketch bounds (%d,%d,%d)",
+		rep.Row, rep.L1, rep.L2, expect.K, expect.M1, expect.M2)
 }
 
 // reportWriter streams reports onto a connection: a client gateway in
@@ -265,7 +303,7 @@ func (r *batchReader[R, P]) Next(max int) ([]R, error) {
 		src, readErr := r.br.Peek(min(max-len(batch), window) * c.size)
 		whole := len(src) - len(src)%c.size
 		var err error
-		batch, err = c.decodeBatch(batch, src[:whole], r.expect)
+		batch, err = c.decodeBatch(slices.Grow(batch, whole/c.size), src[:whole], r.expect)
 		switch {
 		case err != nil: // a report that does not decode, or out of bounds
 		case readErr == io.EOF && whole < len(src):

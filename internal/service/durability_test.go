@@ -2,10 +2,12 @@ package service
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"ldpjoin/internal/core"
@@ -73,6 +75,21 @@ func fetchSketch(t *testing.T, base, column string) []byte {
 	return data
 }
 
+// scrape returns the /metrics page of the server at base.
+func scrape(t *testing.T, base string) string {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	page, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != 200 {
+		t.Fatalf("/metrics: status %d, %v", resp.StatusCode, err)
+	}
+	return string(page)
+}
+
 // TestCrashRecoveryWALReplay is the acceptance test of the WAL path:
 // kill a durable server after N acknowledged reports (and a federated
 // merge), reopen the same data directory, finalize — the recovered
@@ -118,6 +135,21 @@ func TestCrashRecoveryWALReplay(t *testing.T) {
 	rec := stats["durability"].(map[string]any)["recovered"].(map[string]any)
 	if rec["columns"].(float64) != 2 || rec["reports"].(float64) != 2*n || rec["merges"].(float64) != 1 {
 		t.Fatalf("recovered counters: %v", rec)
+	}
+	// The same recovery is a scrape: what replayed, and how long it took.
+	page := scrape(t, ts2.URL)
+	for _, want := range []string{
+		fmt.Sprintf("\nldpjoin_recovery_reports_total %d\n", 2*n),
+		"\nldpjoin_recovery_checkpoints_total 0\n",
+		"\nldpjoin_recovery_truncated_tails_total 0\n",
+		"\nldpjoin_recovery_seconds ",
+	} {
+		if !strings.Contains(page, want) {
+			t.Fatalf("/metrics after recovery lacks %q", want)
+		}
+	}
+	if strings.Contains(page, "\nldpjoin_recovery_seconds 0\n") {
+		t.Fatal("/metrics reports a recovery that took no time")
 	}
 	for _, col := range []string{"A", "B"} {
 		if code, out := post(t, ts2.URL+"/v1/columns/"+col+"/finalize", nil); code != 200 {

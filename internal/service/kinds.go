@@ -142,23 +142,12 @@ func readAllBatches[R any](w http.ResponseWriter, s *Server, name string,
 	return reportBatches[R]{batches: batches, n: count()}, true
 }
 
-// rebatch splits one recovered WAL record's reports at the live ingest
-// granularity: a record coalesces up to 2^20 reports, and folding that
-// as a single task would serialize recovery on one shard. Split, and
-// replay fans out across the engine's workers like the original traffic
-// did (fold order cannot change the result — integer cells commute). The
-// pooled enqueue recycles the decoded chunks; the sub-slice partition is
-// safe to recycle because only a chunk whose region reaches the end of
-// the decoded array can pass the pool's capacity guard (see
-// protocol.PutReportBatch).
-func rebatch[R any](reports []R) reportBatches[R] {
-	b := reportBatches[R]{n: len(reports)}
-	for len(reports) > 0 {
-		n := min(protocol.DefaultBatchSize, len(reports))
-		b.batches = append(b.batches, reports[:n])
-		reports = reports[n:]
-	}
-	return b
+// oneBatch wraps the single pooled batch a store.Replayer reports call
+// carries — the store already cut the record at the live ingest
+// granularity, so replay fans out across the engine's workers like the
+// original traffic did — as the batch set the pooled enqueue consumes.
+func oneBatch[R any](reports []R) reportBatches[R] {
+	return reportBatches[R]{batches: [][]R{reports}, n: len(reports)}
 }
 
 // spanInRange checks that a column spanning span attributes from attr

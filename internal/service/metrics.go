@@ -283,6 +283,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		p.sample("ldpjoin_checkpoint_duration_seconds", time.Duration(ss.LastCheckpointNanos).Seconds())
 		p.family("ldpjoin_columns_finalized_total", "Finalize and finalized-import persists.", "counter")
 		p.sample("ldpjoin_columns_finalized_total", float64(ss.Finalized))
+
+		// What startup recovery did, fixed for the life of the process:
+		// seconds over reports is the replay speed of this deployment.
+		p.family("ldpjoin_recovery_seconds", "Duration of the startup replay of the data directory.", "gauge")
+		p.sample("ldpjoin_recovery_seconds", s.recoveryTime.Seconds())
+		p.family("ldpjoin_recovery_reports_total", "Reports replayed from WAL records at startup.", "counter")
+		p.sample("ldpjoin_recovery_reports_total", float64(s.recovered.Reports))
+		p.family("ldpjoin_recovery_checkpoints_total", "Checkpoint snapshots restored at startup.", "counter")
+		p.sample("ldpjoin_recovery_checkpoints_total", float64(s.recovered.Checkpoints))
+		p.family("ldpjoin_recovery_truncated_tails_total", "WAL segments whose torn tail startup recovery cut.", "counter")
+		p.sample("ldpjoin_recovery_truncated_tails_total", float64(s.recovered.TruncatedTails))
 	}
 
 	// Tenant admission: requests, throttles, and the privacy ledger.

@@ -97,6 +97,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"ldpjoin/internal/core"
 	"ldpjoin/internal/hashing"
@@ -257,6 +258,7 @@ type Server struct {
 	maxStream     int
 	st            *store.Store        // nil when DataDir is unset
 	recovered     store.RecoveryStats // what startup replay rebuilt; read-only after New
+	recoveryTime  time.Duration       // how long that replay took; read-only after New
 	ckpt          *store.Checkpointer // nil unless background triggers are configured
 	tenants       *tenantRegistry     // nil unless tenant limits are configured
 	metrics       httpMetrics         // per-route request accounting for /metrics
@@ -343,6 +345,7 @@ func NewWithOptions(p core.Params, seed int64, o Options) (*Server, error) {
 			s.engine.Close()
 			return nil, fmt.Errorf("service: %w", err)
 		}
+		start := time.Now()
 		rec, err := st.Recover(recoverer{s})
 		if err != nil {
 			st.Close()
@@ -350,7 +353,7 @@ func NewWithOptions(p core.Params, seed int64, o Options) (*Server, error) {
 			return nil, fmt.Errorf("service: %w", err)
 		}
 		s.st = st
-		s.recovered = rec
+		s.recovered, s.recoveryTime = rec, time.Since(start)
 		// Recovery is done, so every column the checkpointer could name
 		// exists in the pending map before the first tick can fire.
 		s.ckpt = st.StartCheckpointer(s.CheckpointNow)
@@ -459,13 +462,13 @@ func (r recoverer) RecoverPlusMerge(info store.ColumnInfo, snap *protocol.PlusSn
 	return r.merge(info, snap)
 }
 func (r recoverer) RecoverReports(info store.ColumnInfo, reports []core.Report) error {
-	return r.reports(info, rebatch(reports))
+	return r.reports(info, oneBatch(reports))
 }
 func (r recoverer) RecoverMatrixReports(info store.ColumnInfo, reports []core.MatrixReport) error {
-	return r.reports(info, rebatch(reports))
+	return r.reports(info, oneBatch(reports))
 }
 func (r recoverer) RecoverPlusReports(info store.ColumnInfo, group protocol.PlusGroup, reports []core.Report) error {
-	return r.reports(info, plusBatches{rebatch(reports), group})
+	return r.reports(info, plusBatches{oneBatch(reports), group})
 }
 func (r recoverer) RecoverPlusAdvance(info store.ColumnInfo, domain uint64, theta float64, fi []uint64) error {
 	return r.advance(info, domain, theta, fi)

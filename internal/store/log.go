@@ -60,7 +60,16 @@ type columnLog struct {
 	size    int64
 	sealed  bool
 	broken  bool // a failed write could not be rolled back; refuse appends
+	// frame is scratch for the chunks a report append frames: its next
+	// callback runs under mu, so one buffer that lives as long as the log
+	// serves every request instead of each allocating its own.
+	frame []byte
 }
+
+// maxRetainedFrame bounds the scratch frame a log keeps between appends:
+// one outsized request (a record may reach 7 MiB) must not pin its
+// buffer to every column it ever touched.
+const maxRetainedFrame = 1 << 20
 
 // openColumnLog prepares the append side over an existing column
 // directory. Appends always start a fresh segment (maxSeq+1): a torn
@@ -84,12 +93,13 @@ func openColumnLog(dir string, segBytes int64, noSync bool) (*columnLog, error) 
 }
 
 // appendFunc writes a sequence of pre-framed record chunks — next
-// returns the next chunk, nil when done, and may reuse its buffer
-// between calls — to the current segment, rotating first if the segment
-// is over the size threshold, and syncs the file once at the end
-// (unless the store runs NoSync): when appendFunc returns nil, every
-// chunk survives a crash. Writing chunk by chunk keeps the caller from
-// having to materialize a whole request's framing in memory.
+// returns the next chunk, nil when done, may reuse its buffer between
+// calls, and runs under the log's lock — to the current segment,
+// rotating first if the segment is over the size threshold, and syncs
+// the file once at the end (unless the store runs NoSync): when
+// appendFunc returns nil, every chunk survives a crash. Writing chunk by
+// chunk keeps the caller from having to materialize a whole request's
+// framing in memory.
 func (l *columnLog) appendFunc(next func() []byte) (int64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -199,6 +209,7 @@ func (l *columnLog) seal() (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.sealed = true
+	l.frame = nil
 	if l.f != nil {
 		err := l.f.Close()
 		l.f = nil
@@ -280,6 +291,11 @@ type replayResult struct {
 // produce, because a new segment is only ever started by a process that
 // never got to append behind the tear — is corruption and fails the
 // replay.
+//
+// Every record of the column is read through one buffer, so the payload
+// handle receives is valid only until handle returns; and a record is
+// never read past the bytes its segment really holds, so a torn or
+// hostile length field costs no more memory than the segment's size.
 func replaySegments(dir string, after uint64, noSync bool, handle func(typ protocol.RecordType, payload []byte) error) (replayResult, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -294,6 +310,8 @@ func replaySegments(dir string, after uint64, noSync bool, handle func(typ proto
 	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 
 	var res replayResult
+	var rr protocol.RecordReader // the column's one record buffer
+	br := bufio.NewReader(nil)
 	for i, seq := range seqs {
 		last := i == len(seqs)-1
 		path := filepath.Join(dir, segName(seq))
@@ -301,10 +319,16 @@ func replaySegments(dir string, after uint64, noSync bool, handle func(typ proto
 		if err != nil {
 			return res, err
 		}
-		br := bufio.NewReader(f)
+		info, err := f.Stat()
+		if err != nil {
+			f.Close()
+			return res, err
+		}
+		br.Reset(f)
+		rr.Reset(br, info.Size())
 		var good int64 // bytes of whole records read so far
 		for {
-			typ, payload, err := protocol.ReadRecord(br)
+			typ, payload, err := rr.Next()
 			if err == io.EOF {
 				break
 			}

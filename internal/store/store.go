@@ -55,6 +55,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"time"
 
@@ -181,6 +182,16 @@ type RecoveryStats struct {
 	TruncatedTails   int64 // segments whose torn tail was cut
 }
 
+// add sums one column's recovery into s.
+func (s *RecoveryStats) add(o RecoveryStats) {
+	s.Columns += o.Columns
+	s.FinalizedColumns += o.FinalizedColumns
+	s.Reports += o.Reports
+	s.Merges += o.Merges
+	s.Checkpoints += o.Checkpoints
+	s.TruncatedTails += o.TruncatedTails
+}
+
 // ColumnInfo identifies a recovering column: its name, manifest kind,
 // and the join-attribute slot its hash families derive from (a matrix
 // column spans attributes Attr and Attr+1).
@@ -190,15 +201,22 @@ type ColumnInfo struct {
 	Attr int
 }
 
-// Replayer receives the recovered state of a store, column by column:
-// for a finalized column exactly one RecoverFinalized call; for a
-// collecting column at most one RecoverCheckpoint call followed by the
-// column's WAL events in append order. Snapshot-carrying calls receive
-// join or matrix snapshots according to col.Kind; report records arrive
-// through RecoverReports or RecoverMatrixReports to match. The
+// Replayer receives the recovered state of a store, column by column in
+// name order: for a finalized column exactly one RecoverFinalized call;
+// for a collecting column at most one RecoverCheckpoint call followed by
+// the column's WAL events in append order. Snapshot-carrying calls
+// receive join or matrix snapshots according to col.Kind; report records
+// arrive through RecoverReports or RecoverMatrixReports to match. The
 // aggregation side implements this by folding into the ingestion
 // engine — integer cells make the replayed state exactly what the
 // pre-crash process held.
+//
+// A report record is delivered at the live ingest granularity, whatever
+// size it was written at: each reports call carries one batch of at most
+// protocol.DefaultBatchSize reports, drawn from the protocol batch pool
+// and owned by the callee from the call on — it recycles the batch
+// (PutReportBatch / PutMatrixBatch, or a pooled enqueue) when done, and
+// the store never touches it again.
 type Replayer interface {
 	RecoverFinalized(col ColumnInfo, snap *protocol.Snapshot) error
 	RecoverCheckpoint(col ColumnInfo, snap *protocol.Snapshot) error
@@ -436,7 +454,7 @@ func (st *Store) openLog(name string, meta *columnMeta) (*columnLog, error) {
 // acknowledge the request after a nil return.
 func (st *Store) AppendReports(name string, attr int, batches [][]core.Report) error {
 	return appendReportRecords(st, name, protocol.KindJoin, attr,
-		protocol.RecordReports, nil, protocol.ReportSize, protocol.AppendReportsPayload, batches)
+		protocol.RecordReports, nil, protocol.AppendReportsPayload, batches)
 }
 
 // AppendMatrixReports is AppendReports for a matrix column: accepted
@@ -444,7 +462,7 @@ func (st *Store) AppendReports(name string, attr int, batches [][]core.Report) e
 // attr is the left attribute of the pair the column spans.
 func (st *Store) AppendMatrixReports(name string, attr int, batches [][]core.MatrixReport) error {
 	return appendReportRecords(st, name, protocol.KindMatrix, attr,
-		protocol.RecordMatrixReports, nil, protocol.MatrixReportSize, protocol.AppendMatrixReportsPayload, batches)
+		protocol.RecordMatrixReports, nil, protocol.AppendMatrixReportsPayload, batches)
 }
 
 // AppendPlusReports is AppendReports for one phase group of a plus
@@ -454,18 +472,18 @@ func (st *Store) AppendMatrixReports(name string, attr int, batches [][]core.Mat
 // recovers.
 func (st *Store) AppendPlusReports(name string, attr int, group protocol.PlusGroup, batches [][]core.Report) error {
 	return appendReportRecords(st, name, protocol.KindPlus, attr,
-		protocol.RecordPlusReports, []byte{byte(group)}, protocol.ReportSize, protocol.AppendReportsPayload, batches)
+		protocol.RecordPlusReports, []byte{byte(group)}, protocol.AppendReportsPayload, batches)
 }
 
-// appendReportRecords frames report batches — prefix, then itemSize wire
-// bytes per report, encoded by encode — as records of rtype, splitting
-// at maxReportsPerRecord, and appends them to the column's WAL with one
-// sync. Records are framed one at a time into a reused buffer and
-// written as they are built, so the peak extra memory is one record
-// (maxReportsPerRecord reports), not a second copy of the whole
-// request.
+// appendReportRecords frames report batches — prefix, then encode's wire
+// bytes per report — as records of rtype, splitting at
+// maxReportsPerRecord, and appends them to the column's WAL with one
+// sync. Each record is encoded straight into the log's scratch frame
+// (next runs under the log's lock) and written as it is built, so a
+// request allocates nothing here and the peak extra memory is one
+// record, not a second copy of the whole request.
 func appendReportRecords[T any](st *Store, name string, kind protocol.Kind, attr int,
-	rtype protocol.RecordType, prefix []byte, itemSize int, encode func([]byte, []T) []byte, batches [][]T) error {
+	rtype protocol.RecordType, prefix []byte, encode func([]byte, []T) []byte, batches [][]T) error {
 	total := 0
 	for _, batch := range batches {
 		total += len(batch)
@@ -478,25 +496,26 @@ func appendReportRecords[T any](st *Store, name string, kind protocol.Kind, attr
 		return err
 	}
 	bi, off := 0, 0 // cursor into batches
-	frame := make([]byte, 0, len(prefix)+min(total, maxReportsPerRecord)*itemSize+protocol.RecordOverhead)
-	payload := make([]byte, 0, cap(frame)-protocol.RecordOverhead)
 	next := func() []byte {
-		payload = append(payload[:0], prefix...)
+		frame := append(protocol.BeginRecord(log.frame[:0], rtype), prefix...)
 		count := 0
 		for bi < len(batches) && count < maxReportsPerRecord {
 			batch := batches[bi][off:]
 			n := min(maxReportsPerRecord-count, len(batch))
-			payload = encode(payload, batch[:n])
+			frame = encode(frame, batch[:n])
 			count += n
 			if off += n; off == len(batches[bi]) {
 				bi, off = bi+1, 0
 			}
 		}
 		if count == 0 {
+			if cap(log.frame) > maxRetainedFrame {
+				log.frame = nil
+			}
 			return nil
 		}
-		frame = protocol.AppendRecord(frame[:0], rtype, payload)
-		return frame
+		log.frame = protocol.FinishRecord(frame, 0)
+		return log.frame
 	}
 	written, err := log.appendFunc(next)
 	if err != nil {
@@ -725,8 +744,10 @@ func (st *Store) SaveCheckpoint(name string, covered uint64, snap protocol.Colum
 	return nil
 }
 
-// Recover replays the directory's durable state into r. It must be
-// called exactly once, between Open and the first append; the service
+// Recover replays the directory's durable state into r, one column at a
+// time in name order — so which column's error surfaces, and the order
+// the Replayer and the logs see, do not depend on map iteration. It must
+// be called exactly once, between Open and the first append; the service
 // calls it before serving, so recovered columns exist before any
 // request can reference them.
 func (st *Store) Recover(r Replayer) (RecoveryStats, error) {
@@ -737,21 +758,28 @@ func (st *Store) Recover(r Replayer) (RecoveryStats, error) {
 	}
 	st.recovered = true
 	columns := make(map[string]*columnMeta, len(st.man.Columns))
+	names := make([]string, 0, len(st.man.Columns))
 	for name, meta := range st.man.Columns {
 		columns[name] = meta
+		names = append(names, name)
 	}
 	st.mu.Unlock()
+	sort.Strings(names)
 
 	var stats RecoveryStats
-	for name, meta := range columns {
-		if err := st.recoverColumn(name, meta, r, &stats); err != nil {
+	for _, name := range names {
+		col, err := st.recoverColumn(name, columns[name], r)
+		stats.add(col)
+		if err != nil {
 			return stats, fmt.Errorf("store: recovering column %q: %w", name, err)
 		}
 	}
 	return stats, nil
 }
 
-func (st *Store) recoverColumn(name string, meta *columnMeta, r Replayer, stats *RecoveryStats) error {
+// recoverColumn replays one column into r and returns what it rebuilt.
+func (st *Store) recoverColumn(name string, meta *columnMeta, r Replayer) (RecoveryStats, error) {
+	var stats RecoveryStats
 	dir := st.colDir(meta.ID)
 	col := ColumnInfo{Name: name, Kind: meta.Kind, Attr: meta.Attr}
 
@@ -761,10 +789,10 @@ func (st *Store) recoverColumn(name string, meta *columnMeta, r Replayer, stats 
 	if data, err := os.ReadFile(filepath.Join(dir, finalName)); err == nil {
 		snap, err := st.decodeSnapshot(meta, data, true)
 		if err != nil {
-			return fmt.Errorf("%s: %w", finalName, err)
+			return stats, fmt.Errorf("%s: %w", finalName, err)
 		}
 		if err := deliver(r, col, snap, Replayer.RecoverFinalized, Replayer.RecoverPlusFinalized); err != nil {
-			return err
+			return stats, err
 		}
 		if !meta.Finalized {
 			st.mu.Lock()
@@ -772,30 +800,30 @@ func (st *Store) recoverColumn(name string, meta *columnMeta, r Replayer, stats 
 			err := st.writeManifest()
 			st.mu.Unlock()
 			if err != nil {
-				return err
+				return stats, err
 			}
 		}
 		stats.FinalizedColumns++
-		return nil
+		return stats, nil
 	} else if !errors.Is(err, os.ErrNotExist) {
-		return err
+		return stats, err
 	}
 
 	ckptSeq, haveCkpt, err := latestCheckpoint(dir)
 	if err != nil {
-		return err
+		return stats, err
 	}
 	if haveCkpt {
 		data, err := os.ReadFile(filepath.Join(dir, ckptName(ckptSeq)))
 		if err != nil {
-			return err
+			return stats, err
 		}
 		snap, err := st.decodeSnapshot(meta, data, false)
 		if err != nil {
-			return fmt.Errorf("%s: %w", ckptName(ckptSeq), err)
+			return stats, fmt.Errorf("%s: %w", ckptName(ckptSeq), err)
 		}
 		if err := deliver(r, col, snap, Replayer.RecoverCheckpoint, Replayer.RecoverPlusCheckpoint); err != nil {
-			return err
+			return stats, err
 		}
 		stats.Checkpoints++
 	}
@@ -805,38 +833,30 @@ func (st *Store) recoverColumn(name string, meta *columnMeta, r Replayer, stats 
 			if meta.Kind != protocol.KindJoin {
 				return fmt.Errorf("%w: join report record in a %v column's log", protocol.ErrBadRecord, meta.Kind)
 			}
-			reports, err := protocol.DecodeReportsPayload(payload, st.params)
-			if err != nil {
-				return err
-			}
-			if err := r.RecoverReports(col, reports); err != nil {
-				return err
-			}
-			stats.Reports += int64(len(reports))
+			n, err := replayReports(payload, protocol.ReportSize, st.params, protocol.DecodeReportsPayload,
+				func(reports []core.Report) error { return r.RecoverReports(col, reports) })
+			stats.Reports += n
+			return err
 		case protocol.RecordMatrixReports:
 			if meta.Kind != protocol.KindMatrix {
 				return fmt.Errorf("%w: matrix report record in a %v column's log", protocol.ErrBadRecord, meta.Kind)
 			}
-			reports, err := protocol.DecodeMatrixReportsPayload(payload, st.matrixParams())
-			if err != nil {
-				return err
-			}
-			if err := r.RecoverMatrixReports(col, reports); err != nil {
-				return err
-			}
-			stats.Reports += int64(len(reports))
+			n, err := replayReports(payload, protocol.MatrixReportSize, st.matrixParams(), protocol.DecodeMatrixReportsPayload,
+				func(reports []core.MatrixReport) error { return r.RecoverMatrixReports(col, reports) })
+			stats.Reports += n
+			return err
 		case protocol.RecordPlusReports:
 			if meta.Kind != protocol.KindPlus {
 				return fmt.Errorf("%w: plus report record in a %v column's log", protocol.ErrBadRecord, meta.Kind)
 			}
-			group, reports, err := protocol.DecodePlusReportsPayload(payload, st.params)
+			group, body, err := protocol.SplitPlusReportsPayload(payload)
 			if err != nil {
 				return err
 			}
-			if err := r.RecoverPlusReports(col, group, reports); err != nil {
-				return err
-			}
-			stats.Reports += int64(len(reports))
+			n, err := replayReports(body, protocol.ReportSize, st.params, protocol.DecodeReportsPayload,
+				func(reports []core.Report) error { return r.RecoverPlusReports(col, group, reports) })
+			stats.Reports += n
+			return err
 		case protocol.RecordPlusAdvance:
 			if meta.Kind != protocol.KindPlus {
 				return fmt.Errorf("%w: plus advance record in a %v column's log", protocol.ErrBadRecord, meta.Kind)
@@ -864,7 +884,7 @@ func (st *Store) recoverColumn(name string, meta *columnMeta, r Replayer, stats 
 		stats.TruncatedTails++
 	}
 	if err != nil {
-		return err
+		return stats, err
 	}
 	// Seed the background checkpointer with the replayed tail: segments
 	// above the checkpoint are exactly the bytes the next checkpoint
@@ -875,7 +895,32 @@ func (st *Store) recoverColumn(name string, meta *columnMeta, r Replayer, stats 
 		st.mu.Unlock()
 	}
 	stats.Columns++
-	return nil
+	return stats, nil
+}
+
+// replayReports decodes one reports payload — itemSize wire bytes per
+// report — a chunk of protocol.DefaultBatchSize reports at a time, so
+// that every chunk decodes into a batch from the protocol pool, and
+// hands each batch to deliver, which owns it from then on. A record of
+// any size (one may hold 2^20 reports) thus replays through the buffers
+// live ingest uses, with no slice of its own. It returns the reports
+// delivered.
+func replayReports[R, P any](payload []byte, itemSize int, expect P,
+	decode func([]byte, P) ([]R, error), deliver func([]R) error) (int64, error) {
+	chunk := protocol.DefaultBatchSize * itemSize
+	var delivered int64
+	for off := 0; off < len(payload); off += chunk {
+		reports, err := decode(payload[off:min(off+chunk, len(payload))], expect)
+		if err != nil {
+			return delivered, fmt.Errorf("from report %d of the record: %w", off/itemSize, err)
+		}
+		n := int64(len(reports))
+		if err := deliver(reports); err != nil {
+			return delivered, err
+		}
+		delivered += n
+	}
+	return delivered, nil
 }
 
 // deliver hands a decoded snapshot to the Replayer method of its shape:
