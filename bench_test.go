@@ -10,6 +10,7 @@ package ldpjoin_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -275,10 +276,17 @@ func BenchmarkIngestEngine(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				eng := ingest.NewEngine(p, fam, ingest.Options{Workers: workers, Shards: workers})
 				col := eng.NewColumn()
-				for _, batch := range batches {
-					if err := col.Enqueue(batch); err != nil {
-						b.Fatal(err)
-					}
+				// The column owns what it is handed: give it copies, made
+				// off the clock, and keep the source reports for the next
+				// iteration.
+				b.StopTimer()
+				fresh := make([][]core.Report, len(batches))
+				for j, batch := range batches {
+					fresh[j] = slices.Clone(batch)
+				}
+				b.StartTimer()
+				if err := col.EnqueueAllPooled(fresh); err != nil {
+					b.Fatal(err)
 				}
 				if _, err := col.Finalize(); err != nil {
 					b.Fatal(err)

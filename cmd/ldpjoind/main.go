@@ -70,7 +70,7 @@ func main() {
 	shards := flag.Int("shards", 0, "aggregation shards per join column (0 = GOMAXPROCS)")
 	workers := flag.Int("workers", 0, "fold worker goroutines (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "ingestion queue depth in batches (0 = 4x workers)")
-	maxReports := flag.Int("max-reports", 0, "max reports per request body (0 = default; <0 = unlimited, removes the per-request memory bound)")
+	maxReports := flag.Int("max-reports", 0, "max reports per request body, which is also the per-request memory bound (0 = default; negative is refused)")
 	attrs := flag.Int("attrs", 0, "join-attribute hash families derived from the seed; a chain over n attributes needs n (0 = default)")
 	queryCache := flag.Int("query-cache", 0, "max memoized query results (0 = default; <0 disables memoization)")
 	data := flag.String("data", "", "data directory for WAL + checkpoint durability (empty = in-memory only)")

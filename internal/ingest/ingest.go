@@ -26,10 +26,10 @@
 // is a deterministic function of the data — independent of Workers and
 // of goroutine scheduling.
 //
-// Backpressure: Enqueue and the simulation builders block while the task
-// queue is full, so a fast producer (an HTTP handler, a TCP collector)
-// is throttled to the speed of the fold workers instead of buffering
-// without bound.
+// Backpressure: EnqueueAllPooled and the simulation builders block while
+// the task queue is full, so a fast producer (an HTTP handler, a TCP
+// collector) is throttled to the speed of the fold workers instead of
+// buffering without bound.
 //
 // Federation: a Column is also the unit of cross-node scale-out. It can
 // drain into a mergeable snapshot instead of a finalized sketch
@@ -40,10 +40,11 @@
 //
 // The same exactness makes the engine the replay target of the durable
 // column store (internal/store): WAL recovery feeds logged report
-// batches back through Enqueue and checkpoints through MergeAggregator,
-// and because folds commute exactly, the recovered column finalizes to
-// a sketch byte-identical to the uninterrupted run — regardless of how
-// shard counts or batch interleavings differ across the restart.
+// batches back through EnqueueAllPooled and checkpoints through
+// MergeAggregator, and because folds commute exactly, the recovered
+// column finalizes to a sketch byte-identical to the uninterrupted run —
+// regardless of how shard counts or batch interleavings differ across
+// the restart.
 package ingest
 
 import (
@@ -180,7 +181,7 @@ func (e *Engine) submitAll(fs []func()) error {
 }
 
 // Close drains the queued work and stops the workers. Columns may still
-// be finalized afterwards; new Enqueue and Simulate calls fail with
+// be finalized afterwards; new enqueues and Simulate calls fail with
 // ErrClosed. Close is idempotent.
 func (e *Engine) Close() {
 	e.mu.Lock()
@@ -218,7 +219,8 @@ type columnKind[R, A any] struct {
 }
 
 // column is one logical sketch under construction: kind.shards partial
-// aggregators fed round-robin by Enqueue. It is safe for concurrent use.
+// aggregators fed round-robin by EnqueueAllPooled. It is safe for
+// concurrent use.
 //
 // Each shard's aggregator is allocated lazily on its first fold (or
 // adopted from the first merge routed to it), so creating a column is
@@ -289,50 +291,32 @@ func (e *Engine) NewColumnWithFamily(fam *hashing.Family) *Column {
 	})
 }
 
-// Enqueue routes one batch of wire-format reports to a shard and
-// schedules the fold, blocking while the engine queue is full. It is
-// shorthand for EnqueueAll with a single batch.
-func (c *column[R, A, S]) Enqueue(batch []R) error {
-	return c.EnqueueAll([][]R{batch})
-}
-
-// EnqueueAll routes a set of batches to shards and schedules the folds,
-// blocking while the engine queue is full. The call is atomic with
-// respect to Finalize and Close: either every batch is scheduled (a
+// EnqueueAllPooled routes a set of batches to shards and schedules the
+// folds, blocking while the engine queue is full. The call is atomic
+// with respect to Finalize and Close: either every batch is scheduled (a
 // concurrent Finalize drains them all before merging) or none is and
 // ErrFinalized/ErrClosed is returned — a multi-batch request is never
-// half-applied. The engine takes ownership of the batch slices; the
-// caller must not modify them afterwards. Reports are bounds-checked on
-// the worker: a report outside the sketch (or with an invalid sign) is
-// dropped and surfaces as an error from Finalize, which then yields no
-// sketch at all.
-func (c *column[R, A, S]) EnqueueAll(batches [][]R) error {
-	return c.enqueueAll(batches, false)
-}
-
-// EnqueueAllPooled is EnqueueAll for batches drawn from the protocol
-// batch pool (BatchReader.Next, DecodeReportsPayload and their matrix
-// counterparts): once a fold has consumed a batch it is recycled into
-// the kind's pool. The ownership transfer is therefore total — the
-// caller must not read, reuse, or re-enqueue a batch after a successful
-// call, because its backing array may already be carrying the next
-// decoded batch. On error the batches were not scheduled and remain the
-// caller's.
+// half-applied. Reports are bounds-checked on the worker: a report
+// outside the sketch (or with an invalid sign) is dropped and surfaces
+// as an error from Finalize, which then yields no sketch at all.
+//
+// This is the one enqueue, and its ownership contract is total: the
+// batches come from the protocol batch pool (BatchReader.Next,
+// DecodeReportsPayload and their matrix counterparts) or are otherwise
+// the caller's to give away, and once a fold has consumed a batch it is
+// recycled into the kind's pool. The caller must not read, reuse, or
+// re-enqueue a batch after a successful call, because its backing array
+// may already be carrying the next decoded batch. On error the batches
+// were not scheduled and remain the caller's.
 func (c *column[R, A, S]) EnqueueAllPooled(batches [][]R) error {
-	return c.enqueueAll(batches, true)
-}
-
-func (c *column[R, A, S]) enqueueAll(batches [][]R, recycle bool) error {
 	var folds []func()
 	var total int64
 	for _, batch := range batches {
 		if len(batch) == 0 {
-			if recycle {
-				c.kind.put(batch)
-			}
+			c.kind.put(batch)
 			continue
 		}
-		folds = append(folds, c.fold(batch, recycle))
+		folds = append(folds, c.fold(batch))
 		total += int64(len(batch))
 	}
 	if len(folds) == 0 {
@@ -362,11 +346,10 @@ func (c *column[R, A, S]) nextShard() *shard[A] {
 
 // fold builds the worker task adding one batch to the next shard: one
 // AddBatch call, so the per-report loop runs inside core on the concrete
-// aggregator. With recycle set the fold is where the batch dies —
-// EnqueueAllPooled transferred total ownership — so after the reports
-// land in the shard the batch goes back to the protocol batch pool for
-// the next decode.
-func (c *column[R, A, S]) fold(batch []R, recycle bool) func() {
+// aggregator. The fold is where the batch dies — EnqueueAllPooled
+// transferred total ownership — so after the reports land in the shard
+// the batch goes back to the protocol batch pool for the next decode.
+func (c *column[R, A, S]) fold(batch []R) func() {
 	sh := c.nextShard()
 	return func() {
 		defer c.wg.Done()
@@ -379,9 +362,7 @@ func (c *column[R, A, S]) fold(batch []R, recycle bool) func() {
 		if err != nil {
 			c.setErr(err)
 		}
-		if recycle {
-			c.kind.put(batch)
-		}
+		c.kind.put(batch)
 	}
 }
 
@@ -406,7 +387,7 @@ func (c *column[R, A, S]) firstErr() error {
 	return c.err
 }
 
-// drain retires the column — no further Enqueue, Merge, or State call
+// drain retires the column — no further enqueue, merge, or State call
 // succeeds — waits out the outstanding folds, and merges the populated
 // shards in shard order into one unfinalized aggregator (reusing the
 // first populated shard's state, so draining allocates nothing; an
@@ -480,7 +461,7 @@ func (c *column[R, A, S]) Snapshot() (*protocol.Snapshot, error) {
 // the moment of the call are not included (the returned aggregator's N
 // reflects exactly the folded reports it contains). State holds the
 // column lock for the duration of the copy, which briefly blocks
-// concurrent Enqueue calls and excludes the lock-free shard merge that
+// concurrent enqueues and excludes the lock-free shard merge that
 // Finalize and Snapshot perform after retiring the column.
 func (c *column[R, A, S]) State() (A, error) {
 	c.mu.Lock()
@@ -516,7 +497,7 @@ func (c *column[R, A, S]) Capture() (*protocol.Snapshot, error) {
 }
 
 // Settle blocks until every fold accepted so far has landed in a
-// shard. The caller must exclude concurrent EnqueueAll and
+// shard. The caller must exclude concurrent EnqueueAllPooled and
 // MergeAggregator calls for the duration — the service's checkpoint
 // gate does — otherwise a new wg.Add races the wait. After Settle
 // returns (under that exclusion), State is a complete copy of every
@@ -528,7 +509,7 @@ func (c *column[R, A, S]) Settle() { c.wg.Wait() }
 // from another collector's snapshot — into the column. The merge is
 // exact: unfinalized cells are integer sums, so a column fed by merges
 // finalizes byte-identically to one fed the underlying reports. It
-// follows the Enqueue lifecycle (ErrFinalized after Finalize/Snapshot,
+// follows the enqueue lifecycle (ErrFinalized after Finalize/Snapshot,
 // atomic with respect to both) and consumes agg: an untouched shard
 // adopts it outright (zero copy), a populated one folds it in cell-wise;
 // either way the caller must not use it afterwards.

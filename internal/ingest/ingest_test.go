@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -13,6 +14,18 @@ import (
 )
 
 func testParams() core.Params { return core.Params{K: 9, M: 512, Epsilon: 4} }
+
+// enqueue feeds a column through its one enqueue, EnqueueAllPooled,
+// handing over a fresh copy of every batch: the column owns (and may
+// recycle into the protocol pool) what it is given, while the tests go
+// on slicing and re-feeding their report arrays.
+func enqueue[R any, A aggregator[R, A, S], S any](col *column[R, A, S], batches ...[]R) error {
+	fresh := make([][]R, len(batches))
+	for i, batch := range batches {
+		fresh[i] = slices.Clone(batch)
+	}
+	return col.EnqueueAllPooled(fresh)
+}
 
 // perturbColumn perturbs a column client-side, yielding the wire-format
 // reports a gateway would stream.
@@ -55,7 +68,7 @@ func TestEngineWireDeterminism(t *testing.T) {
 		col := eng.NewColumn()
 		for lo := 0; lo < len(reports); lo += 997 { // deliberately odd batch size
 			hi := min(lo+997, len(reports))
-			if err := col.Enqueue(reports[lo:hi]); err != nil {
+			if err := enqueue(col, reports[lo:hi]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -96,7 +109,7 @@ func TestEngineMatchesSequentialAggregator(t *testing.T) {
 	col := eng.NewColumn()
 	for lo := 0; lo < len(reports); lo += 1024 {
 		hi := min(lo+1024, len(reports))
-		if err := col.Enqueue(reports[lo:hi]); err != nil {
+		if err := enqueue(col, reports[lo:hi]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -132,7 +145,7 @@ func TestEngineConcurrentColumns(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < perProducer; i++ {
 					lo := (g*perProducer + i) * 100 % (len(reports) - 100)
-					if err := col.Enqueue(reports[lo : lo+100]); err != nil {
+					if err := enqueue(col, reports[lo:lo+100]); err != nil {
 						t.Errorf("enqueue: %v", err)
 						return
 					}
@@ -162,10 +175,10 @@ func TestColumnLifecycleErrors(t *testing.T) {
 	fam := p.NewFamily(1)
 	eng := NewEngine(p, fam, Options{Shards: 2, Workers: 2})
 	col := eng.NewColumn()
-	if err := col.Enqueue(nil); err != nil {
+	if err := enqueue(col, nil); err != nil {
 		t.Fatalf("empty enqueue: %v", err)
 	}
-	if err := col.Enqueue([]core.Report{{Y: 1, Row: 0, Col: 1}}); err != nil {
+	if err := enqueue(col, []core.Report{{Y: 1, Row: 0, Col: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := col.Finalize(); err != nil {
@@ -174,14 +187,14 @@ func TestColumnLifecycleErrors(t *testing.T) {
 	if _, err := col.Finalize(); err != ErrFinalized {
 		t.Fatalf("double finalize err = %v, want ErrFinalized", err)
 	}
-	if err := col.Enqueue([]core.Report{{Y: 1, Row: 0, Col: 1}}); err != ErrFinalized {
+	if err := enqueue(col, []core.Report{{Y: 1, Row: 0, Col: 1}}); err != ErrFinalized {
 		t.Fatalf("post-finalize enqueue err = %v, want ErrFinalized", err)
 	}
 
 	// Out-of-bounds reports are dropped on the worker and surface at
 	// Finalize.
 	bad := eng.NewColumn()
-	if err := bad.Enqueue([]core.Report{{Y: 1, Row: 9, Col: 1}}); err != nil {
+	if err := enqueue(bad, []core.Report{{Y: 1, Row: 9, Col: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := bad.Finalize(); err == nil {
@@ -190,12 +203,12 @@ func TestColumnLifecycleErrors(t *testing.T) {
 
 	// A closed engine rejects new work but still finalizes.
 	open := eng.NewColumn()
-	if err := open.Enqueue([]core.Report{{Y: -1, Row: 1, Col: 3}}); err != nil {
+	if err := enqueue(open, []core.Report{{Y: -1, Row: 1, Col: 3}}); err != nil {
 		t.Fatal(err)
 	}
 	eng.Close()
 	eng.Close() // idempotent
-	if err := open.Enqueue([]core.Report{{Y: 1, Row: 0, Col: 1}}); err != ErrClosed {
+	if err := enqueue(open, []core.Report{{Y: 1, Row: 0, Col: 1}}); err != ErrClosed {
 		t.Fatalf("post-close enqueue err = %v, want ErrClosed", err)
 	}
 	sk, err := open.Finalize()
@@ -321,7 +334,7 @@ func TestEnqueueAllAtomicity(t *testing.T) {
 		nil, // empty batches are skipped
 		{{Y: 1, Row: 1, Col: 3}},
 	}
-	if err := col.EnqueueAll(batches); err != nil {
+	if err := enqueue(col, batches...); err != nil {
 		t.Fatal(err)
 	}
 	if col.N() != 3 {
@@ -334,7 +347,7 @@ func TestEnqueueAllAtomicity(t *testing.T) {
 	if sk.N() != 3 {
 		t.Fatalf("sketch N = %g, want 3", sk.N())
 	}
-	if err := col.EnqueueAll(batches); err != ErrFinalized {
-		t.Fatalf("post-finalize EnqueueAll err = %v, want ErrFinalized", err)
+	if err := enqueue(col, batches...); err != ErrFinalized {
+		t.Fatalf("post-finalize enqueue err = %v, want ErrFinalized", err)
 	}
 }

@@ -47,7 +47,7 @@ func TestMatrixColumnByteIdentical(t *testing.T) {
 		for off := 0; off < len(reports); off += 777 {
 			batches = append(batches, reports[off:min(off+777, len(reports))])
 		}
-		if err := col.EnqueueAll(batches); err != nil {
+		if err := enqueue(col, batches...); err != nil {
 			t.Fatal(err)
 		}
 		if got := col.N(); got != int64(len(reports)) {
@@ -74,7 +74,7 @@ func TestMatrixColumnLifecycle(t *testing.T) {
 	defer e.Close()
 
 	col := e.NewMatrixColumn(p, famA, famB)
-	if err := col.Enqueue(matrixReports(p, famA, famB, 2, 100)); err != nil {
+	if err := enqueue(col, matrixReports(p, famA, famB, 2, 100)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := col.State(); err != nil {
@@ -83,7 +83,7 @@ func TestMatrixColumnLifecycle(t *testing.T) {
 	if _, err := col.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	if err := col.Enqueue(matrixReports(p, famA, famB, 3, 1)); err != ErrFinalized {
+	if err := enqueue(col, matrixReports(p, famA, famB, 3, 1)); err != ErrFinalized {
 		t.Fatalf("Enqueue after Finalize: %v, want ErrFinalized", err)
 	}
 	if _, err := col.State(); err != ErrFinalized {
@@ -95,7 +95,7 @@ func TestMatrixColumnLifecycle(t *testing.T) {
 
 	// Out-of-bounds reports surface at Finalize, not as a sketch.
 	bad := e.NewMatrixColumn(p, famA, famB)
-	if err := bad.Enqueue([]core.MatrixReport{{Y: 1, Row: uint32(p.K), L1: 0, L2: 0}}); err != nil {
+	if err := enqueue(bad, []core.MatrixReport{{Y: 1, Row: uint32(p.K), L1: 0, L2: 0}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := bad.Finalize(); err == nil {
@@ -117,7 +117,7 @@ func TestMatrixColumnFederation(t *testing.T) {
 	half2 := matrixReports(p, famA, famB, 5, 3000)
 
 	all := newCol()
-	if err := all.EnqueueAll([][]core.MatrixReport{half1, half2}); err != nil {
+	if err := enqueue(all, half1, half2); err != nil {
 		t.Fatal(err)
 	}
 	want, err := all.Finalize()
@@ -127,10 +127,10 @@ func TestMatrixColumnFederation(t *testing.T) {
 
 	remote := newCol()
 	local := newCol()
-	if err := remote.Enqueue(half1); err != nil {
+	if err := enqueue(remote, half1); err != nil {
 		t.Fatal(err)
 	}
-	if err := local.Enqueue(half2); err != nil {
+	if err := enqueue(local, half2); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := remote.Snapshot()

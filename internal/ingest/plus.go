@@ -143,6 +143,15 @@ func (c *PlusColumn) ProposeFI(domain uint64, theta float64) ([]uint64, error) {
 }
 
 func (c *PlusColumn) proposeLocked(domain uint64, theta float64) ([]uint64, error) {
+	// The scan below is O(domain·K) hash evaluations under the column
+	// mutex and can name up to domain items, while the advance record and
+	// the snapshot codec carry at most MaxPlusFI: past that bound a
+	// proposal could neither finish in bounded time nor be replayed, and
+	// the domain is a client's say-so. Larger domains advance with an
+	// explicit set proposed elsewhere.
+	if domain > protocol.MaxPlusFI {
+		return nil, fmt.Errorf("ingest: a frequent-item scan covers at most %d values and the domain is %d; advance with an explicit set", protocol.MaxPlusFI, domain)
+	}
 	// Wait for every accepted fold to land first: the proposal must be
 	// a deterministic function of the accepted phase-1 stream, not of
 	// worker timing — kill-and-reopen recovery replays that stream and

@@ -24,7 +24,7 @@ func TestColumnSnapshotMatchesFinalize(t *testing.T) {
 	feed := func(col *Column) {
 		for lo := 0; lo < len(reports); lo += 777 {
 			hi := min(lo+777, len(reports))
-			if err := col.Enqueue(reports[lo:hi]); err != nil {
+			if err := enqueue(col, reports[lo:hi]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -73,7 +73,7 @@ func TestColumnSnapshotMatchesFinalize(t *testing.T) {
 	if _, err := colB.Finalize(); err != ErrFinalized {
 		t.Fatalf("Finalize after Snapshot: got %v, want ErrFinalized", err)
 	}
-	if err := colB.Enqueue(reports[:10]); err != ErrFinalized {
+	if err := enqueue(colB, reports[:10]); err != ErrFinalized {
 		t.Fatalf("Enqueue after Snapshot: got %v, want ErrFinalized", err)
 	}
 }
@@ -91,7 +91,7 @@ func TestColumnMergeAggregator(t *testing.T) {
 	defer eng.Close()
 
 	full := eng.NewColumn()
-	if err := full.Enqueue(reports); err != nil {
+	if err := enqueue(full, reports); err != nil {
 		t.Fatal(err)
 	}
 	sk, err := full.Finalize()
@@ -105,7 +105,7 @@ func TestColumnMergeAggregator(t *testing.T) {
 		remote.Add(r)
 	}
 	local := eng.NewColumn()
-	if err := local.Enqueue(reports[:half]); err != nil {
+	if err := enqueue(local, reports[:half]); err != nil {
 		t.Fatal(err)
 	}
 	if err := local.MergeAggregator(remote); err != nil {
@@ -151,7 +151,7 @@ func TestColumnMergeAdoptsUnderQueuedFolds(t *testing.T) {
 		}
 		col := eng.NewColumn()
 		for lo := 0; lo < half; lo += 100 {
-			if err := col.Enqueue(reports[lo:min(lo+100, half)]); err != nil {
+			if err := enqueue(col, reports[lo:min(lo+100, half)]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -216,7 +216,7 @@ func TestColumnState(t *testing.T) {
 	eng := NewEngine(p, fam, Options{Shards: 2, Workers: 2})
 	defer eng.Close()
 	col := eng.NewColumn()
-	if err := col.Enqueue(reports[:half]); err != nil {
+	if err := enqueue(col, reports[:half]); err != nil {
 		t.Fatal(err)
 	}
 	// Quiesce so the point-in-time copy is exactly the first half.
@@ -231,7 +231,7 @@ func TestColumnState(t *testing.T) {
 	}
 
 	// The column keeps going; the state copy is independent.
-	if err := col.Enqueue(reports[half:]); err != nil {
+	if err := enqueue(col, reports[half:]); err != nil {
 		t.Fatal(err)
 	}
 	sk, err := col.Finalize()
@@ -291,7 +291,7 @@ func TestColumnStateConcurrent(t *testing.T) {
 		defer wg.Done()
 		for lo := 0; lo < len(reports); lo += 256 {
 			hi := min(lo+256, len(reports))
-			if err := col.Enqueue(reports[lo:hi]); err != nil {
+			if err := enqueue(col, reports[lo:hi]); err != nil {
 				t.Error(err)
 				return
 			}

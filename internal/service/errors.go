@@ -1,6 +1,7 @@
 package service
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 )
@@ -50,15 +51,46 @@ type errorBody struct {
 	Column  string `json:"column,omitempty"`
 }
 
-// writeError writes the structured error envelope. column may be empty
-// for errors not about a specific column (bad query parameters, server
-// shutdown).
+// apiError is a refusal on its way to the client: the HTTP status plus
+// the envelope's payload. Everything beneath the handlers — the
+// operations, register, the decoders, the tenant ledger — reports a
+// refusal by returning one, and only a handler turns it into bytes
+// (writeAPIError), so nothing that holds a column lock can also be
+// holding a client socket. WAL replay runs the same code and sees the
+// same value as a plain error.
+type apiError struct {
+	status int
+	errorBody
+}
+
+func (e *apiError) Error() string { return e.Message }
+
+// apiErrorf builds a refusal. column may be empty for errors not about
+// a specific column (bad query parameters, server shutdown).
+func apiErrorf(status int, code, column, format string, args ...any) *apiError {
+	return &apiError{status, errorBody{Code: code, Message: fmt.Sprintf(format, args...), Column: column}}
+}
+
+// statusError builds a refusal with the status' default code and no
+// column attribution — for errors where neither needs to be more
+// precise.
+func statusError(status int, format string, args ...any) *apiError {
+	return apiErrorf(status, defaultCode(status), "", format, args...)
+}
+
+// writeAPIError writes a refusal as the structured error envelope. An
+// error that is not an apiError is a server-side fault.
+func writeAPIError(w http.ResponseWriter, err error) {
+	var e *apiError
+	if !errors.As(err, &e) {
+		e = apiErrorf(http.StatusInternalServerError, codeInternal, "", "%v", err)
+	}
+	writeJSON(w, e.status, map[string]errorBody{"error": e.errorBody})
+}
+
+// writeError writes the structured error envelope from its parts.
 func writeError(w http.ResponseWriter, status int, code, column, format string, args ...any) {
-	writeJSON(w, status, map[string]errorBody{"error": {
-		Code:    code,
-		Message: fmt.Sprintf(format, args...),
-		Column:  column,
-	}})
+	writeAPIError(w, apiErrorf(status, code, column, format, args...))
 }
 
 // defaultCode maps an HTTP status to its unambiguous envelope code —
@@ -85,8 +117,7 @@ func defaultCode(status int) string {
 }
 
 // httpError writes the envelope with the status' default code and no
-// column attribution — the fallback for errors where neither needs to
-// be more precise. Handlers that know better call writeError directly.
+// column attribution.
 func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeError(w, status, defaultCode(status), "", format, args...)
+	writeAPIError(w, statusError(status, format, args...))
 }

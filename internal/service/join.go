@@ -19,13 +19,12 @@ type joinBatches = reportBatches[core.Report]
 
 func (joinKind) checkAttr(s *Server, attr int) error { return s.spanInRange(attr, 1) }
 
-func (joinKind) decodeReports(w http.ResponseWriter, s *Server, name string, body *bufio.Reader, h protocol.Header) (batchSet, bool) {
+func (joinKind) decodeReports(s *Server, name string, body *bufio.Reader, h protocol.Header) (batchSet, error) {
 	br, err := protocol.NewBatchReaderFrom(body, h, s.params)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "decoding report stream: %v", err)
-		return nil, false
+		return nil, statusError(http.StatusBadRequest, "decoding report stream: %v", err)
 	}
-	return readAllBatches(w, s, name, br.Next, br.Count)
+	return readAllBatches(s, name, br.Next, br.Count)
 }
 
 func (joinKind) newColumn(s *Server, attr int) column {

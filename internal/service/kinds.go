@@ -10,14 +10,14 @@ import (
 	"ldpjoin/internal/store"
 )
 
-// The mutating path — reports, merge, finalize, snapshot export,
-// checkpoints, recovery — is written once, over the two interfaces
-// below. Every server-side structure of the paper is a linear sketch, so
-// the order of operations (register, debit, gate, WAL-append, apply,
-// ack) is the same for all of them; what differs is which codec reads
-// the bytes and which ingest column folds them, and that is all a kind
-// supplies. A fourth kind is one more file like join.go, matrix.go and
-// plus.go and one more entry in kinds.
+// The mutating path — the three column operations, finalize, snapshot
+// export, checkpoints, recovery — is written once, over the two
+// interfaces below. Every server-side structure of the paper is a linear
+// sketch, so the order of steps (register, debit, gate, WAL-append,
+// apply, ack) is the same for all of them; what differs is which codec
+// reads the bytes and which ingest column folds them, and that is all a
+// kind supplies. A fourth kind is one more file like join.go, matrix.go
+// and plus.go and one more entry in kinds.
 
 // kindOps is what a column kind supplies before a column exists: how to
 // read its report streams, open a column, and place and restore its
@@ -27,9 +27,8 @@ type kindOps interface {
 	// occupy.
 	checkAttr(s *Server, attr int) error
 	// decodeReports drains the rest of a report stream whose header has
-	// been read into owned, pooled batches. When it returns ok=false the
-	// HTTP error has already been written.
-	decodeReports(w http.ResponseWriter, s *Server, name string, body *bufio.Reader, h protocol.Header) (batchSet, bool)
+	// been read into owned, pooled batches.
+	decodeReports(s *Server, name string, body *bufio.Reader, h protocol.Header) (batchSet, error)
 	// newColumn opens an empty collecting column in slot attr.
 	newColumn(s *Server, attr int) column
 	// snapshotBound is the largest encoded snapshot of this kind the
@@ -53,8 +52,8 @@ var kinds = map[protocol.Kind]kindOps{
 
 // column is a collecting column of any kind, as the mutating path sees
 // it. The batchSet and prepared-merge values it consumes were produced
-// by its own kind (registerPending refuses a name claimed by another),
-// so implementations assert their concrete types.
+// by its own kind (register refuses a name claimed by another), so
+// implementations assert their concrete types.
 type column interface {
 	// N returns the reports accepted so far.
 	N() int64
@@ -114,10 +113,9 @@ func (reportBatches[R]) group() string { return "" }
 // per-request report cap and the no-empty-stream rule — an empty stream
 // (valid header, zero reports) must not create the column, or a typo'd
 // name would appear as a phantom "collecting" column in /v1/stats
-// forever. When it returns ok=false the HTTP error has already been
-// written.
-func readAllBatches[R any](w http.ResponseWriter, s *Server, name string,
-	next func(int) ([]R, error), count func() int) (reportBatches[R], bool) {
+// forever.
+func readAllBatches[R any](s *Server, name string,
+	next func(int) ([]R, error), count func() int) (reportBatches[R], error) {
 	var batches [][]R
 	for {
 		batch, err := next(protocol.DefaultBatchSize)
@@ -125,21 +123,18 @@ func readAllBatches[R any](w http.ResponseWriter, s *Server, name string,
 			break
 		}
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "decoding report stream: %v", err)
-			return reportBatches[R]{}, false
+			return reportBatches[R]{}, statusError(http.StatusBadRequest, "decoding report stream: %v", err)
 		}
-		if s.maxStream >= 0 && count() > s.maxStream {
-			httpError(w, http.StatusRequestEntityTooLarge,
+		if count() > s.maxStream {
+			return reportBatches[R]{}, statusError(http.StatusRequestEntityTooLarge,
 				"stream exceeds %d reports per request", s.maxStream)
-			return reportBatches[R]{}, false
 		}
 		batches = append(batches, batch)
 	}
 	if count() == 0 {
-		httpError(w, http.StatusBadRequest, "empty report stream for column %q", name)
-		return reportBatches[R]{}, false
+		return reportBatches[R]{}, statusError(http.StatusBadRequest, "empty report stream for column %q", name)
 	}
-	return reportBatches[R]{batches: batches, n: count()}, true
+	return reportBatches[R]{batches: batches, n: count()}, nil
 }
 
 // oneBatch wraps the single pooled batch a store.Replayer reports call

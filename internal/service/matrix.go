@@ -19,13 +19,12 @@ type matrixBatches = reportBatches[core.MatrixReport]
 
 func (matrixKind) checkAttr(s *Server, attr int) error { return s.spanInRange(attr, 2) }
 
-func (matrixKind) decodeReports(w http.ResponseWriter, s *Server, name string, body *bufio.Reader, h protocol.Header) (batchSet, bool) {
+func (matrixKind) decodeReports(s *Server, name string, body *bufio.Reader, h protocol.Header) (batchSet, error) {
 	br, err := protocol.NewMatrixBatchReaderFrom(body, h, s.matrixP)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "decoding matrix report stream: %v", err)
-		return nil, false
+		return nil, statusError(http.StatusBadRequest, "decoding matrix report stream: %v", err)
 	}
-	return readAllBatches(w, s, name, br.Next, br.Count)
+	return readAllBatches(s, name, br.Next, br.Count)
 }
 
 func (matrixKind) newColumn(s *Server, attr int) column {

@@ -33,14 +33,13 @@ func (plusKind) checkAttr(_ *Server, attr int) error {
 	return nil
 }
 
-func (plusKind) decodeReports(w http.ResponseWriter, s *Server, name string, body *bufio.Reader, h protocol.Header) (batchSet, bool) {
+func (plusKind) decodeReports(s *Server, name string, body *bufio.Reader, h protocol.Header) (batchSet, error) {
 	br, group, err := protocol.NewPlusBatchReaderFrom(body, h, s.params)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "decoding plus report stream: %v", err)
-		return nil, false
+		return nil, statusError(http.StatusBadRequest, "decoding plus report stream: %v", err)
 	}
-	b, ok := readAllBatches(w, s, name, br.Next, br.Count)
-	return plusBatches{b, group}, ok
+	b, err := readAllBatches(s, name, br.Next, br.Count)
+	return plusBatches{b, group}, err
 }
 
 func (plusKind) newColumn(s *Server, _ int) column {

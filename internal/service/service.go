@@ -7,7 +7,13 @@
 // Columns are polymorphic over the sketch kind, and the kind is a value:
 // the mutating path (reports, merge, finalize, snapshot, checkpoints,
 // recovery) is written once over the per-kind ops table in kinds.go,
-// join.go, matrix.go and plus.go. A KindJoin stream feeds
+// join.go, matrix.go and plus.go. It is also split into transport and
+// operations: the handlers in this file parse a request and write one
+// response, and the three things that can happen to a collecting column
+// — reports, advance, merge — are the operations in operations.go,
+// which never see a ResponseWriter and which WAL recovery runs too.
+//
+// A KindJoin stream feeds
 // a single-attribute LDPJoinSketch column; a KindMatrix stream feeds a
 // two-attribute (middle-table) matrix column, the §VI building block of
 // chain joins; a KindPlus stream feeds a two-phase LDPJoinSketch+
@@ -30,7 +36,10 @@
 // fold workers fall behind, which is the server's backpressure — and
 // folded into per-shard aggregators that merge exactly on finalize.
 //
-// Queries: GET /v1/join?left=A&right=B answers a pairwise estimate;
+// Queries: GET /v1/join?left=A&right=B answers a pairwise estimate (and
+// with left == right the column's self-join size F2, from the
+// noise-corrected core.Sketch.SelfJoinSize — the pairwise product of a
+// sketch with itself is inflated by its own noise energy);
 // GET /v1/join?path=A,AB,BC,C runs the chain planner — ends must be
 // join columns, every middle a matrix column, slots adjacent — and
 // composes core.ChainEstimate across them. Finalized sketches are
@@ -76,7 +85,9 @@
 //	GET  /v1/columns/{name}/sketch     marshaled join sketch (octet-stream)
 //	GET  /v1/columns/{name}/snapshot   SNAP/PSNP snapshot (octet-stream)
 //	GET  /v1/join?left=A&right=B       pairwise join estimate (JSON);
-//	                                   plus columns pair the same way
+//	                                   plus columns pair the same way;
+//	                                   left == right is a join column's
+//	                                   self-join size (plus: 400)
 //	GET  /v1/join?path=A,AB,BC,C       chain (multi-way) join estimate
 //	GET  /v1/join?ab=pL,pR,sL,sR       A/B: plain vs plus estimate over the
 //	                                   same population (&truth= adds errors)
@@ -129,10 +140,10 @@ type Options struct {
 	// Ingest configures the sharded ingestion engine.
 	Ingest ingest.Options
 	// MaxStreamReports caps the reports accepted per request body: 0
-	// selects DefaultMaxStreamReports, negative disables the cap.
-	// Disabling it removes the per-request memory bound too — each
-	// request buffers its decoded reports until the stream ends — so
-	// leave it on unless every gateway is trusted.
+	// selects DefaultMaxStreamReports. The cap is also the per-request
+	// memory bound — each request buffers its decoded reports until the
+	// stream ends — so it cannot be disabled: a negative value is
+	// refused at startup.
 	MaxStreamReports int
 	// Attributes is the number of join-attribute hash families the
 	// server derives (attribute 0 is the base seed's family). A chain
@@ -167,36 +178,6 @@ type Options struct {
 	// column's ε, and a batch that would overrun the budget is refused
 	// with 429 budget_exhausted. <= 0 disables the ledger's enforcement.
 	TenantEpsilonBudget float64
-}
-
-// pendingColumn is a collecting column: its identity, the kind's column
-// behind the one interface the mutating path is written over, and the
-// two locks that order that path.
-type pendingColumn struct {
-	kind  protocol.Kind
-	attr  int
-	state column
-
-	// opMu serializes the column's mutating requests — report
-	// append+enqueue, advance, merge — so the WAL is written in
-	// acceptance order. A plus column depends on it: without it, a sample
-	// batch could pass the phase gate, lose the race to a concurrent
-	// advance's WAL append, and be logged after the advance record —
-	// which replay would then reject. Join and matrix records commute, so
-	// for them the order is merely harmless; appends to one column's log
-	// serialize on the log's own mutex across the fsync anyway.
-	opMu sync.Mutex
-
-	// walGate is the background checkpointer's exclusion point. Every
-	// mutating request holds it shared across its (WAL append, enqueue)
-	// pair; CheckpointNow holds it exclusively across (Rotate, settle,
-	// state capture). That makes the captured state exactly the fold of
-	// the rotated-out segments: no request can be between "durable in a
-	// covered segment" and "visible to the capture" while the gate is
-	// held, so a checkpoint can neither lose an acknowledged report nor
-	// double-count one on replay. Handlers acquire opMu before walGate,
-	// and the checkpointer takes only walGate — one order, no cycles.
-	walGate sync.RWMutex
 }
 
 // finishedColumn is a finalized column of one kind.
@@ -305,6 +286,10 @@ func NewWithOptions(p core.Params, seed int64, o Options) (*Server, error) {
 		return nil, fmt.Errorf("service: %w", err)
 	}
 	maxStream := o.MaxStreamReports
+	if maxStream < 0 {
+		return nil, fmt.Errorf("service: MaxStreamReports %d: the per-request report cap is the per-request memory bound and cannot be disabled (0 selects the default %d)",
+			maxStream, DefaultMaxStreamReports)
+	}
 	if maxStream == 0 {
 		maxStream = DefaultMaxStreamReports
 	}
@@ -359,119 +344,6 @@ func NewWithOptions(p core.Params, seed int64, o Options) (*Server, error) {
 		s.ckpt = st.StartCheckpointer(s.CheckpointNow)
 	}
 	return s, nil
-}
-
-// recoverer folds the column store's recovered state back into the
-// server: finalized snapshots restore straight into the finished
-// registry, collecting state replays through the ingestion engine
-// exactly like live traffic. It runs before the server serves its
-// first request, so it touches the maps without locking. The ten
-// store.Replayer methods are the per-shape entry points of four
-// operations — finalized, merge, reports, advance.
-type recoverer struct{ s *Server }
-
-// col returns the in-memory column for a recovering name, creating it
-// with the kind and attribute families the manifest recorded.
-func (r recoverer) col(info store.ColumnInfo) (*pendingColumn, error) {
-	col, ok := r.s.pending[info.Name]
-	if ok {
-		return col, nil
-	}
-	ops, ok := kinds[info.Kind]
-	if !ok {
-		return nil, fmt.Errorf("recovered column %q has unknown kind %d", info.Name, info.Kind)
-	}
-	if err := ops.checkAttr(r.s, info.Attr); err != nil {
-		return nil, fmt.Errorf("recovered column %q: %w", info.Name, err)
-	}
-	col = &pendingColumn{kind: info.Kind, attr: info.Attr, state: ops.newColumn(r.s, info.Attr)}
-	r.s.pending[info.Name] = col
-	return col, nil
-}
-
-func (r recoverer) finalized(info store.ColumnInfo, snap protocol.ColumnSnapshot) error {
-	fin, err := kinds[info.Kind].restore(snap)
-	if err != nil {
-		return err
-	}
-	fin.attr = info.Attr
-	// Recovery runs single-threaded before the first request, so it may
-	// grow the registry's map in place instead of copy-and-swapping once
-	// per recovered column.
-	r.s.finished.seed(info.Name, fin)
-	return nil
-}
-
-// merge restores a checkpoint or replays a logged federation merge. A
-// plus snapshot a phase ahead of the column can only be a checkpoint —
-// it carries the phase boundary, so the column re-freezes the recorded
-// (domain, θ, FI), the covered advance record, not a recomputation,
-// before the groups merge in. A logged merge never is: the live handler
-// appends the advance record ahead of any post-advance merge, so the
-// column's phase already matches by the time the merge replays.
-func (r recoverer) merge(info store.ColumnInfo, snap protocol.ColumnSnapshot) error {
-	col, err := r.col(info)
-	if err != nil {
-		return err
-	}
-	m, adopt, err := col.state.prepareMerge(snap)
-	if err != nil {
-		return err
-	}
-	if adopt != nil {
-		if err := r.advance(info, adopt.Domain, adopt.Theta, adopt.FI); err != nil {
-			return err
-		}
-	}
-	return col.state.merge(m)
-}
-
-func (r recoverer) reports(info store.ColumnInfo, b batchSet) error {
-	col, err := r.col(info)
-	if err != nil {
-		return err
-	}
-	return col.state.enqueuePooled(b)
-}
-
-func (r recoverer) advance(info store.ColumnInfo, domain uint64, theta float64, fi []uint64) error {
-	col, err := r.col(info)
-	if err != nil {
-		return err
-	}
-	_, err = col.state.(plusColumn).Advance(domain, theta, explicitFI(fi))
-	return err
-}
-
-func (r recoverer) RecoverFinalized(info store.ColumnInfo, snap *protocol.Snapshot) error {
-	return r.finalized(info, snap)
-}
-func (r recoverer) RecoverPlusFinalized(info store.ColumnInfo, snap *protocol.PlusSnapshot) error {
-	return r.finalized(info, snap)
-}
-func (r recoverer) RecoverCheckpoint(info store.ColumnInfo, snap *protocol.Snapshot) error {
-	return r.merge(info, snap)
-}
-func (r recoverer) RecoverPlusCheckpoint(info store.ColumnInfo, snap *protocol.PlusSnapshot) error {
-	return r.merge(info, snap)
-}
-func (r recoverer) RecoverMerge(info store.ColumnInfo, snap *protocol.Snapshot) error {
-	return r.merge(info, snap)
-}
-func (r recoverer) RecoverPlusMerge(info store.ColumnInfo, snap *protocol.PlusSnapshot) error {
-	return r.merge(info, snap)
-}
-func (r recoverer) RecoverReports(info store.ColumnInfo, reports []core.Report) error {
-	return r.reports(info, oneBatch(reports))
-}
-func (r recoverer) RecoverMatrixReports(info store.ColumnInfo, reports []core.MatrixReport) error {
-	return r.reports(info, oneBatch(reports))
-}
-func (r recoverer) RecoverPlusReports(info store.ColumnInfo, group protocol.PlusGroup, reports []core.Report) error {
-	return r.reports(info, plusBatches{oneBatch(reports), group})
-}
-func (r recoverer) RecoverPlusAdvance(info store.ColumnInfo, domain uint64, theta float64, fi []uint64) error {
-	return r.advance(info, domain, theta, fi)
 }
 
 // Shutdown marks the server closed, drains and stops the ingestion
@@ -596,20 +468,39 @@ func (s *Server) CheckpointNow(name string) error {
 	return err
 }
 
-// refuseClosed reports whether the server is closed, writing the 503 if
-// so. The flag is an atomic written only under s.mu: this fast-path
-// read costs no lock, while the lifecycle decisions that matter —
-// registerPending's re-check, Shutdown's pending-map snapshot — read it
-// under the mutex and stay exactly ordered. A request that slips past
-// the check while Close runs still cannot corrupt anything: the engine
-// refuses new work with ErrClosed and a drained column with
-// ErrFinalized, both of which surface as clean HTTP errors.
-func (s *Server) refuseClosed(w http.ResponseWriter) bool {
+// refuseClosed returns the 503 refusal when the server is closed. The
+// flag is an atomic written only under s.mu: this fast-path read costs
+// no lock, while the lifecycle decisions that matter — register's
+// re-check, Shutdown's pending-map snapshot — read it under the mutex
+// and stay exactly ordered. A request that slips past the check while
+// Close runs still cannot corrupt anything: the engine refuses new work
+// with ErrClosed and a drained column with ErrFinalized, both of which
+// surface as clean refusals.
+func (s *Server) refuseClosed() error {
 	if s.closed.Load() {
-		writeError(w, http.StatusServiceUnavailable, codeServerClosed, "", "server is shut down")
-		return true
+		return errServerClosed
 	}
-	return false
+	return nil
+}
+
+// mutating adapts a mutating route — a function from the request to its
+// 200 response or its refusal — to the mux, behind the closed-server
+// check they all start with. It is the only place those routes write to
+// the client: everything beneath them returns errors, so no response
+// can be written while a column lock is held.
+func (s *Server) mutating(route func(*http.Request) (any, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		err := s.refuseClosed()
+		var resp any
+		if err == nil {
+			resp, err = route(r)
+		}
+		if err != nil {
+			writeAPIError(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, resp)
+	}
 }
 
 // Handler returns the HTTP handler serving the API above, wrapped in
@@ -617,10 +508,10 @@ func (s *Server) refuseClosed(w http.ResponseWriter) bool {
 // request accounting /metrics reads.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/columns/{name}/reports", s.handleReports)
-	mux.HandleFunc("POST /v1/columns/{name}/advance", s.handleAdvance)
-	mux.HandleFunc("POST /v1/columns/{name}/finalize", s.handleFinalize)
-	mux.HandleFunc("POST /v1/columns/{name}/merge", s.handleMerge)
+	mux.HandleFunc("POST /v1/columns/{name}/reports", s.mutating(s.handleReports))
+	mux.HandleFunc("POST /v1/columns/{name}/advance", s.mutating(s.handleAdvance))
+	mux.HandleFunc("POST /v1/columns/{name}/finalize", s.mutating(s.handleFinalize))
+	mux.HandleFunc("POST /v1/columns/{name}/merge", s.mutating(s.handleMerge))
 	mux.HandleFunc("GET /v1/columns", s.handleColumns)
 	mux.HandleFunc("GET /v1/columns/{name}/fi", s.handleFI)
 	mux.HandleFunc("GET /v1/columns/{name}", s.handleStatus)
@@ -657,23 +548,6 @@ func (s *Server) lookup(name string) (*finishedColumn, *pendingColumn) {
 	return fin, nil
 }
 
-// collecting resolves the collecting column a lifecycle request
-// (advance, finalize) names. When it returns ok=false the HTTP error —
-// 409 for a finalized column, 404 for an unknown one — has been written.
-func (s *Server) collecting(w http.ResponseWriter, name string) (*pendingColumn, bool) {
-	s.mu.Lock()
-	_, done := s.finished.get(name)
-	col, ok := s.pending[name]
-	s.mu.Unlock()
-	switch {
-	case done:
-		writeError(w, http.StatusConflict, codeFinalized, name, "column %q is already finalized", name)
-	case !ok:
-		writeError(w, http.StatusNotFound, codeNotFound, name, "column %q has no reports", name)
-	}
-	return col, ok && !done
-}
-
 // attrParam parses the ?attr= slot of an ingesting request and checks
 // it against the kind: a matrix column spans (attr, attr+1), so its slot
 // must leave room for the right attribute; a plus column is pinned to 0.
@@ -688,48 +562,11 @@ func (s *Server) attrParam(r *http.Request, ops kindOps) (int, error) {
 	return attr, ops.checkAttr(s, attr)
 }
 
-// registerPending looks up or creates the collecting column for a
-// mutating request, under the same lock acquisition as the closed,
-// finalized, and kind/attribute checks — before any WAL append, see
-// handleReports. When it returns ok=false the HTTP error has already
-// been written.
-func (s *Server) registerPending(w http.ResponseWriter, name string, kind protocol.Kind, attr int) (*pendingColumn, bool) {
-	s.mu.Lock()
-	if s.closed.Load() {
-		s.mu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, codeServerClosed, "", "server is shut down")
-		return nil, false
-	}
-	if _, done := s.finished.get(name); done {
-		s.mu.Unlock()
-		writeError(w, http.StatusConflict, codeFinalized, name, "column %q is already finalized", name)
-		return nil, false
-	}
-	col, ok := s.pending[name]
-	if ok {
-		if col.kind != kind || col.attr != attr {
-			s.mu.Unlock()
-			writeError(w, http.StatusConflict, codeConflict, name, "column %q is %s state of attribute %d, not %s state of attribute %d",
-				name, col.kind.String(), col.attr, kind.String(), attr)
-			return nil, false
-		}
-	} else {
-		col = &pendingColumn{kind: kind, attr: attr, state: kinds[kind].newColumn(s, attr)}
-		s.pending[name] = col
-	}
-	s.mu.Unlock()
-	return col, true
-}
-
-// handleReports is the one ingest path, for every column kind: decode,
-// register, debit, gate, WAL-append, enqueue, ack — in that order, each
-// step's place load-bearing (see the comments at each). The stream
-// header's kind byte picks the kinds entry that reads the body and the
-// column that folds it; nothing else differs.
-func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
-	if s.refuseClosed(w) {
-		return
-	}
+// handleReports is the one ingest route, for every column kind: decode,
+// register, debit, then the reports operation. The stream header's kind
+// byte picks the kinds entry that reads the body and the column that
+// folds it; nothing else differs.
+func (s *Server) handleReports(r *http.Request) (any, error) {
 	name := r.PathValue("name")
 	// Read the stream header first: its kind byte decides which column
 	// kind this request feeds. Then decode the whole stream before
@@ -739,105 +576,42 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 	body := bufio.NewReader(r.Body)
 	h, err := protocol.ReadHeader(body)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "decoding report stream: %v", err)
-		return
+		return nil, statusError(http.StatusBadRequest, "decoding report stream: %v", err)
 	}
 	ops := kinds[h.Kind] // ReadHeader admits only the three kinds
 	attr, err := s.attrParam(r, ops)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, statusError(http.StatusBadRequest, "%v", err)
 	}
-	batch, ok := ops.decodeReports(w, s, name, body, h)
-	if !ok {
-		return
+	batch, err := ops.decodeReports(s, name, body, h)
+	if err != nil {
+		return nil, err
 	}
 	// Everything the ack needs of the batch is read now: once enqueued,
 	// the batch belongs to the engine and the pool.
 	ingested, group := batch.count(), batch.group()
-
-	// Register the column under the same lock acquisition as the
-	// closed and finalized checks, *before* the WAL append. The order
-	// is load-bearing twice over: a column is never created after
-	// Shutdown has snapshotted the pending map (closed is re-checked
-	// there, under the lock that set it), and every WAL record belongs
-	// to a registered column — which is what lets the shutdown
-	// checkpoint retire every record, acknowledged or not, instead of
-	// leaving unacknowledged tails to resurrect on restart.
-	col, ok := s.registerPending(w, name, h.Kind, attr)
-	if !ok {
-		return
+	col, err := s.register(name, h.Kind, attr, batch)
+	if err != nil {
+		return nil, err
 	}
 	// Reserve the batch's privacy spend against the tenant's budget
-	// before anything is durable, and before taking the column's
-	// operation lock: the ledger is reserve-then-refund (a refused or
-	// failed ingest refunds), so a phase conflict below refunds the same
-	// way — and no response, success or error, is ever written while
-	// opMu is held. A parked client reading slowly must never wedge the
-	// column's phase machinery (the PR 5 lesson, enforced by the lockio
-	// analyzer).
-	release, ok := s.debitReports(w, r, name, ingested)
-	if !ok {
-		return
+	// before anything is durable, and before the operation takes the
+	// column's locks: the ledger is reserve-then-refund, so a refusal
+	// below — a phase conflict, a failed append — refunds.
+	release, err := s.debitReports(r, name, ingested)
+	if err != nil {
+		return nil, err
 	}
-	// The phase gate, the WAL append, and the enqueue run under the
-	// column's operation mutex so the log is written in acceptance order
-	// — see pendingColumn.opMu.
-	col.opMu.Lock()
-	if err := col.state.admit(batch); err != nil {
-		col.opMu.Unlock()
-		release(false)
-		s.conflict(w, name, err)
-		return
+	total, err := s.reports(col, batch)
+	release(err == nil)
+	if err != nil {
+		return nil, err
 	}
-
-	// Durability before acknowledgement: the decoded reports go to the
-	// write-ahead log, fsynced, before anything is acked. A failed
-	// append rejects the request (at worst the column registered above
-	// sits empty until more reports arrive — a disk fault is an
-	// operator page either way). The (append, enqueue) pair holds the
-	// column's checkpoint gate shared, so a concurrent background
-	// checkpoint covers both halves of this request or neither.
-	col.walGate.RLock()
-	if s.st != nil {
-		if err := col.state.appendReports(s.st, name, attr, batch); err != nil {
-			col.walGate.RUnlock()
-			col.opMu.Unlock()
-			release(false)
-			s.storeAppendError(w, name, err)
-			return
-		}
-	}
-
-	// Feed the engine outside the lifecycle lock. The pooled enqueue
-	// blocks when the fold workers are behind (backpressure), is atomic
-	// against a concurrent finalize — the request's reports land
-	// entirely before the merge or not at all — and recycles each batch
-	// into the protocol pool once its fold has consumed it (the WAL
-	// append above already read them).
-	if err := col.state.enqueuePooled(batch); err != nil {
-		col.walGate.RUnlock()
-		col.opMu.Unlock()
-		release(false)
-		s.conflict(w, name, err)
-		return
-	}
-	col.walGate.RUnlock()
-	total := col.state.N()
-	col.opMu.Unlock()
-	release(true)
 	resp := map[string]any{"column": name, "kind": h.Kind.String(), "ingested": ingested, "total": total}
 	if group != "" {
 		resp["group"] = group
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// conflict answers a request the column's state refuses — the wrong
-// side of a plus phase boundary, a column drained underneath it: the
-// column exists, so a conflict, not a malformed request.
-func (s *Server) conflict(w http.ResponseWriter, name string, err error) {
-	s.columnConflict(w, codeConflict, name, "column %q: %v", name, err)
+	return resp, nil
 }
 
 // maxAdvanceBody bounds the JSON body of POST .../advance: the largest
@@ -846,134 +620,79 @@ func (s *Server) conflict(w http.ResponseWriter, name string, err error) {
 // an encoder may add — plus room for the other fields.
 const maxAdvanceBody = 32*protocol.MaxPlusFI + 1024
 
-// advanceRequest is the JSON body of POST /v1/columns/{name}/advance.
-// A nil FI asks the server to compute the set from the column's own
-// phase-1 sample; an explicit FI (the federated flow, typically a union
-// of per-collector proposals) installs that set instead.
-type advanceRequest struct {
-	Domain uint64   `json:"domain"`
-	Theta  float64  `json:"theta"`
-	FI     []uint64 `json:"fi"`
-}
-
-// handleAdvance drives a plus column over its phase boundary: compute
-// (or adopt) the frequent-item set, persist the advance, flip the
-// column to phase 2. Parameters come from the JSON body or — for the
-// body-less self-computing flow — from ?domain= and ?theta=.
-func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
-	if s.refuseClosed(w) {
-		return
-	}
-	name := r.PathValue("name")
+// parseAdvance reads the advance operation's argument from the JSON
+// body or — for the body-less self-computing flow — from ?domain= and
+// ?theta=, and canonicalizes a coordinator-supplied FI.
+func parseAdvance(r *http.Request) (advanceRequest, error) {
 	var req advanceRequest
 	if r.ContentLength != 0 {
 		// Bound the body before decoding: the FI-count check below only
-		// runs once the decoder has buffered the whole array.
-		err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxAdvanceBody)).Decode(&req)
+		// runs once the decoder has buffered the whole array. (No
+		// ResponseWriter to hand MaxBytesReader: its connection-close
+		// hint never reached the server through instrument's wrapper.)
+		err := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxAdvanceBody)).Decode(&req)
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			httpError(w, http.StatusRequestEntityTooLarge, "advance request exceeds %d bytes", tooLarge.Limit)
-			return
+			return req, statusError(http.StatusRequestEntityTooLarge, "advance request exceeds %d bytes", tooLarge.Limit)
 		}
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "decoding advance request: %v", err)
-			return
+			return req, statusError(http.StatusBadRequest, "decoding advance request: %v", err)
 		}
 	}
 	q := r.URL.Query()
 	if raw := q.Get("domain"); raw != "" {
 		d, err := strconv.ParseUint(raw, 10, 64)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "invalid ?domain=%q", raw)
-			return
+			return req, statusError(http.StatusBadRequest, "invalid ?domain=%q", raw)
 		}
 		req.Domain = d
 	}
 	if raw := q.Get("theta"); raw != "" {
 		th, err := strconv.ParseFloat(raw, 64)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "invalid ?theta=%q", raw)
-			return
+			return req, statusError(http.StatusBadRequest, "invalid ?theta=%q", raw)
 		}
 		req.Theta = th
 	}
 	if req.Domain == 0 {
-		httpError(w, http.StatusBadRequest, "advance needs a positive domain (?domain= or a JSON body)")
-		return
+		return req, statusError(http.StatusBadRequest, "advance needs a positive domain (?domain= or a JSON body)")
 	}
 	if !(req.Theta > 0 && req.Theta < 1) {
-		httpError(w, http.StatusBadRequest, "advance needs a frequency threshold θ in (0,1), got %v", req.Theta)
-		return
+		return req, statusError(http.StatusBadRequest, "advance needs a frequency threshold θ in (0,1), got %v", req.Theta)
 	}
 	if req.FI != nil {
-		// Canonicalize a coordinator-supplied set: sorted, deduplicated,
-		// inside the domain — the form the WAL record and the snapshot
-		// codec require.
 		slices.Sort(req.FI)
 		req.FI = slices.Compact(req.FI)
 		if n := len(req.FI); n > 0 && req.FI[n-1] >= req.Domain {
-			httpError(w, http.StatusBadRequest, "frequent item %d is outside the domain %d", req.FI[n-1], req.Domain)
-			return
+			return req, statusError(http.StatusBadRequest, "frequent item %d is outside the domain %d", req.FI[n-1], req.Domain)
 		}
 		if len(req.FI) > protocol.MaxPlusFI {
-			httpError(w, http.StatusBadRequest, "frequent-item set of %d items exceeds the %d-item bound", len(req.FI), protocol.MaxPlusFI)
-			return
+			return req, statusError(http.StatusBadRequest, "frequent-item set of %d items exceeds the %d-item bound", len(req.FI), protocol.MaxPlusFI)
 		}
 	}
+	return req, nil
+}
 
-	col, ok := s.collecting(w, name)
-	if !ok {
-		return
-	}
-	plus, ok := col.state.(plusColumn)
-	if !ok {
-		writeError(w, http.StatusConflict, codeConflict, name, "column %q is a %s column; advance applies to plus columns", name, col.kind.String())
-		return
-	}
-
-	// opMu is released explicitly on every path before a response is
-	// written — never held across a client socket write (lockio rule).
-	col.opMu.Lock()
-	// Check the phase before anything reaches the WAL: a second advance
-	// record would be rejected at replay, so it must never be written.
-	if plus.Advanced() {
-		col.opMu.Unlock()
-		s.conflict(w, name, ingest.ErrPlusAdvanced)
-		return
-	}
-	fi := req.FI
-	if fi == nil {
-		var err error
-		if fi, err = plus.ProposeFI(req.Domain, req.Theta); err != nil {
-			col.opMu.Unlock()
-			s.conflict(w, name, err)
-			return
-		}
-	}
-	// The (advance record, phase flip) pair holds the checkpoint gate
-	// like a report's (append, enqueue): a background checkpoint either
-	// covers the advance record and captures the advanced phase, or
-	// neither.
-	col.walGate.RLock()
-	if s.st != nil {
-		if err := s.st.AppendPlusAdvance(name, col.attr, req.Domain, req.Theta, fi); err != nil {
-			col.walGate.RUnlock()
-			col.opMu.Unlock()
-			s.storeAppendError(w, name, err)
-			return
-		}
-	}
-	frozen, err := plus.Advance(req.Domain, req.Theta, explicitFI(fi))
-	col.walGate.RUnlock()
-	col.opMu.Unlock()
+// handleAdvance runs the advance operation on the named collecting
+// column.
+func (s *Server) handleAdvance(r *http.Request) (any, error) {
+	name := r.PathValue("name")
+	req, err := parseAdvance(r)
 	if err != nil {
-		s.conflict(w, name, err)
-		return
+		return nil, err
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	col, err := s.collecting(name)
+	if err != nil {
+		return nil, err
+	}
+	frozen, err := s.advance(col, req)
+	if err != nil {
+		return nil, err
+	}
+	return map[string]any{
 		"column": name, "advanced": true,
 		"domain": req.Domain, "theta": req.Theta, "fi": explicitFI(frozen),
-	})
+	}, nil
 }
 
 // handleFI broadcasts a plus column's frequent-item set: the frozen set
@@ -1032,7 +751,7 @@ func (s *Server) handleFI(w http.ResponseWriter, r *http.Request) {
 	}
 	fi, err := plus.ProposeFI(domain, theta)
 	if err != nil {
-		s.conflict(w, name, err)
+		writeAPIError(w, s.conflict(name, err))
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -1041,28 +760,23 @@ func (s *Server) handleFI(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleFinalize(w http.ResponseWriter, r *http.Request) {
-	if s.refuseClosed(w) {
-		return
-	}
+func (s *Server) handleFinalize(r *http.Request) (any, error) {
 	name := r.PathValue("name")
-	col, ok := s.collecting(w, name)
-	if !ok {
-		return
+	col, err := s.collecting(name)
+	if err != nil {
+		return nil, err
 	}
 	// Finalize drains the column's queued folds; do it outside the lock
 	// so ingestion into other columns proceeds meanwhile. A concurrent
 	// finalize of the same column loses with ErrFinalized.
 	fin, err := col.state.finalize()
 	if lostToFinalize(err) {
-		s.columnConflict(w, codeFinalized, name, "column %q is already finalized", name)
-		return
+		return nil, s.columnConflict(codeFinalized, name, "column %q is already finalized", name)
 	}
 	if errors.Is(err, ingest.ErrPlusNotAdvanced) {
 		// The column is untouched (the phase check precedes the drain):
 		// advance it, ingest phase 2, then finalize.
-		s.conflict(w, name, err)
-		return
+		return nil, s.conflict(name, err)
 	}
 	if err != nil {
 		// The column is spent (finalized with an error); drop it so the
@@ -1070,8 +784,7 @@ func (s *Server) handleFinalize(w http.ResponseWriter, r *http.Request) {
 		s.mu.Lock()
 		delete(s.pending, name)
 		s.mu.Unlock()
-		writeError(w, http.StatusInternalServerError, codeInternal, name, "finalizing column %q: %v", name, err)
-		return
+		return nil, apiErrorf(http.StatusInternalServerError, codeInternal, name, "finalizing column %q: %v", name, err)
 	}
 	// Persist the finalized sketch and retire the column's WAL before
 	// installing it: an acknowledged finalize is durable. If persisting
@@ -1092,11 +805,10 @@ func (s *Server) handleFinalize(w http.ResponseWriter, r *http.Request) {
 	s.finished.install(name, fin)
 	s.mu.Unlock()
 	if persistErr != nil {
-		writeError(w, http.StatusInternalServerError, codeInternal, name,
+		return nil, apiErrorf(http.StatusInternalServerError, codeInternal, name,
 			"column %q finalized in memory, but persisting failed: %v", name, persistErr)
-		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"column": name, "kind": col.kind.String(), "reports": fin.n()})
+	return map[string]any{"column": name, "kind": col.kind.String(), "reports": fin.n()}, nil
 }
 
 // handleStatus encodes and writes its response after lookup has
@@ -1132,7 +844,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 	// Close → 503 on every mutating and export handler (the PR 3
 	// contract): /snapshot refuses, so /sketch must too.
-	if s.refuseClosed(w) {
+	if err := s.refuseClosed(); err != nil {
+		writeAPIError(w, err)
 		return
 	}
 	name := r.PathValue("name")
@@ -1163,7 +876,8 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 // X-Ldpjoin-Finalized so callers can tell the two apart without
 // decoding.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if s.refuseClosed(w) {
+	if err := s.refuseClosed(); err != nil {
+		writeAPIError(w, err)
 		return
 	}
 	name := r.PathValue("name")
@@ -1212,21 +926,13 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMerge folds a snapshot from another collector into the named
-// column. An unfinalized snapshot merges exactly into a collecting (or
-// new) column — the same integer-cell merge the shards use, so the
-// eventual sketch is byte-identical to single-node ingestion of the
-// union stream. A finalized snapshot can only be installed under a name
-// with no local state (import); merging into or on top of finalized
-// state is refused, because that cannot be exact. The column's kind
-// comes from the snapshot's header and its attribute slot from the seed
-// fingerprint. A plus snapshot's phase must not be behind the column's,
-// and when it is ahead — it advanced, the local column has not — the
-// column adopts the snapshot's frozen (domain, θ, FI) first, durably,
-// then merges.
-func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
-	if s.refuseClosed(w) {
-		return
-	}
+// column: an unfinalized snapshot through the merge operation into a
+// collecting (or new) column, a finalized one as an import under a name
+// with no local state — merging into or on top of finalized state is
+// refused, because that cannot be exact. The column's kind comes from
+// the snapshot's header and its attribute slot from the seed
+// fingerprint.
+func (s *Server) handleMerge(r *http.Request) (any, error) {
 	name := r.PathValue("name")
 	// Read the fixed-size header first: its kind picks the exact body
 	// bound — a join snapshot is K·M cells, a matrix snapshot K·M²
@@ -1235,13 +941,11 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 	// are rejected after 60 bytes.
 	header := make([]byte, protocol.SnapshotHeaderSize)
 	if _, err := io.ReadFull(r.Body, header); err != nil {
-		httpError(w, http.StatusBadRequest, "reading snapshot header: %v", err)
-		return
+		return nil, statusError(http.StatusBadRequest, "reading snapshot header: %v", err)
 	}
 	kind, err := protocol.PeekColumnKind(header)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "decoding snapshot: %v", err)
-		return
+		return nil, statusError(http.StatusBadRequest, "decoding snapshot: %v", err)
 	}
 	ops := kinds[kind]
 	limit := int64(ops.snapshotBound(s))
@@ -1250,183 +954,99 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 	// buffering anything — with an actionable message instead of a 500
 	// from the append layer after 100s of MiB of work.
 	if s.st != nil && limit > protocol.MaxRecordPayload {
-		writeError(w, http.StatusConflict, codeConflict, name,
+		return nil, apiErrorf(http.StatusConflict, codeConflict, name,
 			"%s snapshots can encode to %d bytes under this configuration, above the %d-byte WAL record bound: durable %s merges need a smaller sketch width (or an in-memory server)",
 			kind, limit, protocol.MaxRecordPayload, kind)
-		return
 	}
 	rest, err := io.ReadAll(io.LimitReader(r.Body, limit-int64(len(header))+1))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "reading snapshot body: %v", err)
-		return
+		return nil, statusError(http.StatusBadRequest, "reading snapshot body: %v", err)
 	}
 	data := append(header, rest...)
 	if int64(len(data)) > limit {
-		httpError(w, http.StatusRequestEntityTooLarge, "snapshot exceeds the %d-byte bound its kind has under this configuration", limit)
-		return
+		return nil, statusError(http.StatusRequestEntityTooLarge, "snapshot exceeds the %d-byte bound its kind has under this configuration", limit)
 	}
 	snap, err := protocol.DecodeColumnSnapshot(data)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "decoding snapshot: %v", err)
-		return
+		return nil, statusError(http.StatusBadRequest, "decoding snapshot: %v", err)
 	}
 	attr, err := ops.slot(s, snap)
 	if err != nil {
-		writeError(w, http.StatusConflict, codeConflict, name, "%v", err)
-		return
+		return nil, apiErrorf(http.StatusConflict, codeConflict, name, "%v", err)
 	}
 
+	total := snap.Reports()
 	if snap.IsFinalized() {
-		fin, err := ops.restore(snap)
+		if err := s.importFinalized(name, attr, snap); err != nil {
+			return nil, err
+		}
+	} else {
+		// Same order as handleReports: register the column under the
+		// closed/finalized checks, then the operation WALs the encoded
+		// snapshot — the already-encoded body is exactly the canonical
+		// record payload — before it can reach the column.
+		col, err := s.register(name, kind, attr, nil)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "restoring snapshot: %v", err)
-			return
+			return nil, err
 		}
-		fin.attr = attr
-		// Check and install under one lock acquisition: releasing the
-		// lock between the no-pending check and the install would let a
-		// concurrent reports request register the column in the gap —
-		// and the import would then shadow (and, durable, retire the WAL
-		// of) acknowledged reports. With the install atomic, the two
-		// requests serialize: whichever claims the name first wins, the
-		// other gets the conflict.
-		s.mu.Lock()
-		if s.closed.Load() {
-			s.mu.Unlock()
-			httpError(w, http.StatusServiceUnavailable, "server is shut down")
-			return
+		n, err := s.merge(col, snap, data)
+		if err != nil {
+			return nil, err
 		}
-		if _, done := s.finished.get(name); done {
-			s.mu.Unlock()
-			writeError(w, http.StatusConflict, codeFinalized, name, "column %q is already finalized; merging finalized snapshots is not exact", name)
-			return
-		}
-		if _, collecting := s.pending[name]; collecting {
-			s.mu.Unlock()
-			writeError(w, http.StatusConflict, codeConflict, name, "column %q is collecting; a finalized snapshot can only be imported under a fresh name", name)
-			return
-		}
-		s.finished.install(name, fin)
-		s.mu.Unlock()
+		total = float64(n)
 		s.merges.bump(name)
-		// An import is terminal state: persist it like a finalize. As in
-		// handleFinalize, a persist failure keeps the in-memory install
-		// (it cannot be undone observably) and reports the error.
-		if s.st != nil {
-			if err := s.st.Finalize(name, attr, snap); err != nil {
-				writeError(w, http.StatusInternalServerError, codeInternal, name,
-					"column %q imported in memory, but persisting failed: %v", name, err)
-				return
-			}
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"column": name, "kind": kind.String(), "merged": snap.Reports(), "total": snap.Reports(), "finalized": true,
-		})
-		return
 	}
+	return map[string]any{
+		"column": name, "kind": kind.String(), "merged": snap.Reports(), "total": total, "finalized": snap.IsFinalized(),
+	}, nil
+}
 
-	// Same order as handleReports: register the column under the
-	// closed/finalized checks, then WAL the encoded snapshot — the
-	// already-encoded body is exactly the canonical record payload —
-	// before it can reach the column.
-	col, ok := s.registerPending(w, name, kind, attr)
-	if !ok {
-		return
-	}
-	// opMu is released explicitly on every path before a response is
-	// written — never held across a client socket write (lockio rule).
-	col.opMu.Lock()
-	// Restore the mergeable state and place it against the column's
-	// phase before taking the WAL gate: a record the in-memory column
-	// rejects must never be logged, or replay would reject it too and
-	// wedge recovery — and the gate should not be held across decoding
-	// work.
-	m, adopt, err := col.state.prepareMerge(snap)
+// importFinalized installs a finalized snapshot as a finalized column
+// under a name with no local state, and persists it like a finalize.
+func (s *Server) importFinalized(name string, attr int, snap protocol.ColumnSnapshot) error {
+	fin, err := kinds[snap.ColumnKind()].restore(snap)
 	if err != nil {
-		col.opMu.Unlock()
-		s.columnConflict(w, codeConflict, name, "merging into column %q: %v", name, err)
-		return
+		return statusError(http.StatusBadRequest, "restoring snapshot: %v", err)
 	}
-	if adopt != nil {
-		// Adopt the snapshot's advance before merging — durably first,
-		// so replay crosses the boundary at the same point. The WAL gate
-		// keeps the (append, advance) pair on one side of any checkpoint
-		// rotation.
-		col.walGate.RLock()
-		if s.st != nil {
-			if err := s.st.AppendPlusAdvance(name, attr, adopt.Domain, adopt.Theta, adopt.FI); err != nil {
-				col.walGate.RUnlock()
-				col.opMu.Unlock()
-				s.storeAppendError(w, name, err)
-				return
-			}
-		}
-		_, err := col.state.(plusColumn).Advance(adopt.Domain, adopt.Theta, adopt.FI)
-		col.walGate.RUnlock()
-		if err != nil {
-			col.opMu.Unlock()
-			s.conflict(w, name, err)
-			return
-		}
-	}
-	// Shared-mode gate: the (append, merge) pair must land on one side of
-	// any checkpoint rotation, as in handleReports.
-	col.walGate.RLock()
-	if s.st != nil {
-		if err := s.st.AppendMerge(name, kind, attr, data); err != nil {
-			col.walGate.RUnlock()
-			col.opMu.Unlock()
-			s.storeAppendError(w, name, err)
-			return
-		}
-	}
-	err = col.state.merge(m)
-	col.walGate.RUnlock()
-	total := col.state.N()
-	col.opMu.Unlock()
-	if err != nil {
-		s.columnConflict(w, codeConflict, name, "merging into column %q: %v", name, err)
-		return
+	fin.attr = attr
+	if err := s.installFresh(name, fin); err != nil {
+		return err
 	}
 	s.merges.bump(name)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"column": name, "kind": kind.String(), "merged": snap.Reports(), "total": total, "finalized": false,
-	})
+	// An import is terminal state: persist it like a finalize. As in
+	// handleFinalize, a persist failure keeps the in-memory install (it
+	// cannot be undone observably) and reports the error.
+	if s.st != nil {
+		if err := s.st.Finalize(name, attr, snap); err != nil {
+			return apiErrorf(http.StatusInternalServerError, codeInternal, name,
+				"column %q imported in memory, but persisting failed: %v", name, err)
+		}
+	}
+	return nil
 }
 
-// columnConflict answers an ingest lifecycle conflict (ErrFinalized,
-// ErrClosed) with the given envelope code. During shutdown those errors
-// usually mean the column was drained, or the engine stopped,
-// underneath the request — the column is checkpointed, not finalized —
-// so a closed server answers the retryable 503 instead of a 409 a
-// gateway would treat as terminal and drop its reports over.
-func (s *Server) columnConflict(w http.ResponseWriter, code, column, format string, args ...any) {
+// installFresh publishes an imported finalized column if the name is
+// free. Check and install share one lock acquisition: releasing the
+// lock between the no-pending check and the install would let a
+// concurrent reports request register the column in the gap — and the
+// import would then shadow (and, durable, retire the WAL of)
+// acknowledged reports. With the install atomic, the two requests
+// serialize: whichever claims the name first wins, the other gets the
+// conflict.
+func (s *Server) installFresh(name string, fin *finishedColumn) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed.Load() {
-		writeError(w, http.StatusServiceUnavailable, codeServerClosed, "", "server is shut down")
-		return
+		return errServerClosed
 	}
-	writeError(w, http.StatusConflict, code, column, format, args...)
-}
-
-// storeAppendError maps a WAL append failure to the HTTP response. A
-// sealed log usually means the column is finalized (409, do not retry)
-// — but during shutdown the checkpoint seals logs of columns that are
-// still collecting, and telling a gateway "finalized" then would make
-// it drop its reports for good. The closed flag is always set before
-// any checkpoint seals, so re-checking it here reliably turns that
-// case into the retryable 503.
-func (s *Server) storeAppendError(w http.ResponseWriter, name string, err error) {
-	if errors.Is(err, store.ErrColumnFinalized) || errors.Is(err, store.ErrClosed) {
-		if s.closed.Load() {
-			writeError(w, http.StatusServiceUnavailable, codeServerClosed, "", "server is shut down")
-			return
-		}
-		if errors.Is(err, store.ErrColumnFinalized) {
-			writeError(w, http.StatusConflict, codeFinalized, name, "column %q is already finalized", name)
-			return
-		}
+	if _, done := s.finished.get(name); done {
+		return apiErrorf(http.StatusConflict, codeFinalized, name, "column %q is already finalized; merging finalized snapshots is not exact", name)
 	}
-	writeError(w, http.StatusInternalServerError, codeInternal, name, "persisting request for column %q: %v", name, err)
+	if _, collecting := s.pending[name]; collecting {
+		return apiErrorf(http.StatusConflict, codeConflict, name, "column %q is collecting; a finalized snapshot can only be imported under a fresh name", name)
+	}
+	s.finished.install(name, fin)
+	return nil
 }
 
 // notFinalized answers a query that named columns which turned out not
@@ -1517,6 +1137,13 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if finL.kind == protocol.KindPlus && finR.kind == protocol.KindPlus {
+		if left == right {
+			// The plus estimate is a sum of pairwise products over the
+			// column's group sketches; paired with itself each is a self
+			// product (see below), and no correction is derived for them.
+			httpError(w, http.StatusBadRequest, "plus column %q cannot be joined with itself: LDPJoinSketch+ has no noise-corrected self-join estimator", left)
+			return
+		}
 		est, cached, err := s.plusJoin(left, right, finL, finR)
 		if err != nil {
 			// Two plus columns that exist but froze different FI sets (or
@@ -1541,7 +1168,21 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	// The inner products scan K·M cells; singleflight makes N concurrent
 	// misses on the same pair compute them once. Finalized sketches
 	// never change, so the entry stays valid until capacity evicts it.
-	v, cached, err := s.cache.do(pairJoinKey(left, right), func() (any, error) {
+	//
+	// A column joined with itself asks for its second frequency moment
+	// F2, and the pairwise estimator is wrong for that: the two sides'
+	// noises are no longer independent, so the naive self product is
+	// inflated by the protocol's own noise energy, n·(m·k·c_ε²−1). Serve
+	// core's bias-corrected SelfJoinSize instead, under its own key.
+	self := left == right
+	key := pairJoinKey(left, right)
+	if self {
+		key = cacheKey("selfjoin", left)
+	}
+	v, cached, err := s.cache.do(key, func() (any, error) {
+		if self {
+			return finL.join.SelfJoinSize(), nil
+		}
 		return finL.join.JoinSize(finR.join), nil
 	})
 	if err != nil {

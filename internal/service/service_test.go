@@ -345,6 +345,10 @@ func TestServiceStreamCap(t *testing.T) {
 	if code, _ := post(t, ts.URL+"/v1/columns/A/reports", encodeColumn(t, p, 1, data[:100])); code != 200 {
 		t.Fatal("stream at cap rejected")
 	}
+	// The cap is the per-request memory bound: it has no "off".
+	if _, err := NewWithOptions(p, 42, Options{MaxStreamReports: -1}); err == nil || !strings.Contains(err.Error(), "MaxStreamReports") {
+		t.Fatalf("MaxStreamReports -1: err = %v, want a startup refusal naming the option", err)
+	}
 }
 
 // TestServiceConcurrentIngest hammers one column from many goroutines —

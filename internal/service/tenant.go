@@ -182,10 +182,10 @@ func (s *Server) admit(next http.Handler) http.Handler {
 // debitReports reserves the ε a report batch spends (count reports at
 // the column's per-report ε) against the request's tenant. It returns a
 // release function the handler calls with ok=false to refund a failed
-// ingest, or a write of the 429 refusal already done (release == nil).
-func (s *Server) debitReports(w http.ResponseWriter, r *http.Request, column string, count int) (release func(ok bool), admitted bool) {
+// ingest, or the 429 refusal.
+func (s *Server) debitReports(r *http.Request, column string, count int) (release func(ok bool), err error) {
 	if s.tenants == nil || s.tenants.limits.epsBudget <= 0 {
-		return func(bool) {}, true
+		return func(bool) {}, nil
 	}
 	tenant := tenantFrom(r)
 	eps := float64(count) * s.params.Epsilon
@@ -194,14 +194,13 @@ func (s *Server) debitReports(w http.ResponseWriter, r *http.Request, column str
 		t.mu.Lock()
 		spent := t.epsSpent
 		t.mu.Unlock()
-		writeError(w, http.StatusTooManyRequests, codeBudgetExhausted, column,
+		return nil, apiErrorf(http.StatusTooManyRequests, codeBudgetExhausted, column,
 			"tenant %q has spent ε=%g of its ε=%g budget; %d more reports at ε=%g would overrun it",
 			tenant, spent, s.tenants.limits.epsBudget, count, s.params.Epsilon)
-		return nil, false
 	}
 	return func(ok bool) {
 		if !ok {
 			s.tenants.refund(tenant, eps)
 		}
-	}, true
+	}, nil
 }

@@ -64,7 +64,7 @@ func runHotAlloc(pass *Pass) error {
 			if !ok || fn.Body == nil {
 				continue
 			}
-			if !kernelPkg && !hasHotpathDirective(fn.Doc) {
+			if !kernelPkg && !hasDirective(fn.Doc, hotpathDirective) {
 				continue
 			}
 			rec := &hotFuncRec{
@@ -83,12 +83,14 @@ func runHotAlloc(pass *Pass) error {
 	return nil
 }
 
-func hasHotpathDirective(doc *ast.CommentGroup) bool {
+// hasDirective reports whether a function's doc comment carries the
+// given //ldpjoin: directive line.
+func hasDirective(doc *ast.CommentGroup, directive string) bool {
 	if doc == nil {
 		return false
 	}
 	for _, c := range doc.List {
-		if c.Text == hotpathDirective || strings.HasPrefix(c.Text, hotpathDirective+" ") {
+		if c.Text == directive || strings.HasPrefix(c.Text, directive+" ") {
 			return true
 		}
 	}

@@ -14,7 +14,7 @@ import (
 // calls are writes to an http.ResponseWriter (including wrappers that
 // implement it), net.Conn reads/writes, *os.File Write/Sync,
 // (*bufio.Writer).Flush, (*json.Encoder).Encode, fmt.Fprint* to any
-// of those sinks, and this module's writeJSON helpers.
+// of those sinks, and this module's writeJSON / writeAPIError helpers.
 //
 // Intentional holds — a WAL serializing appends under its own mutex —
 // are waived in place: //ldpjoinvet:ignore lockio <reason>.
@@ -58,11 +58,11 @@ func blockingIO(pass *Pass, call *ast.CallExpr, responseWriter, conn types.Type)
 		return ""
 	}
 
-	// This module's writeJSON / writeError helpers encode straight to
-	// the client socket.
+	// This module's writeJSON / writeAPIError / writeError helpers encode
+	// straight to the client socket.
 	if fn.Pkg() != nil && fn.Pkg().Path() != "fmt" {
 		switch fn.Name() {
-		case "writeJSON", "writeError", "httpError":
+		case "writeJSON", "writeAPIError", "writeError", "httpError":
 			if fn.Type().(*types.Signature).Recv() == nil {
 				return "call to " + fn.Name()
 			}

@@ -10,7 +10,9 @@ import (
 // a pooled slice — EnqueueAllPooled on an ingest column (the batches
 // are recycled after apply), enqueuePooled on the service package's
 // per-kind column interface (the batch set it forwards to
-// EnqueueAllPooled), a direct protocol.PutReportBatch /
+// EnqueueAllPooled) and the service's reports operation above it (which
+// is where a handler or a recovery callback gives its batch set away), a
+// direct protocol.PutReportBatch /
 // protocol.PutMatrixBatch, or, inside protocol, the Put of the generic
 // batchPool both forward to — the caller must not read, write, store,
 // return, or otherwise touch that value again, including through
@@ -70,6 +72,11 @@ func classifyPoolConsumer(info *types.Info, call *ast.CallExpr) ([]ast.Expr, str
 		if fn.Name() == "enqueuePooled" && receiverPkgLastSegment(fn) == "service" {
 			// The batch set is opaque here; all of it transfers.
 			return call.Args, "enqueuePooled"
+		}
+		if fn.Name() == "reports" && receiverPkgLastSegment(fn) == "service" && len(call.Args) > 0 {
+			// The reports operation enqueues its last argument, the
+			// batch set; the column before it stays the caller's.
+			return call.Args[len(call.Args)-1:], "the reports operation"
 		}
 		if fn.Name() == "Put" && receiverPkgLastSegment(fn) == "protocol" && len(call.Args) > 0 {
 			recv := fn.Type().(*types.Signature).Recv().Type()

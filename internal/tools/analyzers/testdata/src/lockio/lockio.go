@@ -40,6 +40,22 @@ func (s *server) explicitHoldAcrossWrite(w http.ResponseWriter) {
 	s.mu.Unlock()
 }
 
+// writeAPIError is the service layer's one refusal writer; it encodes to
+// the client socket like writeJSON.
+func writeAPIError(w http.ResponseWriter, err error) {
+	writeJSON(w, 500, err.Error())
+}
+
+// The shape the operations rule out by returning their refusals: an
+// error answered while the column's operation lock is still held.
+func (s *server) refusalUnderLock(w http.ResponseWriter, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err != nil {
+		writeAPIError(w, err) // want `call to writeAPIError while s\.mu is held`
+	}
+}
+
 // The PR 5 fix shape: snapshot under the lock, release, then encode.
 func (s *server) snapshotThenWrite(w http.ResponseWriter) {
 	s.mu.Lock()

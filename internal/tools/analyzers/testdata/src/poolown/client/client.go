@@ -111,12 +111,6 @@ func elementPutLeavesContainer(batches [][]protocol.Report) {
 	sink = len(batches) // ok: element Put does not consume the container
 }
 
-// enqueueAllKeepsOwnership: the non-pooled variant transfers nothing.
-func enqueueAllKeepsOwnership(col *ingest.Column, batches [][]protocol.Report) {
-	_ = col.EnqueueAll(batches)
-	sink = len(batches) // ok: EnqueueAll borrows, the caller still owns
-}
-
 // waivedUse shows the escape hatch: a deliberate reuse carries its
 // justification inline and produces no finding.
 func waivedUse() {

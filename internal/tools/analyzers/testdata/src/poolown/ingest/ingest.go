@@ -8,9 +8,6 @@ import "ldpjoin/internal/tools/analyzers/testdata/src/poolown/protocol"
 // Column accepts report batches for asynchronous application.
 type Column struct{}
 
-// EnqueueAll schedules batches; ownership stays with the caller.
-func (c *Column) EnqueueAll(batches [][]protocol.Report) error { return nil }
-
 // EnqueueAllPooled schedules batches and recycles them into the
 // protocol pools after application: ownership transfers on success.
 // On error the batches were not scheduled and remain the caller's.

@@ -6,7 +6,7 @@ package ingest
 // Column accepts randomized reports once they are durable.
 type Column struct{}
 
-func (c *Column) EnqueueAll(reports [][]byte) error          { return nil }
+func (c *Column) EnqueueAllPooled(reports [][]byte) error    { return nil }
 func (c *Column) Advance(round uint64) error                 { return nil }
 func (c *Column) MergeAggregator(blob []byte) error          { return nil }
 func (c *Column) MergePlus(blob []byte) error                { return nil }

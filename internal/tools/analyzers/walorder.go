@@ -3,44 +3,54 @@ package analyzers
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
-// WALOrder enforces the PR 7 walGate contract in the service layer:
-// inside a mutating HTTP handler, the column's state may only change
-// after the corresponding WAL append has succeeded. Concretely, in
-// packages with a "service" path segment, every call in a handle*
-// function that applies state to the ingest engine (EnqueueAll,
-// Advance, MergeAggregator, MergePlus on an ingest-package column)
-// must be dominated — reached on every control-flow path — by a store
-// WAL append (AppendReports, AppendMatrixReports, AppendPlusReports,
-// AppendPlusAdvance, AppendMerge, Finalize, FinalizePlus on a
-// store-package receiver).
+// operationDirective marks a function as one of the service layer's
+// column operations — the only functions that may mutate a collecting
+// column, and the ones held to the append-before-apply order:
 //
-// The unified handlers reach both sides through the service package's
-// own per-kind column interface, so its methods count too: enqueuePooled
+//	//ldpjoin:operation
+const operationDirective = "//ldpjoin:operation"
+
+// WALOrder enforces the PR 7 walGate contract in the service layer: a
+// column's state may only change after the corresponding WAL append has
+// succeeded. The order is decided in the column operations (reports,
+// advance, merge — the //ldpjoin:operation functions the live handlers
+// and WAL replay both run), so in packages with a "service" path
+// segment the analyzer holds two rules:
+//
+//   - Inside an operation, every call that applies state to the ingest
+//     engine (EnqueueAllPooled, Advance, MergeAggregator, MergePlus on an
+//     ingest-package column) must be dominated — reached on every
+//     control-flow path — by a store WAL append (AppendReports,
+//     AppendMatrixReports, AppendPlusReports, AppendPlusAdvance,
+//     AppendMerge, Finalize, FinalizePlus on a store-package receiver).
+//   - Outside the operations, no such apply may appear at all: a handler,
+//     a recovery callback or a helper that wants to mutate a column calls
+//     an operation. This is the cheaper, inverse rule, and it is what
+//     keeps a new write path from being written beside the checked one.
+//
+// The operations reach both sides through the service package's own
+// per-kind column interface, so its methods count too: enqueuePooled
 // and merge on a service-package receiver are applies, appendReports on
-// one is an append. The contract is checked where the order is decided —
-// the handler — and the one-line per-kind implementations behind the
-// interface are what those names promise.
+// one is an append. The one-line per-kind implementations of those two
+// apply methods are what the names promise, and are exempt from the
+// second rule; calling an operation is, of course, not an apply.
 //
 // The one sanctioned exception is built in: an append guarded only by
 // a store-nil check (`if s.st != nil { ...append... }`) still counts
 // as dominating, because a nil store is the explicit in-memory mode
-// where nothing is durable by construction.
-//
-// Recovery replay deliberately applies without appending (the records
-// are already in the WAL); it lives outside handle* functions and so
-// outside this analyzer's scope.
+// where nothing is durable by construction — and it is also how WAL
+// replay runs the operations, before the server adopts its store: the
+// records it applies are the log's own.
 var WALOrder = &Analyzer{
 	Name: "walorder",
-	Doc:  "WAL append must dominate the ingest apply/ack in mutating service handlers",
+	Doc:  "WAL append must dominate the ingest apply in the service column operations, and nothing else may apply",
 	Run:  runWALOrder,
 }
 
-// walApplyMethods are the ingest-side state mutations a handler acks.
+// walApplyMethods are the ingest-side state mutations an operation acks.
 var walApplyMethods = map[string]bool{
-	"EnqueueAll":       true,
 	"EnqueueAllPooled": true,
 	"Advance":          true,
 	"MergeAggregator":  true,
@@ -69,15 +79,37 @@ func runWALOrder(pass *Pass) error {
 	if !pathHasSegment(pass.Path(), "service") {
 		return nil
 	}
+	w := &walOrderScan{pass: pass, operations: make(map[*types.Func]bool)}
+	var operations, others []*ast.FuncDecl
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil || !strings.HasPrefix(fn.Name.Name, "handle") {
-				continue
+			switch {
+			case !ok || fn.Body == nil:
+			case hasDirective(fn.Doc, operationDirective):
+				if obj, ok := pass.TypesInfo.Defs[fn.Name].(*types.Func); ok {
+					w.operations[obj] = true
+				}
+				operations = append(operations, fn)
+			case fn.Recv != nil && walColumnApplyMethods[fn.Name.Name]:
+				// A per-kind implementation of a column apply method.
+			default:
+				others = append(others, fn)
 			}
-			w := &walOrderScan{pass: pass}
-			w.scanStmts(fn.Body.List, false)
 		}
+	}
+	for _, fn := range operations {
+		w.scanStmts(fn.Body.List, false)
+	}
+	for _, fn := range others {
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if name := w.applyCall(call); name != "" {
+					pass.Reportf(call.Pos(), "ingest %s outside the column operations; a column is mutated only by a //ldpjoin:operation function, which appends to the WAL first", name)
+				}
+			}
+			return true
+		})
 	}
 	return nil
 }
@@ -85,7 +117,8 @@ func runWALOrder(pass *Pass) error {
 // walOrderScan is a path-sensitive walk tracking one boolean fact:
 // "a WAL append has definitely executed on every path reaching here".
 type walOrderScan struct {
-	pass *Pass
+	pass       *Pass
+	operations map[*types.Func]bool // the package's //ldpjoin:operation functions
 }
 
 // scanStmts scans a statement sequence with the given entry fact and
@@ -264,7 +297,7 @@ func (w *walOrderScan) containsAppend(n ast.Node) bool {
 // applyCall returns a description when call is an ingest-side apply.
 func (w *walOrderScan) applyCall(call *ast.CallExpr) string {
 	fn, recv := methodCall(w.pass.TypesInfo, call)
-	if fn == nil {
+	if fn == nil || w.operations[fn] {
 		return ""
 	}
 	switch receiverPkgLastSegment(fn) {
