@@ -28,7 +28,7 @@
 // Usage:
 //
 //	ldpjoind -addr :8080 -k 18 -m 1024 -eps 4 -seed 1 \
-//	         -shards 8 -workers 8 -queue 64 -max-reports 16777216 \
+//	         -shards 8 -workers 8 -max-reports 16777216 \
 //	         -data /var/lib/ldpjoind
 package main
 
@@ -69,13 +69,10 @@ func main() {
 	seed := flag.Int64("seed", 1, "public hash seed (shared with clients)")
 	shards := flag.Int("shards", 0, "aggregation shards per join column (0 = GOMAXPROCS)")
 	workers := flag.Int("workers", 0, "fold worker goroutines (0 = GOMAXPROCS)")
-	queue := flag.Int("queue", 0, "ingestion queue depth in batches (0 = 4x workers)")
 	maxReports := flag.Int("max-reports", 0, "max reports per request body, which is also the per-request memory bound (0 = default; negative is refused)")
 	attrs := flag.Int("attrs", 0, "join-attribute hash families derived from the seed; a chain over n attributes needs n (0 = default)")
 	queryCache := flag.Int("query-cache", 0, "max memoized query results (0 = default; <0 disables memoization)")
 	data := flag.String("data", "", "data directory for WAL + checkpoint durability (empty = in-memory only)")
-	segBytes := flag.Int64("wal-segment-bytes", 0, "WAL segment rotation threshold (0 = default)")
-	noSync := flag.Bool("wal-no-sync", false, "skip fsyncs (faster; survives process crashes, not power loss)")
 	ckptBytes := flag.Int64("ckpt-bytes", 0, "background-checkpoint a column once this many WAL bytes accumulate past its last checkpoint (0 = disabled)")
 	ckptInterval := flag.Duration("ckpt-interval", 0, "background-checkpoint a column with un-checkpointed WAL bytes after this much time (0 = disabled)")
 	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant request rate limit, requests/second (0 = unlimited)")
@@ -85,15 +82,12 @@ func main() {
 	flag.Parse()
 
 	srv, err := service.NewWithOptions(core.Params{K: *k, M: *m, Epsilon: *eps}, *seed, service.Options{
-		Ingest:            ingest.Options{Shards: *shards, Workers: *workers, Queue: *queue},
-		MaxStreamReports:  *maxReports,
-		Attributes:        *attrs,
-		QueryCacheEntries: *queryCache,
-		DataDir:           *data,
-		Store: store.Options{
-			SegmentBytes: *segBytes, NoSync: *noSync,
-			CheckpointBytes: *ckptBytes, CheckpointInterval: *ckptInterval,
-		},
+		Ingest:              ingest.Options{Shards: *shards, Workers: *workers},
+		MaxStreamReports:    *maxReports,
+		Attributes:          *attrs,
+		QueryCacheEntries:   *queryCache,
+		DataDir:             *data,
+		Store:               store.Options{CheckpointBytes: *ckptBytes, CheckpointInterval: *ckptInterval},
 		TenantRate:          *tenantRate,
 		TenantBurst:         *tenantBurst,
 		TenantEpsilonBudget: *tenantEps,

@@ -11,6 +11,8 @@ import (
 	"ldpjoin/internal/core"
 	"ldpjoin/internal/dataset"
 	"ldpjoin/internal/join"
+	"ldpjoin/internal/protocol"
+	"ldpjoin/internal/race"
 )
 
 func testParams() core.Params { return core.Params{K: 9, M: 512, Epsilon: 4} }
@@ -349,5 +351,35 @@ func TestEnqueueAllAtomicity(t *testing.T) {
 	}
 	if err := enqueue(col, batches...); err != ErrFinalized {
 		t.Fatalf("post-finalize enqueue err = %v, want ErrFinalized", err)
+	}
+}
+
+// TestEnqueueFoldAllocations is the allocation ceiling of the enqueue →
+// fold stage: one request of four pooled batches handed to the engine
+// and folded. A count, not a timing, so it blocks on any machine.
+// Measured 7 per request when the ceilings moved here from the
+// benchmark gate — the four fold closures and the growing slice that
+// carries them — and none of it per report.
+func TestEnqueueFoldAllocations(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector makes sync.Pool drop batches at random; the counts mean nothing")
+	}
+	p := testParams()
+	eng := NewEngine(p, p.NewFamily(42), Options{Shards: 2, Workers: 1})
+	defer eng.Close()
+	col := eng.NewColumn()
+	reports := perturbColumn(p, 5, dataset.Zipf(5, protocol.DefaultBatchSize, 100, 1.2))
+	batches := make([][]core.Report, 4)
+	n := testing.AllocsPerRun(20, func() {
+		for i := range batches {
+			batches[i] = append(protocol.GetReportBatch(), reports...)
+		}
+		if err := col.EnqueueAllPooled(batches); err != nil {
+			t.Fatal(err)
+		}
+		col.Settle()
+	})
+	if n > 7 {
+		t.Errorf("enqueueing and folding a 4-batch request allocates %v times, ceiling 7", n)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ldpjoin/internal/core"
+	"ldpjoin/internal/race"
 )
 
 // The per-report decoders the decodeBatch kernels replaced, kept as the
@@ -134,6 +135,35 @@ func TestDecodeBatchEdges(t *testing.T) {
 			src = slices.Insert(src, at*MatrixReportSize, b...)
 			checkDecodeBatch(t, &reportCodecMatrix, referenceDecodeMatrixReports, nil, src, mp)
 		}
+	}
+}
+
+// TestDecodeBatchDoesNotAllocate is the allocation ceiling of the wire →
+// report kernel, at 0: it decodes into the caller's pooled batch, so one
+// allocation per call is one per DefaultBatchSize reports of every
+// stream and every replayed record. A count, not a timing, so it blocks
+// on any machine (measured 0 when the ceiling moved here from the
+// benchmark gate).
+func TestDecodeBatchDoesNotAllocate(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts under the race detector say nothing about the code")
+	}
+	p := core.Params{K: 18, M: 1024, Epsilon: 4}
+	rng := rand.New(rand.NewSource(1))
+	var payload []byte
+	for j := 0; j < DefaultBatchSize; j++ {
+		payload = append(payload, byte(rng.Intn(2)))
+		payload = binary.BigEndian.AppendUint16(payload, uint16(rng.Intn(p.K)))
+		payload = binary.BigEndian.AppendUint32(payload, uint32(rng.Intn(p.M)))
+	}
+	dst := make([]core.Report, 0, DefaultBatchSize)
+	n := testing.AllocsPerRun(20, func() {
+		if got, err := decodeReports(dst, payload, p); err != nil || len(got) != DefaultBatchSize {
+			t.Fatal(len(got), err)
+		}
+	})
+	if n != 0 {
+		t.Errorf("decodeReports allocates %v times per batch, ceiling 0", n)
 	}
 }
 

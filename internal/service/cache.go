@@ -1,7 +1,7 @@
 package service
 
 import (
-	"errors"
+	"net/http"
 	"sync"
 	"sync/atomic"
 )
@@ -90,8 +90,8 @@ func (c *queryCache) shard(key string) *cacheShard {
 
 // errFlightAborted is what waiters see if a compute died without
 // delivering (a panicking handler, recovered by net/http, is the only
-// way there).
-var errFlightAborted = errors.New("service: query computation aborted")
+// way there): a server fault, whichever query was waiting.
+var errFlightAborted error = statusError(http.StatusInternalServerError, "service: query computation aborted")
 
 // do returns the memoized result for key, running compute on a miss and
 // caching its result. Concurrent callers with the same key coalesce:

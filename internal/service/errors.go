@@ -52,12 +52,12 @@ type errorBody struct {
 }
 
 // apiError is a refusal on its way to the client: the HTTP status plus
-// the envelope's payload. Everything beneath the handlers — the
-// operations, register, the decoders, the tenant ledger — reports a
-// refusal by returning one, and only a handler turns it into bytes
-// (writeAPIError), so nothing that holds a column lock can also be
-// holding a client socket. WAL replay runs the same code and sees the
-// same value as a plain error.
+// the envelope's payload. Everything beneath the transport — the route
+// functions, the operations and queries, register, the decoders, the
+// tenant ledger — reports a refusal by returning one, and only the
+// route adapter turns it into bytes (writeAPIError), so nothing that
+// holds a column lock can also be holding a client socket. WAL replay
+// runs the same code and sees the same value as a plain error.
 type apiError struct {
 	status int
 	errorBody
@@ -88,11 +88,6 @@ func writeAPIError(w http.ResponseWriter, err error) {
 	writeJSON(w, e.status, map[string]errorBody{"error": e.errorBody})
 }
 
-// writeError writes the structured error envelope from its parts.
-func writeError(w http.ResponseWriter, status int, code, column, format string, args ...any) {
-	writeAPIError(w, apiErrorf(status, code, column, format, args...))
-}
-
 // defaultCode maps an HTTP status to its unambiguous envelope code —
 // the statuses where one code fits every use. Statuses with more than
 // one meaning here (409 splits into finalized / not-finalized /
@@ -114,10 +109,4 @@ func defaultCode(status int) string {
 	default:
 		return codeInternal
 	}
-}
-
-// httpError writes the envelope with the status' default code and no
-// column attribution.
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeAPIError(w, statusError(status, format, args...))
 }

@@ -120,7 +120,7 @@ func TestOperationRefusals(t *testing.T) {
 
 	// The attempts.
 	registerJoin := func(t *testing.T, f *opFixture) error {
-		_, err := f.srv.register("J", protocol.KindJoin, 0, f.joinSet())
+		_, err := f.srv.register("J", protocol.KindJoin, 0, f.joinSet(), nil)
 		return err
 	}
 	reportsJoin := func(t *testing.T, f *opFixture) error {
@@ -170,11 +170,11 @@ func TestOperationRefusals(t *testing.T) {
 		}, 404, codeNotFound},
 
 		{"kind mismatch/register", asIs, func(t *testing.T, f *opFixture) error {
-			_, err := f.srv.register("J", protocol.KindMatrix, 0, nil)
+			_, err := f.srv.register("J", protocol.KindMatrix, 0, nil, nil)
 			return err
 		}, 409, codeConflict},
 		{"attr mismatch/register", asIs, func(t *testing.T, f *opFixture) error {
-			_, err := f.srv.register("J", protocol.KindJoin, 1, f.joinSet())
+			_, err := f.srv.register("J", protocol.KindJoin, 1, f.joinSet(), nil)
 			return err
 		}, 409, codeConflict},
 		{"kind mismatch/advance", asIs, func(t *testing.T, f *opFixture) error {
@@ -187,7 +187,7 @@ func TestOperationRefusals(t *testing.T) {
 			return err
 		}, 409, codeConflict},
 		{"wrong phase/group reports claim a fresh name", asIs, func(t *testing.T, f *opFixture) error {
-			_, err := f.srv.register("Q", protocol.KindPlus, 0, f.plusSet(protocol.PlusLow, f.low))
+			_, err := f.srv.register("Q", protocol.KindPlus, 0, f.plusSet(protocol.PlusLow, f.low), nil)
 			if _, col := f.srv.lookup("Q"); col != nil {
 				t.Error("the refused first request left column Q registered")
 			}

@@ -508,6 +508,18 @@ func TestTenantEpsilonBudget(t *testing.T) {
 	if code, _, column := envelope(t, body); code != "budget_exhausted" || column != "A" {
 		t.Fatalf("over-budget envelope: %v", body)
 	}
+	// A refused request leaves nothing behind, even as the first one to a
+	// fresh name: the budget is reserved before the column is installed
+	// (the 429 once left Z listed as collecting with 0 reports).
+	if resp, body := doPost("alice", "/v1/columns/Z/reports", one); resp.StatusCode != 429 {
+		t.Fatalf("over-budget first request: %d %v, want 429", resp.StatusCode, body)
+	}
+	if code, _ := get(t, ts.URL+"/v1/columns/Z"); code != 404 {
+		t.Fatalf("the 429 first request left column Z behind: status %d", code)
+	}
+	if _, list := get(t, ts.URL+"/v1/columns"); list["count"].(float64) != 1 {
+		t.Fatalf("columns after the 429 first request: %v, want A alone", list)
+	}
 	// Another tenant has its own ledger.
 	if resp, body := doPost("bob", "/v1/columns/A/reports", one); resp.StatusCode != 200 {
 		t.Fatalf("bob's ingest hit alice's budget: %d %v", resp.StatusCode, body)
@@ -516,7 +528,16 @@ func TestTenantEpsilonBudget(t *testing.T) {
 	_, stats := get(t, ts.URL+"/v1/stats")
 	tenants := stats["tenants"].(map[string]any)["perTenant"].(map[string]any)
 	alice := tenants["alice"].(map[string]any)
-	if alice["epsilonSpent"].(float64) != 100*p.Epsilon || alice["budgetRefusals"].(float64) != 1 {
+	if alice["epsilonSpent"].(float64) != 100*p.Epsilon || alice["budgetRefusals"].(float64) != 2 {
 		t.Fatalf("alice's ledger: %v", alice)
+	}
+	// Which refusal wins is unchanged: a finalized column and a kind
+	// mismatch are refused before the budget is consulted.
+	if code, body := post(t, ts.URL+"/v1/columns/A/finalize", nil); code != 200 {
+		t.Fatalf("finalize: %d %v", code, body)
+	}
+	resp, body = doPost("alice", "/v1/columns/A/reports", one)
+	if code, _, _ := envelope(t, body); resp.StatusCode != 409 || code != "column_finalized" {
+		t.Fatalf("over-budget ingest into a finalized column: %d %v, want 409 column_finalized", resp.StatusCode, body)
 	}
 }

@@ -72,6 +72,39 @@ func TestServedSelfJoin(t *testing.T) {
 	if _, out := get(t, ts.URL+"/v1/join?left=A&right=A"); out["cached"] != true || out["estimate"].(float64) != served {
 		t.Errorf("second self join: %v", out)
 	}
+
+	// The ?ab= comparison's plain arm is the same query, not a second
+	// implementation: with the column repeated it serves the same F2, bit
+	// for bit (it once served the naive product logged above).
+	for _, col := range []string{"P", "Q"} {
+		finalizePlusColumn(t, ts.URL, col, p)
+	}
+	code, out = get(t, ts.URL+"/v1/join?ab=A,A,P,Q")
+	if code != 200 {
+		t.Fatalf("?ab= with a repeated plain column: %d %v", code, out)
+	}
+	if got := out["plain"].(map[string]any)["estimate"].(float64); got != served {
+		t.Errorf("?ab=A,A,… plain arm serves %v, /v1/join?left=A&right=A serves %v", got, served)
+	}
+}
+
+// finalizePlusColumn drives an empty-FI plus column through both phases
+// and finalizes it: the smallest finalized plus column a query can name.
+func finalizePlusColumn(t *testing.T, base, name string, p core.Params) {
+	t.Helper()
+	famS, famG := plusFams(p)
+	data := dataset.Zipf(13, 300, 50, 1.2)
+	for _, rq := range []lifecycleReq{
+		{"reports", encodePlusStream(t, p, protocol.PlusSample, perturbSample(p, famS, 14, data[:100]))},
+		{"advance", []byte(`{"domain":50,"theta":0.05,"fi":[]}`)},
+		{"reports", encodePlusStream(t, p, protocol.PlusLow, perturbFAP(p, famG, core.ModeLow, core.NewFISet(nil), 15, data[100:200]))},
+		{"reports", encodePlusStream(t, p, protocol.PlusHigh, perturbFAP(p, famG, core.ModeHigh, core.NewFISet(nil), 16, data[200:]))},
+		{"finalize", nil},
+	} {
+		if code, out := post(t, base+"/v1/columns/"+name+"/"+rq.route, rq.body); code != 200 {
+			t.Fatalf("%s %s: %d %v", name, rq.route, code, out)
+		}
+	}
 }
 
 // TestPlusSelfJoinRefused: a plus column paired with itself has no
@@ -94,8 +127,18 @@ func TestPlusSelfJoinRefused(t *testing.T) {
 	if code, out := post(t, ts.URL+"/v1/columns/P/finalize", nil); code != 200 {
 		t.Fatalf("finalize: %d %v", code, out)
 	}
-	code, out := get(t, ts.URL+"/v1/join?left=P&right=P")
-	if c, _, _ := envelope(t, out); code != 400 || c != codeBadRequest {
-		t.Fatalf("plus self join: %d %v, want 400 bad_request", code, out)
+	// The ?ab= plus arm is the same query, so it refuses the same way
+	// (it once answered 200 with the uncorrected self products).
+	if code, out := post(t, ts.URL+"/v1/columns/A/reports", lifecycleFixtures[protocol.KindJoin](t)[0][0].body); code != 200 {
+		t.Fatalf("ingest A: %d %v", code, out)
+	}
+	if code, out := post(t, ts.URL+"/v1/columns/A/finalize", nil); code != 200 {
+		t.Fatalf("finalize A: %d %v", code, out)
+	}
+	for _, target := range []string{"/v1/join?left=P&right=P", "/v1/join?ab=A,A,P,P"} {
+		code, out := get(t, ts.URL+target)
+		if c, _, _ := envelope(t, out); code != 400 || c != codeBadRequest {
+			t.Fatalf("%s: %d %v, want 400 bad_request", target, code, out)
+		}
 	}
 }

@@ -7,11 +7,15 @@
 // Columns are polymorphic over the sketch kind, and the kind is a value:
 // the mutating path (reports, merge, finalize, snapshot, checkpoints,
 // recovery) is written once over the per-kind ops table in kinds.go,
-// join.go, matrix.go and plus.go. It is also split into transport and
-// operations: the handlers in this file parse a request and write one
-// response, and the three things that can happen to a collecting column
-// — reports, advance, merge — are the operations in operations.go,
-// which never see a ResponseWriter and which WAL recovery runs too.
+// join.go, matrix.go and plus.go. The whole API is split into transport
+// and what it carries: every route in this file is one shape — a
+// function from the request to its 200 value or its refusal — behind
+// the one adapter that writes to the client (respond). The three things
+// that can happen to a collecting column — reports, advance, merge —
+// are the operations in operations.go, which WAL recovery runs too, and
+// the served estimators — pair join, plus join, chain join, frequency —
+// are the queries in queries.go; none of them ever sees a
+// ResponseWriter.
 //
 // A KindJoin stream feeds
 // a single-attribute LDPJoinSketch column; a KindMatrix stream feeds a
@@ -90,7 +94,9 @@
 //	                                   self-join size (plus: 400)
 //	GET  /v1/join?path=A,AB,BC,C       chain (multi-way) join estimate
 //	GET  /v1/join?ab=pL,pR,sL,sR       A/B: plain vs plus estimate over the
-//	                                   same population (&truth= adds errors)
+//	                                   same population (&truth= adds errors);
+//	                                   each arm is the pairwise query, so
+//	                                   pL == pR is a self-join, sL == sR 400
 //	GET  /v1/frequency?column=A&value=7
 //	GET  /v1/stats                     server counters (JSON)
 //	GET  /v1/healthz
@@ -102,6 +108,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"slices"
 	"strconv"
@@ -483,47 +490,91 @@ func (s *Server) refuseClosed() error {
 	return nil
 }
 
-// mutating adapts a mutating route — a function from the request to its
-// 200 response or its refusal — to the mux, behind the closed-server
-// check they all start with. It is the only place those routes write to
-// the client: everything beneath them returns errors, so no response
-// can be written while a column lock is held.
-func (s *Server) mutating(route func(*http.Request) (any, error)) http.HandlerFunc {
+// route is the shape of every API route: the request in; the 200
+// response — a value to encode as JSON, or a blob — or the refusal out.
+type route func(*http.Request) (any, error)
+
+// blob is the 200 response of the two export routes, which serve an
+// encoded sketch instead of JSON.
+type blob struct {
+	data   []byte
+	header [2]string // one optional response header: name, value
+}
+
+// respond adapts a route to the mux. It is the only place a route's
+// outcome is written to the client: everything beneath it — the route
+// functions, the operations, the queries — returns values and errors, so
+// no response can be written while a lock is held, and a reader parked
+// on its socket stalls nothing but its own request.
+func respond(h route) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		err := s.refuseClosed()
-		var resp any
-		if err == nil {
-			resp, err = route(r)
-		}
+		resp, err := h(r)
 		if err != nil {
 			writeAPIError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		b, ok := resp.(blob)
+		if !ok {
+			writeJSON(w, http.StatusOK, resp)
+			return
+		}
+		w.Header().Set("Content-Type", "application/octet-stream")
+		if b.header[0] != "" {
+			w.Header().Set(b.header[0], b.header[1])
+		}
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(b.data)
 	}
 }
 
 // Handler returns the HTTP handler serving the API above, wrapped in
 // the tenant admission middleware (when configured) and the per-route
 // request accounting /metrics reads.
+//
+// The closed-server policy is the table's second column, and this loop
+// is the one place it is applied: after Shutdown the mutating routes and
+// the two exports answer the retryable 503 (Close → 503 on every
+// mutating and export route, the PR 3 contract), while queries over
+// finalized columns, status, listings, stats, health and /metrics keep
+// answering — finalized sketches are immutable, and inspecting a
+// draining node is exactly when an operator wants them.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/columns/{name}/reports", s.mutating(s.handleReports))
-	mux.HandleFunc("POST /v1/columns/{name}/advance", s.mutating(s.handleAdvance))
-	mux.HandleFunc("POST /v1/columns/{name}/finalize", s.mutating(s.handleFinalize))
-	mux.HandleFunc("POST /v1/columns/{name}/merge", s.mutating(s.handleMerge))
-	mux.HandleFunc("GET /v1/columns", s.handleColumns)
-	mux.HandleFunc("GET /v1/columns/{name}/fi", s.handleFI)
-	mux.HandleFunc("GET /v1/columns/{name}", s.handleStatus)
-	mux.HandleFunc("GET /v1/columns/{name}/sketch", s.handleExport)
-	mux.HandleFunc("GET /v1/columns/{name}/snapshot", s.handleSnapshot)
-	mux.HandleFunc("GET /v1/join", s.handleJoin)
-	mux.HandleFunc("GET /v1/frequency", s.handleFrequency)
-	mux.HandleFunc("GET /v1/stats", s.handleStats)
+	for _, rt := range []struct {
+		pattern      string
+		refuseClosed bool
+		handle       route
+	}{
+		{"POST /v1/columns/{name}/reports", true, s.handleReports},
+		{"POST /v1/columns/{name}/advance", true, s.handleAdvance},
+		{"POST /v1/columns/{name}/finalize", true, s.handleFinalize},
+		{"POST /v1/columns/{name}/merge", true, s.handleMerge},
+		{"GET /v1/columns/{name}/sketch", true, s.handleExport},
+		{"GET /v1/columns/{name}/snapshot", true, s.handleSnapshot},
+		{"GET /v1/columns", false, s.handleColumns},
+		{"GET /v1/columns/{name}/fi", false, s.handleFI},
+		{"GET /v1/columns/{name}", false, s.handleStatus},
+		{"GET /v1/join", false, s.handleJoin},
+		{"GET /v1/frequency", false, s.handleFrequency},
+		{"GET /v1/stats", false, s.handleStats},
+		{"GET /v1/healthz", false, func(*http.Request) (any, error) {
+			return map[string]string{"status": "ok"}, nil
+		}},
+	} {
+		handle := rt.handle
+		if rt.refuseClosed {
+			handle = func(r *http.Request) (any, error) {
+				if err := s.refuseClosed(); err != nil {
+					return nil, err
+				}
+				return rt.handle(r)
+			}
+		}
+		mux.HandleFunc(rt.pattern, respond(handle))
+	}
+	// The exposition page streams as text; it is the one route that is
+	// not a value.
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
 	// instrument sits outside admit so throttled requests are counted
 	// too; it reads the route pattern the mux stamps on the request.
 	return s.instrument(s.admit(mux))
@@ -563,9 +614,9 @@ func (s *Server) attrParam(r *http.Request, ops kindOps) (int, error) {
 }
 
 // handleReports is the one ingest route, for every column kind: decode,
-// register, debit, then the reports operation. The stream header's kind
-// byte picks the kinds entry that reads the body and the column that
-// folds it; nothing else differs.
+// register (which debits the tenant), then the reports operation. The
+// stream header's kind byte picks the kinds entry that reads the body
+// and the column that folds it; nothing else differs.
 func (s *Server) handleReports(r *http.Request) (any, error) {
 	name := r.PathValue("name")
 	// Read the stream header first: its kind byte decides which column
@@ -590,21 +641,19 @@ func (s *Server) handleReports(r *http.Request) (any, error) {
 	// Everything the ack needs of the batch is read now: once enqueued,
 	// the batch belongs to the engine and the pool.
 	ingested, group := batch.count(), batch.group()
-	col, err := s.register(name, h.Kind, attr, batch)
-	if err != nil {
-		return nil, err
-	}
 	// Reserve the batch's privacy spend against the tenant's budget
-	// before anything is durable, and before the operation takes the
-	// column's locks: the ledger is reserve-then-refund, so a refusal
-	// below — a phase conflict, a failed append — refunds.
-	release, err := s.debitReports(r, name, ingested)
+	// inside register — after its checks, before the name is claimed and
+	// before anything is durable or the operation takes the column's
+	// locks. The ledger is reserve-then-refund, so a refusal below — a
+	// phase conflict, a failed append — refunds.
+	reserve, refund := s.reportDebit(r, name, ingested)
+	col, err := s.register(name, h.Kind, attr, batch, reserve)
 	if err != nil {
 		return nil, err
 	}
 	total, err := s.reports(col, batch)
-	release(err == nil)
 	if err != nil {
+		refund()
 		return nil, err
 	}
 	resp := map[string]any{"column": name, "kind": h.Kind.String(), "ingested": ingested, "total": total}
@@ -700,64 +749,53 @@ func (s *Server) handleAdvance(r *http.Request) (any, error) {
 // column queried with ?domain= and ?theta= — a live point-in-time
 // proposal, which a federation coordinator unions across collectors
 // before advancing them all with the same explicit set.
-func (s *Server) handleFI(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleFI(r *http.Request) (any, error) {
 	name := r.PathValue("name")
-	writeFrozen := func(domain uint64, theta float64, fi []uint64, finalized bool) {
-		writeJSON(w, http.StatusOK, map[string]any{
-			"column": name, "advanced": true, "finalized": finalized,
+	reply := func(domain uint64, theta float64, fi []uint64, advanced, finalized bool) (any, error) {
+		return map[string]any{
+			"column": name, "advanced": advanced, "finalized": finalized,
 			"domain": domain, "theta": theta, "fi": explicitFI(fi),
-		})
-	}
-	notPlus := func(kind protocol.Kind) {
-		writeError(w, http.StatusConflict, codeConflict, name, "column %q is a %s column; /fi applies to plus columns", name, kind.String())
+		}, nil
 	}
 	fin, col := s.lookup(name)
+	var kind protocol.Kind
 	switch {
-	case fin != nil && fin.kind != protocol.KindPlus:
-		notPlus(fin.kind)
-		return
 	case fin != nil:
-		writeFrozen(fin.plus.Domain, fin.plus.Theta, fin.plus.FI, true)
-		return
-	case col == nil:
-		writeError(w, http.StatusNotFound, codeNotFound, name, "unknown column %q", name)
-		return
+		kind = fin.kind
+	case col != nil:
+		kind = col.kind
+	default:
+		return nil, apiErrorf(http.StatusNotFound, codeNotFound, name, "unknown column %q", name)
 	}
-	plus, ok := col.state.(plusColumn)
-	if !ok {
-		notPlus(col.kind)
-		return
+	if kind != protocol.KindPlus {
+		return nil, apiErrorf(http.StatusConflict, codeConflict, name, "column %q is a %s column; /fi applies to plus columns", name, kind.String())
 	}
+	if fin != nil {
+		return reply(fin.plus.Domain, fin.plus.Theta, fin.plus.FI, true, true)
+	}
+	plus := col.state.(plusColumn)
 	if domain, theta, fi, advanced := plus.AdvanceInfo(); advanced {
-		writeFrozen(domain, theta, fi, false)
-		return
+		return reply(domain, theta, fi, true, false)
 	}
 	q := r.URL.Query()
 	rawD, rawT := q.Get("domain"), q.Get("theta")
 	if rawD == "" || rawT == "" {
-		httpError(w, http.StatusBadRequest,
+		return nil, statusError(http.StatusBadRequest,
 			"column %q has not advanced; a live proposal needs ?domain= and ?theta=", name)
-		return
 	}
 	domain, err := strconv.ParseUint(rawD, 10, 64)
 	if err != nil || domain == 0 {
-		httpError(w, http.StatusBadRequest, "invalid ?domain=%q", rawD)
-		return
+		return nil, statusError(http.StatusBadRequest, "invalid ?domain=%q", rawD)
 	}
 	theta, err := strconv.ParseFloat(rawT, 64)
 	if err != nil || !(theta > 0 && theta < 1) {
-		httpError(w, http.StatusBadRequest, "invalid ?theta=%q (want a threshold in (0,1))", rawT)
-		return
+		return nil, statusError(http.StatusBadRequest, "invalid ?theta=%q (want a threshold in (0,1))", rawT)
 	}
 	fi, err := plus.ProposeFI(domain, theta)
 	if err != nil {
-		writeAPIError(w, s.conflict(name, err))
-		return
+		return nil, s.conflict(name, err)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"column": name, "advanced": false, "finalized": false,
-		"domain": domain, "theta": theta, "fi": explicitFI(fi),
-	})
+	return reply(domain, theta, fi, false, false)
 }
 
 func (s *Server) handleFinalize(r *http.Request) (any, error) {
@@ -811,18 +849,18 @@ func (s *Server) handleFinalize(r *http.Request) (any, error) {
 	return map[string]any{"column": name, "kind": col.kind.String(), "reports": fin.n()}, nil
 }
 
-// handleStatus encodes and writes its response after lookup has
-// released the lifecycle mutex, so a slow status reader cannot stall
-// ingestion.
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
+// handleStatus reports a column's kind, slot, lifecycle state and report
+// count. lookup has released the lifecycle mutex before anything is
+// read, so a slow status reader cannot stall ingestion.
+func (s *Server) handleStatus(r *http.Request) (any, error) {
 	name := r.PathValue("name")
 	fin, col := s.lookup(name)
 	switch {
 	case fin != nil:
-		writeJSON(w, http.StatusOK, map[string]any{
+		return map[string]any{
 			"column": name, "kind": fin.kind.String(), "attr": fin.attr,
 			"state": "finalized", "reports": fin.n(),
-		})
+		}, nil
 	case col != nil:
 		payload := map[string]any{
 			"column": name, "kind": col.kind.String(), "attr": col.attr,
@@ -835,37 +873,27 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 			}
 			payload["phase"] = phase
 		}
-		writeJSON(w, http.StatusOK, payload)
-	default:
-		writeError(w, http.StatusNotFound, codeNotFound, name, "unknown column %q", name)
+		return payload, nil
 	}
+	return nil, apiErrorf(http.StatusNotFound, codeNotFound, name, "unknown column %q", name)
 }
 
-func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
-	// Close → 503 on every mutating and export handler (the PR 3
-	// contract): /snapshot refuses, so /sketch must too.
-	if err := s.refuseClosed(); err != nil {
-		writeAPIError(w, err)
-		return
-	}
+// handleExport serves a finalized join column's marshaled sketch.
+func (s *Server) handleExport(r *http.Request) (any, error) {
 	name := r.PathValue("name")
-	fin, ok := s.finished.get(name)
-	if !ok {
-		s.notFinalized(w, name)
-		return
+	cols, err := s.finalizedColumns(name)
+	if err != nil {
+		return nil, err
 	}
+	fin := cols[0]
 	if fin.kind != protocol.KindJoin {
-		writeError(w, http.StatusConflict, codeConflict, name, "column %q is a %s column; export it via /snapshot", name, fin.kind.String())
-		return
+		return nil, apiErrorf(http.StatusConflict, codeConflict, name, "column %q is a %s column; export it via /snapshot", name, fin.kind.String())
 	}
 	data, err := fin.join.MarshalBinary()
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, "encoding sketch: %v", err)
-		return
+		return nil, statusError(http.StatusInternalServerError, "encoding sketch: %v", err)
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(data)
+	return blob{data: data}, nil
 }
 
 // handleSnapshot exports a column as a SNAP snapshot. A collecting
@@ -875,11 +903,7 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 // yields its finalized snapshot. The response carries
 // X-Ldpjoin-Finalized so callers can tell the two apart without
 // decoding.
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if err := s.refuseClosed(); err != nil {
-		writeAPIError(w, err)
-		return
-	}
+func (s *Server) handleSnapshot(r *http.Request) (any, error) {
 	name := r.PathValue("name")
 	fin, col := s.lookup(name)
 	var data []byte
@@ -887,8 +911,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	case fin != nil:
 		var err error
 		if data, err = fin.snapshot().Encode(); err != nil {
-			httpError(w, http.StatusInternalServerError, "encoding snapshot: %v", err)
-			return
+			return nil, statusError(http.StatusInternalServerError, "encoding snapshot: %v", err)
 		}
 	case col != nil:
 		// A concurrent finalize can retire the column between the lookup
@@ -907,22 +930,16 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 			data, err = snap.Encode()
 		}
 		if lostToFinalize(err) {
-			writeError(w, http.StatusConflict, codeFinalized, name, "column %q finalized while exporting; retry", name)
-			return
+			return nil, apiErrorf(http.StatusConflict, codeFinalized, name, "column %q finalized while exporting; retry", name)
 		}
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, codeInternal, name, "exporting column %q: %v", name, err)
-			return
+			return nil, apiErrorf(http.StatusInternalServerError, codeInternal, name, "exporting column %q: %v", name, err)
 		}
 	default:
-		writeError(w, http.StatusNotFound, codeNotFound, name, "unknown column %q", name)
-		return
+		return nil, apiErrorf(http.StatusNotFound, codeNotFound, name, "unknown column %q", name)
 	}
 	s.snapshots.bump(name)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Ldpjoin-Finalized", strconv.FormatBool(fin != nil))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(data)
+	return blob{data: data, header: [2]string{"X-Ldpjoin-Finalized", strconv.FormatBool(fin != nil)}}, nil
 }
 
 // handleMerge folds a snapshot from another collector into the named
@@ -985,7 +1002,7 @@ func (s *Server) handleMerge(r *http.Request) (any, error) {
 		// closed/finalized checks, then the operation WALs the encoded
 		// snapshot — the already-encoded body is exactly the canonical
 		// record payload — before it can reach the column.
-		col, err := s.register(name, kind, attr, nil)
+		col, err := s.register(name, kind, attr, nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -1049,165 +1066,36 @@ func (s *Server) installFresh(name string, fin *finishedColumn) error {
 	return nil
 }
 
-// notFinalized answers a query that named columns which turned out not
-// to be finalized, distinguishing "not ready" from "unknown": a name
-// still collecting gets 409 column_not_finalized (finalize it, or wait,
-// and retry — the column exists), an unknown name 404 column_not_found.
-// Unknown wins when both kinds are present: it is the error the caller
-// cannot fix by waiting.
-func (s *Server) notFinalized(w http.ResponseWriter, names ...string) {
-	s.mu.Lock()
-	var collecting, unknown []string
-	for _, name := range names {
-		if _, ok := s.pending[name]; ok {
-			collecting = append(collecting, name)
-		} else if _, ok := s.finished.get(name); !ok {
-			unknown = append(unknown, name)
-		}
-	}
-	s.mu.Unlock()
-	switch {
-	case len(unknown) > 0:
-		writeError(w, http.StatusNotFound, codeNotFound, unknown[0],
-			"unknown column(s): %s", strings.Join(unknown, ", "))
-	case len(collecting) > 0:
-		writeError(w, http.StatusConflict, codeNotFinalized, collecting[0],
-			"column(s) still collecting: %s; finalize them before querying", strings.Join(collecting, ", "))
-	default:
-		// Every named column finalized between the caller's lookup and
-		// ours — the query would succeed now.
-		writeError(w, http.StatusConflict, codeNotFinalized, "",
-			"columns finalized concurrently; retry")
-	}
-}
-
-// cacheKey builds a collision-proof cache key from a query type and its
-// components. Column names can contain any byte (ServeMux
-// percent-decodes path values), so no separator is safe on its own —
-// each component is length-prefixed instead, which makes the encoding
-// injective regardless of content.
-func cacheKey(typ string, parts ...string) string {
-	var b strings.Builder
-	b.WriteString(typ)
-	for _, p := range parts {
-		b.WriteString(strconv.Itoa(len(p)))
-		b.WriteByte(':')
-		b.WriteString(p)
-	}
-	return b.String()
-}
-
-func pairJoinKey(a, b string) string {
-	if b < a {
-		a, b = b, a
-	}
-	return cacheKey("join", a, b)
-}
-
-func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
+// handleJoin serves the three join modes of GET /v1/join: ?path= is the
+// chain planner, ?ab= the plain-vs-plus comparison, ?left=&right= a
+// pairwise estimate — of two plus columns through the two-phase
+// estimator, of anything else through the pair query and its kind rules.
+func (s *Server) handleJoin(r *http.Request) (any, error) {
 	q := r.URL.Query()
 	if path := q.Get("path"); path != "" {
-		s.handleChainJoin(w, path)
-		return
+		var names []string
+		for _, part := range strings.Split(path, ",") {
+			if part = strings.TrimSpace(part); part != "" {
+				names = append(names, part)
+			}
+		}
+		return s.joinChain(names)
 	}
 	if ab := q.Get("ab"); ab != "" {
-		s.handleABJoin(w, ab, q.Get("truth"))
-		return
+		return s.handleABJoin(ab, q.Get("truth"))
 	}
-	left := q.Get("left")
-	right := q.Get("right")
+	left, right := q.Get("left"), q.Get("right")
 	if left == "" || right == "" {
-		httpError(w, http.StatusBadRequest, "join needs ?left= and ?right= columns, a ?path= chain, or an ?ab= comparison")
-		return
+		return nil, statusError(http.StatusBadRequest, "join needs ?left= and ?right= columns, a ?path= chain, or an ?ab= comparison")
 	}
-	// The whole lookup is lock-free: both columns come off the
-	// copy-on-write registry, and the cache owns its own (sharded)
-	// locking — a join estimate never contends with ingestion.
-	finL, okL := s.finished.get(left)
-	finR, okR := s.finished.get(right)
-	if !okL || !okR {
-		var stale []string
-		if !okL {
-			stale = append(stale, left)
-		}
-		if !okR {
-			stale = append(stale, right)
-		}
-		s.notFinalized(w, stale...)
-		return
+	plus := func(name string) bool {
+		fin, ok := s.finished.get(name)
+		return ok && fin.kind == protocol.KindPlus
 	}
-	if finL.kind == protocol.KindPlus && finR.kind == protocol.KindPlus {
-		if left == right {
-			// The plus estimate is a sum of pairwise products over the
-			// column's group sketches; paired with itself each is a self
-			// product (see below), and no correction is derived for them.
-			httpError(w, http.StatusBadRequest, "plus column %q cannot be joined with itself: LDPJoinSketch+ has no noise-corrected self-join estimator", left)
-			return
-		}
-		est, cached, err := s.plusJoin(left, right, finL, finR)
-		if err != nil {
-			// Two plus columns that exist but froze different FI sets (or
-			// phases) do not compose — a conflict, not a malformed request.
-			httpError(w, http.StatusConflict, "plus join: %v", err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"left": left, "right": right, "kind": protocol.KindPlus.String(),
-			"estimate":     est.Estimate,
-			"lowEstimate":  est.LowEstimate,
-			"highEstimate": est.HighEstimate,
-			"cached":       cached,
-		})
-		return
+	if plus(left) && plus(right) {
+		return s.joinPlus(left, right)
 	}
-	if finL.kind != protocol.KindJoin || finR.kind != protocol.KindJoin {
-		httpError(w, http.StatusBadRequest, "pairwise join needs two join columns or two plus columns (%q is %s, %q is %s); matrix columns join via ?path=",
-			left, finL.kind.String(), right, finR.kind.String())
-		return
-	}
-	// The inner products scan K·M cells; singleflight makes N concurrent
-	// misses on the same pair compute them once. Finalized sketches
-	// never change, so the entry stays valid until capacity evicts it.
-	//
-	// A column joined with itself asks for its second frequency moment
-	// F2, and the pairwise estimator is wrong for that: the two sides'
-	// noises are no longer independent, so the naive self product is
-	// inflated by the protocol's own noise energy, n·(m·k·c_ε²−1). Serve
-	// core's bias-corrected SelfJoinSize instead, under its own key.
-	self := left == right
-	key := pairJoinKey(left, right)
-	if self {
-		key = cacheKey("selfjoin", left)
-	}
-	v, cached, err := s.cache.do(key, func() (any, error) {
-		if self {
-			return finL.join.SelfJoinSize(), nil
-		}
-		return finL.join.JoinSize(finR.join), nil
-	})
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "join estimate: %v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"left": left, "right": right, "estimate": v.(float64), "cached": cached,
-	})
-}
-
-// plusJoin computes (or recalls) the two-phase estimate of a plus
-// column pair through the same memoizing cache as the plain pairs.
-func (s *Server) plusJoin(left, right string, finL, finR *finishedColumn) (core.PlusJoinEstimate, bool, error) {
-	v, cached, err := s.cache.do(pairJoinKey(left, right), func() (any, error) {
-		est, err := core.EstimateJoinPlusColumns(finL.plus, finR.plus)
-		if err != nil {
-			return nil, err
-		}
-		return est, nil
-	})
-	if err != nil {
-		return core.PlusJoinEstimate{}, false, err
-	}
-	return v.(core.PlusJoinEstimate), cached, nil
+	return s.joinPair(left, right)
 }
 
 // handleABJoin serves the A/B accuracy comparison: ?ab= names four
@@ -1217,201 +1105,49 @@ func (s *Server) plusJoin(left, right string, finL, finR *finishedColumn) (core.
 // and their relative difference; with ?truth= (the exact join size, for
 // benchmark workloads that know it) it also reports each estimate's
 // relative error, which is the number the paper's §V comparison plots.
-func (s *Server) handleABJoin(w http.ResponseWriter, ab, truthRaw string) {
-	parts := strings.Split(ab, ",")
-	if len(parts) != 4 {
-		httpError(w, http.StatusBadRequest, "?ab= needs exactly 4 columns: plainLeft,plainRight,plusLeft,plusRight")
-		return
+func (s *Server) handleABJoin(ab, truthRaw string) (any, error) {
+	names := strings.Split(ab, ",")
+	if len(names) != 4 {
+		return nil, statusError(http.StatusBadRequest, "?ab= needs exactly 4 columns: plainLeft,plainRight,plusLeft,plusRight")
 	}
-	for i := range parts {
-		if parts[i] = strings.TrimSpace(parts[i]); parts[i] == "" {
-			httpError(w, http.StatusBadRequest, "?ab= column %d is empty", i)
-			return
+	for i := range names {
+		if names[i] = strings.TrimSpace(names[i]); names[i] == "" {
+			return nil, statusError(http.StatusBadRequest, "?ab= column %d is empty", i)
 		}
 	}
-	cols := make([]*finishedColumn, 4)
-	var missing []string
-	for i, name := range parts {
-		col, ok := s.finished.get(name)
-		if !ok {
-			missing = append(missing, name)
-			continue
-		}
-		cols[i] = col
-	}
-	if missing != nil {
-		s.notFinalized(w, missing...)
-		return
-	}
-	if cols[0].kind != protocol.KindJoin || cols[1].kind != protocol.KindJoin {
-		httpError(w, http.StatusBadRequest, "?ab= columns 1-2 must be join columns (%q is %s, %q is %s)",
-			parts[0], cols[0].kind.String(), parts[1], cols[1].kind.String())
-		return
-	}
-	if cols[2].kind != protocol.KindPlus || cols[3].kind != protocol.KindPlus {
-		httpError(w, http.StatusBadRequest, "?ab= columns 3-4 must be plus columns (%q is %s, %q is %s)",
-			parts[2], cols[2].kind.String(), parts[3], cols[3].kind.String())
-		return
-	}
-	vPlain, _, err := s.cache.do(pairJoinKey(parts[0], parts[1]), func() (any, error) {
-		return cols[0].join.JoinSize(cols[1].join), nil
-	})
+	plain, plus, err := s.joinAB(names[0], names[1], names[2], names[3])
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, "plain estimate: %v", err)
-		return
-	}
-	plain := vPlain.(float64)
-	plus, _, err := s.plusJoin(parts[2], parts[3], cols[2], cols[3])
-	if err != nil {
-		httpError(w, http.StatusConflict, "plus estimate: %v", err)
-		return
+		return nil, err
 	}
 	resp := map[string]any{
-		"plain": map[string]any{"left": parts[0], "right": parts[1], "estimate": plain},
+		"plain": map[string]any{"left": plain.Left, "right": plain.Right, "estimate": plain.Estimate},
 		"plus": map[string]any{
-			"left": parts[2], "right": parts[3], "estimate": plus.Estimate,
+			"left": plus.Left, "right": plus.Right, "estimate": plus.Estimate,
 			"lowEstimate": plus.LowEstimate, "highEstimate": plus.HighEstimate,
 		},
 	}
-	if plain != 0 {
-		resp["relativeDelta"] = (plus.Estimate - plain) / plain
+	if plain.Estimate != 0 {
+		resp["relativeDelta"] = (plus.Estimate - plain.Estimate) / plain.Estimate
 	}
 	if truthRaw != "" {
 		truth, err := strconv.ParseFloat(truthRaw, 64)
 		if err != nil || truth <= 0 {
-			httpError(w, http.StatusBadRequest, "invalid ?truth=%q (want a positive join size)", truthRaw)
-			return
+			return nil, statusError(http.StatusBadRequest, "invalid ?truth=%q (want a positive join size)", truthRaw)
 		}
 		resp["truth"] = truth
-		resp["plainRelativeError"] = abs(plain-truth) / truth
-		resp["plusRelativeError"] = abs(plus.Estimate-truth) / truth
+		resp["plainRelativeError"] = math.Abs(plain.Estimate-truth) / truth
+		resp["plusRelativeError"] = math.Abs(plus.Estimate-truth) / truth
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-// handleChainJoin is the multi-way query planner: ?path=A,AB,BC,C names
-// a chain whose ends are join columns and whose middles are matrix
-// columns. The planner resolves every column from the lock-free
-// registry, validates the composition — kinds in end/middle position
-// and attribute slots strictly adjacent, so each matrix's left family
-// is its predecessor's right family — and composes core.ChainEstimate
-// over the finalized sketches, memoizing the estimate under the literal
-// path. All planner work lives inside the cache's compute callback: a
-// memoized path was only ever stored after validating against the same
-// immutable columns, so a hit returns the estimate without re-running
-// the planner at all.
-func (s *Server) handleChainJoin(w http.ResponseWriter, path string) {
-	var names []string
-	for _, part := range strings.Split(path, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			names = append(names, part)
-		}
-	}
-	if len(names) < 3 {
-		httpError(w, http.StatusBadRequest, "?path= %v", protocol.ErrChainLength)
-		return
-	}
-
-	cols := make([]*finishedColumn, len(names))
-	var missing []string
-	for i, name := range names {
-		col, ok := s.finished.get(name)
-		if !ok {
-			missing = append(missing, name)
-			continue
-		}
-		cols[i] = col
-	}
-	if missing != nil {
-		s.notFinalized(w, missing...)
-		return
-	}
-
-	v, cached, err := s.cache.do(cacheKey("chain", names...), func() (any, error) {
-		// The composition rules — join ends, matrix middles, attribute
-		// slots advancing by one — live in protocol.ValidateChain,
-		// shared with the federator so the two can never diverge.
-		s.chainValidations.Add(1)
-		chain := make([]protocol.ChainColumn, len(cols))
-		for i, col := range cols {
-			chain[i] = protocol.ChainColumn{Name: names[i], Kind: col.kind, Attr: col.attr}
-		}
-		if err := protocol.ValidateChain(chain); err != nil {
-			return nil, err
-		}
-		last := len(cols) - 1
-		mids := make([]*core.MatrixSketch, 0, len(cols)-2)
-		for _, col := range cols[1:last] {
-			mids = append(mids, col.matrix)
-		}
-		return core.ChainEstimate(cols[0].join, mids, cols[last].join), nil
-	})
-	if err != nil {
-		code := http.StatusBadRequest
-		switch {
-		case errors.Is(err, protocol.ErrChainOrder):
-			// The columns exist and are well-formed; they just don't
-			// compose — a conflict, not a malformed request.
-			code = http.StatusConflict
-		case errors.Is(err, errFlightAborted):
-			// A coalesced waiter whose computing peer died: a server
-			// fault, not a bad request.
-			code = http.StatusInternalServerError
-		}
-		httpError(w, code, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"path": names, "estimate": v.(float64), "cached": cached,
-	})
-}
-
-// freqResult is the memoized value of a frequency query.
-type freqResult struct {
-	mean   float64
-	median float64
-}
-
-func (s *Server) handleFrequency(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleFrequency(r *http.Request) (any, error) {
 	name := r.URL.Query().Get("column")
 	value, err := strconv.ParseUint(r.URL.Query().Get("value"), 10, 64)
 	if name == "" || err != nil {
-		httpError(w, http.StatusBadRequest, "frequency needs ?column= and a numeric ?value=")
-		return
+		return nil, statusError(http.StatusBadRequest, "frequency needs ?column= and a numeric ?value=")
 	}
-	fin, ok := s.finished.get(name)
-	if !ok {
-		s.notFinalized(w, name)
-		return
-	}
-	if fin.kind != protocol.KindJoin {
-		httpError(w, http.StatusBadRequest, "column %q is a %s column; frequency queries need a join column", name, fin.kind.String())
-		return
-	}
-	// A finalized sketch never changes, so the estimate is memoized
-	// alongside join results in the unified query cache — under the
-	// parsed value, so 7, 07 and 007 are one entry.
-	v, cached, err := s.cache.do(cacheKey("freq", name, strconv.FormatUint(value, 10)), func() (any, error) {
-		return freqResult{mean: fin.join.Frequency(value), median: fin.join.FrequencyMedian(value)}, nil
-	})
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "frequency estimate: %v", err)
-		return
-	}
-	res := v.(freqResult)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"column": name, "value": value,
-		"estimate":       res.mean,
-		"estimateMedian": res.median,
-		"cached":         cached,
-	})
+	return s.frequency(name, value)
 }
 
 // handleColumns lists every column the server knows — collecting and
@@ -1420,7 +1156,7 @@ func (s *Server) handleFrequency(w http.ResponseWriter, r *http.Request) {
 // reports × ε is the column's total privacy expenditure). It stays
 // readable on a closed server, like /v1/status: listing columns is how
 // an operator inspects a draining node.
-func (s *Server) handleColumns(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) handleColumns(*http.Request) (any, error) {
 	type columnInfo struct {
 		Name         string  `json:"name"`
 		Kind         string  `json:"kind"`
@@ -1454,7 +1190,7 @@ func (s *Server) handleColumns(w http.ResponseWriter, _ *http.Request) {
 		})
 	}
 	slices.SortFunc(list, func(a, b columnInfo) int { return strings.Compare(a.Name, b.Name) })
-	writeJSON(w, http.StatusOK, map[string]any{"columns": list, "count": len(list)})
+	return map[string]any{"columns": list, "count": len(list)}, nil
 }
 
 // handleStats assembles the counters without ever writing to the
@@ -1463,7 +1199,7 @@ func (s *Server) handleColumns(w http.ResponseWriter, _ *http.Request) {
 // lifecycle mutex is taken only long enough to count the pending map —
 // a stalled /v1/stats reader can no longer freeze ingestion, finalize,
 // or queries behind a held mutex.
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) handleStats(*http.Request) (any, error) {
 	o := s.engine.Options()
 	// Count both maps in one critical section: registry installs happen
 	// under mu, so the pair cannot disagree — a column mid-finalize is
@@ -1548,7 +1284,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			},
 		}
 	}
-	writeJSON(w, http.StatusOK, stats)
+	return stats, nil
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

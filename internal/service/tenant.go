@@ -170,37 +170,37 @@ func (s *Server) admit(next http.Handler) http.Handler {
 		tenant := tenantFrom(r)
 		if !s.tenants.allow(tenant) {
 			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, codeRateLimited, "",
+			writeAPIError(w, statusError(http.StatusTooManyRequests,
 				"tenant %q is over its request rate limit (%g/s, burst %g)",
-				tenant, s.tenants.limits.rate, s.tenants.limits.burst)
+				tenant, s.tenants.limits.rate, s.tenants.limits.burst))
 			return
 		}
 		next.ServeHTTP(w, r)
 	})
 }
 
-// debitReports reserves the ε a report batch spends (count reports at
-// the column's per-report ε) against the request's tenant. It returns a
-// release function the handler calls with ok=false to refund a failed
-// ingest, or the 429 refusal.
-func (s *Server) debitReports(r *http.Request, column string, count int) (release func(ok bool), err error) {
+// reportDebit prices a report batch — count reports at the column's
+// per-report ε — against the request's tenant. reserve debits the budget
+// or returns the 429 refusal; refund returns a reserved debit after a
+// failed ingest, so the ledger tracks accepted reports only. With no
+// budget configured both do nothing.
+func (s *Server) reportDebit(r *http.Request, column string, count int) (reserve func() error, refund func()) {
 	if s.tenants == nil || s.tenants.limits.epsBudget <= 0 {
-		return func(bool) {}, nil
+		return nil, func() {}
 	}
 	tenant := tenantFrom(r)
 	eps := float64(count) * s.params.Epsilon
-	if !s.tenants.spend(tenant, eps) {
+	reserve = func() error {
+		if s.tenants.spend(tenant, eps) {
+			return nil
+		}
 		t := s.tenants.state(tenant)
 		t.mu.Lock()
 		spent := t.epsSpent
 		t.mu.Unlock()
-		return nil, apiErrorf(http.StatusTooManyRequests, codeBudgetExhausted, column,
+		return apiErrorf(http.StatusTooManyRequests, codeBudgetExhausted, column,
 			"tenant %q has spent ε=%g of its ε=%g budget; %d more reports at ε=%g would overrun it",
 			tenant, spent, s.tenants.limits.epsBudget, count, s.params.Epsilon)
 	}
-	return func(ok bool) {
-		if !ok {
-			s.tenants.refund(tenant, eps)
-		}
-	}, nil
+	return reserve, func() { s.tenants.refund(tenant, eps) }
 }

@@ -5,16 +5,17 @@ import (
 )
 
 // Envelope enforces the PR 7 structured-error contract: every 4xx/5xx
-// the API emits is the {"error":{code,message,column}} envelope,
-// written through the errors.go helpers (writeError / httpError) so
-// clients can switch on stable machine-readable codes.
+// the API emits is the {"error":{code,message,column}} envelope — a
+// route returns an apiError (apiErrorf / statusError in errors.go) and
+// the one adapter writes it through writeAPIError — so clients can
+// switch on stable machine-readable codes.
 //
 // Two shapes violate it: net/http.Error, which writes text/plain
 // anywhere in the module, and a bare WriteHeader with a constant error
 // status (>= 400) in a service package — the response body that
 // follows (if any) is whatever the handler improvised, not the
 // envelope. WriteHeader with a success status or a computed variable
-// (the helpers' own plumbing) is fine.
+// (the writers' own plumbing) is fine.
 var Envelope = &Analyzer{
 	Name: "envelope",
 	Doc:  "HTTP errors must use the structured envelope helpers, not http.Error or bare error WriteHeader",
@@ -34,7 +35,7 @@ func runEnvelope(pass *Pass) error {
 				return true
 			}
 			if fn.Pkg().Path() == "net/http" && fn.Name() == "Error" {
-				pass.Reportf(call.Pos(), "http.Error writes text/plain, not the structured error envelope; use writeError or httpError from errors.go")
+				pass.Reportf(call.Pos(), "http.Error writes text/plain, not the structured error envelope; return an apiError (apiErrorf / statusError in errors.go)")
 				return true
 			}
 			if !inService || fn.Name() != "WriteHeader" {
@@ -49,7 +50,7 @@ func runEnvelope(pass *Pass) error {
 				return true
 			}
 			if status, ok := constIntValue(pass.TypesInfo, call.Args[0]); ok && status >= 400 {
-				pass.Reportf(call.Pos(), "bare WriteHeader(%d) bypasses the structured error envelope; use writeError or httpError from errors.go", status)
+				pass.Reportf(call.Pos(), "bare WriteHeader(%d) bypasses the structured error envelope; return an apiError (apiErrorf / statusError in errors.go)", status)
 			}
 			return true
 		})

@@ -58,11 +58,11 @@ func blockingIO(pass *Pass, call *ast.CallExpr, responseWriter, conn types.Type)
 		return ""
 	}
 
-	// This module's writeJSON / writeAPIError / writeError helpers encode
-	// straight to the client socket.
+	// This module's two response writers, writeJSON and writeAPIError,
+	// encode straight to the client socket.
 	if fn.Pkg() != nil && fn.Pkg().Path() != "fmt" {
 		switch fn.Name() {
-		case "writeJSON", "writeAPIError", "writeError", "httpError":
+		case "writeJSON", "writeAPIError":
 			if fn.Type().(*types.Signature).Recv() == nil {
 				return "call to " + fn.Name()
 			}

@@ -8,14 +8,19 @@ import (
 	"net/http"
 )
 
-// writeError is the fixture's stand-in for the errors.go helper: the
-// status it writes is a variable, which is the helpers' own plumbing
-// and never flagged.
-func writeError(w http.ResponseWriter, status int, code, message string) {
+// apiError and writeAPIError are the fixture's stand-ins for errors.go:
+// a refusal is a value, and the status its one writer writes is a
+// variable — the writers' own plumbing, never flagged.
+type apiError struct {
+	status        int
+	code, message string
+}
+
+func writeAPIError(w http.ResponseWriter, e apiError) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
+	w.WriteHeader(e.status)
 	_ = json.NewEncoder(w).Encode(map[string]any{
-		"error": map[string]string{"code": code, "message": message},
+		"error": map[string]string{"code": e.code, "message": e.message},
 	})
 }
 
@@ -27,7 +32,7 @@ func handleBad(w http.ResponseWriter, r *http.Request) {
 
 func handleGood(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST required")
+		writeAPIError(w, apiError{http.StatusMethodNotAllowed, "method_not_allowed", "POST required"})
 		return
 	}
 	w.WriteHeader(http.StatusNoContent) // success statuses are fine bare
