@@ -160,8 +160,8 @@ func (a *Aggregator) Snapshot() ([]byte, error) {
 const buildShards = 16
 
 // BuildSketch runs the whole pipeline for a column in parallel (up to
-// buildShards cores): the sharded ingestion engine cuts the population
-// into chunks, simulates the clients, and merges the partial
+// buildShards cores): ingest.Collect cuts the population into chunks,
+// simulates the clients on kernel.RowApply, and merges the partial
 // aggregations. The result is deterministic — a function of (values,
 // seed) only, independent of core count and scheduling.
 func (p *Protocol) BuildSketch(values []uint64, seed int64) *Sketch {

@@ -8,9 +8,7 @@
 package ldpjoin_test
 
 import (
-	"fmt"
 	"math/rand"
-	"slices"
 	"strconv"
 	"testing"
 
@@ -213,14 +211,14 @@ func BenchmarkAblationClientEncoding(b *testing.B) {
 }
 
 // BenchmarkAblationParallelBuild compares single-threaded and
-// all-core simulated sketch construction on the ingestion engine.
+// all-core simulated sketch construction (ingest.Collect).
 func BenchmarkAblationParallelBuild(b *testing.B) {
 	p := core.Params{K: 18, M: 1024, Epsilon: 4}
 	fam := p.NewFamily(1)
 	data := dataset.Zipf(1, 200000, 20000, 1.3)
 	b.Run("shards-1", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ingest.Collect(p, fam, data, 7, ingest.Options{Shards: 1, Workers: 1})
+			ingest.Collect(p, fam, data, 7, ingest.Options{Shards: 1})
 		}
 	})
 	b.Run("shards-auto", func(b *testing.B) {
@@ -228,74 +226,6 @@ func BenchmarkAblationParallelBuild(b *testing.B) {
 			ingest.Collect(p, fam, data, 7, ingest.Options{})
 		}
 	})
-}
-
-// BenchmarkIngestEngine measures the wire-report ingestion hot path at
-// 1M reports — the fold the server runs once per client at the
-// ROADMAP's scale. The single-threaded case replays the retired
-// one-aggregator service path; the sharded cases run the ingestion
-// engine. The sketches are byte-identical across all variants (integral
-// cells merge exactly); only the wall clock changes.
-func BenchmarkIngestEngine(b *testing.B) {
-	p := core.Params{K: 18, M: 1024, Epsilon: 4}
-	fam := p.NewFamily(1)
-	const nReports = 1_000_000
-	const batchSize = 4096
-	rng := rand.New(rand.NewSource(1))
-	reports := make([]core.Report, nReports)
-	for i := range reports {
-		reports[i] = core.Perturb(uint64(i%10000), p, fam, rng)
-	}
-	batches := make([][]core.Report, 0, nReports/batchSize+1)
-	for lo := 0; lo < nReports; lo += batchSize {
-		hi := lo + batchSize
-		if hi > nReports {
-			hi = nReports
-		}
-		batches = append(batches, reports[lo:hi])
-	}
-
-	b.Run("single-threaded", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			agg := core.NewAggregator(p, fam)
-			for _, batch := range batches {
-				for _, r := range batch {
-					agg.Add(r)
-				}
-			}
-			agg.Finalize()
-		}
-		b.ReportMetric(float64(nReports)*float64(b.N)/b.Elapsed().Seconds(), "reports/s")
-	})
-	for _, workers := range []int{2, 4, 0} {
-		name := fmt.Sprintf("engine-workers-%d", workers)
-		if workers == 0 {
-			name = "engine-workers-auto"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				eng := ingest.NewEngine(p, fam, ingest.Options{Workers: workers, Shards: workers})
-				col := eng.NewColumn()
-				// The column owns what it is handed: give it copies, made
-				// off the clock, and keep the source reports for the next
-				// iteration.
-				b.StopTimer()
-				fresh := make([][]core.Report, len(batches))
-				for j, batch := range batches {
-					fresh[j] = slices.Clone(batch)
-				}
-				b.StartTimer()
-				if err := col.EnqueueAllPooled(fresh); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := col.Finalize(); err != nil {
-					b.Fatal(err)
-				}
-				eng.Close()
-			}
-			b.ReportMetric(float64(nReports)*float64(b.N)/b.Elapsed().Seconds(), "reports/s")
-		})
-	}
 }
 
 // --- Micro benchmarks on the public facade ---------------------------

@@ -2,13 +2,14 @@
 //
 // Client gateways POST perturbed report streams into named columns —
 // KindJoin streams into single-attribute join columns, KindMatrix
-// streams into middle-table matrix columns — and the sharded ingestion
-// engine folds them concurrently. Once columns are finalized the server
+// streams into middle-table matrix columns, KindPlus streams into
+// two-phase plus columns — and each request folds its reports into its
+// column before it is acknowledged. Once columns are finalized the server
 // answers pairwise join queries (GET /v1/join?left=A&right=B), chain
 // (multi-way) join queries across adjacent attribute slots
 // (GET /v1/join?path=A,AB,BC,C), and frequency queries, all memoized in
 // a bounded query cache. See internal/service for the API and
-// internal/ingest for the engine.
+// internal/ingest for the columns.
 //
 // With -data set the server is durable: accepted reports and merges are
 // write-ahead logged (fsynced before the request is acknowledged),
@@ -28,8 +29,8 @@
 // Usage:
 //
 //	ldpjoind -addr :8080 -k 18 -m 1024 -eps 4 -seed 1 \
-//	         -shards 8 -workers 8 -max-reports 16777216 \
-//	         -data /var/lib/ldpjoind
+//	         -max-reports 16777216 -data /var/lib/ldpjoind \
+//	         -ckpt-bytes 67108864
 package main
 
 import (
@@ -45,7 +46,6 @@ import (
 	"time"
 
 	"ldpjoin/internal/core"
-	"ldpjoin/internal/ingest"
 	"ldpjoin/internal/service"
 	"ldpjoin/internal/store"
 )
@@ -67,8 +67,6 @@ func main() {
 	m := flag.Int("m", 1024, "sketch width (columns, power of two)")
 	eps := flag.Float64("eps", 4, "privacy budget epsilon")
 	seed := flag.Int64("seed", 1, "public hash seed (shared with clients)")
-	shards := flag.Int("shards", 0, "aggregation shards per join column (0 = GOMAXPROCS)")
-	workers := flag.Int("workers", 0, "fold worker goroutines (0 = GOMAXPROCS)")
 	maxReports := flag.Int("max-reports", 0, "max reports per request body, which is also the per-request memory bound (0 = default; negative is refused)")
 	attrs := flag.Int("attrs", 0, "join-attribute hash families derived from the seed; a chain over n attributes needs n (0 = default)")
 	queryCache := flag.Int("query-cache", 0, "max memoized query results (0 = default; <0 disables memoization)")
@@ -82,7 +80,6 @@ func main() {
 	flag.Parse()
 
 	srv, err := service.NewWithOptions(core.Params{K: *k, M: *m, Epsilon: *eps}, *seed, service.Options{
-		Ingest:              ingest.Options{Shards: *shards, Workers: *workers},
 		MaxStreamReports:    *maxReports,
 		Attributes:          *attrs,
 		QueryCacheEntries:   *queryCache,

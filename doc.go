@@ -39,8 +39,8 @@
 // discovery, multiway joins, and a TCP client/server deployment.
 //
 // The deployable server side lives in internal/service (the HTTP column
-// API) on top of the sharded streaming ingestion engine in
-// internal/ingest; cmd/ldpjoind runs it. See ARCHITECTURE.md for the
+// API) on top of the ingest columns in internal/ingest; cmd/ldpjoind
+// runs it. See ARCHITECTURE.md for the
 // full package map and data flow.
 //
 // All randomness is seed-driven and all estimators are deterministic

@@ -3,9 +3,9 @@
 //
 // An aggregation server listens on localhost; several client gateways
 // connect concurrently, stream their populations' perturbed reports over
-// the binary wire protocol, and disconnect. The sharded ingestion engine
-// folds the streams concurrently; the server then answers a join query
-// against a second, locally collected population.
+// the binary wire protocol, and disconnect. Each connection folds its
+// stream into the one column as it reads it; the server then answers a
+// join query against a second, locally collected population.
 //
 // Run with: go run ./examples/protocolserver
 package main
@@ -39,9 +39,28 @@ func main() {
 	defer l.Close()
 	fmt.Printf("aggregator listening on %s\n", l.Addr())
 
-	collector := ingest.NewCollector(params, fam, ingest.Options{})
+	// Accept one connection per gateway and serve each on its own
+	// goroutine, so every gateway streams at once.
+	collector := ingest.NewCollector(params, fam)
 	serveDone := make(chan error, 1)
-	go func() { serveDone <- collector.Serve(l, gateways) }()
+	go func() {
+		var (
+			conns sync.WaitGroup
+			err   error
+		)
+		for g := 0; g < gateways && err == nil; g++ {
+			var conn net.Conn
+			if conn, err = l.Accept(); err == nil {
+				conns.Add(1)
+				go func() {
+					defer conns.Done()
+					_ = collector.ServeConn(conn)
+				}()
+			}
+		}
+		conns.Wait()
+		serveDone <- err
+	}()
 
 	// Each gateway perturbs its shard client-side and streams the reports.
 	var wg sync.WaitGroup

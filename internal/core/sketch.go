@@ -67,7 +67,7 @@ func (a *Aggregator) Add(r Report) {
 // AddBatch ingests a batch of wire-decoded reports, bounds-checking each
 // one: a report outside the sketch (or with a sign other than ±1) is
 // skipped, and the first such report comes back as the error. It is the
-// ingest engine's fold loop — one call per batch, so the per-report work
+// ingest column's fold loop — one call per batch, so the per-report work
 // stays a concrete loop over the aggregator's own rows.
 //
 // Y is a fair coin by construction, so the loop never branches on it:

@@ -10,19 +10,18 @@ import (
 	"ldpjoin/internal/protocol"
 )
 
-// collectorBatch is how many reports a connection decodes before handing
-// a batch to the engine.
+// collectorBatch is how many reports a connection decodes before folding
+// a batch into the column.
 const collectorBatch = 1024
 
-// Collector is the TCP face of the ingestion engine: it accepts
-// connections carrying wire-format report streams and feeds the decoded
-// batches into one engine column, so many gateways fan into one sketch
-// with the same sharded, backpressured path the HTTP service uses. It
-// replaces the retired protocol.Collector, which funneled every report
-// through a single aggregation goroutine.
+// Collector is the TCP face of the ingest package: it serves
+// connections carrying wire-format report streams and folds the decoded
+// batches into one column, so many gateways fan into one sketch through
+// the same pooled enqueue the HTTP service uses. It replaces the retired
+// protocol.Collector, which funneled every report through a single
+// aggregation goroutine.
 type Collector struct {
 	params core.Params
-	eng    *Engine
 	col    *Column
 
 	mu      sync.Mutex
@@ -30,16 +29,16 @@ type Collector struct {
 	lastErr error
 }
 
-// NewCollector starts a collector with its own engine. Close (or
-// Finalize, which implies it) must be called to release the workers.
-func NewCollector(p core.Params, fam *hashing.Family, opts Options) *Collector {
-	eng := NewEngine(p, fam, opts)
-	return &Collector{params: p, eng: eng, col: eng.NewColumn()}
+// NewCollector returns a collector folding into one fresh column.
+func NewCollector(p core.Params, fam *hashing.Family) *Collector {
+	return &Collector{params: p, col: NewEngine(p, fam, Options{}).NewColumn()}
 }
 
 // ServeConn reads one report stream from conn until EOF and folds it
 // into the collector's column. It is safe to call from multiple
-// goroutines, one per connection.
+// goroutines, one per connection: the caller owns the accept loop, and
+// serving each accepted connection on its own goroutine lets every
+// gateway stream at once.
 func (c *Collector) ServeConn(conn net.Conn) error {
 	defer conn.Close()
 	err := c.ingest(conn)
@@ -71,26 +70,6 @@ func (c *Collector) ingest(r io.Reader) error {
 	}
 }
 
-// Serve accepts up to n connections from l, handling each in its own
-// goroutine, then returns.
-func (c *Collector) Serve(l net.Listener, n int) error {
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		conn, err := l.Accept()
-		if err != nil {
-			wg.Wait()
-			return err
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = c.ServeConn(conn)
-		}()
-	}
-	wg.Wait()
-	return nil
-}
-
 // Streams returns the number of completed streams.
 func (c *Collector) Streams() int {
 	c.mu.Lock()
@@ -101,11 +80,9 @@ func (c *Collector) Streams() int {
 // N returns the number of reports accepted so far.
 func (c *Collector) N() int64 { return c.col.N() }
 
-// Close stops the engine after draining queued folds and returns the
-// last stream error, if any. It is idempotent; no ServeConn call may be
-// active or issued afterwards.
+// Close returns the last stream error, if any. It is idempotent; no
+// ServeConn call may be active or issued afterwards.
 func (c *Collector) Close() error {
-	c.eng.Close()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.lastErr

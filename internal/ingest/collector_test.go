@@ -15,7 +15,7 @@ import (
 
 // TestCollectorOverPipes runs the full distributed workflow over
 // net.Pipe connections: several client gateways stream perturbed reports
-// concurrently, the engine folds them into shards, and the resulting
+// concurrently, the column folds them as they arrive, and the resulting
 // sketch estimates a join against a locally built sketch.
 func TestCollectorOverPipes(t *testing.T) {
 	p := core.Params{K: 9, M: 512, Epsilon: 4}
@@ -23,7 +23,7 @@ func TestCollectorOverPipes(t *testing.T) {
 	da := dataset.Zipf(2, 40000, 2000, 1.3)
 	db := dataset.Zipf(3, 40000, 2000, 1.3)
 
-	col := NewCollector(p, fam, Options{})
+	col := NewCollector(p, fam)
 	const conns = 4
 	var wg sync.WaitGroup
 	chunk := len(da) / conns
@@ -76,8 +76,8 @@ func TestCollectorOverPipes(t *testing.T) {
 	}
 }
 
-// TestCollectorOverTCP exercises the accept loop on a real localhost
-// listener.
+// TestCollectorOverTCP serves real localhost connections the way
+// examples/protocolserver does: one goroutine per accepted connection.
 func TestCollectorOverTCP(t *testing.T) {
 	p := core.Params{K: 4, M: 64, Epsilon: 2}
 	fam := p.NewFamily(9)
@@ -87,9 +87,24 @@ func TestCollectorOverTCP(t *testing.T) {
 	}
 	defer l.Close()
 
-	col := NewCollector(p, fam, Options{Shards: 2, Workers: 2})
+	col := NewCollector(p, fam)
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- col.Serve(l, 2) }()
+	go func() {
+		var conns sync.WaitGroup
+		defer func() { conns.Wait(); close(serveErr) }()
+		for i := 0; i < 2; i++ {
+			conn, err := l.Accept()
+			if err != nil {
+				serveErr <- err
+				return
+			}
+			conns.Add(1)
+			go func() {
+				defer conns.Done()
+				_ = col.ServeConn(conn)
+			}()
+		}
+	}()
 
 	send := func(seed int64, n int) error {
 		conn, err := net.Dial("tcp", l.Addr().String())
@@ -132,7 +147,7 @@ func TestCollectorOverTCP(t *testing.T) {
 
 func TestCollectorDoubleCloseSafe(t *testing.T) {
 	p := core.Params{K: 2, M: 16, Epsilon: 1}
-	col := NewCollector(p, p.NewFamily(1), Options{})
+	col := NewCollector(p, p.NewFamily(1))
 	if err := col.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +158,7 @@ func TestCollectorDoubleCloseSafe(t *testing.T) {
 
 func TestCollectorRecordsStreamError(t *testing.T) {
 	p := core.Params{K: 2, M: 16, Epsilon: 1}
-	col := NewCollector(p, p.NewFamily(1), Options{})
+	col := NewCollector(p, p.NewFamily(1))
 	cliEnd, srvEnd := net.Pipe()
 	done := make(chan error, 1)
 	go func() { done <- col.ServeConn(srvEnd) }()

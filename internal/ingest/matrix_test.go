@@ -24,9 +24,9 @@ func matrixReports(p core.MatrixParams, famA, famB *hashing.Family, seed int64, 
 	return out
 }
 
-// TestMatrixColumnByteIdentical: a sharded matrix column fed interleaved
+// TestMatrixColumnByteIdentical: a matrix column fed the reports in
 // batches finalizes to the exact sketch a sequential aggregator builds
-// from the same reports, regardless of shard and worker count.
+// from the same reports, whatever the batch size.
 func TestMatrixColumnByteIdentical(t *testing.T) {
 	p, famA, famB := matrixTestSetup()
 	reports := matrixReports(p, famA, famB, 1, 10_000)
@@ -37,15 +37,12 @@ func TestMatrixColumnByteIdentical(t *testing.T) {
 	}
 	want := ref.Finalize()
 
-	// The shard count is the matrix kind's constant (1) in production;
-	// the in-package constructor takes it explicitly so the
-	// shard-count independence of the generic column stays pinned.
-	for _, tc := range []struct{ shards, workers int }{{1, 1}, {3, 2}, {8, 4}} {
-		e := NewEngine(core.Params{K: p.K, M: p.M1, Epsilon: p.Epsilon}, famA, Options{Workers: tc.workers})
-		col := e.newMatrixColumn(p, famA, famB, tc.shards)
+	e := NewEngine(core.Params{K: p.K, M: p.M1, Epsilon: p.Epsilon}, famA, Options{})
+	for _, size := range []int{len(reports), 777, 13} {
+		col := e.NewMatrixColumn(p, famA, famB)
 		var batches [][]core.MatrixReport
-		for off := 0; off < len(reports); off += 777 {
-			batches = append(batches, reports[off:min(off+777, len(reports))])
+		for off := 0; off < len(reports); off += size {
+			batches = append(batches, reports[off:min(off+size, len(reports))])
 		}
 		if err := enqueue(col, batches...); err != nil {
 			t.Fatal(err)
@@ -59,10 +56,9 @@ func TestMatrixColumnByteIdentical(t *testing.T) {
 		}
 		for j := 0; j < p.K; j++ {
 			if !reflect.DeepEqual(got.Mat(j), want.Mat(j)) {
-				t.Fatalf("shards=%d: replica %d differs from sequential build", tc.shards, j)
+				t.Fatalf("batches of %d: replica %d differs from sequential build", size, j)
 			}
 		}
-		e.Close()
 	}
 }
 
@@ -70,9 +66,7 @@ func TestMatrixColumnByteIdentical(t *testing.T) {
 // and a second drain all fail with ErrFinalized after Finalize/Snapshot.
 func TestMatrixColumnLifecycle(t *testing.T) {
 	p, famA, famB := matrixTestSetup()
-	e := NewEngine(core.Params{K: p.K, M: p.M1, Epsilon: p.Epsilon}, famA, Options{Shards: 2, Workers: 2})
-	defer e.Close()
-
+	e := NewEngine(core.Params{K: p.K, M: p.M1, Epsilon: p.Epsilon}, famA, Options{})
 	col := e.NewMatrixColumn(p, famA, famB)
 	if err := enqueue(col, matrixReports(p, famA, famB, 2, 100)); err != nil {
 		t.Fatal(err)
@@ -93,10 +87,11 @@ func TestMatrixColumnLifecycle(t *testing.T) {
 		t.Fatalf("second drain: %v, want ErrFinalized", err)
 	}
 
-	// Out-of-bounds reports surface at Finalize, not as a sketch.
+	// An out-of-bounds report fails its enqueue and then Finalize, never
+	// becoming a sketch.
 	bad := e.NewMatrixColumn(p, famA, famB)
-	if err := enqueue(bad, []core.MatrixReport{{Y: 1, Row: uint32(p.K), L1: 0, L2: 0}}); err != nil {
-		t.Fatal(err)
+	if err := enqueue(bad, []core.MatrixReport{{Y: 1, Row: uint32(p.K), L1: 0, L2: 0}}); err == nil {
+		t.Fatal("out-of-bounds report did not fail its enqueue")
 	}
 	if _, err := bad.Finalize(); err == nil {
 		t.Fatal("out-of-bounds report did not fail Finalize")
@@ -109,9 +104,8 @@ func TestMatrixColumnLifecycle(t *testing.T) {
 // everything, exercising the snapshot round trip on the way.
 func TestMatrixColumnFederation(t *testing.T) {
 	p, famA, famB := matrixTestSetup()
-	e := NewEngine(core.Params{K: p.K, M: p.M1, Epsilon: p.Epsilon}, famA, Options{Shards: 4, Workers: 2})
-	defer e.Close()
-	newCol := func() *MatrixColumn { return e.newMatrixColumn(p, famA, famB, 4) }
+	e := NewEngine(core.Params{K: p.K, M: p.M1, Epsilon: p.Epsilon}, famA, Options{})
+	newCol := func() *MatrixColumn { return e.NewMatrixColumn(p, famA, famB) }
 
 	half1 := matrixReports(p, famA, famB, 4, 4000)
 	half2 := matrixReports(p, famA, famB, 5, 3000)

@@ -25,15 +25,15 @@ var (
 )
 
 // PlusColumn is one two-phase LDPJoinSketch+ column under construction:
-// three ordinary sharded Columns on the shared worker pool — the
-// phase-1 sample window under the sample family, and the two phase-2
-// FAP group sketches under the shared group family — plus the phase
-// boundary itself. The column starts in phase 1 (only sample reports
-// are accepted); Advance freezes the frequent-item set and flips it to
-// phase 2 (only low/high group reports are accepted). All mutations of
-// the phase state serialize on one mutex so that the order in which
-// reports and the advance are accepted is well defined — the property
-// the WAL relies on to replay a crash into byte-identical state.
+// three ordinary Columns — the phase-1 sample window under the sample
+// family, and the two phase-2 FAP group sketches under the shared group
+// family — plus the phase boundary itself. The column starts in phase 1
+// (only sample reports are accepted); Advance freezes the frequent-item
+// set and flips it to phase 2 (only low/high group reports are
+// accepted). All mutations of the phase state serialize on one mutex so
+// that the order in which reports and the advance are accepted is well
+// defined — the property the WAL relies on to replay a crash into
+// byte-identical state.
 type PlusColumn struct {
 	sample *Column
 	low    *Column
@@ -152,12 +152,10 @@ func (c *PlusColumn) proposeLocked(domain uint64, theta float64) ([]uint64, erro
 	if domain > protocol.MaxPlusFI {
 		return nil, fmt.Errorf("ingest: a frequent-item scan covers at most %d values and the domain is %d; advance with an explicit set", protocol.MaxPlusFI, domain)
 	}
-	// Wait for every accepted fold to land first: the proposal must be
-	// a deterministic function of the accepted phase-1 stream, not of
-	// worker timing — kill-and-reopen recovery replays that stream and
-	// must propose the same set. New enqueues block on c.mu meanwhile,
-	// so the wait has a fixed target.
-	c.sample.Settle()
+	// Every accepted batch has folded (folds are inline) and new enqueues
+	// block on c.mu, so the proposal is a deterministic function of the
+	// accepted phase-1 stream — kill-and-reopen recovery replays that
+	// stream and must propose the same set.
 	agg, err := c.sample.State()
 	if err != nil {
 		return nil, err
@@ -287,13 +285,6 @@ func (c *PlusColumn) Snapshot() (*protocol.PlusSnapshot, error) {
 func (c *PlusColumn) State() (*protocol.PlusSnapshot, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// As in proposeLocked: settle the accepted folds so the export is a
-	// deterministic function of the accepted stream — the property the
-	// federation conformance (byte-identical to single-node ingestion)
-	// rests on.
-	c.sample.Settle()
-	c.low.Settle()
-	c.high.Settle()
 	return c.export((*Column).Capture, slices.Clone(c.fi))
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"sync"
 	"testing"
-	"time"
 
 	"ldpjoin/internal/core"
 	"ldpjoin/internal/dataset"
@@ -19,8 +18,7 @@ func TestColumnSnapshotMatchesFinalize(t *testing.T) {
 	fam := p.NewFamily(42)
 	reports := perturbColumn(p, 5, dataset.Zipf(3, 20000, 2000, 1.3))
 
-	eng := NewEngine(p, fam, Options{Shards: 4, Workers: 4})
-	defer eng.Close()
+	eng := NewEngine(p, fam, Options{})
 	feed := func(col *Column) {
 		for lo := 0; lo < len(reports); lo += 777 {
 			hi := min(lo+777, len(reports))
@@ -87,9 +85,7 @@ func TestColumnMergeAggregator(t *testing.T) {
 	reports := perturbColumn(p, 9, dataset.Zipf(4, 20000, 2000, 1.3))
 	half := len(reports) / 2
 
-	eng := NewEngine(p, fam, Options{Shards: 3, Workers: 4})
-	defer eng.Close()
-
+	eng := NewEngine(p, fam, Options{})
 	full := eng.NewColumn()
 	if err := enqueue(full, reports); err != nil {
 		t.Fatal(err)
@@ -123,70 +119,10 @@ func TestColumnMergeAggregator(t *testing.T) {
 	}
 }
 
-// TestColumnMergeAdoptsUnderQueuedFolds: a merge into an untouched shard
-// adopts the aggregator while folds for that shard are still queued, so
-// from the adoption on the workers add to it. MergeAggregator must take
-// the merged count before that (run under -race: reading it afterwards
-// races the fold, and counts the folded reports twice).
-func TestColumnMergeAdoptsUnderQueuedFolds(t *testing.T) {
-	p := testParams()
-	fam := p.NewFamily(42)
-	reports := perturbColumn(p, 11, dataset.Zipf(5, 8000, 2000, 1.3))
-	half := len(reports) / 2
-
-	ref := core.NewAggregator(p, fam)
-	for _, r := range reports {
-		ref.Add(r)
-	}
-	want := marshal(t, ref.Finalize())
-
-	eng := NewEngine(p, fam, Options{Shards: 1, Workers: 1, Queue: 64})
-	defer eng.Close()
-	for round := 0; round < 20; round++ {
-		// Park the only worker so the folds stay queued and the shard
-		// stays untouched until the merge has adopted.
-		gate := make(chan struct{})
-		if err := eng.submit(func() { <-gate }); err != nil {
-			t.Fatal(err)
-		}
-		col := eng.NewColumn()
-		for lo := 0; lo < half; lo += 100 {
-			if err := enqueue(col, reports[lo:min(lo+100, half)]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		remote := core.NewAggregator(p, fam)
-		for _, r := range reports[half:] {
-			remote.Add(r)
-		}
-		merged := make(chan error, 1)
-		go func() { merged <- col.MergeAggregator(remote) }()
-		time.Sleep(time.Millisecond) // no happens-before edge: the folds start while the merge returns
-		close(gate)
-		if err := <-merged; err != nil {
-			t.Fatal(err)
-		}
-		col.Settle()
-		if got := col.N(); got != int64(len(reports)) {
-			t.Fatalf("round %d: N = %d, want %d", round, got, len(reports))
-		}
-		sk, err := col.Finalize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(marshal(t, sk), want) {
-			t.Fatalf("round %d: adopted merge differs from the serial fold", round)
-		}
-	}
-}
-
 func TestColumnMergeAggregatorRejects(t *testing.T) {
 	p := testParams()
 	fam := p.NewFamily(42)
-	eng := NewEngine(p, fam, Options{Shards: 2, Workers: 2})
-	defer eng.Close()
-
-	col := eng.NewColumn()
+	col := NewEngine(p, fam, Options{}).NewColumn()
 	other := core.NewAggregator(p, p.NewFamily(43)) // wrong seed
 	if err := col.MergeAggregator(other); err == nil {
 		t.Fatal("merge across hash families accepted")
@@ -213,15 +149,12 @@ func TestColumnState(t *testing.T) {
 	reports := perturbColumn(p, 11, dataset.Zipf(5, 10000, 1000, 1.3))
 	half := len(reports) / 2
 
-	eng := NewEngine(p, fam, Options{Shards: 2, Workers: 2})
-	defer eng.Close()
-	col := eng.NewColumn()
+	col := NewEngine(p, fam, Options{}).NewColumn()
 	if err := enqueue(col, reports[:half]); err != nil {
 		t.Fatal(err)
 	}
-	// Quiesce so the point-in-time copy is exactly the first half.
-	waitQuiescent(t, col, int64(half))
-
+	// The fold is inline, so the point-in-time copy is exactly the first
+	// half.
 	agg, err := col.State()
 	if err != nil {
 		t.Fatal(err)
@@ -256,21 +189,6 @@ func TestColumnState(t *testing.T) {
 	}
 }
 
-// waitQuiescent blocks until the column's queued folds have landed, by
-// draining a throwaway point-in-time copy until the counts agree.
-func waitQuiescent(t *testing.T, col *Column, want int64) {
-	t.Helper()
-	for {
-		agg, err := col.State()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if int64(agg.N()) == want {
-			return
-		}
-	}
-}
-
 // TestColumnStateConcurrent hammers State while folds, merges, and a
 // final drain are in flight — the -race exercise for the federation
 // paths. Invariant: every state copy holds a consistent (cells, n) pair
@@ -281,9 +199,7 @@ func TestColumnStateConcurrent(t *testing.T) {
 	fam := p.NewFamily(42)
 	reports := perturbColumn(p, 13, dataset.Zipf(6, 8000, 500, 1.2))
 
-	eng := NewEngine(p, fam, Options{Shards: 4, Workers: 4})
-	defer eng.Close()
-	col := eng.NewColumn()
+	col := NewEngine(p, fam, Options{}).NewColumn()
 
 	var wg sync.WaitGroup
 	wg.Add(2)

@@ -14,10 +14,12 @@ import (
 // overhead. RowApply returns after every fn call has returned.
 //
 // fn is called concurrently from multiple goroutines and must therefore
-// only touch row-local state (the aggregator rows and matrix replicas
-// it is used on are independent by construction). Results must not
-// depend on call order — for the finalize and FI-scan kernels they
-// cannot, since each row's computation reads and writes only that row.
+// synchronize whatever state it shares across rows (the aggregator rows
+// and matrix replicas of the finalize kernels share none; the ingest
+// chunks and recovered columns share only what their locks guard).
+// Results must not depend on call order — for the finalize and FI-scan
+// kernels they cannot, since each row's computation reads and writes
+// only that row.
 func RowApply(n int, fn func(j int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {

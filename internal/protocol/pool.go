@@ -8,11 +8,11 @@ import (
 
 // Batch pooling for the ingest hot path. Every report that enters the
 // system rides a []core.Report (or []core.MatrixReport) batch from the
-// stream decoder through the WAL append and into a fold worker, after
+// stream decoder through the WAL append and into a column's fold, after
 // which the batch is garbage — at DefaultBatchSize that is ~28 KiB of
 // allocation per 4096 reports, all of it with an obvious lifetime. A
 // batchPool recycles those batches: decoders draw from the pool, the
-// fold workers (the single point where a batch dies) put them back.
+// fold (the single point where a batch dies) puts them back.
 //
 // The pool holds array pointers, not slices: a *[DefaultBatchSize]R is
 // pointer-shaped, so neither Get nor Put allocates (a slice would have

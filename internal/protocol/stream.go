@@ -186,10 +186,10 @@ func (w *reportWriter[R]) Flush() error { return w.bw.Flush() }
 const DefaultBatchSize = 4096
 
 // batchReader incrementally decodes a report stream into batches — the
-// pull-based feed of the ingestion engine. The header is validated
+// pull-based feed of the ingest columns. The header is validated
 // against the expected parameters at construction; every report is
 // bounds-checked before it is handed out, so a corrupt or hostile
-// stream surfaces as an error, never as a panic in a fold worker.
+// stream surfaces as an error, never as a panic in a fold.
 type batchReader[R, P any] struct {
 	br     *bufio.Reader
 	h      Header

@@ -1,7 +1,7 @@
 // Package protocol implements the transport layer of the paper's LDP
 // workflow: the binary wire format clients use to stream perturbed
 // reports to the aggregator, and batch decoders that feed a stream's
-// reports into the server-side ingestion engine (internal/ingest).
+// reports into the server-side ingest columns (internal/ingest).
 //
 // The format is deliberately minimal — the whole point of LDPJoinSketch
 // is that a report is one perturbed bit plus two small indices — and

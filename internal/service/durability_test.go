@@ -30,14 +30,12 @@ func durableServer(t *testing.T, dir string) (*Server, *httptest.Server, core.Pa
 }
 
 // crash kills a durable server the hard way: no Shutdown, no
-// checkpoint. The engine and store are released so the test process
-// does not leak goroutines and file handles, but nothing is written
-// that a real crash would not have written — recovery must come from
-// the WAL alone.
+// checkpoint. The store is released so the test process does not leak
+// file handles, but nothing is written that a real crash would not have
+// written — recovery must come from the WAL alone.
 func crash(t *testing.T, srv *Server, ts *httptest.Server) {
 	t.Helper()
 	ts.Close()
-	srv.engine.Close()
 	if err := srv.st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +121,7 @@ func TestCrashRecoveryWALReplay(t *testing.T) {
 	}
 	crash(t, srv1, ts1)
 
-	// Reopen the directory: the WAL replays through the engine.
+	// Reopen the directory: the WAL replays through the operations.
 	srv2, ts2, _ := durableServer(t, dir)
 	defer srv2.Close()
 	defer ts2.Close()

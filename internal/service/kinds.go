@@ -57,15 +57,12 @@ var kinds = map[protocol.Kind]kindOps{
 type column interface {
 	// N returns the reports accepted so far.
 	N() int64
-	// Settle blocks until every accepted fold has landed; see
-	// ingest.Column.Settle for the exclusion the caller owes it.
-	Settle()
 	// admit is the phase gate: it refuses a batch set the column's
 	// current phase cannot take. Only plus columns have phases.
 	admit(b batchSet) error
 	// appendReports makes the batch set durable in the column's WAL.
 	appendReports(st *store.Store, name string, attr int, b batchSet) error
-	// enqueuePooled hands the batch set to the ingest engine, which
+	// enqueuePooled folds the batch set into the ingest column, which
 	// recycles each batch into the protocol pool once folded: on success
 	// the caller must not touch b again.
 	enqueuePooled(b batchSet) error
@@ -139,8 +136,7 @@ func readAllBatches[R any](s *Server, name string,
 
 // oneBatch wraps the single pooled batch a store.Replayer reports call
 // carries — the store already cut the record at the live ingest
-// granularity, so replay fans out across the engine's workers like the
-// original traffic did — as the batch set the pooled enqueue consumes.
+// granularity — as the batch set the pooled enqueue consumes.
 func oneBatch[R any](reports []R) reportBatches[R] {
 	return reportBatches[R]{batches: [][]R{reports}, n: len(reports)}
 }

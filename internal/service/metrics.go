@@ -209,13 +209,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			"route", sl.route)
 	}
 
-	// Ingestion backpressure: live queue depth against capacity.
-	o := s.engine.Options()
-	p.family("ldpjoin_ingest_queue_depth", "Fold tasks queued behind the engine workers.", "gauge")
-	p.sample("ldpjoin_ingest_queue_depth", float64(s.engine.QueueDepth()))
-	p.family("ldpjoin_ingest_queue_capacity", "Engine queue capacity.", "gauge")
-	p.sample("ldpjoin_ingest_queue_capacity", float64(o.Queue))
-
 	// Column population by lifecycle state.
 	s.mu.Lock()
 	collecting := len(s.pending)

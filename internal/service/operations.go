@@ -24,26 +24,28 @@ import (
 //
 // One order, decided here and nowhere else:
 //
-//	opMu → check → walGate (shared) → WAL append → apply → result
+//	opMu → check → WAL append → apply → result
 //
-// Both locks are held by defer, so a refusal on any line releases them,
-// and since nothing below a handler can write to a client, no response
-// is ever written while a column lock is held: a parked client reading
-// slowly cannot wedge a column's phase machinery (the PR 5 lesson; the
-// lockio analyzer checks the handlers, and there is nothing left to
-// check here). The walorder analyzer holds every //ldpjoin:operation
-// function to append-before-apply and refuses an apply anywhere else.
+// The apply is the fold itself, inline: every report of the request is
+// in the column's aggregator when the operation returns. opMu is held by
+// defer, so a refusal on any line releases it, and since nothing below a
+// handler can write to a client, no response is ever written while a
+// column lock is held: a parked client reading slowly cannot wedge a
+// column's phase machinery (the lockio analyzer checks the handlers, and
+// there is nothing left to check here). The walorder analyzer holds
+// every //ldpjoin:operation function to append-before-apply and refuses
+// an apply anywhere else.
 
 // pendingColumn is a collecting column: its identity, the kind's column
-// behind the one interface the operations are written over, and the two
-// locks that order them.
+// behind the one interface the operations are written over, and the
+// lock that orders them.
 type pendingColumn struct {
 	name  string
 	kind  protocol.Kind
 	attr  int
 	state column
 
-	// opMu serializes the column's operations — report append+enqueue,
+	// opMu serializes the column's operations — report append+fold,
 	// advance, merge — so the WAL is written in acceptance order. A plus
 	// column depends on it: without it, a sample batch could pass the
 	// phase gate, lose the race to a concurrent advance's WAL append, and
@@ -51,18 +53,15 @@ type pendingColumn struct {
 	// reject. Join and matrix records commute, so for them the order is
 	// merely harmless; appends to one column's log serialize on the log's
 	// own mutex across the fsync anyway.
+	//
+	// opMu is also every exporter's exclusion point: CheckpointNow holds
+	// it across (Rotate, state capture), and handleSnapshot across its
+	// capture. Since each operation holds it across its (WAL append,
+	// apply) pair, no operation can be between "durable in a covered
+	// segment" and "visible to the capture" at the cut, so a checkpoint
+	// can neither lose an acknowledged report nor double-count one on
+	// replay.
 	opMu sync.Mutex
-
-	// walGate is the background checkpointer's exclusion point. Every
-	// operation holds it shared across its (WAL append, apply) pair;
-	// CheckpointNow holds it exclusively across (Rotate, settle, state
-	// capture). That makes the captured state exactly the fold of the
-	// rotated-out segments: no operation can be between "durable in a
-	// covered segment" and "visible to the capture" while the gate is
-	// held, so a checkpoint can neither lose an acknowledged report nor
-	// double-count one on replay. Operations acquire opMu before walGate,
-	// and the checkpointer takes only walGate — one order, no cycles.
-	walGate sync.RWMutex
 }
 
 // errServerClosed is the retryable refusal of a server that is shutting
@@ -141,14 +140,14 @@ func (s *Server) collecting(name string) (*pendingColumn, error) {
 }
 
 // reports is the one ingest operation, for every column kind: gate, WAL
-// append, enqueue. It consumes batch (a pooled batch set of the column's
+// append, fold. It consumes batch (a pooled batch set of the column's
 // kind) and returns the column's report count as of this request.
 //
 //ldpjoin:operation
 func (s *Server) reports(col *pendingColumn, batch batchSet) (total int64, err error) {
-	// The phase gate, the WAL append, and the enqueue run under the
-	// column's operation mutex so the log is written in acceptance order
-	// — see pendingColumn.opMu.
+	// The phase gate, the WAL append, and the fold run under the column's
+	// operation mutex so the log is written in acceptance order — see
+	// pendingColumn.opMu.
 	col.opMu.Lock()
 	defer col.opMu.Unlock()
 	if err := col.state.admit(batch); err != nil {
@@ -158,24 +157,18 @@ func (s *Server) reports(col *pendingColumn, batch batchSet) (total int64, err e
 	// Durability before acknowledgement: the decoded reports go to the
 	// write-ahead log, fsynced, before anything is acked. A failed append
 	// rejects the request (at worst the column sits empty until more
-	// reports arrive — a disk fault is an operator page either way). The
-	// (append, enqueue) pair holds the column's checkpoint gate shared,
-	// so a concurrent background checkpoint covers both halves of this
-	// request or neither.
-	col.walGate.RLock()
-	defer col.walGate.RUnlock()
+	// reports arrive — a disk fault is an operator page either way).
 	if s.st != nil {
 		if err := col.state.appendReports(s.st, col.name, col.attr, batch); err != nil {
 			return 0, s.storeAppendError(col.name, err)
 		}
 	}
 
-	// Feed the engine outside the lifecycle lock. The pooled enqueue
-	// blocks when the fold workers are behind (backpressure), is atomic
-	// against a concurrent finalize — the request's reports land entirely
-	// before the merge or not at all — and recycles each batch into the
-	// protocol pool once its fold has consumed it (the WAL append above
-	// already read them).
+	// Fold inline, outside the lifecycle lock. The pooled enqueue is
+	// atomic against a concurrent finalize — the request's reports land
+	// entirely before the drain or not at all — and recycles each batch
+	// into the protocol pool once folded (the WAL append above already
+	// read them).
 	if err := col.state.enqueuePooled(batch); err != nil {
 		return 0, s.conflict(col.name, err)
 	}
@@ -225,12 +218,6 @@ func (s *Server) advanceLocked(col *pendingColumn, req advanceRequest) (frozen [
 			return nil, s.conflict(col.name, err)
 		}
 	}
-	// The (advance record, phase flip) pair holds the checkpoint gate
-	// like a report's (append, enqueue): a background checkpoint either
-	// covers the advance record and captures the advanced phase, or
-	// neither.
-	col.walGate.RLock()
-	defer col.walGate.RUnlock()
 	if s.st != nil {
 		if err := s.st.AppendPlusAdvance(col.name, col.attr, req.Domain, req.Theta, fi); err != nil {
 			return nil, s.storeAppendError(col.name, err)
@@ -243,8 +230,8 @@ func (s *Server) advanceLocked(col *pendingColumn, req advanceRequest) (frozen [
 }
 
 // merge folds an unfinalized snapshot — another collector's export, or
-// on replay a logged merge or a checkpoint — into the column: the same
-// integer-cell merge the shards use, so the eventual sketch is
+// on replay a logged merge or a checkpoint — into the column: an
+// integer-cell merge, so the eventual sketch is
 // byte-identical to single-node ingestion of the union stream. encoded
 // is snap's canonical encoding, the WAL record's payload (unread when
 // nothing is logged). It returns the column's report count afterwards.
@@ -262,9 +249,8 @@ func (s *Server) merge(col *pendingColumn, snap protocol.ColumnSnapshot, encoded
 	col.opMu.Lock()
 	defer col.opMu.Unlock()
 	// Restore the mergeable state and place it against the column's phase
-	// before taking the WAL gate: a record the in-memory column rejects
-	// must never be logged, or replay would reject it too and wedge
-	// recovery — and the gate should not be held across decoding work.
+	// before the WAL append: a record the in-memory column rejects must
+	// never be logged, or replay would reject it too and wedge recovery.
 	m, adopt, err := col.state.prepareMerge(snap)
 	if err != nil {
 		return 0, s.columnConflict(codeConflict, col.name, "merging into column %q: %v", col.name, err)
@@ -274,10 +260,6 @@ func (s *Server) merge(col *pendingColumn, snap protocol.ColumnSnapshot, encoded
 			return 0, err
 		}
 	}
-	// Shared-mode gate: the (append, merge) pair must land on one side of
-	// any checkpoint rotation, as in reports.
-	col.walGate.RLock()
-	defer col.walGate.RUnlock()
 	if s.st != nil {
 		if err := s.st.AppendMerge(col.name, col.kind, col.attr, encoded); err != nil {
 			return 0, s.storeAppendError(col.name, err)
@@ -297,11 +279,11 @@ func (s *Server) conflict(name string, err error) error {
 }
 
 // columnConflict is the refusal for an ingest lifecycle conflict
-// (ErrFinalized, ErrClosed) with the given envelope code. During
-// shutdown those errors usually mean the column was drained, or the
-// engine stopped, underneath the request — the column is checkpointed,
-// not finalized — so a closed server answers the retryable 503 instead
-// of a 409 a gateway would treat as terminal and drop its reports over.
+// (ErrFinalized) with the given envelope code. During shutdown that
+// error usually means the column was drained underneath the request —
+// the column is checkpointed, not finalized — so a closed server answers
+// the retryable 503 instead of a 409 a gateway would treat as terminal
+// and drop its reports over.
 func (s *Server) columnConflict(code, column, format string, args ...any) error {
 	if s.closed.Load() {
 		return errServerClosed
@@ -334,7 +316,9 @@ func (s *Server) storeAppendError(name string, err error) error {
 // through register and the three operations exactly like live traffic —
 // Recover runs before s.st is set, so they skip the WAL as an in-memory
 // server's do. The ten store.Replayer methods are the per-shape entry
-// points.
+// points. The store replays distinct columns concurrently, so every path
+// here takes the same locks live traffic does: s.mu for the maps and the
+// registry, the column's opMu for its state.
 type recoverer struct{ s *Server }
 
 // column returns the collecting column for a recovering name, creating
@@ -358,10 +342,13 @@ func (r recoverer) finalized(info store.ColumnInfo, snap protocol.ColumnSnapshot
 		return err
 	}
 	fin.attr = info.Attr
-	// Recovery runs single-threaded before the first request, so it may
-	// grow the registry's map in place instead of copy-and-swapping once
-	// per recovered column.
+	// Recovery runs before the first request, so it may grow the
+	// registry's map in place instead of copy-and-swapping once per
+	// recovered column — under s.mu, because other columns are replaying
+	// (and registering) concurrently.
+	r.s.mu.Lock()
 	r.s.finished.seed(info.Name, fin)
+	r.s.mu.Unlock()
 	return nil
 }
 

@@ -387,7 +387,6 @@ func TestMetricsExposition(t *testing.T) {
 		"ldpjoin_http_request_duration_seconds_bucket",
 		"ldpjoin_http_request_duration_seconds_sum",
 		"ldpjoin_http_request_duration_seconds_count",
-		"ldpjoin_ingest_queue_depth",
 		"ldpjoin_columns",
 		"ldpjoin_query_cache_hit_ratio",
 		"ldpjoin_wal_appends_total",

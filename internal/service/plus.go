@@ -63,9 +63,6 @@ func (plusKind) restore(snap protocol.ColumnSnapshot) (*finishedColumn, error) {
 // plusColumn adapts an ingest.PlusColumn to the mutating path.
 type plusColumn struct{ *ingest.PlusColumn }
 
-// Settle is a no-op: PlusColumn.State settles its three sketches itself.
-func (plusColumn) Settle() {}
-
 // admit refuses sample reports after the advance and group reports
 // before it. The caller holds opMu, so the answer still holds when the
 // batch reaches the WAL.

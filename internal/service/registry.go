@@ -39,9 +39,11 @@ func (r *finishedRegistry) get(name string) (*finishedColumn, bool) {
 }
 
 // seed adds a finalized column by mutating the current map in place.
-// It is only for single-threaded startup recovery, before the server is
-// shared with any reader: skipping the copy-and-swap keeps recovering N
-// finalized columns O(N) instead of O(N²) map-entry copies.
+// It is only for startup recovery, before the server is shared with any
+// lock-free reader: skipping the copy-and-swap keeps recovering N
+// finalized columns O(N) instead of O(N²) map-entry copies. Recovery
+// replays columns concurrently, so callers hold the server's lifecycle
+// mutex, which also orders seed against register's lookups.
 func (r *finishedRegistry) seed(name string, col *finishedColumn) {
 	(*r.p.Load())[name] = col
 }

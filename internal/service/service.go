@@ -33,12 +33,12 @@
 // (attr, attr+1). Two columns are chain-composable exactly when their
 // slots are adjacent, which is what the join planner checks.
 //
-// Ingestion runs on the sharded streaming engine (internal/ingest):
-// each request body is decoded in full (bounded by MaxStreamReports, so
-// a malformed or oversized stream is rejected atomically), then fed
-// through the engine's bounded queue — blocking the handler when the
-// fold workers fall behind, which is the server's backpressure — and
-// folded into per-shard aggregators that merge exactly on finalize.
+// Ingestion folds inline (internal/ingest): each request body is
+// decoded in full (bounded by MaxStreamReports, so a malformed or
+// oversized stream is rejected atomically), WAL-appended, and folded
+// into the column's one aggregator by the request's own goroutine
+// before it is acknowledged. A fold is a few nanoseconds a report;
+// requests to distinct columns fold concurrently.
 //
 // Queries: GET /v1/join?left=A&right=B answers a pairwise estimate (and
 // with left == right the column's self-join size F2, from the
@@ -66,11 +66,12 @@
 // merge is appended to a per-column write-ahead log (internal/store)
 // and fsynced before the request is acknowledged, finalize persists the
 // finalized SNAP and retires the column's log, and Shutdown checkpoints
-// collecting columns after draining the engine. A restarted server
-// replays the store through the ingestion engine, so collecting columns
-// resume and finalized sketches reappear — and because aggregation
-// cells are exact integers for both kinds, a recovered column finalizes
-// to a sketch byte-identical to an uninterrupted run. Losing collecting
+// collecting columns. A restarted server replays the store through the
+// same operations live traffic runs, distinct columns concurrently, so
+// collecting columns resume and finalized sketches reappear — and
+// because aggregation cells are exact integers for every kind, a
+// recovered column finalizes to a sketch byte-identical to an
+// uninterrupted run. Losing collecting
 // state would mean re-collecting reports, which re-spends each user's
 // privacy budget: durability is a privacy property, not just an ops
 // one.
@@ -127,7 +128,7 @@ import (
 // DefaultMaxStreamReports caps how many reports a single POST body may
 // carry unless Options overrides it (4Mi reports ≈ 28 MiB of wire). The
 // cap also bounds per-request memory: a request is decoded in full
-// before it reaches the engine, so the rejection of a malformed stream
+// before anything is folded, so the rejection of a malformed stream
 // stays atomic.
 const DefaultMaxStreamReports = 1 << 22
 
@@ -144,8 +145,6 @@ const DefaultQueryCacheEntries = 4096
 
 // Options tunes the server. The zero value selects defaults.
 type Options struct {
-	// Ingest configures the sharded ingestion engine.
-	Ingest ingest.Options
 	// MaxStreamReports caps the reports accepted per request body: 0
 	// selects DefaultMaxStreamReports. The cap is also the per-request
 	// memory bound — each request buffers its decoded reports until the
@@ -224,7 +223,8 @@ func (c *finishedColumn) snapshot() protocol.ColumnSnapshot {
 func lostToFinalize(err error) bool { return errors.Is(err, ingest.ErrFinalized) }
 
 // Server aggregates LDP reports into named columns. It is safe for
-// concurrent use; Close releases the engine workers.
+// concurrent use; Close checkpoints a durable server's collecting
+// columns and releases its store.
 //
 // The read path is lock-free: finalized columns live in a copy-on-write
 // registry (immutable sketches make a pointer load a complete lookup),
@@ -242,7 +242,7 @@ type Server struct {
 	// seed, both phase-2 group sketches under the shared group seed.
 	famPlusSample *hashing.Family
 	famPlusGroup  *hashing.Family
-	engine        *ingest.Engine
+	engine        *ingest.Engine // the column factory
 	maxStream     int
 	st            *store.Store        // nil when DataDir is unset
 	recovered     store.RecoveryStats // what startup replay rebuilt; read-only after New
@@ -279,8 +279,8 @@ func New(p core.Params, seed int64) (*Server, error) {
 
 // NewWithOptions creates a server for the given protocol parameters,
 // public hash seed, and tuning options. With Options.DataDir set it
-// opens the column store and replays its state through the ingestion
-// engine before returning: collecting columns resume where the last
+// opens the column store and replays its state through the column
+// operations before returning: collecting columns resume where the last
 // acknowledged request left them, finalized sketches are queryable
 // immediately.
 func NewWithOptions(p core.Params, seed int64, o Options) (*Server, error) {
@@ -322,7 +322,7 @@ func NewWithOptions(p core.Params, seed int64, o Options) (*Server, error) {
 		fams:          fams,
 		famPlusSample: hashing.NewFamily(core.PlusSampleSeed(seed), p.K, p.M),
 		famPlusGroup:  hashing.NewFamily(core.PlusGroupSeed(seed), p.K, p.M),
-		engine:        ingest.NewEngine(p, fams[0], o.Ingest),
+		engine:        ingest.NewEngine(p, fams[0], ingest.Options{}),
 		maxStream:     maxStream,
 		pending:       make(map[string]*pendingColumn),
 		cache:         newQueryCache(cacheCap),
@@ -334,14 +334,12 @@ func NewWithOptions(p core.Params, seed int64, o Options) (*Server, error) {
 	if o.DataDir != "" {
 		st, err := store.Open(o.DataDir, p, seed, o.Store)
 		if err != nil {
-			s.engine.Close()
 			return nil, fmt.Errorf("service: %w", err)
 		}
 		start := time.Now()
 		rec, err := st.Recover(recoverer{s})
 		if err != nil {
 			st.Close()
-			s.engine.Close()
 			return nil, fmt.Errorf("service: %w", err)
 		}
 		s.st = st
@@ -353,11 +351,11 @@ func NewWithOptions(p core.Params, seed int64, o Options) (*Server, error) {
 	return s, nil
 }
 
-// Shutdown marks the server closed, drains and stops the ingestion
-// engine, and — when the server is durable — checkpoints every
-// collecting column into the store and closes it. The checkpoint runs
-// after the engine drain, so it covers every acknowledged request, and
-// it retires the column's WAL segments: a reopened server restores from
+// Shutdown marks the server closed and — when the server is durable —
+// checkpoints every collecting column into the store and closes it. Each
+// checkpoint drains its column, whose folds are inline, so it covers
+// every acknowledged request, and it retires the column's WAL segments:
+// a reopened server restores from
 // the checkpoint instead of replaying the log. Because columns register
 // in the pending map (under the lock that sets closed) before their
 // first WAL append, the snapshot of that map taken here covers every
@@ -380,11 +378,10 @@ func (s *Server) Shutdown() error {
 		pending[name] = col
 	}
 	s.mu.Unlock()
-	// Stop the background checkpointer before draining the engine: an
-	// in-flight background checkpoint finishes (Stop waits), and after
-	// that nothing contends with the shutdown checkpoints below.
+	// Stop the background checkpointer first: an in-flight background
+	// checkpoint finishes (Stop waits), and after that nothing contends
+	// with the shutdown checkpoints below.
 	s.ckpt.Stop()
-	s.engine.Close()
 	if s.st == nil {
 		return nil
 	}
@@ -414,18 +411,18 @@ func (s *Server) Shutdown() error {
 func (s *Server) Close() { _ = s.Shutdown() }
 
 // CheckpointNow cuts a background checkpoint of one collecting column
-// while the server keeps serving: rotate the column's WAL, settle the
-// engine so the in-memory state covers exactly the rotated-out
-// segments, capture that state, and persist it as ckpt-<seq>.snap —
+// while the server keeps serving: rotate the column's WAL, capture the
+// in-memory state — exactly the fold of the rotated-out segments — and
+// persist it as ckpt-<seq>.snap —
 // after which the store deletes the covered segments, bounding what a
 // recovery must replay. It is the callback the store's background
 // checkpointer runs on its policy triggers, and tests (or an operator
 // hook) may call it directly.
 //
-// The column's walGate is held exclusively from the rotate through the
-// state capture — mutating requests hold it shared across their (WAL
-// append, enqueue) pair, so nothing can be durable-but-uncaptured or
-// captured-but-not-durable at the cut. The gate is released before the
+// The column's opMu is held from the rotate through the state capture —
+// the shape handleSnapshot has. The operations hold it across their
+// (WAL append, fold) pair, so nothing can be durable-but-uncaptured or
+// captured-but-not-durable at the cut. The lock is released before the
 // snapshot encodes and persists: ingest continues during the file
 // write, and bytes appended meanwhile belong to the next checkpoint
 // (the store's cut accounting handles that split).
@@ -445,22 +442,21 @@ func (s *Server) CheckpointNow(name string) error {
 		return nil // finalized (or imported) since the policy scan
 	}
 
-	col.walGate.Lock()
+	col.opMu.Lock()
 	covered, err := s.st.Rotate(name)
 	if err != nil {
-		col.walGate.Unlock()
+		col.opMu.Unlock()
 		if errors.Is(err, store.ErrColumnFinalized) || errors.Is(err, store.ErrClosed) {
 			return nil
 		}
 		return err
 	}
 	if covered == 0 {
-		col.walGate.Unlock()
+		col.opMu.Unlock()
 		return nil
 	}
-	col.state.Settle()
 	snap, err := col.state.capture()
-	col.walGate.Unlock()
+	col.opMu.Unlock()
 	if err != nil {
 		if lostToFinalize(err) {
 			return nil // a concurrent finalize won; final.snap supersedes
@@ -480,9 +476,9 @@ func (s *Server) CheckpointNow(name string) error {
 // no lock, while the lifecycle decisions that matter — register's
 // re-check, Shutdown's pending-map snapshot — read it under the mutex
 // and stay exactly ordered. A request that slips past the check while
-// Close runs still cannot corrupt anything: the engine refuses new work
-// with ErrClosed and a drained column with ErrFinalized, both of which
-// surface as clean refusals.
+// Close runs still cannot corrupt anything: a drained column refuses it
+// with ErrFinalized and a sealed log with store.ErrColumnFinalized, both
+// of which surface as clean refusals.
 func (s *Server) refuseClosed() error {
 	if s.closed.Load() {
 		return errServerClosed
@@ -621,9 +617,9 @@ func (s *Server) handleReports(r *http.Request) (any, error) {
 	name := r.PathValue("name")
 	// Read the stream header first: its kind byte decides which column
 	// kind this request feeds. Then decode the whole stream before
-	// anything reaches the engine — a malformed or oversized stream
-	// rejects the request atomically, so partially-applied garbage never
-	// reaches a sketch.
+	// anything is folded — a malformed or oversized stream rejects the
+	// request atomically, so partially-applied garbage never reaches a
+	// sketch.
 	body := bufio.NewReader(r.Body)
 	h, err := protocol.ReadHeader(body)
 	if err != nil {
@@ -638,8 +634,8 @@ func (s *Server) handleReports(r *http.Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Everything the ack needs of the batch is read now: once enqueued,
-	// the batch belongs to the engine and the pool.
+	// Everything the ack needs of the batch is read now: once folded, the
+	// batch belongs to the pool.
 	ingested, group := batch.count(), batch.group()
 	// Reserve the batch's privacy spend against the tenant's budget
 	// inside register — after its checks, before the name is claimed and
@@ -804,9 +800,9 @@ func (s *Server) handleFinalize(r *http.Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Finalize drains the column's queued folds; do it outside the lock
-	// so ingestion into other columns proceeds meanwhile. A concurrent
-	// finalize of the same column loses with ErrFinalized.
+	// Finalize drains the column and restores its sketch; do it outside
+	// the lock so ingestion into other columns proceeds meanwhile. A
+	// concurrent finalize of the same column loses with ErrFinalized.
 	fin, err := col.state.finalize()
 	if lostToFinalize(err) {
 		return nil, s.columnConflict(codeFinalized, name, "column %q is already finalized", name)
@@ -917,13 +913,12 @@ func (s *Server) handleSnapshot(r *http.Request) (any, error) {
 		// A concurrent finalize can retire the column between the lookup
 		// and the copy; capture then reports ErrFinalized and the client
 		// retries against the finalized sketch.
-		// Settle first, under the operation lock: every mutating request
-		// holds opMu across its enqueue, so nothing adds folds while this
-		// waits, and the export covers exactly the acknowledged requests —
-		// an acked report is in the next pull, and a federated merge of
-		// live pulls is byte-identical to single-node ingestion.
+		// Capture under the operation lock: every mutating request holds
+		// opMu across its WAL append and fold, so the export covers
+		// exactly the acknowledged requests — an acked report is in the
+		// next pull, and a federated merge of live pulls is
+		// byte-identical to single-node ingestion.
 		col.opMu.Lock()
-		col.state.Settle()
 		snap, err := col.state.capture()
 		col.opMu.Unlock()
 		if err == nil {
@@ -1200,7 +1195,6 @@ func (s *Server) handleColumns(*http.Request) (any, error) {
 // a stalled /v1/stats reader can no longer freeze ingestion, finalize,
 // or queries behind a held mutex.
 func (s *Server) handleStats(*http.Request) (any, error) {
-	o := s.engine.Options()
 	// Count both maps in one critical section: registry installs happen
 	// under mu, so the pair cannot disagree — a column mid-finalize is
 	// never counted as both collecting and finalized. The view itself is
@@ -1240,10 +1234,6 @@ func (s *Server) handleStats(*http.Request) (any, error) {
 		},
 		"attributes": len(s.fams),
 		"columns":    columns,
-		"shards":     o.Shards,
-		"workers":    o.Workers,
-		"queue":      o.Queue,
-		"queueDepth": s.engine.QueueDepth(),
 	}
 	if s.tenants != nil {
 		tenants := make(map[string]any)

@@ -44,7 +44,7 @@ func (st *Store) StartCheckpointer(run func(name string) error) *Checkpointer {
 // Stop halts the loop and waits for an in-flight checkpoint to finish.
 // Safe to call on a nil Checkpointer (triggers disabled) and idempotent
 // is not required — the service stops it exactly once, in Shutdown,
-// before draining the engine.
+// before the shutdown checkpoints.
 func (c *Checkpointer) Stop() {
 	if c == nil {
 		return

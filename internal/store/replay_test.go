@@ -18,21 +18,20 @@ import (
 // poolReplayer is a Replayer that holds the store to the reports half of
 // its contract — every call carries one batch of at most
 // DefaultBatchSize reports with the pool's capacity — keeps what it
-// needs of each batch, and recycles it the way a fold worker does.
-// Anything but join reports is an error.
+// needs of each batch, and recycles it the way a column's fold does.
+// Anything but join reports is an error. Its counters share replayLog's
+// mutex, because columns replay concurrently.
 type poolReplayer struct {
 	*replayLog
 	keep  bool // copy every report into replayLog.reports
 	calls int
-	n     int64    // reports delivered
-	order []string // column names in order of first appearance
-	err   error    // the first contract violation
+	n     int64 // reports delivered
+	err   error // the first contract violation
 }
 
 func (p *poolReplayer) RecoverReports(col ColumnInfo, reports []core.Report) error {
-	if len(p.order) == 0 || p.order[len(p.order)-1] != col.Name {
-		p.order = append(p.order, col.Name)
-	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.err == nil && (len(reports) == 0 || len(reports) > protocol.DefaultBatchSize || cap(reports) != protocol.DefaultBatchSize) {
 		p.err = fmt.Errorf("column %s: a reports call carried len %d cap %d, want a pooled batch of 1..%d",
 			col.Name, len(reports), cap(reports), protocol.DefaultBatchSize)
@@ -127,9 +126,10 @@ func TestRecoverHostileLength(t *testing.T) {
 	}
 }
 
-// TestRecoverOrderIsSorted: columns replay in name order, and when two
-// of them are corrupt the error names the first in that order, on every
-// run — not whichever the manifest map happened to yield.
+// TestRecoverOrderIsSorted: columns replay concurrently, each column's
+// records in append order, and when two of them are corrupt the error
+// names the first in name order, on every run — not whichever the
+// manifest map yielded or the scheduler finished first.
 func TestRecoverOrderIsSorted(t *testing.T) {
 	dir := t.TempDir()
 	st := open(t, dir, Options{SegmentBytes: 1, NoSync: true})
@@ -137,25 +137,29 @@ func TestRecoverOrderIsSorted(t *testing.T) {
 		t.Fatal(err)
 	}
 	names := []string{"m", "c", "x", "a", "k", "e", "b", "z", "d", "y"}
+	appended := make(map[string][]core.Report)
 	for round := int64(0); round < 2; round++ { // two segments per column
 		for i, name := range names {
-			if err := st.AppendReports(name, 0, [][]core.Report{testReports(round*100+int64(i), 10)}); err != nil {
+			reports := testReports(round*100+int64(i), 10)
+			if err := st.AppendReports(name, 0, [][]core.Report{reports}); err != nil {
 				t.Fatal(err)
 			}
+			appended[name] = append(appended[name], reports...)
 		}
 	}
 	st.Close()
 
 	for i := 0; i < 4; i++ {
 		st := open(t, dir, Options{NoSync: true})
-		got := &poolReplayer{replayLog: newReplayLog()}
+		got := &poolReplayer{replayLog: newReplayLog(), keep: true}
 		stats, err := st.Recover(got)
 		if err != nil || got.err != nil {
 			t.Fatal(err, got.err)
 		}
-		want := slices.Sorted(slices.Values(names))
-		if !slices.Equal(got.order, want) {
-			t.Fatalf("replay order %v, want %v", got.order, want)
+		for _, name := range names {
+			if !slices.Equal(got.reports[name], appended[name]) {
+				t.Fatalf("run %d: column %s replayed out of append order", i, name)
+			}
 		}
 		if stats.Columns != int64(len(names)) || stats.Reports != int64(20*len(names)) {
 			t.Fatalf("stats = %+v", stats)
@@ -178,15 +182,16 @@ func TestRecoverOrderIsSorted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 8; i++ {
+	// However the columns are scheduled, the error is column "d"'s and
+	// the stats cover exactly the columns named before it.
+	for i := 0; i < 20; i++ {
 		st := open(t, dir, Options{NoSync: true})
-		got := &poolReplayer{replayLog: newReplayLog()}
-		stats, err := st.Recover(got)
+		stats, err := st.Recover(&poolReplayer{replayLog: newReplayLog()})
 		if !errors.Is(err, protocol.ErrBadRecord) || !strings.Contains(err.Error(), `column "d"`) {
 			t.Fatalf("run %d: got %v, want the bad record of column \"d\"", i, err)
 		}
-		if want := []string{"a", "b", "c"}; !slices.Equal(got.order, want) || stats.Columns != 3 {
-			t.Fatalf("run %d: replayed %v (%d columns) before the error, want %v", i, got.order, stats.Columns, want)
+		if stats.Columns != 3 || stats.Reports != 3*20 {
+			t.Fatalf("run %d: stats %+v, want the 3 columns named before \"d\" and their 60 reports", i, stats)
 		}
 		st.Close()
 	}

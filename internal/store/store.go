@@ -42,11 +42,12 @@
 //
 // Recover walks the manifest: finalized columns yield their final
 // snapshot; collecting columns yield the newest checkpoint (if any)
-// followed by every WAL record in segments above it, in order. All
-// payloads are CRC-checked at the framing layer, bounds-checked against
-// the store's parameters, and snapshot payloads are additionally
-// fingerprint-checked — a log written under a different configuration
-// refuses to load rather than poisoning a sketch.
+// followed by every WAL record in segments above it, in order. Distinct
+// columns replay concurrently, each on one goroutine. All payloads are
+// CRC-checked at the framing layer, bounds-checked against the store's
+// parameters, and snapshot payloads are additionally fingerprint-checked
+// — a log written under a different configuration refuses to load
+// rather than poisoning a sketch.
 package store
 
 import (
@@ -60,6 +61,7 @@ import (
 	"time"
 
 	"ldpjoin/internal/core"
+	"ldpjoin/internal/kernel"
 	"ldpjoin/internal/protocol"
 )
 
@@ -201,15 +203,21 @@ type ColumnInfo struct {
 	Attr int
 }
 
-// Replayer receives the recovered state of a store, column by column in
-// name order: for a finalized column exactly one RecoverFinalized call;
-// for a collecting column at most one RecoverCheckpoint call followed by
-// the column's WAL events in append order. Snapshot-carrying calls
-// receive join or matrix snapshots according to col.Kind; report records
-// arrive through RecoverReports or RecoverMatrixReports to match. The
-// aggregation side implements this by folding into the ingestion
-// engine — integer cells make the replayed state exactly what the
-// pre-crash process held.
+// Replayer receives the recovered state of a store, column by column:
+// for a finalized column exactly one RecoverFinalized call; for a
+// collecting column at most one RecoverCheckpoint call followed by the
+// column's WAL events in append order. Snapshot-carrying calls receive
+// join or matrix snapshots according to col.Kind; report records arrive
+// through RecoverReports or RecoverMatrixReports to match. The
+// aggregation side implements this by folding into its ingest columns —
+// integer cells make the replayed state exactly what the pre-crash
+// process held.
+//
+// The per-column contract: all of one column's calls come from one
+// goroutine, in that order, and never overlap one another; calls for
+// distinct columns may run concurrently, in any interleaving. A Replayer
+// must therefore be safe for concurrent use across columns — state kept
+// per column needs no lock, state shared between columns does.
 //
 // A report record is delivered at the live ingest granularity, whatever
 // size it was written at: each reports call carries one batch of at most
@@ -564,10 +572,9 @@ func (st *Store) appendRecord(name string, kind protocol.Kind, attr int, rtype p
 // state — a join or matrix SNAP, or a plus column's composite PSNP with
 // its phase boundary — after which the covered WAL segments are deleted.
 // The snapshot must contain everything ever appended to the column —
-// which is why the service checkpoints only at shutdown, after the
-// ingestion engine has drained. The column accepts no further appends
-// this process lifetime; a reopened store continues it from the
-// checkpoint.
+// which is why the service seals only at shutdown, from the drained
+// column. The column accepts no further appends this process lifetime;
+// a reopened store continues it from the checkpoint.
 func (st *Store) Checkpoint(name string, attr int, snap protocol.ColumnSnapshot) error {
 	if snap.IsFinalized() {
 		return fmt.Errorf("store: checkpoint of %q with a finalized snapshot; use Finalize", name)
@@ -686,7 +693,7 @@ func (st *Store) lookupColumn(name string) (*columnMeta, *columnLog, error) {
 // fresh segment — and the returned seq is the highest segment the
 // checkpoint must cover. The caller must exclude concurrent appends to
 // this column across Rotate and the in-memory state capture that
-// follows (the service's per-column checkpoint gate), so that the
+// follows (the service holds the column's operation lock), so that the
 // captured state equals exactly the fold of segments <= covered.
 // covered == 0 means the column has no durable records yet.
 func (st *Store) Rotate(name string) (covered uint64, err error) {
@@ -744,12 +751,14 @@ func (st *Store) SaveCheckpoint(name string, covered uint64, snap protocol.Colum
 	return nil
 }
 
-// Recover replays the directory's durable state into r, one column at a
-// time in name order — so which column's error surfaces, and the order
-// the Replayer and the logs see, do not depend on map iteration. It must
-// be called exactly once, between Open and the first append; the service
-// calls it before serving, so recovered columns exist before any
-// request can reference them.
+// Recover replays the directory's durable state into r, distinct
+// columns concurrently on kernel.RowApply and each column's events in
+// append order on one goroutine (see Replayer). The result does not
+// depend on the scheduling: the stats are summed in name order up to the
+// first failing column, and the error returned is always that of the
+// lowest-named failing column. It must be called exactly once, between
+// Open and the first append; the service calls it before serving, so
+// recovered columns exist before any request can reference them.
 func (st *Store) Recover(r Replayer) (RecoveryStats, error) {
 	st.mu.Lock()
 	if st.recovered {
@@ -766,12 +775,16 @@ func (st *Store) Recover(r Replayer) (RecoveryStats, error) {
 	st.mu.Unlock()
 	sort.Strings(names)
 
+	cols := make([]RecoveryStats, len(names))
+	errs := make([]error, len(names))
+	kernel.RowApply(len(names), func(i int) {
+		cols[i], errs[i] = st.recoverColumn(names[i], columns[names[i]], r)
+	})
 	var stats RecoveryStats
-	for _, name := range names {
-		col, err := st.recoverColumn(name, columns[name], r)
-		stats.add(col)
-		if err != nil {
-			return stats, fmt.Errorf("store: recovering column %q: %w", name, err)
+	for i, name := range names {
+		stats.add(cols[i])
+		if errs[i] != nil {
+			return stats, fmt.Errorf("store: recovering column %q: %w", name, errs[i])
 		}
 	}
 	return stats, nil
@@ -957,8 +970,8 @@ func (st *Store) decodeSnapshot(meta *columnMeta, data []byte, wantFinal bool) (
 }
 
 // Close releases open segment files. It does not checkpoint — that is
-// the service's shutdown step, because only the service knows when the
-// ingestion engine has drained. Close is idempotent.
+// the service's shutdown step, because only the service holds the
+// column state a checkpoint captures. Close is idempotent.
 func (st *Store) Close() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()

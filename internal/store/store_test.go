@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"ldpjoin/internal/core"
@@ -19,7 +20,10 @@ var testParams = core.Params{K: 5, M: 64, Epsilon: 4}
 const testSeed = 42
 
 // replayLog collects every Replayer callback in order for assertions.
+// Recover replays distinct columns concurrently, so every callback takes
+// mu.
 type replayLog struct {
+	mu            sync.Mutex
 	finalized     map[string]*protocol.Snapshot
 	checkpoints   map[string]*protocol.Snapshot
 	reports       map[string][]core.Report
@@ -56,60 +60,80 @@ func newReplayLog() *replayLog {
 }
 
 func (r *replayLog) RecoverFinalized(col ColumnInfo, snap *protocol.Snapshot) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.infos[col.Name] = col
 	r.finalized[col.Name] = snap
 	return nil
 }
 
 func (r *replayLog) RecoverCheckpoint(col ColumnInfo, snap *protocol.Snapshot) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.infos[col.Name] = col
 	r.checkpoints[col.Name] = snap
 	return nil
 }
 
 func (r *replayLog) RecoverReports(col ColumnInfo, reports []core.Report) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.infos[col.Name] = col
 	r.reports[col.Name] = append(r.reports[col.Name], reports...)
 	return nil
 }
 
 func (r *replayLog) RecoverMatrixReports(col ColumnInfo, reports []core.MatrixReport) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.infos[col.Name] = col
 	r.matrixReports[col.Name] = append(r.matrixReports[col.Name], reports...)
 	return nil
 }
 
 func (r *replayLog) RecoverMerge(col ColumnInfo, snap *protocol.Snapshot) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.infos[col.Name] = col
 	r.merges[col.Name] = append(r.merges[col.Name], snap)
 	return nil
 }
 
 func (r *replayLog) RecoverPlusFinalized(col ColumnInfo, snap *protocol.PlusSnapshot) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.infos[col.Name] = col
 	r.plusFinalized[col.Name] = snap
 	return nil
 }
 
 func (r *replayLog) RecoverPlusCheckpoint(col ColumnInfo, snap *protocol.PlusSnapshot) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.infos[col.Name] = col
 	r.plusEvents[col.Name] = append(r.plusEvents[col.Name], plusEvent{kind: "checkpoint", snap: snap})
 	return nil
 }
 
 func (r *replayLog) RecoverPlusReports(col ColumnInfo, group protocol.PlusGroup, reports []core.Report) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.infos[col.Name] = col
 	r.plusEvents[col.Name] = append(r.plusEvents[col.Name], plusEvent{kind: "reports", group: group, reports: reports})
 	return nil
 }
 
 func (r *replayLog) RecoverPlusAdvance(col ColumnInfo, domain uint64, theta float64, fi []uint64) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.infos[col.Name] = col
 	r.plusEvents[col.Name] = append(r.plusEvents[col.Name], plusEvent{kind: "advance", domain: domain, theta: theta, fi: fi})
 	return nil
 }
 
 func (r *replayLog) RecoverPlusMerge(col ColumnInfo, snap *protocol.PlusSnapshot) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.infos[col.Name] = col
 	r.plusEvents[col.Name] = append(r.plusEvents[col.Name], plusEvent{kind: "merge", snap: snap})
 	return nil

@@ -10,12 +10,13 @@ import (
 )
 
 // LockOrder enforces a single global lock-acquisition order across the
-// service, store, and ingest packages. PR 9 stacked a third locking
-// layer (walGate) on top of mu/opMu and the cache shard locks; the
-// correct order — handlers take opMu, then walGate (shared), then the
-// store/ingest locks, while the checkpointer takes walGate
-// (exclusive) before the same store/ingest locks — is exactly the
-// kind of tribal knowledge a new writer inverts under deadline.
+// service, store, and ingest packages, which layer their locks: the
+// server's lifecycle mutex, each column's operation mutex (opMu) and
+// the cache shard locks on top, the store's log locks and the ingest
+// column locks beneath. The correct order — operations and the
+// checkpointer alike take opMu, then the store/ingest locks; nothing
+// takes opMu under a store or ingest lock — is exactly the kind of
+// tribal knowledge a new writer inverts under deadline.
 //
 // Run records, per function, every lock acquisition with the locks
 // already held and every direct call with the locks held at the call

@@ -14,7 +14,7 @@ const (
 )
 
 // lockState maps a mutex expression (rendered as source text, e.g.
-// "s.mu" or "col.walGate") to the strongest lock kind currently held
+// "s.mu" or "col.opMu") to the strongest lock kind currently held
 // on it along the path being scanned.
 type lockState map[string]lockKind
 

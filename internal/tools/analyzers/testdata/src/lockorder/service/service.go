@@ -7,28 +7,28 @@ package service
 
 import "sync"
 
-// Server mirrors the production locking layers: walGate above mu.
+// Server mirrors the production locking layers: a gate above mu.
 type Server struct {
-	mu      sync.Mutex
-	opMu    sync.Mutex
-	walGate sync.RWMutex
+	mu   sync.Mutex
+	opMu sync.Mutex
+	gate sync.RWMutex
 }
 
-// Checkpoint establishes walGate → mu.
+// Checkpoint establishes gate → mu.
 func (s *Server) Checkpoint() {
-	s.walGate.Lock()
-	defer s.walGate.Unlock()
-	s.mu.Lock() // want `acquiring .*Server\.mu while holding .*Server\.walGate inverts the lock order`
+	s.gate.Lock()
+	defer s.gate.Unlock()
+	s.mu.Lock() // want `acquiring .*Server\.mu while holding .*Server\.gate inverts the lock order`
 	s.mu.Unlock()
 }
 
-// Handle inverts it: mu → walGate. Either order alone is fine; both
+// Handle inverts it: mu → gate. Either order alone is fine; both
 // together are a deadlock waiting for the right interleaving.
 func (s *Server) Handle() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.walGate.RLock() // want `acquiring .*Server\.walGate while holding .*Server\.mu inverts the lock order`
-	s.walGate.RUnlock()
+	s.gate.RLock() // want `acquiring .*Server\.gate while holding .*Server\.mu inverts the lock order`
+	s.gate.RUnlock()
 }
 
 // Ordered1 and Ordered2 agree on opMu → mu; a consistent order draws

@@ -1,5 +1,5 @@
 // Package service exercises poolown on the service write path's shape:
-// the decoded batch set reaches the engine through the reports operation
+// the decoded batch set reaches the column through the reports operation
 // and, inside it, the service package's own per-kind column interface,
 // whose enqueuePooled forwards it to EnqueueAllPooled — so the transfer
 // happens at the interface call for the operation, and at the operation

@@ -217,7 +217,7 @@ func (s *unified) mergeVolatile(blob []byte) error {
 }
 
 // Outside an operation the interface's applies are refused like the
-// engine's own.
+// ingest column's own.
 func (s *unified) handleMergeDirect(blob []byte) error {
 	return s.col.merge(blob) // want `ingest s\.col\.merge outside the column operations`
 }
@@ -228,7 +228,7 @@ func (s *unified) handleStatus() int {
 }
 
 // joinColumn is a per-kind implementation behind the interface: its
-// apply methods forward to the engine, which is what their names
+// apply methods forward to the ingest column, which is what their names
 // promise, so they are exempt from the inverse rule.
 type joinColumn struct{ *ingest.Column }
 

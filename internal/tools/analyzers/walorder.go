@@ -12,15 +12,15 @@ import (
 //	//ldpjoin:operation
 const operationDirective = "//ldpjoin:operation"
 
-// WALOrder enforces the PR 7 walGate contract in the service layer: a
+// WALOrder enforces the write-ahead contract in the service layer: a
 // column's state may only change after the corresponding WAL append has
 // succeeded. The order is decided in the column operations (reports,
 // advance, merge — the //ldpjoin:operation functions the live handlers
 // and WAL replay both run), so in packages with a "service" path
 // segment the analyzer holds two rules:
 //
-//   - Inside an operation, every call that applies state to the ingest
-//     engine (EnqueueAllPooled, Advance, MergeAggregator, MergePlus on an
+//   - Inside an operation, every call that applies state to an ingest
+//     column (EnqueueAllPooled, Advance, MergeAggregator, MergePlus on an
 //     ingest-package column) must be dominated — reached on every
 //     control-flow path — by a store WAL append (AppendReports,
 //     AppendMatrixReports, AppendPlusReports, AppendPlusAdvance,
@@ -273,7 +273,7 @@ func (w *walOrderScan) checkExprs(n ast.Node, appended bool) {
 			return true
 		}
 		if name := w.applyCall(call); name != "" {
-			w.pass.Reportf(call.Pos(), "ingest %s is not dominated by a store WAL append on every path; the walGate contract is append, then apply, then ack", name)
+			w.pass.Reportf(call.Pos(), "ingest %s is not dominated by a store WAL append on every path; the write-ahead contract is append, then apply, then ack", name)
 		}
 		return true
 	})
