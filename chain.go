@@ -67,16 +67,20 @@ type MatrixSketch struct {
 // N returns the number of tuples summarized.
 func (m *MatrixSketch) N() float64 { return m.ms.N() }
 
-// Merge adds other's cells into m: the middle-table counterpart of
-// Sketch.Merge, with the same linearity (unbiased union summary) and
-// the same caveat (floating-point, so not bit-identical to merging
-// before finalization). Both sketches must come from the same chain
-// protocol position — equal matrix parameters and attribute families.
+// Merge adds other's report counts into m: the middle-table
+// counterpart of Sketch.Merge. A finalized matrix sketch is its integer
+// counts, so the merge is exact — identical to a sketch built over both
+// tables' tuples. Both sketches must come from the same chain protocol
+// position — equal matrix parameters and attribute families — and hold
+// at most 2³¹−1 tuples together.
 func (m *MatrixSketch) Merge(other *MatrixSketch) error {
 	if !m.ms.Compatible(other.ms) {
 		return fmt.Errorf("ldpjoin: matrix sketches are not combinable (params %+v/seeds %d,%d vs params %+v/seeds %d,%d)",
 			m.ms.Params(), m.ms.FamilyA().Seed(), m.ms.FamilyB().Seed(),
 			other.ms.Params(), other.ms.FamilyA().Seed(), other.ms.FamilyB().Seed())
+	}
+	if m.ms.N()+other.ms.N() > core.MaxMatrixReports {
+		return fmt.Errorf("ldpjoin: merged matrix sketch would summarize %v tuples, beyond its %d-tuple limit", m.ms.N()+other.ms.N(), core.MaxMatrixReports)
 	}
 	m.ms.Merge(other.ms)
 	return nil
@@ -106,7 +110,7 @@ func (cp *ChainProtocol) ImportMatrixSnapshot(leftAttr int, data []byte) (*Matri
 	if !snap.Finalized {
 		return nil, fmt.Errorf("ldpjoin: matrix snapshot is unfinalized")
 	}
-	ms, err := core.RestoreMatrixSketch(cp.midP, famA, famB, snap.Cells, snap.N)
+	ms, err := core.RestoreMatrixSketch(cp.midP, famA, famB, snap.Runs, snap.N)
 	if err != nil {
 		return nil, fmt.Errorf("ldpjoin: %w", err)
 	}

@@ -81,19 +81,29 @@ func TestAddBatchEveryY(t *testing.T) {
 			}
 		}
 	}
-	ma := NewMatrixAggregator(mp, fam, hashing.NewFamily(2, mp.K, mp.M2))
-	wantMats := make([][]float64, mp.K)
-	for j := range wantMats {
-		wantMats[j] = make([]float64, mp.M1*mp.M2)
-		for i := range wantMats[j] {
-			ma.mats[j][i] = float64(100*j + i)
-			wantMats[j][i] = float64(100*j + i)
+	// Distinct starting counts, as above: a restored aggregator holding
+	// 100·j+i+1 at cell i of replica j.
+	cells := mp.M1 * mp.M2
+	start := make([][]MatrixEntry, mp.K)
+	wantMats := make([][]int64, mp.K)
+	var n0 float64
+	for j := range start {
+		wantMats[j] = make([]int64, cells)
+		for i := 0; i < cells; i++ {
+			c := int32(100*j + i + 1)
+			start[j] = append(start[j], MatrixEntry{Cell: uint32(i), Count: c})
+			wantMats[j][i] = int64(c)
+			n0 += float64(c)
 		}
 	}
-	wantN, wantErr = 0, ""
+	ma, err := RestoreMatrixAggregator(mp, fam, hashing.NewFamily(2, mp.K, mp.M2), start, n0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantN, wantErr = n0, ""
 	for _, r := range tuples {
 		if int(r.Row) < mp.K && int(r.L1) < mp.M1 && int(r.L2) < mp.M2 && (r.Y == 1 || r.Y == -1) {
-			wantMats[r.Row][int(r.L1)*mp.M2+int(r.L2)] += float64(r.Y)
+			wantMats[r.Row][int(r.L1)*mp.M2+int(r.L2)] += int64(r.Y)
 			wantN++
 		} else if wantErr == "" {
 			wantErr = fmt.Sprintf("core: matrix report (y=%d, row=%d, l1=%d, l2=%d) out of sketch bounds (%d, %d, %d)",
@@ -107,10 +117,14 @@ func TestAddBatchEveryY(t *testing.T) {
 	if ma.N() != wantN {
 		t.Fatalf("matrix: N = %g after %d reports, want %g", ma.N(), len(tuples), wantN)
 	}
-	for j := range wantMats {
-		for i := range wantMats[j] {
-			if ma.mats[j][i] != wantMats[j][i] {
-				t.Fatalf("matrix: cell [%d, %d] = %g, want %g", j, i, ma.mats[j][i], wantMats[j][i])
+	for j, run := range ma.Runs() {
+		got := make([]int64, cells)
+		for _, e := range run {
+			got[e.Cell] = int64(e.Count)
+		}
+		for i := range got {
+			if got[i] != wantMats[j][i] {
+				t.Fatalf("matrix: cell [%d, %d] = %d, want %d", j, i, got[i], wantMats[j][i])
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"ldpjoin/internal/hashing"
@@ -102,4 +103,81 @@ func BenchmarkAggregatorAddBatch(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/4096, "ns/report")
+}
+
+// benchTupleCounts are the matrix column sizes the chain benchmarks run
+// at: bench/'s 2·10⁴ tuples, and the two sizes either side of where a
+// K=18, M=1024 column stops being sparse (18.9 M cells).
+var benchTupleCounts = []int{20_000, 1_000_000, 10_000_000}
+
+// randomMatrixBatch fills batch with uniformly random tuple reports —
+// the distribution PerturbTuple's (j, l1, l2, y) has, without hashing.
+func randomMatrixBatch(batch []MatrixReport, p MatrixParams, rng *rand.Rand) {
+	for i := range batch {
+		batch[i] = MatrixReport{Y: int8(2*rng.Intn(2) - 1), Row: uint32(rng.Intn(p.K)), L1: uint32(rng.Intn(p.M1)), L2: uint32(rng.Intn(p.M2))}
+	}
+}
+
+// benchMatrixSketch folds n random reports into a bench-shape (K=18,
+// M=1024) matrix aggregator, 4,096 at a time, and finalizes it; it
+// reports the finalized state's size in MB.
+func benchMatrixSketch(b *testing.B, n int, timed bool) *MatrixSketch {
+	p := MatrixParams{K: 18, M1: 1024, M2: 1024, Epsilon: 4}
+	ma := NewMatrixAggregator(p, hashing.NewFamily(1, p.K, p.M1), hashing.NewFamily(2, p.K, p.M2))
+	rng := rand.New(rand.NewSource(int64(n)))
+	batch := make([]MatrixReport, 4096)
+	for off := 0; off < n; off += len(batch) {
+		batch = batch[:min(len(batch), n-off)]
+		if timed {
+			b.StopTimer()
+		}
+		randomMatrixBatch(batch, p, rng)
+		if timed {
+			b.StartTimer()
+		}
+		if err := ma.AddBatch(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ms := ma.Finalize()
+	entries := 0
+	for _, run := range ms.Runs() {
+		entries += len(run)
+	}
+	b.ReportMetric(float64(8*entries)/1e6, "state-MB")
+	return ms
+}
+
+// BenchmarkMatrixAddBatch is the fold of a whole matrix column, sort and
+// merge of the tails included: ns/report to fold n reports and finalize.
+func BenchmarkMatrixAddBatch(b *testing.B) {
+	for _, n := range benchTupleCounts {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				benchMatrixSketch(b, n, true)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/report")
+		})
+	}
+}
+
+// BenchmarkChainEstimate is a cold 3-way chain estimate at the bench
+// shape through a middle of n tuples: two end-row FWHTs and one sparse
+// vector–count product per replica, O(nnz) where the dense product was
+// O(K·M²) whatever n.
+func BenchmarkChainEstimate(b *testing.B) {
+	ep := Params{K: 18, M: 1024, Epsilon: 4}
+	rng := rand.New(rand.NewSource(5))
+	left := filledEnd(ep, hashing.NewFamily(1, ep.K, ep.M), 20_000, 1<<16, rng)
+	right := filledEnd(ep, hashing.NewFamily(2, ep.K, ep.M), 20_000, 1<<16, rng)
+	for _, n := range benchTupleCounts {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			mids := []*MatrixSketch{benchMatrixSketch(b, n, false)}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSinkFloat = ChainEstimate(left, mids, right)
+			}
+		})
+	}
 }

@@ -60,49 +60,6 @@ func TestFinalizeBitExactVsReference(t *testing.T) {
 	}
 }
 
-// TestMatrixFinalizeBitExactVsReference: same contract for the 2-dim
-// restore H^T·M·H^T — fused row scaling and the column gather/scatter
-// must match scale-then-transform-rows-then-columns exactly.
-func TestMatrixFinalizeBitExactVsReference(t *testing.T) {
-	p := MatrixParams{K: 5, M1: 32, M2: 64, Epsilon: 2}
-	famA := hashing.NewFamily(3, p.K, p.M1)
-	famB := hashing.NewFamily(4, p.K, p.M2)
-	ma := NewMatrixAggregator(p, famA, famB)
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 4096; i++ {
-		ma.Add(PerturbTuple(uint64(rng.Intn(500)), uint64(rng.Intn(500)), p, famA, famB, rng))
-	}
-
-	ref := make([][]float64, p.K)
-	for j, mat := range ma.mats {
-		ref[j] = append([]float64(nil), mat...)
-		for i := range ref[j] {
-			ref[j][i] *= ma.scale
-		}
-		for x := 0; x < p.M1; x++ {
-			hadamard.Transform(ref[j][x*p.M2 : (x+1)*p.M2])
-		}
-		col := make([]float64, p.M1)
-		for y := 0; y < p.M2; y++ {
-			for x := 0; x < p.M1; x++ {
-				col[x] = ref[j][x*p.M2+y]
-			}
-			hadamard.Transform(col)
-			for x := 0; x < p.M1; x++ {
-				ref[j][x*p.M2+y] = col[x]
-			}
-		}
-	}
-	ms := ma.Finalize()
-	for j := range ref {
-		for i := range ref[j] {
-			if ms.mats[j][i] != ref[j][i] {
-				t.Fatalf("replica %d cell %d = %v, reference %v", j, i, ms.mats[j][i], ref[j][i])
-			}
-		}
-	}
-}
-
 // TestFrequentItemsShardedMatchesSerial: the sharded scan must return
 // exactly the serial scan's list — same values, same (ascending)
 // order — for both estimators. The WAL-replayed advance proposal

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 
 	"ldpjoin/internal/hadamard"
 	"ldpjoin/internal/hashing"
@@ -38,6 +41,9 @@ func (p MatrixParams) Validate() error {
 	if !hadamard.IsPowerOfTwo(p.M1) || !hadamard.IsPowerOfTwo(p.M2) {
 		return fmt.Errorf("core: matrix sketch dims must be powers of two, got %dx%d", p.M1, p.M2)
 	}
+	if uint64(p.M1)*uint64(p.M2) > 1<<32 {
+		return fmt.Errorf("core: a %dx%d matrix has more cells than a uint32 cell index can name", p.M1, p.M2)
+	}
 	if !(p.Epsilon > 0) {
 		return fmt.Errorf("core: privacy budget epsilon must be positive, got %v", p.Epsilon)
 	}
@@ -65,16 +71,43 @@ func PerturbTuple(a, b uint64, p MatrixParams, famA, famB *hashing.Family, rng *
 	return MatrixReport{Y: bit * int8(w), Row: uint32(j), L1: uint32(l1), L2: uint32(l2)}
 }
 
-// MatrixAggregator is the server side for a middle table: it accumulates
-// k·c_ε·y at [j, l1, l2] and restores each replica with the 2-dim
-// Hadamard transform M̃ = H^T·M·H^T.
+// MatrixEntry is one non-zero cell of a replica's report counts Y:
+// Cell = l1·M2 + l2, and Count is the sum of the signs of the reports
+// that sampled it.
+type MatrixEntry struct {
+	Cell  uint32
+	Count int32
+}
+
+// MaxMatrixReports is the most reports one matrix aggregator or sketch
+// holds: a count is an int32, and no count exceeds n in magnitude, so up
+// to here every count is exact.
+const MaxMatrixReports = math.MaxInt32
+
+// minTail is the tail length below which a replica never compacts: a
+// short tail costs less to keep than to merge.
+const minTail = 1 << 12
+
+// MatrixAggregator is the server side for a middle table. Each report
+// adds its sign to one cell of one replica's count matrix Y_j, and the
+// counts are the whole state: a chain or cycle estimate reads them in
+// the report domain (see ChainEstimate), so nothing is ever restored out
+// of the double Hadamard domain and the K·M1·M2 matrix is never built.
+//
+// The reports sample (l1, l2) uniformly, so n reports touch at most n
+// cells. Replica j holds a sorted run of its non-zero cells plus an
+// unsorted tail that AddBatch appends to; the tail is sorted and merged
+// into the run when it outgrows the run, at Finalize, and whenever the
+// runs are read. An entry is 8 bytes, the size of a dense float64 cell,
+// so a column is never larger than the dense matrix would be except for
+// its tail.
 type MatrixAggregator struct {
 	params MatrixParams
 	famA   *hashing.Family
 	famB   *hashing.Family
-	scale  float64
-	mats   [][]float64 // K matrices, M1×M2 row-major
-	n      float64
+	runs   [][]MatrixEntry // per replica: cells strictly increasing, counts non-zero
+	tails  [][]MatrixEntry // per replica: ±1 entries not yet merged into the run
+	n      int64
 	done   bool
 }
 
@@ -85,39 +118,38 @@ func NewMatrixAggregator(p MatrixParams, famA, famB *hashing.Family) *MatrixAggr
 	if famA.K() != p.K || famB.K() != p.K || famA.M() != p.M1 || famB.M() != p.M2 {
 		panic("core: matrix families do not match params")
 	}
-	mats := make([][]float64, p.K)
-	for j := range mats {
-		mats[j] = make([]float64, p.M1*p.M2)
-	}
 	return &MatrixAggregator{
 		params: p,
 		famA:   famA,
 		famB:   famB,
-		scale:  float64(p.K) * ldp.CEpsilon(p.Epsilon),
-		mats:   mats,
+		runs:   make([][]MatrixEntry, p.K),
+		tails:  make([][]MatrixEntry, p.K),
 	}
 }
 
-// Add ingests one tuple report (the constant debias scale is applied at
-// Finalize, keeping cell contents integral so merges would be exact).
+// Add ingests one tuple report. It panics on a report AddBatch would
+// refuse.
 func (ma *MatrixAggregator) Add(r MatrixReport) {
-	if ma.done {
-		panic("core: MatrixAggregator.Add after Finalize")
+	if err := ma.AddBatch([]MatrixReport{r}); err != nil {
+		panic(err)
 	}
-	ma.mats[r.Row][int(r.L1)*ma.params.M2+int(r.L2)] += float64(r.Y)
-	ma.n++
 }
 
 // AddBatch ingests a batch of wire-decoded tuple reports with the same
 // skip-and-report bounds check, and the same branch-free treatment of
-// the sign, as Aggregator.AddBatch.
+// the sign, as Aggregator.AddBatch. A batch that would take the
+// aggregator past MaxMatrixReports is refused whole.
 //
 //ldpjoin:hotpath
 func (ma *MatrixAggregator) AddBatch(reports []MatrixReport) error {
 	if ma.done {
 		panic("core: MatrixAggregator.AddBatch after Finalize")
 	}
+	if int64(len(reports)) > MaxMatrixReports-ma.n {
+		return ma.fullError(len(reports))
+	}
 	p := ma.params
+	m2 := uint32(p.M2)
 	var err error
 	skipped := 0
 	for _, r := range reports {
@@ -128,9 +160,12 @@ func (ma *MatrixAggregator) AddBatch(reports []MatrixReport) error {
 			skipped++
 			continue
 		}
-		ma.mats[r.Row][int(r.L1)*p.M2+int(r.L2)] += float64(r.Y)
+		ma.tails[r.Row] = append(ma.tails[r.Row], MatrixEntry{Cell: r.L1*m2 + r.L2, Count: int32(r.Y)})
+		if t := len(ma.tails[r.Row]); t > minTail && t > len(ma.runs[r.Row]) {
+			ma.compact(int(r.Row))
+		}
 	}
-	ma.n += float64(len(reports) - skipped)
+	ma.n += int64(len(reports) - skipped)
 	return err
 }
 
@@ -141,26 +176,81 @@ func (ma *MatrixAggregator) boundsError(r MatrixReport) error {
 		r.Y, r.Row, r.L1, r.L2, p.K, p.M1, p.M2)
 }
 
+// fullError is the error of a batch AddBatch refused for the count limit.
+func (ma *MatrixAggregator) fullError(batch int) error {
+	return fmt.Errorf("core: %d more reports would take a matrix aggregator holding %d past its %d-report limit",
+		batch, ma.n, MaxMatrixReports)
+}
+
+// compact sorts replica j's tail and merges it into the run.
+func (ma *MatrixAggregator) compact(j int) {
+	tail := ma.tails[j]
+	if len(tail) == 0 {
+		return
+	}
+	slices.SortFunc(tail, func(a, b MatrixEntry) int { return cmp.Compare(a.Cell, b.Cell) })
+	ma.runs[j] = mergeRuns(ma.runs[j], tail)
+	ma.tails[j] = tail[:0]
+}
+
+// compactAll compacts every replica, in parallel: each touches only its
+// own run and tail.
+func (ma *MatrixAggregator) compactAll() {
+	kernel.RowApply(ma.params.K, ma.compact)
+}
+
+// mergeRuns returns a new canonical run — cells strictly increasing, no
+// zero count — holding the cell-wise sum of a canonical run and a run
+// sorted by cell that may repeat cells and hold any counts. The result
+// is copied to its own size when merging left much of the worst-case
+// capacity unused, so a run costs about 8 bytes per non-zero cell.
+func mergeRuns(a, b []MatrixEntry) []MatrixEntry {
+	out := make([]MatrixEntry, 0, len(a)+len(b))
+	i, k := 0, 0
+	for i < len(a) || k < len(b) {
+		var e MatrixEntry
+		if k == len(b) || (i < len(a) && a[i].Cell < b[k].Cell) {
+			e, i = a[i], i+1
+		} else {
+			e, k = b[k], k+1
+		}
+		if last := len(out) - 1; last >= 0 && out[last].Cell == e.Cell {
+			out[last].Count += e.Count
+		} else {
+			out = append(out, e)
+		}
+	}
+	out = slices.DeleteFunc(out, func(e MatrixEntry) bool { return e.Count == 0 })
+	if cap(out)-len(out) > len(out)/8 {
+		out = append(make([]MatrixEntry, 0, len(out)), out...)
+	}
+	return out
+}
+
 // Merge folds other (not yet finalized, same parameters and families)
-// into ma. Like Aggregator.Merge it is exact: unfinalized cells hold
-// integers, so merging is order-independent and loses nothing.
+// into ma. It is exact: counts are integers, so merging is
+// order-independent and loses nothing. The two must hold at most
+// MaxMatrixReports reports together.
 func (ma *MatrixAggregator) Merge(other *MatrixAggregator) {
 	if ma.done || other.done {
 		panic("core: MatrixAggregator.Merge after Finalize")
 	}
-	if ma.params != other.params || !sameFamily(ma.famA, other.famA) || !sameFamily(ma.famB, other.famB) {
+	if !ma.Compatible(other) {
 		panic("core: MatrixAggregator.Merge across params or hash families")
 	}
-	for j := range ma.mats {
-		for i, v := range other.mats[j] {
-			ma.mats[j][i] += v
-		}
+	if other.n > MaxMatrixReports-ma.n {
+		panic("core: MatrixAggregator.Merge past MaxMatrixReports")
+	}
+	ma.compactAll()
+	other.compactAll()
+	for j := range ma.runs {
+		ma.runs[j] = mergeRuns(ma.runs[j], other.runs[j])
 	}
 	ma.n += other.n
 }
 
 // N returns the number of tuples ingested so far.
-func (ma *MatrixAggregator) N() float64 { return ma.n }
+func (ma *MatrixAggregator) N() float64 { return float64(ma.n) }
 
 // Params returns the matrix parameters the aggregator folds under.
 func (ma *MatrixAggregator) Params() MatrixParams { return ma.params }
@@ -174,11 +264,13 @@ func (ma *MatrixAggregator) FamilyB() *hashing.Family { return ma.famB }
 // Done reports whether the aggregator has been finalized.
 func (ma *MatrixAggregator) Done() bool { return ma.done }
 
-// Mats returns the raw unfinalized accumulation state — K row-major
-// M1×M2 matrices of exact integer sums — without copying. Like
-// Aggregator.Rows it exists for the snapshot codec; the caller must not
-// mutate it and must be quiescent while exporting.
-func (ma *MatrixAggregator) Mats() [][]float64 { return ma.mats }
+// Runs compacts every replica and returns the K canonical runs without
+// copying. Like Aggregator.Rows it exists for the snapshot codec; the
+// caller must not mutate them and must be quiescent while exporting.
+func (ma *MatrixAggregator) Runs() [][]MatrixEntry {
+	ma.compactAll()
+	return ma.runs
+}
 
 // Compatible reports whether other accumulates under equal parameters
 // and interchangeable attribute families — the precondition for Merge.
@@ -186,57 +278,82 @@ func (ma *MatrixAggregator) Compatible(other *MatrixAggregator) bool {
 	return ma.params == other.params && sameFamily(ma.famA, other.famA) && sameFamily(ma.famB, other.famB)
 }
 
+// CheckMatrixRuns returns nil when (runs, n) is state some stream of n
+// reports could have folded into under p: K replicas; in each, cells
+// inside the matrix and strictly increasing, and no zero count; n a
+// whole number of reports no larger than MaxMatrixReports; and, since
+// every report adds ±1 to exactly one cell, Σ|count| ≤ n and
+// Σcount ≡ n (mod 2). Finalized and unfinalized state are both counts,
+// so one check serves both.
+func CheckMatrixRuns(p MatrixParams, runs [][]MatrixEntry, n float64) error {
+	if !(n >= 0 && n <= MaxMatrixReports && n == math.Trunc(n)) {
+		return fmt.Errorf("core: matrix report count %v is not a whole number in [0, %d]", n, MaxMatrixReports)
+	}
+	if len(runs) != p.K {
+		return fmt.Errorf("core: %d replicas for a depth-%d matrix sketch", len(runs), p.K)
+	}
+	cells := uint64(p.M1) * uint64(p.M2)
+	var abs, sum int64
+	for j, run := range runs {
+		for i, e := range run {
+			if uint64(e.Cell) >= cells {
+				return fmt.Errorf("core: replica %d entry %d: cell %d outside the %dx%d matrix", j, i, e.Cell, p.M1, p.M2)
+			}
+			if i > 0 && e.Cell <= run[i-1].Cell {
+				return fmt.Errorf("core: replica %d entry %d: cell %d does not follow cell %d", j, i, e.Cell, run[i-1].Cell)
+			}
+			if e.Count == 0 {
+				return fmt.Errorf("core: replica %d entry %d: zero count for cell %d", j, i, e.Cell)
+			}
+			c := int64(e.Count)
+			sum += c
+			abs += max(c, -c)
+			if abs > int64(n) {
+				return fmt.Errorf("core: counts sum to more than the %v reports in magnitude", n)
+			}
+		}
+	}
+	if (sum-int64(n))%2 != 0 {
+		return fmt.Errorf("core: counts sum to %d, which %v reports of ±1 cannot (the parity differs)", sum, n)
+	}
+	return nil
+}
+
 // restoreMatrixState validates exported matrix state before either
 // restore constructor will build an object from it.
-func restoreMatrixState(p MatrixParams, famA, famB *hashing.Family, mats [][]float64, n float64) error {
+func restoreMatrixState(p MatrixParams, famA, famB *hashing.Family, runs [][]MatrixEntry, n float64) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
 	if famA == nil || famB == nil || famA.K() != p.K || famB.K() != p.K || famA.M() != p.M1 || famB.M() != p.M2 {
 		return fmt.Errorf("core: matrix families do not match params (k=%d, m1=%d, m2=%d)", p.K, p.M1, p.M2)
 	}
-	if len(mats) != p.K {
-		return fmt.Errorf("core: restoring %d replicas into a depth-%d matrix sketch", len(mats), p.K)
-	}
-	for j, mat := range mats {
-		if len(mat) != p.M1*p.M2 {
-			return fmt.Errorf("core: restored replica %d has %d cells, want %d", j, len(mat), p.M1*p.M2)
-		}
-		for i, v := range mat {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("core: restored matrix cell [%d, %d] is not finite", j, i)
-			}
-		}
-	}
-	if n < 0 || n > maxExactCount || math.IsNaN(n) {
-		return fmt.Errorf("core: invalid restored tuple count %v", n)
-	}
-	return nil
+	return CheckMatrixRuns(p, runs, n)
 }
 
 // RestoreMatrixAggregator rebuilds an unfinalized matrix aggregator from
-// exported state, taking ownership of mats.
-func RestoreMatrixAggregator(p MatrixParams, famA, famB *hashing.Family, mats [][]float64, n float64) (*MatrixAggregator, error) {
-	if err := restoreMatrixState(p, famA, famB, mats, n); err != nil {
+// exported state, taking ownership of runs.
+func RestoreMatrixAggregator(p MatrixParams, famA, famB *hashing.Family, runs [][]MatrixEntry, n float64) (*MatrixAggregator, error) {
+	if err := restoreMatrixState(p, famA, famB, runs, n); err != nil {
 		return nil, err
 	}
 	return &MatrixAggregator{
 		params: p,
 		famA:   famA,
 		famB:   famB,
-		scale:  float64(p.K) * ldp.CEpsilon(p.Epsilon),
-		mats:   mats,
-		n:      n,
+		runs:   runs,
+		tails:  make([][]MatrixEntry, p.K),
+		n:      int64(n),
 	}, nil
 }
 
 // RestoreMatrixSketch rebuilds a finalized matrix sketch from exported
-// state, taking ownership of mats.
-func RestoreMatrixSketch(p MatrixParams, famA, famB *hashing.Family, mats [][]float64, n float64) (*MatrixSketch, error) {
-	if err := restoreMatrixState(p, famA, famB, mats, n); err != nil {
+// state, taking ownership of runs.
+func RestoreMatrixSketch(p MatrixParams, famA, famB *hashing.Family, runs [][]MatrixEntry, n float64) (*MatrixSketch, error) {
+	if err := restoreMatrixState(p, famA, famB, runs, n); err != nil {
 		return nil, err
 	}
-	return &MatrixSketch{params: p, famA: famA, famB: famB, mats: mats, n: n}, nil
+	return newMatrixSketch(p, famA, famB, runs, int64(n)), nil
 }
 
 // CollectTable simulates the protocol for a whole two-column table.
@@ -249,62 +366,51 @@ func (ma *MatrixAggregator) CollectTable(a, b []uint64, rng *rand.Rand) {
 	}
 }
 
-// Finalize restores every replica out of the double Hadamard domain and
-// returns the matrix sketch.
-//
-// Replicas are independent, so they restore in parallel across
-// GOMAXPROCS with one column scratch per worker invocation. Within a
-// replica the debias scale is folded into the row transforms
-// (FWHTScaled multiplies each cell exactly once before any butterfly
-// addition — bit-identical to scaling the whole matrix first), then
-// the columns transform with the same radix-4 kernel. Every arithmetic
-// operation and its operands match the scale-then-naive-transform
-// schedule, so finalized matrix state stays byte-identical to the
-// pre-kernel implementation regardless of worker count.
+// Finalize compacts every replica and returns the matrix sketch. It
+// transforms nothing: the sketch keeps the counts, and the estimators
+// apply the debias scale and the Hadamard algebra themselves.
 func (ma *MatrixAggregator) Finalize() *MatrixSketch {
 	if ma.done {
 		panic("core: MatrixAggregator.Finalize called twice")
 	}
+	ma.compactAll()
 	ma.done = true
-	m1, m2 := ma.params.M1, ma.params.M2
-	mats, scale := ma.mats, ma.scale
-	kernel.RowApply(len(mats), func(j int) {
-		mat := mats[j]
-		// Transform along l2 (each row, scale fused), then along l1
-		// (each column): H^T·M·H^T with symmetric H.
-		for x := 0; x < m1; x++ {
-			kernel.FWHTScaled(mat[x*m2:(x+1)*m2], scale)
-		}
-		col := make([]float64, m1)
-		for y := 0; y < m2; y++ {
-			for x := 0; x < m1; x++ {
-				col[x] = mat[x*m2+y]
-			}
-			kernel.FWHT(col)
-			for x := 0; x < m1; x++ {
-				mat[x*m2+y] = col[x]
-			}
-		}
-	})
-	return &MatrixSketch{params: ma.params, famA: ma.famA, famB: ma.famB, mats: ma.mats, n: ma.n}
+	ma.tails = nil
+	return newMatrixSketch(ma.params, ma.famA, ma.famB, ma.runs, ma.n)
 }
 
-// MatrixSketch is the finalized two-attribute sketch: replica j holds, in
-// expectation, the COMPASS counter matrix of the table (tuple (a,b)
-// contributes ξ_A(a)ξ_B(b) at [h_A(a), h_B(b)]).
+// MatrixSketch is the finalized two-attribute sketch. It holds each
+// replica's report counts Y_j and the debias scale c = k·c_ε; the
+// COMPASS counter matrix it stands for is M_j = c·H·Y_j·H (tuple (a,b)
+// contributes ξ_A(a)ξ_B(b) at [h_A(a), h_B(b)] in expectation), which
+// the estimators never build.
 type MatrixSketch struct {
 	params MatrixParams
 	famA   *hashing.Family
 	famB   *hashing.Family
-	mats   [][]float64
-	n      float64
+	runs   [][]MatrixEntry
+	n      int64
+	scale  float64
+	shift  uint32 // log2(M2): a cell's row is cell >> shift
+}
+
+func newMatrixSketch(p MatrixParams, famA, famB *hashing.Family, runs [][]MatrixEntry, n int64) *MatrixSketch {
+	return &MatrixSketch{
+		params: p,
+		famA:   famA,
+		famB:   famB,
+		runs:   runs,
+		n:      n,
+		scale:  float64(p.K) * ldp.CEpsilon(p.Epsilon),
+		shift:  uint32(bits.TrailingZeros(uint(p.M2))),
+	}
 }
 
 // K returns the number of replicas.
 func (ms *MatrixSketch) K() int { return ms.params.K }
 
 // N returns the number of tuples summarized.
-func (ms *MatrixSketch) N() float64 { return ms.n }
+func (ms *MatrixSketch) N() float64 { return float64(ms.n) }
 
 // Params returns the matrix parameters the sketch was built with.
 func (ms *MatrixSketch) Params() MatrixParams { return ms.params }
@@ -315,69 +421,56 @@ func (ms *MatrixSketch) FamilyA() *hashing.Family { return ms.famA }
 // FamilyB returns the hash family of the right join attribute.
 func (ms *MatrixSketch) FamilyB() *hashing.Family { return ms.famB }
 
+// Runs returns the K canonical count runs (not a copy).
+func (ms *MatrixSketch) Runs() [][]MatrixEntry { return ms.runs }
+
 // Compatible reports whether the two sketches can be combined: equal
 // parameters and interchangeable attribute families.
 func (ms *MatrixSketch) Compatible(other *MatrixSketch) bool {
 	return ms.params == other.params && sameFamily(ms.famA, other.famA) && sameFamily(ms.famB, other.famB)
 }
 
-// Merge adds other into ms cell-wise. Like Sketch.Merge it is linear and
-// unbiased but not bit-identical to merging before finalization; exact
-// federation merges unfinalized state. The sketches must be Compatible.
+// Merge adds other's counts into ms. Finalized state is counts, so this
+// is the same integer merge as MatrixAggregator.Merge, and the result is
+// identical to merging before finalization. The sketches must be
+// Compatible and hold at most MaxMatrixReports reports together.
 func (ms *MatrixSketch) Merge(other *MatrixSketch) {
 	if !ms.Compatible(other) {
 		panic("core: MatrixSketch.Merge of incompatible sketches")
 	}
-	for j := range ms.mats {
-		for i, v := range other.mats[j] {
-			ms.mats[j][i] += v
-		}
+	if other.n > MaxMatrixReports-ms.n {
+		panic("core: MatrixSketch.Merge past MaxMatrixReports")
+	}
+	for j := range ms.runs {
+		ms.runs[j] = mergeRuns(ms.runs[j], other.runs[j])
 	}
 	ms.n += other.n
 }
 
-// Mat returns replica j, row-major M1×M2 (not a copy).
-func (ms *MatrixSketch) Mat(j int) []float64 { return ms.mats[j] }
-
-// VecMat returns v × M_j: out[y] = Σ_x v[x]·M_j[x, y].
-func (ms *MatrixSketch) VecMat(j int, v []float64) []float64 {
-	out := make([]float64, ms.params.M2)
-	ms.VecMatInto(j, v, out)
-	return out
-}
-
-// VecMatInto computes v × M_j into out (length M2, zeroed here), the
-// allocation-free form ChainEstimate ping-pongs through: out[y] =
-// Σ_x v[x]·M_j[x, y]. v and out must not alias.
-func (ms *MatrixSketch) VecMatInto(j int, v, out []float64) {
-	m1, m2 := ms.params.M1, ms.params.M2
-	if len(v) != m1 || len(out) != m2 {
-		panic("core: VecMat dimension mismatch")
-	}
-	for y := range out {
-		out[y] = 0
-	}
-	mat := ms.mats[j]
-	for x := 0; x < m1; x++ {
-		vx := v[x]
-		if vx == 0 {
-			continue
-		}
-		row := mat[x*m2 : (x+1)*m2]
-		for y, c := range row {
-			out[y] += vx * c
-		}
+// vecCounts computes out = v × Y_j, the vector–matrix product over
+// replica j's counts: out[l2] = Σ_{l1} v[l1]·Y_j[l1, l2]. It costs
+// O(nnz), whatever the matrix's size. v has M1 entries and out M2.
+//
+//ldpjoin:hotpath
+func (ms *MatrixSketch) vecCounts(j int, v, out []float64) {
+	clear(out)
+	shift, mask := ms.shift, uint32(ms.params.M2-1)
+	for _, e := range ms.runs[j] {
+		out[e.Cell&mask] += v[e.Cell>>shift] * float64(e.Count)
 	}
 }
 
 // CycleEstimate estimates the size of the 3-cycle join
 // T1(A,B) ⋈ T2(B,C) ⋈ T3(C,A) from LDP matrix sketches — the
 // "uncomplicated cyclic joins" §VI says the encoding handles. Per
-// replica j the estimator is the trace of the sketch product,
-// Σ_{l1,l2,l3} M1_j[l1,l2]·M2_j[l2,l3]·M3_j[l3,l1], and the final
-// estimate is the median over replicas. Adjacent sketches must share
-// their attribute families (m1's B side with m2's A side, and so on
-// around the cycle).
+// replica j the estimator is the trace of the sketch product
+// trace(M1_j·M2_j·M3_j), and the final estimate is the median over
+// replicas. Adjacent sketches must share their attribute families (m1's
+// B side with m2's A side, and so on around the cycle).
+//
+// With M_i = c_i·H·Y_i·H and H·H = m·I for a Hadamard matrix of order
+// m, the trace is c₁c₂c₃·mA·mB·mC·trace(Y₁·Y₂·Y₃): a sum over the
+// non-zero counts, computed without restoring any matrix.
 func CycleEstimate(m1, m2, m3 *MatrixSketch) float64 {
 	k := m1.params.K
 	if m2.params.K != k || m3.params.K != k {
@@ -386,42 +479,43 @@ func CycleEstimate(m1, m2, m3 *MatrixSketch) float64 {
 	if m1.famB != m2.famA || m2.famB != m3.famA || m3.famB != m1.famA {
 		panic("core: cycle sketches do not share attribute families")
 	}
-	mA, mB := m1.params.M1, m1.params.M2
-	mC := m2.params.M2
+	mA, mB, mC := m1.params.M1, m1.params.M2, m2.params.M2
+	factor := m1.scale * m2.scale * m3.scale * float64(mA) * float64(mB) * float64(mC)
 	var buf [maxStackK]float64
 	ests := estScratch(&buf, k)
-	prod := make([]float64, mA*mC)
+	rowStart := make([]int, mB+1)
 	for j := 0; j < k; j++ {
-		// prod = M1_j × M2_j (mA×mC).
-		for i := range prod {
-			prod[i] = 0
-		}
-		a1 := m1.mats[j]
-		a2 := m2.mats[j]
-		for x := 0; x < mA; x++ {
-			row1 := a1[x*mB : (x+1)*mB]
-			out := prod[x*mC : (x+1)*mC]
-			for y, v := range row1 {
-				if v == 0 {
-					continue
-				}
-				row2 := a2[y*mC : (y+1)*mC]
-				for z, w := range row2 {
-					out[z] += v * w
-				}
-			}
-		}
-		// trace(prod × M3_j): Σ_{x,z} prod[x,z]·M3[z,x].
-		a3 := m3.mats[j]
-		var tr float64
-		for x := 0; x < mA; x++ {
-			for z := 0; z < mC; z++ {
-				tr += prod[x*mC+z] * a3[z*mA+x]
-			}
-		}
-		ests = append(ests, tr)
+		ests = append(ests, factor*traceCounts(m1, m2, m3, j, rowStart))
 	}
 	return kernel.MedianInPlace(ests)
+}
+
+// traceCounts returns trace(Y1_j·Y2_j·Y3_j) =
+// Σ_{a,b,c} Y1[a,b]·Y2[b,c]·Y3[c,a]: for each count Y1[a,b], the counts
+// of row b of Y2, each matched against Y3[c,a] by binary search.
+// rowStart is scratch of M2(m1)+1 ints.
+func traceCounts(m1, m2, m3 *MatrixSketch, j int, rowStart []int) float64 {
+	y1, y2, y3 := m1.runs[j], m2.runs[j], m3.runs[j]
+	// rowStart[b] is the index of row b's first entry in y2.
+	i := 0
+	for b := range rowStart {
+		for i < len(y2) && int(y2[i].Cell>>m2.shift) < b {
+			i++
+		}
+		rowStart[b] = i
+	}
+	maskB, maskC := uint32(m1.params.M2-1), uint32(m2.params.M2-1)
+	var tr float64
+	for _, e1 := range y1 {
+		a, b := e1.Cell>>m1.shift, e1.Cell&maskB
+		for _, e2 := range y2[rowStart[b]:rowStart[b+1]] {
+			cell := (e2.Cell&maskC)<<m3.shift | a
+			if x, ok := slices.BinarySearchFunc(y3, cell, func(e MatrixEntry, c uint32) int { return cmp.Compare(e.Cell, c) }); ok {
+				tr += float64(e1.Count) * float64(e2.Count) * float64(y3[x].Count)
+			}
+		}
+	}
+	return tr
 }
 
 // ChainEstimate estimates the size of the chain join
@@ -429,39 +523,69 @@ func CycleEstimate(m1, m2, m3 *MatrixSketch) float64 {
 // generalized to a chain, median over the k replicas). The end tables use
 // plain LDPJoinSketch; each middle table a MatrixSketch. The left sketch
 // must share its family with mids[0]'s A side, and so on down the chain;
-// K must agree everywhere.
+// K must agree everywhere, and the dimensions must compose.
+//
+// Replica j's estimate is s_L·M_1·…·M_r·s_R with each M_i = c_i·H·Y_i·H.
+// H is symmetric and H·H = m·I, so every H·H between two middles is a
+// scalar and the estimate is c_1⋯c_r·m_1⋯m_{r−1}·(H·s_L)·Y_1⋯Y_r·(H·s_R),
+// where m_i is the dimension middles i and i+1 share: one FWHT of a copy
+// of each end row, then one O(nnz) vector–count product per middle.
 func ChainEstimate(left *Sketch, mids []*MatrixSketch, right *Sketch) float64 {
 	k := left.params.K
 	if right.params.K != k {
 		panic("core: chain ends disagree on K")
 	}
-	maxM2 := 0
+	if len(mids) == 0 {
+		panic("core: a chain needs at least one middle table")
+	}
+	dim, widest := left.params.M, left.params.M
 	for _, m := range mids {
 		if m.params.K != k {
 			panic("core: chain matrix disagrees on K")
 		}
-		if m.params.M2 > maxM2 {
-			maxM2 = m.params.M2
+		if m.params.M1 != dim {
+			panic("core: chain dimensions do not compose")
 		}
+		dim = m.params.M2
+		widest = max(widest, dim)
+	}
+	if right.params.M != dim {
+		panic("core: chain dimensions do not compose")
 	}
 	var buf [maxStackK]float64
 	ests := estScratch(&buf, k)
-	// Two ping-pong buffers sized to the widest intermediate carry the
-	// vector down the chain, so the whole replica loop allocates twice
-	// total instead of once per (replica, middle) step. Alternating
-	// buffers keeps VecMatInto's no-alias contract: step i reads the
-	// vector step i−1 wrote into the other buffer.
-	var bufs [2][]float64
-	bufs[0] = make([]float64, maxM2)
-	bufs[1] = make([]float64, maxM2)
+	// One scratch for the whole replica loop: two ping-pong vectors wide
+	// enough for every step, and the right end's transform.
+	scratch := make([]float64, 2*widest+dim)
 	for j := 0; j < k; j++ {
-		v := left.Row(j)
-		for i, m := range mids {
-			dst := bufs[i%2][:m.params.M2]
-			m.VecMatInto(j, v, dst)
-			v = dst
-		}
-		ests = append(ests, kernel.Dot(v, right.Row(j)))
+		ests = append(ests, chainReplica(left.Row(j), mids, j, right.Row(j), scratch))
 	}
 	return kernel.MedianInPlace(ests)
+}
+
+// chainReplica is replica j's chain estimate (see ChainEstimate) over
+// the caller's scratch. Alternating the two vectors keeps vecCounts'
+// input and output apart.
+//
+//ldpjoin:hotpath
+func chainReplica(left []float64, mids []*MatrixSketch, j int, right, scratch []float64) float64 {
+	widest := (len(scratch) - len(right)) / 2
+	bufs := [2][]float64{scratch[:widest], scratch[widest : 2*widest]}
+	v := bufs[0][:len(left)]
+	copy(v, left)
+	kernel.FWHT(v)
+	factor := 1.0
+	for i, m := range mids {
+		out := bufs[(i+1)%2][:m.params.M2]
+		m.vecCounts(j, v, out)
+		factor *= m.scale
+		if i > 0 {
+			factor *= float64(m.params.M1)
+		}
+		v = out
+	}
+	w := scratch[2*widest:]
+	copy(w, right)
+	kernel.FWHT(w)
+	return factor * kernel.Dot(v, w)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"ldpjoin/internal/dataset"
@@ -90,7 +91,7 @@ func TestMatrixSketchExpectation(t *testing.T) {
 	slack := 6 * math.Sqrt(float64(p.K)*math.Pow(ldp.CEpsilon(p.Epsilon), 2)*n)
 	for j := 0; j < p.K; j++ {
 		want := float64(n) * float64(famA.Sign(j, 9)*famB.Sign(j, 4))
-		got := ms.Mat(j)[famA.Bucket(j, 9)*p.M2+famB.Bucket(j, 4)]
+		got := denseReplica(ms, j)[famA.Bucket(j, 9)*p.M2+famB.Bucket(j, 4)]
 		if math.Abs(got-want) > slack {
 			t.Fatalf("replica %d: cell %.0f, want %.0f ± %.0f", j, got, want, slack)
 		}
@@ -227,17 +228,25 @@ func TestChainEstimatePanicsOnKMismatch(t *testing.T) {
 	ChainEstimate(left, nil, right)
 }
 
-func TestVecMatPanicsOnDimMismatch(t *testing.T) {
+// TestChainEstimatePanicsOnDimMismatch: a middle whose M1 is not the
+// left end's width, or whose M2 is not the right end's, does not compose.
+func TestChainEstimatePanicsOnDimMismatch(t *testing.T) {
 	p := matrixParams()
-	famA := hashing.NewFamily(1, p.K, p.M1)
-	famB := hashing.NewFamily(2, p.K, p.M2)
-	ms := NewMatrixAggregator(p, famA, famB).Finalize()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	ms.VecMat(0, make([]float64, p.M1+1))
+	ms := NewMatrixAggregator(p, hashing.NewFamily(1, p.K, p.M1), hashing.NewFamily(2, p.K, p.M2)).Finalize()
+	end := func(m int) *Sketch {
+		ep := Params{K: p.K, M: m, Epsilon: 1}
+		return NewAggregator(ep, ep.NewFamily(3)).Finalize()
+	}
+	for name, ends := range map[string][2]int{"left": {p.M1 * 2, p.M2}, "right": {p.M1, p.M2 * 2}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s end of the wrong width: expected panic", name)
+				}
+			}()
+			ChainEstimate(end(ends[0]), []*MatrixSketch{ms}, end(ends[1]))
+		}()
+	}
 }
 
 // TestMatrixAggregatorMerge: merging two aggregators over disjoint halves
@@ -271,13 +280,8 @@ func TestMatrixAggregatorMerge(t *testing.T) {
 	if msWhole.N() != msMerged.N() {
 		t.Fatalf("merged N = %g, want %g", msMerged.N(), msWhole.N())
 	}
-	for j := 0; j < p.K; j++ {
-		w, m := msWhole.Mat(j), msMerged.Mat(j)
-		for i := range w {
-			if w[i] != m[i] {
-				t.Fatalf("replica %d cell %d: merged %g != whole %g", j, i, m[i], w[i])
-			}
-		}
+	if !reflect.DeepEqual(msWhole.Runs(), msMerged.Runs()) {
+		t.Fatal("merged halves hold different counts from the whole")
 	}
 
 	// Merge must refuse finalized inputs and mismatched families.
@@ -298,4 +302,44 @@ func TestMatrixAggregatorMerge(t *testing.T) {
 		other := NewMatrixAggregator(p, hashing.NewFamily(9, p.K, p.M1), famB)
 		NewMatrixAggregator(p, famA, famB).Merge(other)
 	}()
+}
+
+// TestMatrixCountsMatchDenseFold holds the sparse counts to a plain
+// dense fold of the same reports, through many tail compactions — a
+// 32×32 replica saturates, and most of its cells cancel to zero and back
+// along the way — and through a merge of two aggregators whose tails
+// are still pending.
+func TestMatrixCountsMatchDenseFold(t *testing.T) {
+	p := MatrixParams{K: 3, M1: 32, M2: 32, Epsilon: 2}
+	famA, famB := hashing.NewFamily(1, p.K, p.M1), hashing.NewFamily(2, p.K, p.M2)
+	rng := newTestRNG(4)
+	want := make([][]int64, p.K)
+	for j := range want {
+		want[j] = make([]int64, p.M1*p.M2)
+	}
+	aggs := [2]*MatrixAggregator{NewMatrixAggregator(p, famA, famB), NewMatrixAggregator(p, famA, famB)}
+	for b := 0; b < 40; b++ {
+		batch := make([]MatrixReport, 1+rng.Intn(4096))
+		for i := range batch {
+			r := MatrixReport{Y: int8(2*rng.Intn(2) - 1), Row: uint32(rng.Intn(p.K)), L1: uint32(rng.Intn(p.M1)), L2: uint32(rng.Intn(p.M2))}
+			batch[i] = r
+			want[r.Row][int(r.L1)*p.M2+int(r.L2)] += int64(r.Y)
+		}
+		if err := aggs[b%2].AddBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	aggs[0].Merge(aggs[1])
+	for j, run := range aggs[0].Finalize().Runs() {
+		got := make([]int64, p.M1*p.M2)
+		for i, e := range run {
+			if e.Count == 0 || (i > 0 && e.Cell <= run[i-1].Cell) {
+				t.Fatalf("replica %d entry %d (%+v) is not canonical", j, i, e)
+			}
+			got[e.Cell] = int64(e.Count)
+		}
+		if !reflect.DeepEqual(got, want[j]) {
+			t.Fatalf("replica %d: sparse counts differ from the dense fold", j)
+		}
+	}
 }

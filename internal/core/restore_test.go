@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -99,38 +100,46 @@ func TestRestoreMatrixValidates(t *testing.T) {
 	p := MatrixParams{K: 2, M1: 4, M2: 8, Epsilon: 2}
 	famA := Params{K: p.K, M: p.M1, Epsilon: p.Epsilon}.NewFamily(1)
 	famB := Params{K: p.K, M: p.M2, Epsilon: p.Epsilon}.NewFamily(2)
-	mats := make([][]float64, p.K)
-	for j := range mats {
-		mats[j] = make([]float64, p.M1*p.M2)
+	// State 5 reports can fold into when two of them cancel in one cell:
+	// Σ|count| = 3 ≤ 5 and Σcount = 1 ≡ 5 (mod 2).
+	runs := func() [][]MatrixEntry {
+		return [][]MatrixEntry{{{Cell: 5, Count: 1}, {Cell: 31, Count: -1}}, {{Cell: 0, Count: 1}}}
 	}
 
-	if _, err := RestoreMatrixAggregator(p, famA, famB, mats, 5); err != nil {
+	if _, err := RestoreMatrixAggregator(p, famA, famB, runs(), 5); err != nil {
 		t.Fatalf("valid state rejected: %v", err)
 	}
-	if _, err := RestoreMatrixSketch(p, famA, famB, mats, 5); err != nil {
+	if _, err := RestoreMatrixSketch(p, famA, famB, runs(), 5); err != nil {
 		t.Fatalf("valid finalized state rejected: %v", err)
 	}
-	if _, err := RestoreMatrixAggregator(p, famB, famA, mats, 5); err == nil {
+	if _, err := RestoreMatrixAggregator(p, famB, famA, runs(), 5); err == nil {
 		t.Error("swapped families accepted")
 	}
-	if _, err := RestoreMatrixAggregator(p, famA, famB, mats[:1], 5); err == nil {
+	if _, err := RestoreMatrixAggregator(p, famA, famB, runs()[:1], 5); err == nil {
 		t.Error("short replica set accepted")
 	}
-	short := [][]float64{mats[0], mats[1][:7]}
-	if _, err := RestoreMatrixAggregator(p, famA, famB, short, 5); err == nil {
-		t.Error("short replica accepted")
+	for name, mutate := range map[string]func(r [][]MatrixEntry){
+		"cell outside the matrix": func(r [][]MatrixEntry) { r[0][1].Cell = 32 },
+		"cells out of order":      func(r [][]MatrixEntry) { r[0][0].Cell = 31 },
+		"zero count":              func(r [][]MatrixEntry) { r[1][0].Count = 0 },
+		"counts beyond n":         func(r [][]MatrixEntry) { r[1][0].Count = 4 },
+		"parity":                  func(r [][]MatrixEntry) { r[1][0].Count = 2 },
+	} {
+		r := runs()
+		mutate(r)
+		if _, err := RestoreMatrixSketch(p, famA, famB, r, 5); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
-	if _, err := RestoreMatrixAggregator(p, famA, famB, mats, math.Inf(1)); err == nil {
-		t.Error("infinite n accepted")
-	}
-	mats[0][0] = math.NaN()
-	if _, err := RestoreMatrixSketch(p, famA, famB, mats, 5); err == nil {
-		t.Error("NaN cell accepted")
+	for _, n := range []float64{math.Inf(1), math.NaN(), -1, 5.5, MaxMatrixReports + 1} {
+		if _, err := RestoreMatrixAggregator(p, famA, famB, runs(), n); err == nil {
+			t.Errorf("n = %v accepted", n)
+		}
 	}
 }
 
 // TestMatrixSketchMergeExact: merging two finalized matrix sketches sums
-// cells and counts exactly.
+// their counts — the sketch a single aggregator over both halves builds.
 func TestMatrixSketchMergeExact(t *testing.T) {
 	p := MatrixParams{K: 2, M1: 4, M2: 4, Epsilon: 2}
 	famA := Params{K: p.K, M: p.M1, Epsilon: p.Epsilon}.NewFamily(1)
@@ -144,23 +153,12 @@ func TestMatrixSketchMergeExact(t *testing.T) {
 		return ma.Finalize()
 	}
 	a, b := build(0, 80), build(80, 200)
-	want := make([][]float64, p.K)
-	for j := range want {
-		want[j] = make([]float64, p.M1*p.M2)
-		for i := range want[j] {
-			want[j][i] = a.Mat(j)[i] + b.Mat(j)[i]
-		}
-	}
 	a.Merge(b)
 	if a.N() != 200 {
 		t.Fatalf("merged N = %v, want 200", a.N())
 	}
-	for j := range want {
-		for i, v := range want[j] {
-			if a.Mat(j)[i] != v {
-				t.Fatalf("replica %d cell %d: %v, want %v", j, i, a.Mat(j)[i], v)
-			}
-		}
+	if want := build(0, 200); !reflect.DeepEqual(a.Runs(), want.Runs()) {
+		t.Fatalf("merged counts %v, want %v", a.Runs(), want.Runs())
 	}
 	if a.Compatible(build(0, 1)) != true {
 		t.Fatal("sibling sketch reported incompatible")

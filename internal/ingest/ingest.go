@@ -48,7 +48,6 @@ import (
 
 	"ldpjoin/internal/core"
 	"ldpjoin/internal/hashing"
-	"ldpjoin/internal/kernel"
 	"ldpjoin/internal/protocol"
 )
 
@@ -130,8 +129,7 @@ type columnKind[R, A any] struct {
 //
 // The aggregator is allocated lazily on the first fold (or adopted from
 // the first merge), so creating a column is cheap and a column that
-// never sees traffic never pays for cells — which matters most for
-// matrix columns, whose aggregator is K·M1·M2 float64s.
+// never sees traffic never pays for cells.
 type column[R any, A aggregator[R, A, S], S any] struct {
 	kind columnKind[R, A]
 	n    atomic.Int64 // reports folded or merged; read without mu
@@ -356,44 +354,9 @@ func (c *column[R, A, S]) MergeAggregator(agg A) error {
 // only, so the result is deterministic and independent of GOMAXPROCS
 // and of goroutine scheduling.
 func (e *Engine) Simulate(values []uint64, seed int64) *core.Sketch {
-	chunks := e.opts.chunks(len(values))
-	if chunks <= 1 {
+	return foldChunks(len(values), e.opts.chunks(len(values)), seed, func(lo, hi int, rng *rand.Rand) *core.Aggregator {
 		agg := core.NewAggregator(e.params, e.fam)
-		agg.CollectColumn(values, rand.New(rand.NewSource(seed)))
-		return agg.Finalize()
-	}
-
-	parts := make([]*core.Aggregator, chunks)
-	size := (len(values) + chunks - 1) / chunks
-	kernel.RowApply(chunks, func(w int) {
-		lo := w * size
-		hi := min(lo+size, len(values))
-		if lo >= hi {
-			return
-		}
-		agg := core.NewAggregator(e.params, e.fam)
-		agg.CollectColumn(values[lo:hi], rand.New(rand.NewSource(shardSeed(seed, w))))
-		parts[w] = agg
-	})
-
-	var total *core.Aggregator
-	for _, part := range parts {
-		if part == nil {
-			continue
-		}
-		if total == nil {
-			total = part
-			continue
-		}
-		total.Merge(part)
-	}
-	return total.Finalize()
-}
-
-// shardSeed derives the client RNG seed of simulation chunk w. The
-// derivation is identical to the retired core.CollectParallel, so
-// sketches built by Simulate reproduce its output bit for bit.
-func shardSeed(seed int64, w int) int64 {
-	state := uint64(seed) ^ (uint64(w)+1)*0x9e3779b97f4a7c15
-	return int64(hashing.SplitMix64(&state))
+		agg.CollectColumn(values[lo:hi], rng)
+		return agg
+	}).Finalize()
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -294,13 +295,8 @@ func TestCollectMatrixDeterministicAndAccurate(t *testing.T) {
 	if m1.N() != n || m2.N() != n {
 		t.Fatalf("matrix N = %g, %g", m1.N(), m2.N())
 	}
-	for j := 0; j < mp.K; j++ {
-		r1, r2 := m1.Mat(j), m2.Mat(j)
-		for i := range r1 {
-			if r1[i] != r2[i] {
-				t.Fatal("CollectMatrix is not GOMAXPROCS independent")
-			}
-		}
+	if !reflect.DeepEqual(m1.Runs(), m2.Runs()) {
+		t.Fatal("CollectMatrix is not GOMAXPROCS independent")
 	}
 
 	// Accuracy end to end: 3-way chain against the exact size.

@@ -2,7 +2,6 @@ package ingest
 
 import (
 	"math/rand"
-	"sync"
 
 	"ldpjoin/internal/core"
 	"ldpjoin/internal/hashing"
@@ -19,43 +18,57 @@ func Collect(p core.Params, fam *hashing.Family, values []uint64, seed int64, op
 }
 
 // CollectMatrix builds a middle-table matrix sketch over a two-column
-// table in parallel. Unlike Collect it keeps a single aggregator — a
-// matrix replica is M1×M2 cells, so per-chunk copies would multiply a
-// potentially huge state — and instead parallelizes the expensive client
-// simulation on kernel.RowApply: chunk w perturbs its tuples with a seed
-// derived from (seed, w) exactly as Simulate does, and the resulting
-// reports are folded under a lock. Unfinalized cells are exact integers,
-// so the fold interleaving cannot change the finalized sketch: the
-// result is a deterministic function of (a, b, seed, Shards).
+// table in parallel, the way Simulate builds a join sketch: each chunk
+// of the table folds its own aggregator, and the chunks merge in chunk
+// order. Counts are integers, so the result is a deterministic function
+// of (a, b, seed, Shards).
 func CollectMatrix(p core.MatrixParams, famA, famB *hashing.Family, a, b []uint64, seed int64, opts Options) *core.MatrixSketch {
 	if len(a) != len(b) {
 		panic("ingest: CollectMatrix with mismatched columns")
 	}
-	chunks := opts.chunks(len(a))
-	agg := core.NewMatrixAggregator(p, famA, famB)
-	if chunks <= 1 {
-		agg.CollectTable(a, b, rand.New(rand.NewSource(seed)))
-		return agg.Finalize()
-	}
+	return foldChunks(len(a), opts.chunks(len(a)), seed, func(lo, hi int, rng *rand.Rand) *core.MatrixAggregator {
+		agg := core.NewMatrixAggregator(p, famA, famB)
+		agg.CollectTable(a[lo:hi], b[lo:hi], rng)
+		return agg
+	}).Finalize()
+}
 
-	var foldMu sync.Mutex
-	size := (len(a) + chunks - 1) / chunks
+// foldChunks is the deterministic parallel build of Simulate and
+// CollectMatrix: n inputs cut into chunks contiguous chunks, chunk w
+// folded into its own aggregator by fold with a client RNG seeded from
+// (seed, w), the chunks run on kernel.RowApply and merged in chunk
+// order. A single chunk folds everything with an RNG seeded by seed.
+func foldChunks[A interface {
+	comparable
+	Merge(A)
+}](n, chunks int, seed int64, fold func(lo, hi int, rng *rand.Rand) A) A {
+	if chunks <= 1 {
+		return fold(0, n, rand.New(rand.NewSource(seed)))
+	}
+	parts := make([]A, chunks)
+	size := (n + chunks - 1) / chunks
 	kernel.RowApply(chunks, func(w int) {
-		lo := w * size
-		hi := min(lo+size, len(a))
-		if lo >= hi {
-			return
+		if lo, hi := w*size, min((w+1)*size, n); lo < hi {
+			parts[w] = fold(lo, hi, rand.New(rand.NewSource(shardSeed(seed, w))))
 		}
-		rng := rand.New(rand.NewSource(shardSeed(seed, w)))
-		reports := make([]core.MatrixReport, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			reports = append(reports, core.PerturbTuple(a[i], b[i], p, famA, famB, rng))
-		}
-		foldMu.Lock()
-		for _, r := range reports {
-			agg.Add(r)
-		}
-		foldMu.Unlock()
 	})
-	return agg.Finalize()
+	var none, total A
+	for _, part := range parts {
+		switch {
+		case part == none:
+		case total == none:
+			total = part
+		default:
+			total.Merge(part)
+		}
+	}
+	return total
+}
+
+// shardSeed derives the client RNG seed of simulation chunk w. The
+// derivation is identical to the retired core.CollectParallel, so
+// sketches built by Simulate reproduce its output bit for bit.
+func shardSeed(seed int64, w int) int64 {
+	state := uint64(seed) ^ (uint64(w)+1)*0x9e3779b97f4a7c15
+	return int64(hashing.SplitMix64(&state))
 }

@@ -72,8 +72,9 @@ const MaxPlusFI = 1 << 20
 // larger events across records (report batches split trivially) or
 // refuse them (a snapshot above the bound has no valid split). The
 // bound must admit one whole matrix snapshot — the largest unsplittable
-// event — at realistic parameters: the default deployment (k=18,
-// m=1024) encodes to ~151 MiB, hence 256 MiB.
+// event — at realistic parameters: at the default deployment (k=18,
+// m=1024) one with every cell non-zero encodes to ~151 MiB, hence
+// 256 MiB.
 const MaxRecordPayload = 1 << 28 // 256 MiB
 
 // recordHeaderSize is length u32 + type u8.

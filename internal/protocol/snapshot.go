@@ -15,15 +15,29 @@
 //	  magic "SNAP" | version u8 | kind u8 | flags u8 | reserved u8 (0)
 //	  k u32 | m1 u32 | m2 u32 (0 for kind Join)
 //	  epsilon f64 | seedA i64 | seedB i64 (0 for kind Join)
-//	  n f64 | cellCount u64
-//	payload:
-//	  cellCount f64 cells, row-major (k rows of m1, or k replicas of
-//	  m1·m2)
+//	  n f64 | count u64
+//	payload, join (version 1):
+//	  count = k·m1 f64 cells, row-major (k rows of m1)
+//	payload, matrix (version 2):
+//	  k u32 per-replica entry counts summing to count, then count
+//	  entries (cell u32 = l1·m2 + l2, report count i32), replica by
+//	  replica, cells strictly increasing within a replica
 //	trailer:
 //	  crc32 (IEEE) u32 over header + payload
 //
-// flags bit 0 marks a finalized snapshot (debias scale applied, rows
-// restored out of the Hadamard domain); all other bits must be zero.
+// flags bit 0 marks a finalized snapshot; all other bits must be zero.
+// A finalized join snapshot holds restored rows (debias scale applied,
+// out of the Hadamard domain). A matrix snapshot holds report counts
+// whether finalized or not — a finalized matrix sketch is its counts —
+// so its two forms differ only in the flag.
+//
+// The version is a function of the kind: join state is version 1, matrix
+// state version 2. Version 1 matrix snapshots — K·M1·M2 dense float64
+// cells, before matrix state became sparse counts — are refused, not
+// converted: that break was stated once, for every matrix snapshot a
+// process reads (a /merge body, a checkpoint, a final.snap, a merge
+// record in a WAL).
+//
 // (k, m1, m2, epsilon, seedA, seedB) is the configuration fingerprint:
 // two snapshots merge only when the fingerprints are equal, and an
 // importer additionally checks the fingerprint against its own
@@ -43,8 +57,11 @@ import (
 	"ldpjoin/internal/hashing"
 )
 
-// SnapshotVersion is the snapshot-format version this package encodes.
-const SnapshotVersion = 1
+// Snapshot-format versions: each kind has exactly one.
+const (
+	snapVersionJoin   = 1
+	snapVersionMatrix = 2
+)
 
 var snapMagic = [4]byte{'S', 'N', 'A', 'P'}
 
@@ -76,9 +93,9 @@ var ErrBadSnapshot = errors.New("protocol: bad snapshot encoding")
 var ErrSnapshotMismatch = errors.New("protocol: snapshot configuration mismatch")
 
 // Snapshot is the decoded (or to-be-encoded) form of exported
-// aggregation state. Cells is shared, not copied: building a Snapshot
-// from an aggregator is free, and encoding reads the live state — the
-// exporter must be quiescent (drained) while encoding.
+// aggregation state. Cells and Runs are shared, not copied: building a
+// Snapshot from an aggregator is free, and encoding reads the live state
+// — the exporter must be quiescent (drained) while encoding.
 type Snapshot struct {
 	Kind      SnapshotKind
 	Finalized bool
@@ -89,15 +106,33 @@ type Snapshot struct {
 	SeedA     int64
 	SeedB     int64 // 0 for SnapshotJoin
 	N         float64
-	Cells     [][]float64 // K rows of M1 (join) or M1·M2 (matrix) cells
+	Cells     [][]float64          // SnapshotJoin: K rows of M1 cells
+	Runs      [][]core.MatrixEntry // SnapshotMatrix: K canonical count runs
 }
 
-// rowCells returns the number of cells in one row (replica).
-func (s *Snapshot) rowCells() int {
-	if s.Kind == SnapshotMatrix {
-		return s.M1 * s.M2
+// snapVersion refuses any version but the one a snapshot kind encodes
+// as, naming the retired dense matrix encoding when that is what it
+// meets.
+func snapVersion(kind SnapshotKind, version byte) error {
+	switch {
+	case kind == SnapshotJoin && version == snapVersionJoin, kind == SnapshotMatrix && version == snapVersionMatrix:
+		return nil
+	case kind != SnapshotJoin && kind != SnapshotMatrix:
+		return fmt.Errorf("%w: unknown snapshot kind %d", ErrBadSnapshot, kind)
+	case kind == SnapshotMatrix && version == snapVersionJoin:
+		return fmt.Errorf("%w: version 1 matrix snapshot (dense float64 cells) is no longer read: matrix state is sparse report counts since SNAP version 2, and the old encoding has no converter", ErrBadSnapshot)
 	}
-	return s.M1
+	return fmt.Errorf("%w: unsupported version %d for snapshot kind %d", ErrBadSnapshot, version, kind)
+}
+
+// entries returns the number of count entries across a matrix snapshot's
+// replicas.
+func (s *Snapshot) entries() int {
+	n := 0
+	for _, run := range s.Runs {
+		n += len(run)
+	}
+	return n
 }
 
 // Fingerprint renders the configuration fingerprint for error messages.
@@ -114,21 +149,34 @@ func (s *Snapshot) Fingerprint() string {
 func (s *Snapshot) Validate() error {
 	switch s.Kind {
 	case SnapshotJoin:
-		if s.M2 != 0 || s.SeedB != 0 {
+		if s.M2 != 0 || s.SeedB != 0 || s.Runs != nil {
 			return fmt.Errorf("%w: join snapshot with matrix fields (m2=%d, seedB=%d)", ErrBadSnapshot, s.M2, s.SeedB)
 		}
 		p := core.Params{K: s.K, M: s.M1, Epsilon: s.Epsilon}
 		if err := p.Validate(); err != nil {
 			return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 		}
+		return s.validateCells()
 	case SnapshotMatrix:
 		p := core.MatrixParams{K: s.K, M1: s.M1, M2: s.M2, Epsilon: s.Epsilon}
 		if err := p.Validate(); err != nil {
 			return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 		}
-	default:
-		return fmt.Errorf("%w: unknown snapshot kind %d", ErrBadSnapshot, s.Kind)
+		if s.Cells != nil {
+			return fmt.Errorf("%w: matrix snapshot with dense cells", ErrBadSnapshot)
+		}
+		// Finalized or not, matrix state is counts, held to what some
+		// report stream could have produced.
+		if err := core.CheckMatrixRuns(p, s.Runs, s.N); err != nil {
+			return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+		}
+		return nil
 	}
+	return fmt.Errorf("%w: unknown snapshot kind %d", ErrBadSnapshot, s.Kind)
+}
+
+// validateCells checks a join snapshot's report count and cells.
+func (s *Snapshot) validateCells() error {
 	// Counts above 2^53 could not have been accumulated one report at a
 	// time and would overflow the int64 counters importers keep (the NaN
 	// check stands alone because NaN fails every comparison).
@@ -138,10 +186,9 @@ func (s *Snapshot) Validate() error {
 	if len(s.Cells) != s.K {
 		return fmt.Errorf("%w: %d rows, want %d", ErrBadSnapshot, len(s.Cells), s.K)
 	}
-	want := s.rowCells()
 	for j, row := range s.Cells {
-		if len(row) != want {
-			return fmt.Errorf("%w: row %d has %d cells, want %d", ErrBadSnapshot, j, len(row), want)
+		if len(row) != s.M1 {
+			return fmt.Errorf("%w: row %d has %d cells, want %d", ErrBadSnapshot, j, len(row), s.M1)
 		}
 		for x, v := range row {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -161,7 +208,10 @@ func (s *Snapshot) Validate() error {
 
 // EncodedSize returns the exact byte length EncodeSnapshot will produce.
 func (s *Snapshot) EncodedSize() int {
-	return snapHeaderSize + 8*s.K*s.rowCells() + snapTrailerSize
+	if s.Kind == SnapshotMatrix {
+		return snapHeaderSize + 4*s.K + 8*s.entries() + snapTrailerSize
+	}
+	return snapHeaderSize + 8*s.K*s.M1 + snapTrailerSize
 }
 
 // SnapshotEncodedSize returns the wire size of a join snapshot under the
@@ -171,17 +221,21 @@ func SnapshotEncodedSize(p core.Params) int {
 	return snapHeaderSize + 8*p.K*p.M + snapTrailerSize
 }
 
-// SnapshotEncodedSizeMatrix returns the wire size of a matrix snapshot
-// under the given matrix parameters.
+// SnapshotEncodedSizeMatrix returns the largest wire size of a matrix
+// snapshot under the given matrix parameters: every cell of every
+// replica non-zero, or MaxMatrixReports entries, whichever is fewer. An
+// 8-byte entry is the size of a dense float64 cell, so no matrix
+// snapshot is larger than the dense matrix.
 func SnapshotEncodedSizeMatrix(p core.MatrixParams) int {
-	return snapHeaderSize + 8*p.K*p.M1*p.M2 + snapTrailerSize
+	entries := min(p.K*p.M1*p.M2, core.MaxMatrixReports)
+	return snapHeaderSize + 4*p.K + 8*entries + snapTrailerSize
 }
 
 // SnapshotHeaderSize is the wire size of a snapshot header. Importers
 // read exactly this much to learn a snapshot's kind (PeekSnapshotKind)
 // before deciding how large a body to accept — a join snapshot is
-// ~K·M cells, a matrix snapshot K·M², so sizing the read by the
-// declared kind keeps the per-request buffer proportional.
+// ~K·M cells, a matrix snapshot up to K·M² entries, so sizing the read
+// by the declared kind keeps the per-request buffer proportional.
 const SnapshotHeaderSize = snapHeaderSize
 
 // PeekSnapshotKind inspects the leading bytes of an encoded snapshot
@@ -196,12 +250,9 @@ func PeekSnapshotKind(prefix []byte) (SnapshotKind, error) {
 	if [4]byte(prefix[:4]) != snapMagic {
 		return 0, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
 	}
-	if prefix[4] != SnapshotVersion {
-		return 0, fmt.Errorf("%w: unsupported version %d", ErrBadSnapshot, prefix[4])
-	}
 	kind := SnapshotKind(prefix[5])
-	if kind != SnapshotJoin && kind != SnapshotMatrix {
-		return 0, fmt.Errorf("%w: unknown snapshot kind %d", ErrBadSnapshot, kind)
+	if err := snapVersion(kind, prefix[4]); err != nil {
+		return 0, err
 	}
 	return kind, nil
 }
@@ -211,9 +262,18 @@ func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	buf := make([]byte, 0, s.EncodedSize())
+	return appendSnapshot(make([]byte, 0, s.EncodedSize()), s), nil
+}
+
+// appendSnapshot appends the encoding of s, which must be valid.
+func appendSnapshot(buf []byte, s *Snapshot) []byte {
+	start := len(buf)
+	version, count := byte(snapVersionJoin), uint64(s.K)*uint64(s.M1)
+	if s.Kind == SnapshotMatrix {
+		version, count = snapVersionMatrix, uint64(s.entries())
+	}
 	buf = append(buf, snapMagic[:]...)
-	buf = append(buf, SnapshotVersion, byte(s.Kind))
+	buf = append(buf, version, byte(s.Kind))
 	var flags byte
 	if s.Finalized {
 		flags |= snapFlagFinalized
@@ -226,19 +286,27 @@ func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 	buf = binary.BigEndian.AppendUint64(buf, uint64(s.SeedA))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(s.SeedB))
 	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(s.N))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(s.K)*uint64(s.rowCells()))
+	buf = binary.BigEndian.AppendUint64(buf, count)
 	for _, row := range s.Cells {
 		for _, cell := range row {
 			buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(cell))
 		}
 	}
-	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	return buf, nil
+	for _, run := range s.Runs {
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(run)))
+	}
+	for _, run := range s.Runs {
+		for _, e := range run {
+			buf = binary.BigEndian.AppendUint32(buf, e.Cell)
+			buf = binary.BigEndian.AppendUint32(buf, uint32(e.Count))
+		}
+	}
+	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
 }
 
 // DecodeSnapshot decodes and fully validates a snapshot: magic, version,
-// checksum, structure, and cell finiteness. A decoded snapshot is safe
-// to hand to the restore constructors.
+// checksum, structure, and the cells or counts. A decoded snapshot is
+// safe to hand to the restore constructors.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	if len(data) < snapHeaderSize+snapTrailerSize {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than header and trailer", ErrBadSnapshot, len(data))
@@ -246,8 +314,8 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	if [4]byte(data[:4]) != snapMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
 	}
-	if data[4] != SnapshotVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadSnapshot, data[4])
+	if err := snapVersion(SnapshotKind(data[5]), data[4]); err != nil {
+		return nil, err
 	}
 	body, trailer := data[:len(data)-snapTrailerSize], data[len(data)-snapTrailerSize:]
 	if got, want := crc32.ChecksumIEEE(body), binary.BigEndian.Uint32(trailer); got != want {
@@ -271,44 +339,85 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		SeedB:     int64(binary.BigEndian.Uint64(data[36:44])),
 		N:         math.Float64frombits(binary.BigEndian.Uint64(data[44:52])),
 	}
-	cellCount := binary.BigEndian.Uint64(data[52:60])
-	// Check the declared cell count against both the actual payload and
-	// the dimensions before allocating anything, guarding against
-	// overflow: K, M1, M2 each fit in 32 bits, so K·M1 cannot overflow
-	// uint64, and the M2 factor is divided out rather than multiplied in.
-	payload := uint64(len(data) - snapHeaderSize - snapTrailerSize)
-	if cellCount > payload/8 || cellCount*8 != payload {
-		return nil, fmt.Errorf("%w: %d declared cells but %d payload bytes", ErrBadSnapshot, cellCount, payload)
-	}
-	rowCells := uint64(s.M1)
+	count := binary.BigEndian.Uint64(data[52:60])
+	payload := body[snapHeaderSize:]
+	var err error
 	if s.Kind == SnapshotMatrix {
-		// Division-based check so K·M1·M2 (up to 96 bits) never has to be
-		// multiplied out: cellCount is bounded by the payload length, so
-		// both quotients are small.
-		km1 := uint64(s.K) * uint64(s.M1) // K, M1 < 2^32: no overflow
-		if km1 == 0 || s.M2 <= 0 || cellCount%km1 != 0 || cellCount/km1 != uint64(s.M2) {
-			return nil, fmt.Errorf("%w: %d cells for a %d×%d×%d matrix snapshot", ErrBadSnapshot, cellCount, s.K, s.M1, s.M2)
-		}
-		rowCells = uint64(s.M1) * uint64(s.M2)
-	} else if cellCount != uint64(s.K)*uint64(s.M1) {
-		return nil, fmt.Errorf("%w: %d cells for a %d×%d snapshot", ErrBadSnapshot, cellCount, s.K, s.M1)
+		s.Runs, err = decodeRuns(payload, s.K, count)
+	} else {
+		s.Cells, err = decodeCells(payload, s.K, s.M1, count)
 	}
-	if s.K > 0 && rowCells > 0 { // structural Validate below rejects K <= 0
-		s.Cells = make([][]float64, s.K)
-		off := snapHeaderSize
-		for j := range s.Cells {
-			row := make([]float64, rowCells)
-			for x := range row {
-				row[x] = math.Float64frombits(binary.BigEndian.Uint64(data[off : off+8]))
-				off += 8
-			}
-			s.Cells[j] = row
-		}
+	if err != nil {
+		return nil, err
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	return s, nil
+}
+
+// decodeCells reads a join payload of k rows of m cells, checking the
+// declared cell count against both the payload and the dimensions before
+// allocating anything. K and M each fit in 32 bits, so K·M cannot
+// overflow a uint64.
+func decodeCells(payload []byte, k, m int, count uint64) ([][]float64, error) {
+	if count > uint64(len(payload))/8 || count*8 != uint64(len(payload)) {
+		return nil, fmt.Errorf("%w: %d declared cells but %d payload bytes", ErrBadSnapshot, count, len(payload))
+	}
+	if count != uint64(k)*uint64(m) {
+		return nil, fmt.Errorf("%w: %d cells for a %d×%d snapshot", ErrBadSnapshot, count, k, m)
+	}
+	if count == 0 { // Validate rejects k or m of 0
+		return nil, nil
+	}
+	cells := make([][]float64, k)
+	off := 0
+	for j := range cells {
+		row := make([]float64, m)
+		for x := range row {
+			row[x] = math.Float64frombits(binary.BigEndian.Uint64(payload[off:]))
+			off += 8
+		}
+		cells[j] = row
+	}
+	return cells, nil
+}
+
+// decodeRuns reads a matrix payload: k per-replica entry counts, then
+// the entries. The declared total is checked against the payload length,
+// and the per-replica counts against the total, before anything is
+// allocated; the one allocation holds every entry, and each run is a
+// capacity-capped window onto it.
+func decodeRuns(payload []byte, k int, count uint64) ([][]core.MatrixEntry, error) {
+	lens := uint64(4) * uint64(k) // k < 2^32: no overflow
+	if lens > uint64(len(payload)) || count > (uint64(len(payload))-lens)/8 || lens+8*count != uint64(len(payload)) {
+		return nil, fmt.Errorf("%w: %d replicas and %d declared entries but %d payload bytes", ErrBadSnapshot, k, count, len(payload))
+	}
+	if k == 0 { // Validate rejects it
+		return nil, nil
+	}
+	runs := make([][]core.MatrixEntry, k)
+	all := make([]core.MatrixEntry, count)
+	off := uint64(0)
+	for j := range runs {
+		n := uint64(binary.BigEndian.Uint32(payload[4*j:]))
+		if n > count-off {
+			return nil, fmt.Errorf("%w: replica entry counts exceed the %d declared entries", ErrBadSnapshot, count)
+		}
+		runs[j] = all[off : off+n : off+n]
+		off += n
+	}
+	if off != count {
+		return nil, fmt.Errorf("%w: replica entry counts sum to %d, not the %d declared", ErrBadSnapshot, off, count)
+	}
+	entries := payload[lens:]
+	for i := range all {
+		all[i] = core.MatrixEntry{
+			Cell:  binary.BigEndian.Uint32(entries[8*i:]),
+			Count: int32(binary.BigEndian.Uint32(entries[8*i+4:])),
+		}
+	}
+	return runs, nil
 }
 
 // CompatibleWithJoin returns nil when the snapshot carries join state
@@ -405,8 +514,9 @@ func (s *Snapshot) Sketch() (*core.Sketch, error) {
 }
 
 // SnapshotOfMatrixAggregator wraps unfinalized middle-table state as a
-// snapshot without copying. The aggregator must not be finalized, and
-// must be quiescent until the snapshot is encoded.
+// snapshot without copying, compacting the aggregator's tails into its
+// runs first. The aggregator must not be finalized, and must be
+// quiescent until the snapshot is encoded.
 func SnapshotOfMatrixAggregator(ma *core.MatrixAggregator) *Snapshot {
 	if ma.Done() {
 		panic("protocol: SnapshotOfMatrixAggregator after Finalize")
@@ -421,7 +531,7 @@ func SnapshotOfMatrixAggregator(ma *core.MatrixAggregator) *Snapshot {
 		SeedA:   ma.FamilyA().Seed(),
 		SeedB:   ma.FamilyB().Seed(),
 		N:       ma.N(),
-		Cells:   ma.Mats(),
+		Runs:    ma.Runs(),
 	}
 }
 
@@ -437,17 +547,13 @@ func (s *Snapshot) MatrixAggregator() (*core.MatrixAggregator, error) {
 	p := core.MatrixParams{K: s.K, M1: s.M1, M2: s.M2, Epsilon: s.Epsilon}
 	famA := hashing.NewFamily(s.SeedA, p.K, p.M1)
 	famB := hashing.NewFamily(s.SeedB, p.K, p.M2)
-	return core.RestoreMatrixAggregator(p, famA, famB, s.Cells, s.N)
+	return core.RestoreMatrixAggregator(p, famA, famB, s.Runs, s.N)
 }
 
 // SnapshotOfMatrixSketch wraps a finalized matrix sketch as a snapshot
 // without copying.
 func SnapshotOfMatrixSketch(ms *core.MatrixSketch) *Snapshot {
 	p := ms.Params()
-	mats := make([][]float64, p.K)
-	for j := range mats {
-		mats[j] = ms.Mat(j)
-	}
 	return &Snapshot{
 		Kind:      SnapshotMatrix,
 		Finalized: true,
@@ -458,7 +564,7 @@ func SnapshotOfMatrixSketch(ms *core.MatrixSketch) *Snapshot {
 		SeedA:     ms.FamilyA().Seed(),
 		SeedB:     ms.FamilyB().Seed(),
 		N:         ms.N(),
-		Cells:     mats,
+		Runs:      ms.Runs(),
 	}
 }
 
@@ -474,5 +580,5 @@ func (s *Snapshot) MatrixSketch() (*core.MatrixSketch, error) {
 	p := core.MatrixParams{K: s.K, M1: s.M1, M2: s.M2, Epsilon: s.Epsilon}
 	famA := hashing.NewFamily(s.SeedA, p.K, p.M1)
 	famB := hashing.NewFamily(s.SeedB, p.K, p.M2)
-	return core.RestoreMatrixSketch(p, famA, famB, s.Cells, s.N)
+	return core.RestoreMatrixSketch(p, famA, famB, s.Runs, s.N)
 }

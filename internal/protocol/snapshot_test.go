@@ -2,12 +2,17 @@ package protocol
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"flag"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"ldpjoin/internal/core"
@@ -34,7 +39,7 @@ func testAggregator(t *testing.T) *core.Aggregator {
 	return agg
 }
 
-func testMatrixAggregator(t *testing.T) *core.MatrixAggregator {
+func testMatrixAggregator(t testing.TB) *core.MatrixAggregator {
 	t.Helper()
 	p := core.MatrixParams{K: 3, M1: 8, M2: 4, Epsilon: 2}
 	famA := core.Params{K: p.K, M: p.M1, Epsilon: p.Epsilon}.NewFamily(11)
@@ -124,11 +129,6 @@ func TestSnapshotRoundTripSketch(t *testing.T) {
 
 func TestSnapshotRoundTripMatrixAggregator(t *testing.T) {
 	ma := testMatrixAggregator(t)
-	wantMats := make([][]float64, len(ma.Mats()))
-	for j, mat := range ma.Mats() {
-		wantMats[j] = append([]float64(nil), mat...)
-	}
-
 	data := encode(t, SnapshotOfMatrixAggregator(ma))
 	restored, err := decode(t, data).MatrixAggregator()
 	if err != nil {
@@ -137,23 +137,12 @@ func TestSnapshotRoundTripMatrixAggregator(t *testing.T) {
 	if restored.N() != ma.N() {
 		t.Fatalf("restored N = %v, want %v", restored.N(), ma.N())
 	}
-	for j, mat := range restored.Mats() {
-		for i, v := range mat {
-			if v != wantMats[j][i] {
-				t.Fatalf("restored cell [%d,%d] = %v, want %v", j, i, v, wantMats[j][i])
-			}
-		}
+	if !reflect.DeepEqual(restored.Runs(), ma.Runs()) {
+		t.Fatal("restored counts differ from the original")
 	}
 	// Finalize both and compare every replica.
-	msA := ma.Finalize()
-	msB := restored.Finalize()
-	for j := 0; j < msA.K(); j++ {
-		a, b := msA.Mat(j), msB.Mat(j)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("finalized replica %d cell %d: %v vs %v", j, i, a[i], b[i])
-			}
-		}
+	if !reflect.DeepEqual(restored.Finalize().Runs(), ma.Finalize().Runs()) {
+		t.Fatal("restored aggregator finalizes differently from the original")
 	}
 }
 
@@ -167,13 +156,8 @@ func TestSnapshotRoundTripMatrixSketch(t *testing.T) {
 	if restored.N() != ms.N() {
 		t.Fatalf("restored N = %v, want %v", restored.N(), ms.N())
 	}
-	for j := 0; j < ms.K(); j++ {
-		a, b := ms.Mat(j), restored.Mat(j)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("replica %d cell %d: %v vs %v", j, i, a[i], b[i])
-			}
-		}
+	if !reflect.DeepEqual(restored.Runs(), ms.Runs()) {
+		t.Fatal("restored sketch differs from the original")
 	}
 }
 
@@ -321,6 +305,106 @@ func TestSnapshotValidateRejectsBadState(t *testing.T) {
 	check("row width", func(s *Snapshot) { s.Cells[0] = s.Cells[0][:3] })
 }
 
+// TestSnapshotValidateRejectsBadMatrixState holds hostile matrix
+// snapshots to the structure report counts have, finalized and
+// unfinalized alike: each row breaks one rule, and the snapshot is
+// refused both by the encoder and, re-encoded without validation, by
+// the decoder.
+func TestSnapshotValidateRejectsBadMatrixState(t *testing.T) {
+	good := SnapshotOfMatrixAggregator(testMatrixAggregator(t))
+	n := good.N
+	for _, tc := range []struct {
+		name   string
+		mutate func(s *Snapshot)
+	}{
+		{"fewer replicas than k", func(s *Snapshot) { s.Runs = s.Runs[:len(s.Runs)-1] }},
+		{"more replicas than k", func(s *Snapshot) { s.Runs = append(s.Runs, nil) }},
+		{"cell beyond m1·m2", func(s *Snapshot) { s.Runs[0][len(s.Runs[0])-1].Cell = uint32(s.M1 * s.M2) }},
+		{"repeated cell", func(s *Snapshot) { s.Runs[1][1].Cell = s.Runs[1][0].Cell }},
+		{"decreasing cells", func(s *Snapshot) { s.Runs[2][0], s.Runs[2][1] = s.Runs[2][1], s.Runs[2][0] }},
+		{"zero count", func(s *Snapshot) { s.Runs[0][0].Count = 0 }},
+		{"counts beyond n", func(s *Snapshot) { s.Runs[0][0].Count += int32(2 * n) }},
+		{"parity of the counts", func(s *Snapshot) { s.N = n - 1 }},
+		{"fractional n", func(s *Snapshot) { s.N = n + 0.5 }},
+		{"negative n", func(s *Snapshot) { s.N = -1 }},
+		{"nan n", func(s *Snapshot) { s.N = math.NaN() }},
+		{"n beyond MaxInt32", func(s *Snapshot) { s.N = core.MaxMatrixReports + 1 }},
+		{"dense cells", func(s *Snapshot) { s.Cells = [][]float64{{0}} }},
+	} {
+		for _, finalized := range []bool{false, true} {
+			s := *good
+			s.Finalized = finalized
+			s.Runs = make([][]core.MatrixEntry, len(good.Runs))
+			for j, run := range good.Runs {
+				s.Runs[j] = slices.Clone(run)
+			}
+			tc.mutate(&s)
+			if _, err := EncodeSnapshot(&s); !errors.Is(err, ErrBadSnapshot) {
+				t.Errorf("%s (finalized=%v): encode returned %v, want ErrBadSnapshot", tc.name, finalized, err)
+			}
+			if s.Cells != nil {
+				continue // a matrix payload has no place for them
+			}
+			if _, err := DecodeSnapshot(appendSnapshot(nil, &s)); !errors.Is(err, ErrBadSnapshot) {
+				t.Errorf("%s (finalized=%v): decode returned %v, want ErrBadSnapshot", tc.name, finalized, err)
+			}
+		}
+	}
+}
+
+// TestSnapshotRejectsLyingMatrixPayload: the declared entry count and
+// the per-replica counts must match the payload before anything is
+// allocated for them.
+func TestSnapshotRejectsLyingMatrixPayload(t *testing.T) {
+	data := encode(t, SnapshotOfMatrixAggregator(testMatrixAggregator(t)))
+	reseal := func(mutate func(b []byte)) []byte {
+		b := slices.Clone(data)
+		mutate(b)
+		body := b[:len(b)-snapTrailerSize]
+		binary.BigEndian.PutUint32(b[len(body):], crc32.ChecksumIEEE(body))
+		return b
+	}
+	for name, b := range map[string][]byte{
+		"entry count beyond the payload": reseal(func(b []byte) { binary.BigEndian.PutUint64(b[52:], 1<<40) }),
+		"entry count short of the payload": reseal(func(b []byte) {
+			binary.BigEndian.PutUint64(b[52:], binary.BigEndian.Uint64(b[52:])-1)
+		}),
+		"k beyond the payload": reseal(func(b []byte) { binary.BigEndian.PutUint32(b[8:], 1<<31) }),
+		"replica counts that do not sum to the total": reseal(func(b []byte) {
+			binary.BigEndian.PutUint32(b[snapHeaderSize:], binary.BigEndian.Uint32(b[snapHeaderSize:])+1)
+		}),
+	} {
+		if _, err := DecodeSnapshot(b); !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s: decode returned %v, want ErrBadSnapshot", name, err)
+		}
+	}
+}
+
+// TestSnapshotRefusesVersion1Matrix: the dense matrix snapshots written
+// before matrix state became counts — kept here as the bytes that
+// release wrote — are refused with an error naming the break, by the
+// decoder and by the kind peek the merge route reads first. Join
+// snapshots stay version 1.
+func TestSnapshotRefusesVersion1Matrix(t *testing.T) {
+	for _, name := range []string{"matrix_v1_unfinalized.snap", "matrix_v1_finalized.snap"} {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeSnapshot(data); !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "version 1 matrix snapshot") {
+			t.Errorf("%s: decode returned %v, want the version 1 matrix refusal", name, err)
+		}
+		if _, err := PeekColumnKind(data); err == nil || !strings.Contains(err.Error(), "version 1 matrix snapshot") {
+			t.Errorf("%s: peek returned %v, want the version 1 matrix refusal", name, err)
+		}
+	}
+	join := encode(t, SnapshotOfAggregator(testAggregator(t)))
+	join[4] = snapVersionMatrix
+	if _, err := PeekSnapshotKind(join); !errors.Is(err, ErrBadSnapshot) {
+		t.Errorf("version 2 join snapshot peeked as %v, want ErrBadSnapshot", err)
+	}
+}
+
 // golden compares the canonical encoding of a deterministic snapshot
 // against the checked-in bytes; -update rewrites them.
 func golden(t *testing.T, name string, data []byte) {
@@ -372,6 +456,21 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	if seed, err := EncodeSnapshot(SnapshotOfAggregator(sAgg)); err == nil {
 		f.Add(seed)
 		f.Add(seed[:len(seed)-1])
+	}
+	if seed, err := EncodeSnapshot(SnapshotOfMatrixAggregator(testMatrixAggregator(f))); err == nil {
+		f.Add(seed)
+		// Hostile: the same counts with two cells of replica 0 swapped out
+		// of order, resealed with a valid checksum.
+		hostile := slices.Clone(seed)
+		first := snapHeaderSize + 4*3
+		copy(hostile[first:first+8], seed[first+8:first+16])
+		copy(hostile[first+8:first+16], seed[first:first+8])
+		body := hostile[:len(hostile)-snapTrailerSize]
+		binary.BigEndian.PutUint32(hostile[len(body):], crc32.ChecksumIEEE(body))
+		f.Add(hostile)
+	}
+	if seed, err := EncodeSnapshot(SnapshotOfMatrixSketch(testMatrixAggregator(f).Finalize())); err == nil {
+		f.Add(seed)
 	}
 	f.Add([]byte("SNAP"))
 	f.Fuzz(func(t *testing.T, data []byte) {

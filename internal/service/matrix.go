@@ -2,6 +2,7 @@ package service
 
 import (
 	"bufio"
+	"fmt"
 	"net/http"
 
 	"ldpjoin/internal/core"
@@ -17,7 +18,14 @@ type matrixKind struct{}
 
 type matrixBatches = reportBatches[core.MatrixReport]
 
-func (matrixKind) checkAttr(s *Server, attr int) error { return s.spanInRange(attr, 2) }
+// checkAttr also refuses matrix columns outright under a width whose
+// M×M cells a uint32 cannot index (M > 65536).
+func (matrixKind) checkAttr(s *Server, attr int) error {
+	if err := s.matrixP.Validate(); err != nil {
+		return err
+	}
+	return s.spanInRange(attr, 2)
+}
 
 func (matrixKind) decodeReports(s *Server, name string, body *bufio.Reader, h protocol.Header) (batchSet, error) {
 	br, err := protocol.NewMatrixBatchReaderFrom(body, h, s.matrixP)
@@ -31,7 +39,9 @@ func (matrixKind) newColumn(s *Server, attr int) column {
 	return matrixColumn{s.engine.NewMatrixColumn(s.matrixP, s.fams[attr], s.fams[attr+1])}
 }
 
-// A matrix snapshot is K·M² cells, ~1000× a join snapshot at defaults.
+// A matrix snapshot holds up to K·M² count entries: ~1000× a join
+// snapshot at defaults when every cell is non-zero, though a column of n
+// tuples encodes to at most n entries.
 func (matrixKind) snapshotBound(s *Server) int { return protocol.SnapshotEncodedSizeMatrix(s.matrixP) }
 
 func (matrixKind) slot(s *Server, snap protocol.ColumnSnapshot) (int, error) { return s.slotOf(snap) }
@@ -47,7 +57,19 @@ func (matrixKind) restore(snap protocol.ColumnSnapshot) (*finishedColumn, error)
 // matrixColumn adapts an ingest.MatrixColumn to the mutating path.
 type matrixColumn struct{ *ingest.MatrixColumn }
 
-func (matrixColumn) admit(batchSet) error { return nil }
+// admit refuses a batch set that would take the column past
+// core.MaxMatrixReports: its counts are int32s, exact only up to there.
+// The refusal comes before the WAL append and leaves the column as it
+// was, still collecting.
+func (c matrixColumn) admit(b batchSet) error { return c.fits(int64(b.count())) }
+
+// fits refuses more reports than the column has room for.
+func (c matrixColumn) fits(more int64) error {
+	if n := c.N(); more > core.MaxMatrixReports-n {
+		return fmt.Errorf("%d more reports would take the matrix column past %d reports (it holds %d): its counts are int32s", more, core.MaxMatrixReports, n)
+	}
+	return nil
+}
 
 func (matrixColumn) appendReports(st *store.Store, name string, attr int, b batchSet) error {
 	return st.AppendMatrixReports(name, attr, b.(matrixBatches).batches)
@@ -69,9 +91,12 @@ func (c matrixColumn) finalize() (*finishedColumn, error) {
 	return &finishedColumn{kind: protocol.KindMatrix, matrix: ms}, nil
 }
 
-func (matrixColumn) prepareMerge(snap protocol.ColumnSnapshot) (any, *advanceRequest, error) {
+func (c matrixColumn) prepareMerge(snap protocol.ColumnSnapshot) (any, *advanceRequest, error) {
 	agg, err := snap.(*protocol.Snapshot).MatrixAggregator()
-	return agg, nil, err
+	if err != nil {
+		return nil, nil, err
+	}
+	return agg, nil, c.fits(int64(agg.N()))
 }
 
 func (c matrixColumn) merge(m any) error { return c.MergeAggregator(m.(*core.MatrixAggregator)) }

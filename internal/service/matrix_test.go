@@ -16,9 +16,9 @@ import (
 	"ldpjoin/internal/protocol"
 )
 
-// Matrix-column tests run under their own, smaller configuration: a
-// matrix column's aggregation state is K·M² cells per shard, so the
-// scalar suite's M=512 would cost tens of MB per column here.
+// Matrix-column tests, and the operation and lifecycle tests that reuse
+// matrixServer, run under their own configuration, smaller than the
+// scalar suite's.
 var (
 	mtParams = core.Params{K: 7, M: 128, Epsilon: 5}
 	mtMatrix = core.MatrixParams{K: 7, M1: 128, M2: 128, Epsilon: 5}

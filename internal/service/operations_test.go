@@ -16,10 +16,11 @@ import (
 // and one collecting plus column "P" (phase 1), with the pieces the
 // operations consume: batch sets, peer snapshots, an advance request.
 type opFixture struct {
-	srv  *Server
-	base string
-	join *pendingColumn
-	plus *pendingColumn
+	srv    *Server
+	base   string
+	join   *pendingColumn
+	plus   *pendingColumn
+	matrix *pendingColumn // nil unless a row's arrange step makes one
 
 	joinReports, sample, low []core.Report
 	joinSnap, plusSnap       []byte // unfinalized exports of a peer's J and (phase-1) P
@@ -70,6 +71,20 @@ func (f *opFixture) plusSet(g protocol.PlusGroup, reports []core.Report) batchSe
 	return plusBatches{oneBatch(slices.Clone(reports)), g}
 }
 
+// matrixSnap encodes an unfinalized matrix snapshot for attribute slot 0
+// holding n reports whose signs all cancelled: no count, any even n.
+func matrixSnap(t *testing.T, n float64) []byte {
+	t.Helper()
+	data, err := protocol.EncodeSnapshot(&protocol.Snapshot{
+		Kind: protocol.SnapshotMatrix, K: mtMatrix.K, M1: mtMatrix.M1, M2: mtMatrix.M2, Epsilon: mtMatrix.Epsilon,
+		SeedA: mtFam(0).Seed(), SeedB: mtFam(1).Seed(), N: n, Runs: make([][]core.MatrixEntry, mtMatrix.K),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 func decodeSnap(t *testing.T, data []byte) protocol.ColumnSnapshot {
 	t.Helper()
 	snap, err := protocol.DecodeColumnSnapshot(data)
@@ -117,6 +132,30 @@ func TestOperationRefusals(t *testing.T) {
 		}
 	}
 	asIs := func(*testing.T, *opFixture) {}
+	// A matrix column "M" two reports short of the int32 count limit, by
+	// merging a peer's state of MaxMatrixReports−1 reports whose signs
+	// cancelled.
+	nearlyFull := func(t *testing.T, f *opFixture) {
+		col, err := f.srv.register("M", protocol.KindMatrix, 0, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := matrixSnap(t, core.MaxMatrixReports-1)
+		if _, err := f.srv.merge(col, decodeSnap(t, data), data); err != nil {
+			t.Fatal(err)
+		}
+		f.matrix = col
+	}
+	matrixReports := func(n int) func(*testing.T, *opFixture) error {
+		return func(t *testing.T, f *opFixture) error {
+			batch := make([]core.MatrixReport, n)
+			for i := range batch {
+				batch[i].Y = 1
+			}
+			_, err := f.srv.reports(f.matrix, oneBatch(batch))
+			return err
+		}
+	}
 
 	// The attempts.
 	registerJoin := func(t *testing.T, f *opFixture) error {
@@ -211,6 +250,13 @@ func TestOperationRefusals(t *testing.T) {
 			return err
 		}, 409, codeConflict},
 
+		{"count limit/matrix reports", nearlyFull, matrixReports(2), 409, codeConflict},
+		{"count limit/matrix merge", nearlyFull, func(t *testing.T, f *opFixture) error {
+			data := matrixSnap(t, 2)
+			_, err := f.srv.merge(f.matrix, decodeSnap(t, data), data)
+			return err
+		}, 409, codeConflict},
+
 		{"duplicate advance/explicit", advancePlus, advanceExplicit, 409, codeConflict},
 		{"duplicate advance/computed", advancePlus, advanceComputed, 409, codeConflict},
 	} {
@@ -218,6 +264,10 @@ func TestOperationRefusals(t *testing.T) {
 			f := newOpFixture(t)
 			tc.arrange(t, f)
 			nJoin, nPlus, wal := f.join.state.N(), f.plus.state.N(), f.srv.st.Stats()
+			var nMatrix int64
+			if f.matrix != nil {
+				nMatrix = f.matrix.state.N()
+			}
 
 			err := tc.try(t, f)
 			var refusal *apiError
@@ -232,6 +282,19 @@ func TestOperationRefusals(t *testing.T) {
 			}
 			if after := f.srv.st.Stats(); after.Appends != wal.Appends || after.Bytes != wal.Bytes {
 				t.Errorf("a refusal reached the WAL: %d appends / %d bytes → %d / %d", wal.Appends, wal.Bytes, after.Appends, after.Bytes)
+			}
+			if f.matrix != nil {
+				if got := f.matrix.state.N(); got != nMatrix {
+					t.Errorf("a refusal changed M's report count: %d → %d", nMatrix, got)
+				}
+				// Refused, not poisoned: the column still takes what fits,
+				// and finalizes.
+				if err := matrixReports(1)(t, f); err != nil {
+					t.Errorf("M refused a report that fits: %v", err)
+				}
+				if code, out := post(t, f.base+"/v1/columns/M/finalize", nil); code != 200 {
+					t.Errorf("finalizing M after the refusal: %d %v", code, out)
+				}
 			}
 		})
 	}

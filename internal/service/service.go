@@ -947,8 +947,8 @@ func (s *Server) handleSnapshot(r *http.Request) (any, error) {
 func (s *Server) handleMerge(r *http.Request) (any, error) {
 	name := r.PathValue("name")
 	// Read the fixed-size header first: its kind picks the exact body
-	// bound — a join snapshot is K·M cells, a matrix snapshot K·M²
-	// (~1000× larger at defaults) — so a request is never buffered
+	// bound — a join snapshot is K·M cells, a matrix snapshot up to K·M²
+	// entries (~1000× larger at defaults) — so a request is never buffered
 	// beyond the size its declared kind justifies, and garbage bodies
 	// are rejected after 60 bytes.
 	header := make([]byte, protocol.SnapshotHeaderSize)

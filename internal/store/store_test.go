@@ -642,6 +642,31 @@ func TestStoreRejectsAttrMismatchedSnapshot(t *testing.T) {
 	}
 }
 
+// TestStoreRefusesVersion1MatrixMerge: a matrix merge record in a WAL
+// written before matrix state became sparse counts carries a version 1
+// (dense) snapshot, and recovery refuses it with the error that names
+// the format break rather than replaying around it.
+func TestStoreRefusesVersion1MatrixMerge(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("..", "protocol", "testdata", "matrix_v1_unfinalized.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	st := open(t, dir, Options{})
+	if _, err := st.Recover(newReplayLog()); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AppendMerge("ab", protocol.KindMatrix, 0, old); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	st2 := open(t, dir, Options{})
+	if _, err := st2.Recover(newReplayLog()); !errors.Is(err, protocol.ErrBadSnapshot) || !strings.Contains(err.Error(), "version 1 matrix snapshot") {
+		t.Fatalf("replaying a version 1 matrix merge: got %v, want the version 1 matrix refusal", err)
+	}
+}
+
 // testPlusFams derives the sample and group families of a plus column
 // on attribute 0, exactly as the service does.
 func testPlusFams() (famS, famG *hashing.Family) {
