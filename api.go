@@ -196,7 +196,7 @@ func (p *Protocol) ImportSnapshot(data []byte) (*Aggregator, error) {
 	if snap.Finalized {
 		return nil, fmt.Errorf("ldpjoin: snapshot is finalized; use ImportFinalized")
 	}
-	agg, err := core.RestoreAggregator(p.params, p.fam, snap.Cells, snap.N)
+	agg, err := core.RestoreAggregator(p.params, p.fam, snap.Counts, snap.N)
 	if err != nil {
 		return nil, fmt.Errorf("ldpjoin: %w", err)
 	}
@@ -217,7 +217,7 @@ func (p *Protocol) ImportFinalized(data []byte) (*Sketch, error) {
 	if !snap.Finalized {
 		return nil, fmt.Errorf("ldpjoin: snapshot is unfinalized; use ImportSnapshot")
 	}
-	sk, err := core.RestoreSketch(p.params, p.fam, snap.Cells, snap.N)
+	sk, err := core.RestoreSketch(p.params, p.fam, snap.Counts, snap.N)
 	if err != nil {
 		return nil, fmt.Errorf("ldpjoin: %w", err)
 	}
@@ -283,17 +283,17 @@ func (s *Sketch) HeavyHitters(domain uint64, share float64) []uint64 {
 	return s.sk.FrequentItems(domain, share*s.sk.N(), false)
 }
 
-// Merge adds other's cells into s. Finalization is linear, so the
-// merged sketch summarizes the union of the two populations and every
-// estimator stays unbiased — but floating-point addition makes the
-// result not bit-identical to finalizing merged unfinalized state. For
-// byte-exact federation, merge before finalizing (Aggregator.Merge /
-// Protocol.ImportSnapshot). Merge mutates s and must not race its
-// query methods.
+// Merge adds other's report counts into s. A finalized sketch is its
+// integer counts, so the merge is exact: identical to a sketch built
+// over both populations. The two must hold at most 2³¹−1 reports
+// together. Merge mutates s and must not race its query methods.
 func (s *Sketch) Merge(other *Sketch) error {
 	if !s.sk.Compatible(other.sk) {
 		return fmt.Errorf("ldpjoin: sketches are not combinable (params %+v/seed %d vs params %+v/seed %d)",
 			s.sk.Params(), s.sk.Family().Seed(), other.sk.Params(), other.sk.Family().Seed())
+	}
+	if s.sk.N()+other.sk.N() > core.MaxReports {
+		return fmt.Errorf("ldpjoin: merged sketch would summarize %v reports, beyond its %d-report limit", s.sk.N()+other.sk.N(), core.MaxReports)
 	}
 	s.sk.Merge(other.sk)
 	return nil
@@ -301,7 +301,7 @@ func (s *Sketch) Merge(other *Sketch) error {
 
 // Snapshot exports the finalized sketch as a SNAP snapshot — the same
 // codec ImportFinalized reads, carrying the configuration fingerprint
-// and a CRC. Unlike MarshalBinary (the legacy LJS1 catalog format) a
+// and a CRC. Unlike MarshalBinary (the LJS2 catalog format) a
 // snapshot can also carry unfinalized state; see Aggregator.Snapshot.
 func (s *Sketch) Snapshot() ([]byte, error) {
 	return protocol.EncodeSnapshot(protocol.SnapshotOfSketch(s.sk))

@@ -79,8 +79,8 @@ func (m *MatrixSketch) Merge(other *MatrixSketch) error {
 			m.ms.Params(), m.ms.FamilyA().Seed(), m.ms.FamilyB().Seed(),
 			other.ms.Params(), other.ms.FamilyA().Seed(), other.ms.FamilyB().Seed())
 	}
-	if m.ms.N()+other.ms.N() > core.MaxMatrixReports {
-		return fmt.Errorf("ldpjoin: merged matrix sketch would summarize %v tuples, beyond its %d-tuple limit", m.ms.N()+other.ms.N(), core.MaxMatrixReports)
+	if m.ms.N()+other.ms.N() > core.MaxReports {
+		return fmt.Errorf("ldpjoin: merged matrix sketch would summarize %v tuples, beyond its %d-tuple limit", m.ms.N()+other.ms.N(), core.MaxReports)
 	}
 	m.ms.Merge(other.ms)
 	return nil

@@ -27,15 +27,15 @@ func TestAddBatchEveryY(t *testing.T) {
 			}
 		}
 	}
-	want := make([][]float64, p.K)
+	want := make([][]int32, p.K)
 	for j := range want {
-		want[j] = make([]float64, p.M)
+		want[j] = make([]int32, p.M)
 	}
 	var wantN float64
 	var wantErr string
 	for _, r := range reports {
 		if int(r.Row) < p.K && int(r.Col) < p.M && (r.Y == 1 || r.Y == -1) {
-			want[r.Row][r.Col] += float64(r.Y)
+			want[r.Row][r.Col] += int32(r.Y)
 			wantN++
 		} else if wantErr == "" {
 			wantErr = fmt.Sprintf("core: report (y=%d, row=%d, col=%d) out of sketch bounds (%d, %d)",
@@ -47,8 +47,8 @@ func TestAddBatchEveryY(t *testing.T) {
 	// wrong fold: give every cell a distinct starting value.
 	for j := range agg.rows {
 		for x := range agg.rows[j] {
-			agg.rows[j][x] = float64(100*j + x)
-			want[j][x] += float64(100*j + x)
+			agg.rows[j][x] = int32(100*j + x)
+			want[j][x] += int32(100*j + x)
 		}
 	}
 	err := agg.AddBatch(reports)
@@ -61,7 +61,7 @@ func TestAddBatchEveryY(t *testing.T) {
 	for j := range want {
 		for x := range want[j] {
 			if agg.rows[j][x] != want[j][x] {
-				t.Fatalf("cell [%d, %d] = %g, want %g", j, x, agg.rows[j][x], want[j][x])
+				t.Fatalf("cell [%d, %d] = %d, want %d", j, x, agg.rows[j][x], want[j][x])
 			}
 		}
 	}

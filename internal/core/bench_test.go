@@ -25,25 +25,19 @@ func benchAggregator(tb testing.TB) *Aggregator {
 	return agg
 }
 
-// BenchmarkFinalize measures the debias-scale + row-restore hot path:
-// K independent fused scale+FWHT transforms. Each iteration restores
-// the accumulation state from a template copy so the transform always
-// runs on fresh (untransformed) rows; the copy is ~9·512 floats and is
-// noise next to the transforms.
-func BenchmarkFinalize(b *testing.B) {
-	agg := benchAggregator(b)
-	template := make([][]float64, len(agg.rows))
-	for j := range agg.rows {
-		template[j] = append([]float64(nil), agg.rows[j]...)
-	}
+// BenchmarkRestore measures the restore a sketch's first join or
+// frequency query pays: K independent fused scale+FWHT transforms over
+// float copies of the counts. Each iteration hands the sketch its counts
+// back so the restore always runs.
+func BenchmarkRestore(b *testing.B) {
+	s := benchAggregator(b).Finalize()
+	counts := s.Counts()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j := range agg.rows {
-			copy(agg.rows[j], template[j])
-		}
-		agg.done = false
-		agg.Finalize()
+		s.counts.Store(&counts)
+		s.restored.Store(nil)
+		s.cells()
 	}
 }
 
@@ -162,9 +156,8 @@ func BenchmarkMatrixAddBatch(b *testing.B) {
 }
 
 // BenchmarkChainEstimate is a cold 3-way chain estimate at the bench
-// shape through a middle of n tuples: two end-row FWHTs and one sparse
-// vector–count product per replica, O(nnz) where the dense product was
-// O(K·M²) whatever n.
+// shape through a middle of n tuples: one sparse vector–count product
+// and one end dot per replica, O(nnz + M), with no transform.
 func BenchmarkChainEstimate(b *testing.B) {
 	ep := Params{K: 18, M: 1024, Epsilon: 4}
 	rng := rand.New(rand.NewSource(5))

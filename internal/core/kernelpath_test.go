@@ -11,9 +11,9 @@ import (
 
 // These tests pin the kernel-backed hot paths to their executable
 // references inside core itself: the kernel package proves each
-// primitive bit-exact in isolation, and these prove the rewiring —
-// parallel Finalize, the sharded FI scan, the shifted plus-join dot —
-// composed them without changing a single output bit.
+// primitive bit-exact in isolation, and these prove the rewiring — the
+// parallel restore, the sharded FI scan — composed them without
+// changing a single output bit.
 
 // filledAggregator returns an aggregator with n perturbed reports over
 // [0, domain) folded in.
@@ -29,31 +29,28 @@ func filledAggregator(p Params, seed int64, n int, domain uint64) *Aggregator {
 	return agg
 }
 
-// TestFinalizeBitExactVsReference: the parallel fused scale+radix-4
-// restore must equal — cell for cell, bit for bit — the literal
-// Algorithm 2 reading: scale every cell by k·c_ε, then
-// hadamard.Transform each row. Finalized state is persisted and
-// federated byte-identically, so approximate equality is not enough.
-func TestFinalizeBitExactVsReference(t *testing.T) {
+// TestRestoreBitExactVsReference: the parallel fused scale+radix-4
+// restore the frequency estimators read must equal — cell for cell, bit
+// for bit — the literal Algorithm 2 reading: scale every count by k·c_ε,
+// then hadamard.Transform each row. The frequent-item proposal a plus
+// column's advance logs is read off these cells, and replay must propose
+// the same set, so approximate equality is not enough.
+func TestRestoreBitExactVsReference(t *testing.T) {
 	for _, p := range []Params{
 		{K: 5, M: 64, Epsilon: 1},
 		{K: 9, M: 512, Epsilon: 4},
 		{K: 18, M: 256, Epsilon: 2}, // K > maxStackK
 	} {
-		agg := filledAggregator(p, 11, 4096, 1<<14)
-		ref := make([][]float64, p.K)
-		for j, row := range agg.rows {
-			ref[j] = append([]float64(nil), row...)
-			for x := range ref[j] {
-				ref[j][x] *= agg.scale
+		s := filledAggregator(p, 11, 4096, 1<<14).Finalize()
+		for j, row := range s.Counts() {
+			ref := make([]float64, len(row))
+			for x, c := range row {
+				ref[x] = float64(c) * s.scale
 			}
-			hadamard.Transform(ref[j])
-		}
-		s := agg.Finalize()
-		for j := range ref {
-			for x := range ref[j] {
-				if s.rows[j][x] != ref[j][x] {
-					t.Fatalf("K=%d M=%d: cell [%d,%d] = %v, reference %v", p.K, p.M, j, x, s.rows[j][x], ref[j][x])
+			hadamard.Transform(ref)
+			for x := range ref {
+				if got := s.Row(j)[x]; got != ref[x] {
+					t.Fatalf("K=%d M=%d: cell [%d,%d] = %v, reference %v", p.K, p.M, j, x, got, ref[x])
 				}
 			}
 		}
@@ -83,31 +80,6 @@ func TestFrequentItemsShardedMatchesSerial(t *testing.T) {
 			if sharded[i] != serial[i] {
 				t.Fatalf("useMean=%v: item %d: sharded %d, serial %d", useMean, i, sharded[i], serial[i])
 			}
-		}
-	}
-}
-
-// TestJoinSizeShiftedMatchesMinusConstant: the serving path
-// (JoinSizeShifted, offsets folded into the dot loop) must equal the
-// reference path (MinusConstant copies, then JoinSize) exactly — the
-// subtract-then-multiply per cell and the accumulation order are the
-// same ops in the same order on both routes.
-func TestJoinSizeShiftedMatchesMinusConstant(t *testing.T) {
-	p := Params{K: 9, M: 256, Epsilon: 4}
-	fam := hashing.NewFamily(31, p.K, p.M)
-	a := NewAggregator(p, fam)
-	b := NewAggregator(p, fam)
-	rng := rand.New(rand.NewSource(32))
-	for i := 0; i < 4096; i++ {
-		a.Add(Perturb(uint64(rng.Intn(1000)), p, fam, rng))
-		b.Add(Perturb(uint64(rng.Intn(1000)), p, fam, rng))
-	}
-	sa, sb := a.Finalize(), b.Finalize()
-	for _, c := range [][2]float64{{0, 0}, {1.5, 0}, {0, 2.25}, {3.75, 1.5}, {-2, 7}} {
-		got := sa.JoinSizeShifted(sb, c[0], c[1])
-		want := sa.MinusConstant(c[0]).JoinSize(sb.MinusConstant(c[1]))
-		if got != want {
-			t.Fatalf("ca=%v cb=%v: JoinSizeShifted %v, MinusConstant reference %v", c[0], c[1], got, want)
 		}
 	}
 }

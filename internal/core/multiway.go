@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -79,11 +78,6 @@ type MatrixEntry struct {
 	Count int32
 }
 
-// MaxMatrixReports is the most reports one matrix aggregator or sketch
-// holds: a count is an int32, and no count exceeds n in magnitude, so up
-// to here every count is exact.
-const MaxMatrixReports = math.MaxInt32
-
 // minTail is the tail length below which a replica never compacts: a
 // short tail costs less to keep than to merge.
 const minTail = 1 << 12
@@ -138,15 +132,15 @@ func (ma *MatrixAggregator) Add(r MatrixReport) {
 // AddBatch ingests a batch of wire-decoded tuple reports with the same
 // skip-and-report bounds check, and the same branch-free treatment of
 // the sign, as Aggregator.AddBatch. A batch that would take the
-// aggregator past MaxMatrixReports is refused whole.
+// aggregator past MaxReports is refused whole.
 //
 //ldpjoin:hotpath
 func (ma *MatrixAggregator) AddBatch(reports []MatrixReport) error {
 	if ma.done {
 		panic("core: MatrixAggregator.AddBatch after Finalize")
 	}
-	if int64(len(reports)) > MaxMatrixReports-ma.n {
-		return ma.fullError(len(reports))
+	if err := room(ma.n, int64(len(reports))); err != nil {
+		return err
 	}
 	p := ma.params
 	m2 := uint32(p.M2)
@@ -174,12 +168,6 @@ func (ma *MatrixAggregator) boundsError(r MatrixReport) error {
 	p := ma.params
 	return fmt.Errorf("core: matrix report (y=%d, row=%d, l1=%d, l2=%d) out of sketch bounds (%d, %d, %d)",
 		r.Y, r.Row, r.L1, r.L2, p.K, p.M1, p.M2)
-}
-
-// fullError is the error of a batch AddBatch refused for the count limit.
-func (ma *MatrixAggregator) fullError(batch int) error {
-	return fmt.Errorf("core: %d more reports would take a matrix aggregator holding %d past its %d-report limit",
-		batch, ma.n, MaxMatrixReports)
 }
 
 // compact sorts replica j's tail and merges it into the run.
@@ -230,7 +218,7 @@ func mergeRuns(a, b []MatrixEntry) []MatrixEntry {
 // Merge folds other (not yet finalized, same parameters and families)
 // into ma. It is exact: counts are integers, so merging is
 // order-independent and loses nothing. The two must hold at most
-// MaxMatrixReports reports together.
+// MaxReports reports together.
 func (ma *MatrixAggregator) Merge(other *MatrixAggregator) {
 	if ma.done || other.done {
 		panic("core: MatrixAggregator.Merge after Finalize")
@@ -238,8 +226,8 @@ func (ma *MatrixAggregator) Merge(other *MatrixAggregator) {
 	if !ma.Compatible(other) {
 		panic("core: MatrixAggregator.Merge across params or hash families")
 	}
-	if other.n > MaxMatrixReports-ma.n {
-		panic("core: MatrixAggregator.Merge past MaxMatrixReports")
+	if err := room(ma.n, other.n); err != nil {
+		panic(err)
 	}
 	ma.compactAll()
 	other.compactAll()
@@ -281,19 +269,18 @@ func (ma *MatrixAggregator) Compatible(other *MatrixAggregator) bool {
 // CheckMatrixRuns returns nil when (runs, n) is state some stream of n
 // reports could have folded into under p: K replicas; in each, cells
 // inside the matrix and strictly increasing, and no zero count; n a
-// whole number of reports no larger than MaxMatrixReports; and, since
-// every report adds ±1 to exactly one cell, Σ|count| ≤ n and
-// Σcount ≡ n (mod 2). Finalized and unfinalized state are both counts,
-// so one check serves both.
+// whole number of reports no larger than MaxReports; and the two rules
+// every count state obeys (see countSums). Finalized and unfinalized
+// state are both counts, so one check serves both.
 func CheckMatrixRuns(p MatrixParams, runs [][]MatrixEntry, n float64) error {
-	if !(n >= 0 && n <= MaxMatrixReports && n == math.Trunc(n)) {
-		return fmt.Errorf("core: matrix report count %v is not a whole number in [0, %d]", n, MaxMatrixReports)
+	if err := checkReportCount(n); err != nil {
+		return err
 	}
 	if len(runs) != p.K {
 		return fmt.Errorf("core: %d replicas for a depth-%d matrix sketch", len(runs), p.K)
 	}
 	cells := uint64(p.M1) * uint64(p.M2)
-	var abs, sum int64
+	var sums countSums
 	for j, run := range runs {
 		for i, e := range run {
 			if uint64(e.Cell) >= cells {
@@ -305,18 +292,12 @@ func CheckMatrixRuns(p MatrixParams, runs [][]MatrixEntry, n float64) error {
 			if e.Count == 0 {
 				return fmt.Errorf("core: replica %d entry %d: zero count for cell %d", j, i, e.Cell)
 			}
-			c := int64(e.Count)
-			sum += c
-			abs += max(c, -c)
-			if abs > int64(n) {
-				return fmt.Errorf("core: counts sum to more than the %v reports in magnitude", n)
+			if err := sums.add(e.Count, n); err != nil {
+				return err
 			}
 		}
 	}
-	if (sum-int64(n))%2 != 0 {
-		return fmt.Errorf("core: counts sum to %d, which %v reports of ±1 cannot (the parity differs)", sum, n)
-	}
-	return nil
+	return sums.check(n)
 }
 
 // restoreMatrixState validates exported matrix state before either
@@ -433,13 +414,13 @@ func (ms *MatrixSketch) Compatible(other *MatrixSketch) bool {
 // Merge adds other's counts into ms. Finalized state is counts, so this
 // is the same integer merge as MatrixAggregator.Merge, and the result is
 // identical to merging before finalization. The sketches must be
-// Compatible and hold at most MaxMatrixReports reports together.
+// Compatible and hold at most MaxReports reports together.
 func (ms *MatrixSketch) Merge(other *MatrixSketch) {
 	if !ms.Compatible(other) {
 		panic("core: MatrixSketch.Merge of incompatible sketches")
 	}
-	if other.n > MaxMatrixReports-ms.n {
-		panic("core: MatrixSketch.Merge past MaxMatrixReports")
+	if err := room(ms.n, other.n); err != nil {
+		panic(err)
 	}
 	for j := range ms.runs {
 		ms.runs[j] = mergeRuns(ms.runs[j], other.runs[j])
@@ -525,11 +506,14 @@ func traceCounts(m1, m2, m3 *MatrixSketch, j int, rowStart []int) float64 {
 // must share its family with mids[0]'s A side, and so on down the chain;
 // K must agree everywhere, and the dimensions must compose.
 //
-// Replica j's estimate is s_L·M_1·…·M_r·s_R with each M_i = c_i·H·Y_i·H.
-// H is symmetric and H·H = m·I, so every H·H between two middles is a
-// scalar and the estimate is c_1⋯c_r·m_1⋯m_{r−1}·(H·s_L)·Y_1⋯Y_r·(H·s_R),
-// where m_i is the dimension middles i and i+1 share: one FWHT of a copy
-// of each end row, then one O(nnz) vector–count product per middle.
+// Replica j's estimate is s_L·M_1·…·M_r·s_R with each M_i = c_i·H·Y_i·H
+// and each end row s = c·H·a over its counts a. H is symmetric and
+// H·H = m·I, so every H·H on the chain — end to middle, and middle to
+// middle — is a scalar, and the estimate is F·a_L·Y_1⋯Y_r·a_R, where F
+// is c_L·c_R·c_1⋯c_r times every dimension two neighbours share: one
+// O(nnz) vector–count product per middle, and no transform while the
+// ends hold their counts (an end a join or frequency query restored
+// gives its counts back through one FWHT per row; see Sketch).
 func ChainEstimate(left *Sketch, mids []*MatrixSketch, right *Sketch) float64 {
 	k := left.params.K
 	if right.params.K != k {
@@ -539,6 +523,7 @@ func ChainEstimate(left *Sketch, mids []*MatrixSketch, right *Sketch) float64 {
 		panic("core: a chain needs at least one middle table")
 	}
 	dim, widest := left.params.M, left.params.M
+	factor := left.scale * right.scale * float64(dim)
 	for _, m := range mids {
 		if m.params.K != k {
 			panic("core: chain matrix disagrees on K")
@@ -548,6 +533,7 @@ func ChainEstimate(left *Sketch, mids []*MatrixSketch, right *Sketch) float64 {
 		}
 		dim = m.params.M2
 		widest = max(widest, dim)
+		factor *= m.scale * float64(dim)
 	}
 	if right.params.M != dim {
 		panic("core: chain dimensions do not compose")
@@ -555,37 +541,30 @@ func ChainEstimate(left *Sketch, mids []*MatrixSketch, right *Sketch) float64 {
 	var buf [maxStackK]float64
 	ests := estScratch(&buf, k)
 	// One scratch for the whole replica loop: two ping-pong vectors wide
-	// enough for every step, and the right end's transform.
+	// enough for every step, and the right end's counts.
 	scratch := make([]float64, 2*widest+dim)
 	for j := 0; j < k; j++ {
-		ests = append(ests, chainReplica(left.Row(j), mids, j, right.Row(j), scratch))
+		ests = append(ests, factor*chainReplica(left, mids, j, right, scratch))
 	}
 	return kernel.MedianInPlace(ests)
 }
 
-// chainReplica is replica j's chain estimate (see ChainEstimate) over
-// the caller's scratch. Alternating the two vectors keeps vecCounts'
-// input and output apart.
+// chainReplica is replica j's bilinear form a_L·Y_1⋯Y_r·a_R over the
+// counts (see ChainEstimate), unscaled, over the caller's scratch.
+// Alternating the two vectors keeps vecCounts' input and output apart.
 //
 //ldpjoin:hotpath
-func chainReplica(left []float64, mids []*MatrixSketch, j int, right, scratch []float64) float64 {
-	widest := (len(scratch) - len(right)) / 2
+func chainReplica(left *Sketch, mids []*MatrixSketch, j int, right *Sketch, scratch []float64) float64 {
+	w := scratch[len(scratch)-right.params.M:]
+	widest := (len(scratch) - len(w)) / 2
 	bufs := [2][]float64{scratch[:widest], scratch[widest : 2*widest]}
-	v := bufs[0][:len(left)]
-	copy(v, left)
-	kernel.FWHT(v)
-	factor := 1.0
+	v := bufs[0][:left.params.M]
+	left.countsInto(j, v)
 	for i, m := range mids {
 		out := bufs[(i+1)%2][:m.params.M2]
 		m.vecCounts(j, v, out)
-		factor *= m.scale
-		if i > 0 {
-			factor *= float64(m.params.M1)
-		}
 		v = out
 	}
-	w := scratch[2*widest:]
-	copy(w, right)
-	kernel.FWHT(w)
-	return factor * kernel.Dot(v, w)
+	right.countsInto(j, w)
+	return kernel.Dot(v, w)
 }

@@ -149,7 +149,14 @@ func TestChainEstimateMatchesDenseReference(t *testing.T) {
 				p := MatrixParams{K: tc.k, M1: tc.dims[i], M2: tc.dims[i+1], Epsilon: eps}
 				mids[i] = filledMatrix(p, fams[i], fams[i+1], tc.n, tc.domain, rng)
 			}
-			assertClose(t, "chain estimate", ChainEstimate(left, mids, right), denseChainEstimate(left, mids, right))
+			fromCounts := ChainEstimate(left, mids, right)
+			assertClose(t, "chain estimate", fromCounts, denseChainEstimate(left, mids, right))
+			// The dense reference restored both ends, which dropped their
+			// counts: the chain now rounds them back out of the restored
+			// rows, and must not change by one bit.
+			if got := ChainEstimate(left, mids, right); got != fromCounts {
+				t.Fatalf("chain over restored ends %v, over counts %v", got, fromCounts)
+			}
 		})
 	}
 }

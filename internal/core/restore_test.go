@@ -6,12 +6,15 @@ import (
 	"testing"
 )
 
-func restoreFixture() (Params, [][]float64) {
+// restoreFixture is state 10 reports can fold into when four of them
+// cancel in pairs: Σ|count| = 6 ≤ 10 and Σcount = 2 ≡ 10 (mod 2).
+func restoreFixture() (Params, [][]int32) {
 	p := Params{K: 3, M: 8, Epsilon: 2}
-	rows := make([][]float64, p.K)
+	rows := make([][]int32, p.K)
 	for j := range rows {
-		rows[j] = make([]float64, p.M)
+		rows[j] = make([]int32, p.M)
 	}
+	rows[0][1], rows[1][3], rows[2][7] = 3, -2, 1
 	return p, rows
 }
 
@@ -31,41 +34,38 @@ func TestRestoreAggregatorValidates(t *testing.T) {
 	if _, err := RestoreAggregator(p, fam, rows[:2], 10); err == nil {
 		t.Error("short row set accepted")
 	}
-	bad := [][]float64{rows[0], rows[1], rows[2][:4]}
+	bad := [][]int32{rows[0], rows[1], rows[2][:4]}
 	if _, err := RestoreAggregator(p, fam, bad, 10); err == nil {
 		t.Error("short row accepted")
 	}
-	if _, err := RestoreAggregator(p, fam, rows, -1); err == nil {
-		t.Error("negative n accepted")
+	for _, n := range []float64{-2, math.NaN(), math.Inf(1), 10.5, MaxReports + 1, 1e300} {
+		if _, err := RestoreAggregator(p, fam, rows, n); err == nil {
+			t.Errorf("n = %v accepted", n)
+		}
 	}
-	if _, err := RestoreAggregator(p, fam, rows, math.NaN()); err == nil {
-		t.Error("NaN n accepted")
+	if _, err := RestoreAggregator(p, fam, rows, 4); err == nil {
+		t.Error("counts beyond n in magnitude accepted")
 	}
-	if _, err := RestoreAggregator(p, fam, rows, math.Inf(1)); err == nil {
-		t.Error("infinite n accepted")
+	if _, err := RestoreAggregator(p, fam, rows, 9); err == nil {
+		t.Error("counts of the wrong parity accepted")
 	}
-	if _, err := RestoreAggregator(p, fam, rows, 1e300); err == nil {
-		t.Error("n beyond 2^53 accepted (would overflow int64 counters)")
-	}
-	rows[1][3] = math.Inf(-1)
-	if _, err := RestoreAggregator(p, fam, rows, 10); err == nil {
-		t.Error("non-finite cell accepted")
-	}
-	rows[1][3] = 0
 	if _, err := RestoreSketch(p, fam, rows, 10); err != nil {
 		t.Errorf("valid finalized state rejected: %v", err)
 	}
 	if _, err := RestoreSketch(p, fam, rows[:1], 10); err == nil {
 		t.Error("RestoreSketch accepted short row set")
 	}
+	if _, err := RestoreSketch(p, fam, rows, 7); err == nil {
+		t.Error("RestoreSketch accepted counts of the wrong parity")
+	}
 }
 
 // TestRestoredAggregatorIngestsAndMerges: a restored aggregator is a
 // first-class aggregator — it keeps ingesting and merging exactly.
 func TestRestoredAggregatorIngestsAndMerges(t *testing.T) {
-	p, rows := restoreFixture()
+	p := Params{K: 3, M: 8, Epsilon: 2}
 	fam := p.NewFamily(5)
-	restored, err := RestoreAggregator(p, fam, rows, 0)
+	restored, err := RestoreAggregator(p, fam, NewAggregator(p, fam).Rows(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestRestoreMatrixValidates(t *testing.T) {
 			t.Errorf("%s accepted", name)
 		}
 	}
-	for _, n := range []float64{math.Inf(1), math.NaN(), -1, 5.5, MaxMatrixReports + 1} {
+	for _, n := range []float64{math.Inf(1), math.NaN(), -1, 5.5, MaxReports + 1} {
 		if _, err := RestoreMatrixAggregator(p, famA, famB, runs(), n); err == nil {
 			t.Errorf("n = %v accepted", n)
 		}

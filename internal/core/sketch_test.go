@@ -54,7 +54,7 @@ func TestAddBatchMatchesAdd(t *testing.T) {
 	for j, row := range one.Rows() {
 		for x, v := range row {
 			if batch.Rows()[j][x] != v {
-				t.Fatalf("cell [%d, %d] = %g, want %g", j, x, batch.Rows()[j][x], v)
+				t.Fatalf("cell [%d, %d] = %d, want %d", j, x, batch.Rows()[j][x], v)
 			}
 		}
 	}
@@ -213,26 +213,6 @@ func TestMergeEqualsSequential(t *testing.T) {
 				t.Fatalf("merged sketch differs at [%d,%d]", j, x)
 			}
 		}
-	}
-}
-
-func TestMinusConstant(t *testing.T) {
-	p := testParams()
-	fam := p.NewFamily(11)
-	agg := NewAggregator(p, fam)
-	agg.CollectColumn([]uint64{1, 2, 3, 4}, rand.New(rand.NewSource(1)))
-	sk := agg.Finalize()
-	shifted := sk.MinusConstant(2.5)
-	for j := 0; j < p.K; j++ {
-		for x := 0; x < p.M; x++ {
-			if got, want := shifted.Row(j)[x], sk.Row(j)[x]-2.5; got != want {
-				t.Fatalf("[%d,%d] = %g, want %g", j, x, got, want)
-			}
-		}
-	}
-	// The original must be untouched.
-	if shifted.Row(0)[0] == sk.Row(0)[0] {
-		t.Fatal("MinusConstant mutated or aliased the original")
 	}
 }
 

@@ -1,28 +1,30 @@
 // Package kernel is the hot-path numeric layer of the server side: the
-// small set of dense-vector primitives every estimate and finalization
-// reduces to, written to be allocation-free and fast on stock hardware
-// without leaving pure Go.
+// small set of dense-vector primitives every estimate reduces to,
+// written to be allocation-free and fast on stock hardware without
+// leaving pure Go.
 //
-// The paper's server is pure numerics — Algorithm 2 finalization is K
-// row-wise O(m log m) Walsh–Hadamard transforms, a join estimate is K
-// M-cell dot products, and LDPJoinSketch+ phase 1 is an O(domain·K)
-// frequency scan — so these loops are where the serving CPU goes. The
-// package provides:
+// The paper's server is pure numerics — a join sketch's rows are
+// restored from its report counts by K row-wise O(m log m)
+// Walsh–Hadamard transforms, a join estimate is K M-cell dot products
+// over them, and LDPJoinSketch+ phase 1 is an O(domain·K) frequency
+// scan — so these loops are where the serving CPU goes. The package
+// provides:
 //
 //   - FWHT / FWHTScaled: cache-blocked radix-4 fast Walsh–Hadamard
 //     transform, bit-exact with the textbook radix-2 butterfly
 //     (hadamard.Transform) because fusing two radix-2 stages performs
 //     the same additions on the same operands. Bit-exactness is a hard
-//     requirement, not a nicety: finalized sketches are persisted and
-//     federated byte-identically, so the transform must produce the
-//     same float64s on every code path and every release.
+//     requirement, not a nicety: the frequent-item proposal a plus
+//     column's advance logs is read off restored rows, and replay must
+//     propose the same set, so the transform must produce the same
+//     float64s on every code path and every release.
 //   - Dot / DotShifted: 4-accumulator unrolled inner products.
 //     DotShifted folds a per-operand constant offset into the loop —
 //     the Theorem 8 |NT|/m subtraction — so the plus-join path needs no
 //     shifted copy of either sketch.
 //   - Scale: fused constant multiply.
 //   - RowApply: a bounded-worker parallel for-loop over independent
-//     rows (replicas), used by finalization and the FI scan.
+//     rows (replicas), used by the restore and the FI scan.
 //   - MedianInPlace: the row-median reduction without the copy
 //     sketch.Median makes.
 //

@@ -4,7 +4,7 @@
 // sketches — plus the phase boundary itself: whether the column has
 // advanced, and if so under which (domain, θ, FI). The composite
 // format embeds the three SNAP encodings verbatim so every guarantee
-// of the base codec (canonical bytes, integer-cell validation,
+// of the base codec (canonical bytes, report-count validation,
 // fingerprint checks) carries over unchanged:
 //
 //	header (all integers big-endian):
@@ -34,8 +34,10 @@ import (
 )
 
 // PlusSnapshotVersion is the plus-snapshot format version this package
-// encodes.
-const PlusSnapshotVersion = 1
+// encodes: version 2 embeds version 2 SNAPs, which hold report counts.
+// Version 1, which embedded float64 join snapshots, is refused, not
+// converted.
+const PlusSnapshotVersion = 2
 
 var plusSnapMagic = [4]byte{'P', 'S', 'N', 'P'}
 
@@ -176,10 +178,11 @@ func PlusSnapshotMaxEncodedSize(p core.Params) int {
 }
 
 // IsPlusSnapshot reports whether the leading bytes carry the plus
-// snapshot magic and version. Nothing is authenticated here —
-// DecodePlusSnapshot still validates the whole encoding.
+// snapshot magic. Nothing is authenticated here — DecodePlusSnapshot
+// still validates the whole encoding, version included, so an old
+// version reaches the decoder that names the break.
 func IsPlusSnapshot(prefix []byte) bool {
-	return len(prefix) >= 5 && [4]byte(prefix[:4]) == plusSnapMagic && prefix[4] == PlusSnapshotVersion
+	return len(prefix) >= 4 && [4]byte(prefix[:4]) == plusSnapMagic
 }
 
 // EncodePlusSnapshot validates and encodes a plus snapshot.
@@ -229,7 +232,11 @@ func DecodePlusSnapshot(data []byte) (*PlusSnapshot, error) {
 	if [4]byte(data[:4]) != plusSnapMagic {
 		return nil, fmt.Errorf("%w: bad plus magic", ErrBadSnapshot)
 	}
-	if data[4] != PlusSnapshotVersion {
+	switch data[4] {
+	case PlusSnapshotVersion:
+	case 1:
+		return nil, fmt.Errorf("%w: version 1 plus snapshot (embedded float64 join snapshots) is no longer read: plus state is report counts since PSNP version 2, and the old encoding has no converter", ErrBadSnapshot)
+	default:
 		return nil, fmt.Errorf("%w: unsupported plus version %d", ErrBadSnapshot, data[4])
 	}
 	body, trailer := data[:len(data)-snapTrailerSize], data[len(data)-snapTrailerSize:]

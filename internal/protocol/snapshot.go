@@ -16,9 +16,9 @@
 //	  k u32 | m1 u32 | m2 u32 (0 for kind Join)
 //	  epsilon f64 | seedA i64 | seedB i64 (0 for kind Join)
 //	  n f64 | count u64
-//	payload, join (version 1):
-//	  count = k·m1 f64 cells, row-major (k rows of m1)
-//	payload, matrix (version 2):
+//	payload, join:
+//	  count = k·m1 report counts i32, row-major (k rows of m1)
+//	payload, matrix:
 //	  k u32 per-replica entry counts summing to count, then count
 //	  entries (cell u32 = l1·m2 + l2, report count i32), replica by
 //	  replica, cells strictly increasing within a replica
@@ -26,17 +26,16 @@
 //	  crc32 (IEEE) u32 over header + payload
 //
 // flags bit 0 marks a finalized snapshot; all other bits must be zero.
-// A finalized join snapshot holds restored rows (debias scale applied,
-// out of the Hadamard domain). A matrix snapshot holds report counts
-// whether finalized or not — a finalized matrix sketch is its counts —
-// so its two forms differ only in the flag.
+// Every kind holds report counts whether finalized or not — a finalized
+// sketch is its counts — so the two forms of a kind differ only in the
+// flag, and both are held to what some report stream could have
+// produced.
 //
-// The version is a function of the kind: join state is version 1, matrix
-// state version 2. Version 1 matrix snapshots — K·M1·M2 dense float64
-// cells, before matrix state became sparse counts — are refused, not
-// converted: that break was stated once, for every matrix snapshot a
-// process reads (a /merge body, a checkpoint, a final.snap, a merge
-// record in a WAL).
+// Every kind is version 2. Version 1 — float64 cells, dense for
+// matrices and restored out of the Hadamard domain for finalized join
+// state — is refused, not converted: that break is stated once, for
+// every snapshot a process reads (a /merge body, a checkpoint, a
+// final.snap, a merge record in a WAL).
 //
 // (k, m1, m2, epsilon, seedA, seedB) is the configuration fingerprint:
 // two snapshots merge only when the fingerprints are equal, and an
@@ -57,11 +56,8 @@ import (
 	"ldpjoin/internal/hashing"
 )
 
-// Snapshot-format versions: each kind has exactly one.
-const (
-	snapVersionJoin   = 1
-	snapVersionMatrix = 2
-)
+// snapVersion is the one snapshot-format version, for every kind.
+const snapVersion = 2
 
 var snapMagic = [4]byte{'S', 'N', 'A', 'P'}
 
@@ -106,21 +102,22 @@ type Snapshot struct {
 	SeedA     int64
 	SeedB     int64 // 0 for SnapshotJoin
 	N         float64
-	Cells     [][]float64          // SnapshotJoin: K rows of M1 cells
+	Counts    [][]int32            // SnapshotJoin: K rows of M1 report counts
 	Runs      [][]core.MatrixEntry // SnapshotMatrix: K canonical count runs
 }
 
-// snapVersion refuses any version but the one a snapshot kind encodes
-// as, naming the retired dense matrix encoding when that is what it
-// meets.
-func snapVersion(kind SnapshotKind, version byte) error {
+// checkVersion refuses any version but snapVersion, naming the retired
+// float64 encoding of the kind when that is what it meets.
+func checkVersion(kind SnapshotKind, version byte) error {
 	switch {
-	case kind == SnapshotJoin && version == snapVersionJoin, kind == SnapshotMatrix && version == snapVersionMatrix:
-		return nil
 	case kind != SnapshotJoin && kind != SnapshotMatrix:
 		return fmt.Errorf("%w: unknown snapshot kind %d", ErrBadSnapshot, kind)
-	case kind == SnapshotMatrix && version == snapVersionJoin:
+	case version == snapVersion:
+		return nil
+	case kind == SnapshotMatrix && version == 1:
 		return fmt.Errorf("%w: version 1 matrix snapshot (dense float64 cells) is no longer read: matrix state is sparse report counts since SNAP version 2, and the old encoding has no converter", ErrBadSnapshot)
+	case kind == SnapshotJoin && version == 1:
+		return fmt.Errorf("%w: version 1 join snapshot (float64 cells) is no longer read: join state is report counts since SNAP version 2, and the old encoding has no converter", ErrBadSnapshot)
 	}
 	return fmt.Errorf("%w: unsupported version %d for snapshot kind %d", ErrBadSnapshot, version, kind)
 }
@@ -156,17 +153,18 @@ func (s *Snapshot) Validate() error {
 		if err := p.Validate(); err != nil {
 			return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 		}
-		return s.validateCells()
+		if err := core.CheckCounts(p, s.Counts, s.N); err != nil {
+			return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+		}
+		return nil
 	case SnapshotMatrix:
 		p := core.MatrixParams{K: s.K, M1: s.M1, M2: s.M2, Epsilon: s.Epsilon}
 		if err := p.Validate(); err != nil {
 			return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 		}
-		if s.Cells != nil {
-			return fmt.Errorf("%w: matrix snapshot with dense cells", ErrBadSnapshot)
+		if s.Counts != nil {
+			return fmt.Errorf("%w: matrix snapshot with dense counts", ErrBadSnapshot)
 		}
-		// Finalized or not, matrix state is counts, held to what some
-		// report stream could have produced.
 		if err := core.CheckMatrixRuns(p, s.Runs, s.N); err != nil {
 			return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 		}
@@ -175,59 +173,28 @@ func (s *Snapshot) Validate() error {
 	return fmt.Errorf("%w: unknown snapshot kind %d", ErrBadSnapshot, s.Kind)
 }
 
-// validateCells checks a join snapshot's report count and cells.
-func (s *Snapshot) validateCells() error {
-	// Counts above 2^53 could not have been accumulated one report at a
-	// time and would overflow the int64 counters importers keep (the NaN
-	// check stands alone because NaN fails every comparison).
-	if s.N < 0 || s.N > 1<<53 || math.IsNaN(s.N) {
-		return fmt.Errorf("%w: invalid report count %v", ErrBadSnapshot, s.N)
-	}
-	if len(s.Cells) != s.K {
-		return fmt.Errorf("%w: %d rows, want %d", ErrBadSnapshot, len(s.Cells), s.K)
-	}
-	for j, row := range s.Cells {
-		if len(row) != s.M1 {
-			return fmt.Errorf("%w: row %d has %d cells, want %d", ErrBadSnapshot, j, len(row), s.M1)
-		}
-		for x, v := range row {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("%w: cell [%d, %d] is not finite", ErrBadSnapshot, j, x)
-			}
-			// An unfinalized cell is Σ±1 over the reports routed to it:
-			// an exact integer no larger in magnitude than the report
-			// count. Enforcing that here keeps a hostile snapshot from
-			// injecting state no report stream could have produced.
-			if !s.Finalized && (v != math.Trunc(v) || v > s.N || v < -s.N) {
-				return fmt.Errorf("%w: unfinalized cell [%d, %d] = %v is not an integer within ±n", ErrBadSnapshot, j, x, v)
-			}
-		}
-	}
-	return nil
-}
-
 // EncodedSize returns the exact byte length EncodeSnapshot will produce.
 func (s *Snapshot) EncodedSize() int {
 	if s.Kind == SnapshotMatrix {
 		return snapHeaderSize + 4*s.K + 8*s.entries() + snapTrailerSize
 	}
-	return snapHeaderSize + 8*s.K*s.M1 + snapTrailerSize
+	return SnapshotEncodedSize(core.Params{K: s.K, M: s.M1})
 }
 
 // SnapshotEncodedSize returns the wire size of a join snapshot under the
 // given parameters — importers use it to bound request bodies before
 // reading them.
 func SnapshotEncodedSize(p core.Params) int {
-	return snapHeaderSize + 8*p.K*p.M + snapTrailerSize
+	return snapHeaderSize + 4*p.K*p.M + snapTrailerSize
 }
 
 // SnapshotEncodedSizeMatrix returns the largest wire size of a matrix
 // snapshot under the given matrix parameters: every cell of every
-// replica non-zero, or MaxMatrixReports entries, whichever is fewer. An
-// 8-byte entry is the size of a dense float64 cell, so no matrix
-// snapshot is larger than the dense matrix.
+// replica non-zero, or MaxReports entries, whichever is fewer. An 8-byte
+// entry is the size of a dense float64 cell, so no matrix snapshot is
+// larger than the dense matrix would be.
 func SnapshotEncodedSizeMatrix(p core.MatrixParams) int {
-	entries := min(p.K*p.M1*p.M2, core.MaxMatrixReports)
+	entries := min(p.K*p.M1*p.M2, core.MaxReports)
 	return snapHeaderSize + 4*p.K + 8*entries + snapTrailerSize
 }
 
@@ -251,7 +218,7 @@ func PeekSnapshotKind(prefix []byte) (SnapshotKind, error) {
 		return 0, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
 	}
 	kind := SnapshotKind(prefix[5])
-	if err := snapVersion(kind, prefix[4]); err != nil {
+	if err := checkVersion(kind, prefix[4]); err != nil {
 		return 0, err
 	}
 	return kind, nil
@@ -268,12 +235,12 @@ func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 // appendSnapshot appends the encoding of s, which must be valid.
 func appendSnapshot(buf []byte, s *Snapshot) []byte {
 	start := len(buf)
-	version, count := byte(snapVersionJoin), uint64(s.K)*uint64(s.M1)
+	count := uint64(s.K) * uint64(s.M1)
 	if s.Kind == SnapshotMatrix {
-		version, count = snapVersionMatrix, uint64(s.entries())
+		count = uint64(s.entries())
 	}
 	buf = append(buf, snapMagic[:]...)
-	buf = append(buf, version, byte(s.Kind))
+	buf = append(buf, snapVersion, byte(s.Kind))
 	var flags byte
 	if s.Finalized {
 		flags |= snapFlagFinalized
@@ -287,9 +254,9 @@ func appendSnapshot(buf []byte, s *Snapshot) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, uint64(s.SeedB))
 	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(s.N))
 	buf = binary.BigEndian.AppendUint64(buf, count)
-	for _, row := range s.Cells {
-		for _, cell := range row {
-			buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(cell))
+	for _, row := range s.Counts {
+		for _, c := range row {
+			buf = binary.BigEndian.AppendUint32(buf, uint32(c))
 		}
 	}
 	for _, run := range s.Runs {
@@ -314,7 +281,7 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	if [4]byte(data[:4]) != snapMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
 	}
-	if err := snapVersion(SnapshotKind(data[5]), data[4]); err != nil {
+	if err := checkVersion(SnapshotKind(data[5]), data[4]); err != nil {
 		return nil, err
 	}
 	body, trailer := data[:len(data)-snapTrailerSize], data[len(data)-snapTrailerSize:]
@@ -345,7 +312,7 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	if s.Kind == SnapshotMatrix {
 		s.Runs, err = decodeRuns(payload, s.K, count)
 	} else {
-		s.Cells, err = decodeCells(payload, s.K, s.M1, count)
+		s.Counts, err = decodeCounts(payload, s.K, s.M1, count)
 	}
 	if err != nil {
 		return nil, err
@@ -356,31 +323,30 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	return s, nil
 }
 
-// decodeCells reads a join payload of k rows of m cells, checking the
-// declared cell count against both the payload and the dimensions before
-// allocating anything. K and M each fit in 32 bits, so K·M cannot
-// overflow a uint64.
-func decodeCells(payload []byte, k, m int, count uint64) ([][]float64, error) {
-	if count > uint64(len(payload))/8 || count*8 != uint64(len(payload)) {
-		return nil, fmt.Errorf("%w: %d declared cells but %d payload bytes", ErrBadSnapshot, count, len(payload))
+// decodeCounts reads a join payload of k rows of m counts, checking the
+// declared count against both the payload and the dimensions before
+// allocating anything; the one allocation holds every count, and each
+// row is a capacity-capped window onto it. K and M each fit in 32 bits,
+// so K·M cannot overflow a uint64.
+func decodeCounts(payload []byte, k, m int, count uint64) ([][]int32, error) {
+	if count > uint64(len(payload))/4 || count*4 != uint64(len(payload)) {
+		return nil, fmt.Errorf("%w: %d declared counts but %d payload bytes", ErrBadSnapshot, count, len(payload))
 	}
 	if count != uint64(k)*uint64(m) {
-		return nil, fmt.Errorf("%w: %d cells for a %d×%d snapshot", ErrBadSnapshot, count, k, m)
+		return nil, fmt.Errorf("%w: %d counts for a %d×%d snapshot", ErrBadSnapshot, count, k, m)
 	}
 	if count == 0 { // Validate rejects k or m of 0
 		return nil, nil
 	}
-	cells := make([][]float64, k)
-	off := 0
-	for j := range cells {
-		row := make([]float64, m)
-		for x := range row {
-			row[x] = math.Float64frombits(binary.BigEndian.Uint64(payload[off:]))
-			off += 8
-		}
-		cells[j] = row
+	all := make([]int32, count)
+	for i := range all {
+		all[i] = int32(binary.BigEndian.Uint32(payload[4*i:]))
 	}
-	return cells, nil
+	rows := make([][]int32, k)
+	for j := range rows {
+		rows[j] = all[j*m : (j+1)*m : (j+1)*m]
+	}
+	return rows, nil
 }
 
 // decodeRuns reads a matrix payload: k per-replica entry counts, then
@@ -463,13 +429,13 @@ func SnapshotOfAggregator(a *core.Aggregator) *Snapshot {
 		Epsilon: p.Epsilon,
 		SeedA:   a.Family().Seed(),
 		N:       a.N(),
-		Cells:   a.Rows(),
+		Counts:  a.Rows(),
 	}
 }
 
 // Aggregator restores a mergeable aggregator from an unfinalized join
 // snapshot, rebuilding the hash family from the embedded seed. The
-// returned aggregator takes ownership of the snapshot's cells.
+// returned aggregator takes ownership of the snapshot's counts.
 func (s *Snapshot) Aggregator() (*core.Aggregator, error) {
 	if s.Kind != SnapshotJoin {
 		return nil, fmt.Errorf("%w: %s is not a join snapshot", ErrSnapshotMismatch, s.Fingerprint())
@@ -478,17 +444,13 @@ func (s *Snapshot) Aggregator() (*core.Aggregator, error) {
 		return nil, fmt.Errorf("%w: finalized snapshot cannot restore a mergeable aggregator", ErrSnapshotMismatch)
 	}
 	p := core.Params{K: s.K, M: s.M1, Epsilon: s.Epsilon}
-	return core.RestoreAggregator(p, p.NewFamily(s.SeedA), s.Cells, s.N)
+	return core.RestoreAggregator(p, p.NewFamily(s.SeedA), s.Counts, s.N)
 }
 
 // SnapshotOfSketch wraps a finalized join sketch as a snapshot without
-// copying (finalized sketches are immutable, so sharing rows is safe).
+// copying (finalized sketches are immutable, so sharing counts is safe).
 func SnapshotOfSketch(sk *core.Sketch) *Snapshot {
 	p := sk.Params()
-	rows := make([][]float64, p.K)
-	for j := range rows {
-		rows[j] = sk.Row(j)
-	}
 	return &Snapshot{
 		Kind:      SnapshotJoin,
 		Finalized: true,
@@ -497,7 +459,7 @@ func SnapshotOfSketch(sk *core.Sketch) *Snapshot {
 		Epsilon:   p.Epsilon,
 		SeedA:     sk.Family().Seed(),
 		N:         sk.N(),
-		Cells:     rows,
+		Counts:    sk.Counts(),
 	}
 }
 
@@ -510,7 +472,7 @@ func (s *Snapshot) Sketch() (*core.Sketch, error) {
 		return nil, fmt.Errorf("%w: unfinalized snapshot cannot restore a finalized sketch", ErrSnapshotMismatch)
 	}
 	p := core.Params{K: s.K, M: s.M1, Epsilon: s.Epsilon}
-	return core.RestoreSketch(p, p.NewFamily(s.SeedA), s.Cells, s.N)
+	return core.RestoreSketch(p, p.NewFamily(s.SeedA), s.Counts, s.N)
 }
 
 // SnapshotOfMatrixAggregator wraps unfinalized middle-table state as a

@@ -80,9 +80,9 @@ func decode(t *testing.T, data []byte) *Snapshot {
 
 func TestSnapshotRoundTripAggregator(t *testing.T) {
 	agg := testAggregator(t)
-	wantRows := make([][]float64, len(agg.Rows()))
+	wantRows := make([][]int32, len(agg.Rows()))
 	for j, row := range agg.Rows() {
-		wantRows[j] = append([]float64(nil), row...)
+		wantRows[j] = slices.Clone(row)
 	}
 
 	data := encode(t, SnapshotOfAggregator(agg))
@@ -275,34 +275,51 @@ func TestSnapshotFormMismatch(t *testing.T) {
 	}
 }
 
+// TestSnapshotValidateRejectsBadState holds hostile join snapshots to
+// the structure report counts have, finalized and unfinalized alike:
+// each row breaks one rule, and the snapshot is refused by the encoder
+// and, where its payload can carry the break, by the decoder.
 func TestSnapshotValidateRejectsBadState(t *testing.T) {
 	good := SnapshotOfAggregator(testAggregator(t))
-	check := func(name string, mutate func(s *Snapshot)) {
-		s := *good
-		s.Cells = make([][]float64, len(good.Cells))
-		for j, row := range good.Cells {
-			s.Cells[j] = append([]float64(nil), row...)
-		}
-		mutate(&s)
-		if _, err := EncodeSnapshot(&s); err == nil {
-			t.Errorf("%s: encode accepted invalid snapshot", name)
+	n := good.N
+	for _, tc := range []struct {
+		name   string
+		mutate func(s *Snapshot)
+	}{
+		{"negative n", func(s *Snapshot) { s.N = -1 }},
+		{"nan n", func(s *Snapshot) { s.N = math.NaN() }},
+		{"inf n", func(s *Snapshot) { s.N = math.Inf(1) }},
+		{"fractional n", func(s *Snapshot) { s.N = n + 0.5 }},
+		{"n beyond MaxInt32", func(s *Snapshot) { s.N = core.MaxReports + 1 }},
+		{"counts beyond n", func(s *Snapshot) { s.Counts[0][1] += int32(2 * n) }},
+		{"counts beyond -n", func(s *Snapshot) { s.Counts[0][1] -= int32(2 * n) }},
+		{"parity of the counts", func(s *Snapshot) { s.N = n - 1 }},
+		{"bad kind", func(s *Snapshot) { s.Kind = 9 }},
+		{"join with m2", func(s *Snapshot) { s.M2 = 4 }},
+		{"join with seedB", func(s *Snapshot) { s.SeedB = 3 }},
+		{"non-power-of-two m", func(s *Snapshot) { s.M1 = 15 }},
+		{"row count", func(s *Snapshot) { s.Counts = s.Counts[:1] }},
+		{"row width", func(s *Snapshot) { s.Counts[0] = s.Counts[0][:3] }},
+	} {
+		for _, finalized := range []bool{false, true} {
+			s := *good
+			s.Finalized = finalized
+			s.Counts = make([][]int32, len(good.Counts))
+			for j, row := range good.Counts {
+				s.Counts[j] = slices.Clone(row)
+			}
+			tc.mutate(&s)
+			if _, err := EncodeSnapshot(&s); !errors.Is(err, ErrBadSnapshot) {
+				t.Errorf("%s (finalized=%v): encode returned %v, want ErrBadSnapshot", tc.name, finalized, err)
+			}
+			if s.Kind != SnapshotJoin || s.M2 != 0 || s.SeedB != 0 {
+				continue // the payload cannot carry these
+			}
+			if _, err := DecodeSnapshot(appendSnapshot(nil, &s)); !errors.Is(err, ErrBadSnapshot) {
+				t.Errorf("%s (finalized=%v): decode returned %v, want ErrBadSnapshot", tc.name, finalized, err)
+			}
 		}
 	}
-	check("nan cell", func(s *Snapshot) { s.Cells[0][0] = math.NaN() })
-	check("inf cell", func(s *Snapshot) { s.Cells[1][2] = math.Inf(1) })
-	check("negative n", func(s *Snapshot) { s.N = -1 })
-	check("nan n", func(s *Snapshot) { s.N = math.NaN() })
-	check("inf n", func(s *Snapshot) { s.N = math.Inf(1) })
-	check("n beyond 2^53", func(s *Snapshot) { s.N = 1e300 })
-	check("unfinalized fractional cell", func(s *Snapshot) { s.Cells[0][1] = 0.5 })
-	check("unfinalized cell beyond n", func(s *Snapshot) { s.Cells[0][1] = s.N + 1 })
-	check("unfinalized cell beyond -n", func(s *Snapshot) { s.Cells[0][1] = -s.N - 1 })
-	check("bad kind", func(s *Snapshot) { s.Kind = 9 })
-	check("join with m2", func(s *Snapshot) { s.M2 = 4 })
-	check("join with seedB", func(s *Snapshot) { s.SeedB = 3 })
-	check("non-power-of-two m", func(s *Snapshot) { s.M1 = 15 })
-	check("row count", func(s *Snapshot) { s.Cells = s.Cells[:1] })
-	check("row width", func(s *Snapshot) { s.Cells[0] = s.Cells[0][:3] })
 }
 
 // TestSnapshotValidateRejectsBadMatrixState holds hostile matrix
@@ -328,8 +345,8 @@ func TestSnapshotValidateRejectsBadMatrixState(t *testing.T) {
 		{"fractional n", func(s *Snapshot) { s.N = n + 0.5 }},
 		{"negative n", func(s *Snapshot) { s.N = -1 }},
 		{"nan n", func(s *Snapshot) { s.N = math.NaN() }},
-		{"n beyond MaxInt32", func(s *Snapshot) { s.N = core.MaxMatrixReports + 1 }},
-		{"dense cells", func(s *Snapshot) { s.Cells = [][]float64{{0}} }},
+		{"n beyond MaxInt32", func(s *Snapshot) { s.N = core.MaxReports + 1 }},
+		{"dense counts", func(s *Snapshot) { s.Counts = [][]int32{{0}} }},
 	} {
 		for _, finalized := range []bool{false, true} {
 			s := *good
@@ -342,7 +359,7 @@ func TestSnapshotValidateRejectsBadMatrixState(t *testing.T) {
 			if _, err := EncodeSnapshot(&s); !errors.Is(err, ErrBadSnapshot) {
 				t.Errorf("%s (finalized=%v): encode returned %v, want ErrBadSnapshot", tc.name, finalized, err)
 			}
-			if s.Cells != nil {
+			if s.Counts != nil {
 				continue // a matrix payload has no place for them
 			}
 			if _, err := DecodeSnapshot(appendSnapshot(nil, &s)); !errors.Is(err, ErrBadSnapshot) {
@@ -380,29 +397,38 @@ func TestSnapshotRejectsLyingMatrixPayload(t *testing.T) {
 	}
 }
 
-// TestSnapshotRefusesVersion1Matrix: the dense matrix snapshots written
-// before matrix state became counts — kept here as the bytes that
-// release wrote — are refused with an error naming the break, by the
-// decoder and by the kind peek the merge route reads first. Join
-// snapshots stay version 1.
-func TestSnapshotRefusesVersion1Matrix(t *testing.T) {
-	for _, name := range []string{"matrix_v1_unfinalized.snap", "matrix_v1_finalized.snap"} {
+// refusesVersion1 holds the version 1 snapshots in testdata — the bytes
+// the release before each break wrote — to a refusal naming the break,
+// by the decoder and by the kind peek the merge route reads first.
+func refusesVersion1(t *testing.T, want string, names ...string) {
+	t.Helper()
+	for _, name := range names {
 		data, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := DecodeSnapshot(data); !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "version 1 matrix snapshot") {
-			t.Errorf("%s: decode returned %v, want the version 1 matrix refusal", name, err)
+		if _, err := DecodeColumnSnapshot(data); !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: decode returned %v, want the %q refusal", name, err, want)
 		}
-		if _, err := PeekColumnKind(data); err == nil || !strings.Contains(err.Error(), "version 1 matrix snapshot") {
-			t.Errorf("%s: peek returned %v, want the version 1 matrix refusal", name, err)
+		if kind, err := PeekColumnKind(data); err == nil && kind != KindPlus || err != nil && !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: peek returned %v, %v, want the %q refusal", name, kind, err, want)
 		}
 	}
-	join := encode(t, SnapshotOfAggregator(testAggregator(t)))
-	join[4] = snapVersionMatrix
-	if _, err := PeekSnapshotKind(join); !errors.Is(err, ErrBadSnapshot) {
-		t.Errorf("version 2 join snapshot peeked as %v, want ErrBadSnapshot", err)
-	}
+}
+
+// TestSnapshotRefusesVersion1Matrix: the dense matrix snapshots written
+// before matrix state became counts are refused.
+func TestSnapshotRefusesVersion1Matrix(t *testing.T) {
+	refusesVersion1(t, "version 1 matrix snapshot", "matrix_v1_unfinalized.snap", "matrix_v1_finalized.snap")
+}
+
+// TestSnapshotRefusesVersion1Join: the float64 join snapshots written
+// before join state became counts are refused, and so are the plus
+// snapshots that embedded them. A plus snapshot peeks as plus whatever
+// its version: its decoder names the break.
+func TestSnapshotRefusesVersion1Join(t *testing.T) {
+	refusesVersion1(t, "version 1 join snapshot", "join_v1_unfinalized.snap", "join_v1_finalized.snap")
+	refusesVersion1(t, "version 1 plus snapshot", "plus_v1_phase1.snap", "plus_v1_phase2.snap", "plus_v1_finalized.snap")
 }
 
 // golden compares the canonical encoding of a deterministic snapshot

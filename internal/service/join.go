@@ -46,7 +46,7 @@ func (joinKind) restore(snap protocol.ColumnSnapshot) (*finishedColumn, error) {
 // joinColumn adapts an ingest.Column to the mutating path.
 type joinColumn struct{ *ingest.Column }
 
-func (joinColumn) admit(batchSet) error { return nil }
+func (c joinColumn) admit(b batchSet) error { return fits(c, int64(b.count())) }
 
 func (joinColumn) appendReports(st *store.Store, name string, attr int, b batchSet) error {
 	return st.AppendReports(name, attr, b.(joinBatches).batches)
@@ -68,9 +68,12 @@ func (c joinColumn) finalize() (*finishedColumn, error) {
 	return &finishedColumn{kind: protocol.KindJoin, join: sk}, nil
 }
 
-func (joinColumn) prepareMerge(snap protocol.ColumnSnapshot) (any, *advanceRequest, error) {
+func (c joinColumn) prepareMerge(snap protocol.ColumnSnapshot) (any, *advanceRequest, error) {
 	agg, err := snap.(*protocol.Snapshot).Aggregator()
-	return agg, nil, err
+	if err != nil {
+		return nil, nil, err
+	}
+	return agg, nil, fits(c, int64(agg.N()))
 }
 
 func (c joinColumn) merge(m any) error { return c.MergeAggregator(m.(*core.Aggregator)) }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 
+	"ldpjoin/internal/core"
 	"ldpjoin/internal/protocol"
 	"ldpjoin/internal/store"
 )
@@ -57,8 +58,9 @@ var kinds = map[protocol.Kind]kindOps{
 type column interface {
 	// N returns the reports accepted so far.
 	N() int64
-	// admit is the phase gate: it refuses a batch set the column's
-	// current phase cannot take. Only plus columns have phases.
+	// admit refuses a batch set the column cannot take: one past its
+	// count limit (fits), or one its current phase cannot take — only
+	// plus columns have phases.
 	admit(b batchSet) error
 	// appendReports makes the batch set durable in the column's WAL.
 	appendReports(st *store.Store, name string, attr int, b batchSet) error
@@ -139,6 +141,17 @@ func readAllBatches[R any](s *Server, name string,
 // granularity — as the batch set the pooled enqueue consumes.
 func oneBatch[R any](reports []R) reportBatches[R] {
 	return reportBatches[R]{batches: [][]R{reports}, n: len(reports)}
+}
+
+// fits refuses more reports than a column has room for: every kind's
+// state is int32 report counts, exact only up to core.MaxReports. The
+// kinds call it from admit and prepareMerge, so the refusal comes before
+// the WAL append and leaves the column as it was, still collecting.
+func fits(c column, more int64) error {
+	if n := c.N(); more > core.MaxReports-n {
+		return fmt.Errorf("%d more reports would take the column past %d reports (it holds %d): its counts are int32s", more, core.MaxReports, n)
+	}
+	return nil
 }
 
 // spanInRange checks that a column spanning span attributes from attr

@@ -2,7 +2,6 @@ package service
 
 import (
 	"bufio"
-	"fmt"
 	"net/http"
 
 	"ldpjoin/internal/core"
@@ -57,19 +56,7 @@ func (matrixKind) restore(snap protocol.ColumnSnapshot) (*finishedColumn, error)
 // matrixColumn adapts an ingest.MatrixColumn to the mutating path.
 type matrixColumn struct{ *ingest.MatrixColumn }
 
-// admit refuses a batch set that would take the column past
-// core.MaxMatrixReports: its counts are int32s, exact only up to there.
-// The refusal comes before the WAL append and leaves the column as it
-// was, still collecting.
-func (c matrixColumn) admit(b batchSet) error { return c.fits(int64(b.count())) }
-
-// fits refuses more reports than the column has room for.
-func (c matrixColumn) fits(more int64) error {
-	if n := c.N(); more > core.MaxMatrixReports-n {
-		return fmt.Errorf("%d more reports would take the matrix column past %d reports (it holds %d): its counts are int32s", more, core.MaxMatrixReports, n)
-	}
-	return nil
-}
+func (c matrixColumn) admit(b batchSet) error { return fits(c, int64(b.count())) }
 
 func (matrixColumn) appendReports(st *store.Store, name string, attr int, b batchSet) error {
 	return st.AppendMatrixReports(name, attr, b.(matrixBatches).batches)
@@ -96,7 +83,7 @@ func (c matrixColumn) prepareMerge(snap protocol.ColumnSnapshot) (any, *advanceR
 	if err != nil {
 		return nil, nil, err
 	}
-	return agg, nil, c.fits(int64(agg.N()))
+	return agg, nil, fits(c, int64(agg.N()))
 }
 
 func (c matrixColumn) merge(m any) error { return c.MergeAggregator(m.(*core.MatrixAggregator)) }

@@ -16,11 +16,11 @@ import (
 // and one collecting plus column "P" (phase 1), with the pieces the
 // operations consume: batch sets, peer snapshots, an advance request.
 type opFixture struct {
-	srv    *Server
-	base   string
-	join   *pendingColumn
-	plus   *pendingColumn
-	matrix *pendingColumn // nil unless a row's arrange step makes one
+	srv  *Server
+	base string
+	join *pendingColumn
+	plus *pendingColumn
+	full *pendingColumn // nil unless a row's arrange step makes one
 
 	joinReports, sample, low []core.Report
 	joinSnap, plusSnap       []byte // unfinalized exports of a peer's J and (phase-1) P
@@ -71,14 +71,31 @@ func (f *opFixture) plusSet(g protocol.PlusGroup, reports []core.Report) batchSe
 	return plusBatches{oneBatch(slices.Clone(reports)), g}
 }
 
-// matrixSnap encodes an unfinalized matrix snapshot for attribute slot 0
-// holding n reports whose signs all cancelled: no count, any even n.
-func matrixSnap(t *testing.T, n float64) []byte {
+// cancelledSnap encodes an unfinalized snapshot of a column of kind in
+// attribute slot 0 holding n reports whose signs all cancelled: every
+// count zero, any even n. A plus snapshot is a phase-1 one.
+func cancelledSnap(t *testing.T, kind protocol.Kind, n float64) []byte {
 	t.Helper()
-	data, err := protocol.EncodeSnapshot(&protocol.Snapshot{
-		Kind: protocol.SnapshotMatrix, K: mtMatrix.K, M1: mtMatrix.M1, M2: mtMatrix.M2, Epsilon: mtMatrix.Epsilon,
-		SeedA: mtFam(0).Seed(), SeedB: mtFam(1).Seed(), N: n, Runs: make([][]core.MatrixEntry, mtMatrix.K),
-	})
+	join := func(seed int64) *protocol.Snapshot {
+		counts := make([][]int32, mtParams.K)
+		for j := range counts {
+			counts[j] = make([]int32, mtParams.M)
+		}
+		return &protocol.Snapshot{Kind: protocol.SnapshotJoin, K: mtParams.K, M1: mtParams.M, Epsilon: mtParams.Epsilon,
+			SeedA: seed, N: n, Counts: counts}
+	}
+	var snap protocol.ColumnSnapshot
+	switch kind {
+	case protocol.KindJoin:
+		snap = join(mtFam(0).Seed())
+	case protocol.KindPlus:
+		famS, _ := plusFams(mtParams)
+		snap = &protocol.PlusSnapshot{Sample: join(famS.Seed())}
+	default:
+		snap = &protocol.Snapshot{Kind: protocol.SnapshotMatrix, K: mtMatrix.K, M1: mtMatrix.M1, M2: mtMatrix.M2, Epsilon: mtMatrix.Epsilon,
+			SeedA: mtFam(0).Seed(), SeedB: mtFam(1).Seed(), N: n, Runs: make([][]core.MatrixEntry, mtMatrix.K)}
+	}
+	data, err := snap.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,29 +149,42 @@ func TestOperationRefusals(t *testing.T) {
 		}
 	}
 	asIs := func(*testing.T, *opFixture) {}
-	// A matrix column "M" two reports short of the int32 count limit, by
-	// merging a peer's state of MaxMatrixReports−1 reports whose signs
+	// A column "F" of kind two reports short of the int32 count limit, by
+	// merging a peer's state of MaxReports−1 reports whose signs
 	// cancelled.
-	nearlyFull := func(t *testing.T, f *opFixture) {
-		col, err := f.srv.register("M", protocol.KindMatrix, 0, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data := matrixSnap(t, core.MaxMatrixReports-1)
-		if _, err := f.srv.merge(col, decodeSnap(t, data), data); err != nil {
-			t.Fatal(err)
-		}
-		f.matrix = col
-	}
-	matrixReports := func(n int) func(*testing.T, *opFixture) error {
-		return func(t *testing.T, f *opFixture) error {
-			batch := make([]core.MatrixReport, n)
-			for i := range batch {
-				batch[i].Y = 1
+	nearlyFull := func(kind protocol.Kind) func(*testing.T, *opFixture) {
+		return func(t *testing.T, f *opFixture) {
+			col, err := f.srv.register("F", kind, 0, nil, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-			_, err := f.srv.reports(f.matrix, oneBatch(batch))
+			data := cancelledSnap(t, kind, core.MaxReports-1)
+			if _, err := f.srv.merge(col, decodeSnap(t, data), data); err != nil {
+				t.Fatal(err)
+			}
+			f.full = col
+		}
+	}
+	// fullReports offers n reports to F, of its kind.
+	fullReports := func(n int) func(*testing.T, *opFixture) error {
+		return func(t *testing.T, f *opFixture) error {
+			var batch batchSet
+			switch f.full.kind {
+			case protocol.KindMatrix:
+				batch = oneBatch(slices.Repeat([]core.MatrixReport{{Y: 1}}, n))
+			case protocol.KindPlus:
+				batch = plusBatches{oneBatch(slices.Repeat([]core.Report{{Y: 1}}, n)), protocol.PlusSample}
+			default:
+				batch = oneBatch(slices.Repeat([]core.Report{{Y: 1}}, n))
+			}
+			_, err := f.srv.reports(f.full, batch)
 			return err
 		}
+	}
+	fullMerge := func(t *testing.T, f *opFixture) error {
+		data := cancelledSnap(t, f.full.kind, 2)
+		_, err := f.srv.merge(f.full, decodeSnap(t, data), data)
+		return err
 	}
 
 	// The attempts.
@@ -250,12 +280,12 @@ func TestOperationRefusals(t *testing.T) {
 			return err
 		}, 409, codeConflict},
 
-		{"count limit/matrix reports", nearlyFull, matrixReports(2), 409, codeConflict},
-		{"count limit/matrix merge", nearlyFull, func(t *testing.T, f *opFixture) error {
-			data := matrixSnap(t, 2)
-			_, err := f.srv.merge(f.matrix, decodeSnap(t, data), data)
-			return err
-		}, 409, codeConflict},
+		{"count limit/matrix reports", nearlyFull(protocol.KindMatrix), fullReports(2), 409, codeConflict},
+		{"count limit/matrix merge", nearlyFull(protocol.KindMatrix), fullMerge, 409, codeConflict},
+		{"count limit/join reports", nearlyFull(protocol.KindJoin), fullReports(2), 409, codeConflict},
+		{"count limit/join merge", nearlyFull(protocol.KindJoin), fullMerge, 409, codeConflict},
+		{"count limit/plus reports", nearlyFull(protocol.KindPlus), fullReports(2), 409, codeConflict},
+		{"count limit/plus merge", nearlyFull(protocol.KindPlus), fullMerge, 409, codeConflict},
 
 		{"duplicate advance/explicit", advancePlus, advanceExplicit, 409, codeConflict},
 		{"duplicate advance/computed", advancePlus, advanceComputed, 409, codeConflict},
@@ -264,9 +294,9 @@ func TestOperationRefusals(t *testing.T) {
 			f := newOpFixture(t)
 			tc.arrange(t, f)
 			nJoin, nPlus, wal := f.join.state.N(), f.plus.state.N(), f.srv.st.Stats()
-			var nMatrix int64
-			if f.matrix != nil {
-				nMatrix = f.matrix.state.N()
+			var nFull int64
+			if f.full != nil {
+				nFull = f.full.state.N()
 			}
 
 			err := tc.try(t, f)
@@ -283,17 +313,22 @@ func TestOperationRefusals(t *testing.T) {
 			if after := f.srv.st.Stats(); after.Appends != wal.Appends || after.Bytes != wal.Bytes {
 				t.Errorf("a refusal reached the WAL: %d appends / %d bytes → %d / %d", wal.Appends, wal.Bytes, after.Appends, after.Bytes)
 			}
-			if f.matrix != nil {
-				if got := f.matrix.state.N(); got != nMatrix {
-					t.Errorf("a refusal changed M's report count: %d → %d", nMatrix, got)
+			if f.full != nil {
+				if got := f.full.state.N(); got != nFull {
+					t.Errorf("a refusal changed F's report count: %d → %d", nFull, got)
 				}
 				// Refused, not poisoned: the column still takes what fits,
-				// and finalizes.
-				if err := matrixReports(1)(t, f); err != nil {
-					t.Errorf("M refused a report that fits: %v", err)
+				// and finalizes (a plus column once it has advanced).
+				if err := fullReports(1)(t, f); err != nil {
+					t.Errorf("F refused a report that fits: %v", err)
 				}
-				if code, out := post(t, f.base+"/v1/columns/M/finalize", nil); code != 200 {
-					t.Errorf("finalizing M after the refusal: %d %v", code, out)
+				if f.full.kind == protocol.KindPlus {
+					if code, out := post(t, f.base+"/v1/columns/F/advance?domain=300&theta=0.05", nil); code != 200 {
+						t.Errorf("advancing F after the refusal: %d %v", code, out)
+					}
+				}
+				if code, out := post(t, f.base+"/v1/columns/F/finalize", nil); code != 200 {
+					t.Errorf("finalizing F after the refusal: %d %v", code, out)
 				}
 			}
 		})

@@ -64,9 +64,14 @@ func (plusKind) restore(snap protocol.ColumnSnapshot) (*finishedColumn, error) {
 type plusColumn struct{ *ingest.PlusColumn }
 
 // admit refuses sample reports after the advance and group reports
-// before it. The caller holds opMu, so the answer still holds when the
-// batch reaches the WAL.
-func (c plusColumn) admit(b batchSet) error { return c.CheckGroup(b.(plusBatches).g) }
+// before it, and reports past the column's count limit. The caller holds
+// opMu, so the answer still holds when the batch reaches the WAL.
+func (c plusColumn) admit(b batchSet) error {
+	if err := c.CheckGroup(b.(plusBatches).g); err != nil {
+		return err
+	}
+	return fits(c, int64(b.count()))
+}
 
 func (plusColumn) appendReports(st *store.Store, name string, attr int, b batchSet) error {
 	pb := b.(plusBatches)
@@ -96,6 +101,9 @@ func (c plusColumn) finalize() (*finishedColumn, error) {
 func (c plusColumn) prepareMerge(snap protocol.ColumnSnapshot) (any, *advanceRequest, error) {
 	ps := snap.(*protocol.PlusSnapshot)
 	adopt, err := c.CheckMerge(ps)
+	if err == nil {
+		err = fits(c, int64(ps.N()))
+	}
 	if err != nil || !adopt {
 		return ps, nil, err
 	}
