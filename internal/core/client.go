@@ -3,8 +3,8 @@ package core
 import (
 	"math/rand"
 
-	"ldpjoin/internal/hadamard"
 	"ldpjoin/internal/hashing"
+	"ldpjoin/internal/kernel"
 	"ldpjoin/internal/ldp"
 )
 
@@ -30,7 +30,7 @@ type Report struct {
 func Perturb(d uint64, p Params, fam *hashing.Family, rng *rand.Rand) Report {
 	j := rng.Intn(p.K)
 	l := rng.Intn(p.M)
-	w := fam.Sign(j, d) * hadamard.Entry(fam.Bucket(j, d), l)
+	w := fam.Sign(j, d) * kernel.Entry(fam.Bucket(j, d), l)
 	b := ldp.SampleBit(rng, p.Epsilon)
 	return Report{Y: b * int8(w), Row: uint32(j), Col: uint32(l)}
 }
@@ -44,7 +44,7 @@ func PerturbLiteral(d uint64, p Params, fam *hashing.Family, rng *rand.Rand) Rep
 	l := rng.Intn(p.M)
 	v := make([]float64, p.M)
 	v[fam.Bucket(j, d)] = float64(fam.Sign(j, d))
-	hadamard.Transform(v) // w ← v × H_m
+	kernel.FWHT(v) // w ← v × H_m
 	b := ldp.SampleBit(rng, p.Epsilon)
 	return Report{Y: int8(b) * int8(v[l]), Row: uint32(j), Col: uint32(l)}
 }

@@ -5,8 +5,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"ldpjoin/internal/hadamard"
 	"ldpjoin/internal/hashing"
+	"ldpjoin/internal/kernel"
 	"ldpjoin/internal/ldp"
 )
 
@@ -46,7 +46,7 @@ func TestPerturbMatchesLiteral(t *testing.T) {
 // Algorithm 1: uniform over (j,l) and randomized response on the encoded
 // coefficient w = ξ_j(d)·H[h_j(d), l].
 func clientProb(d uint64, y int8, j, l int, p Params, fam *hashing.Family) float64 {
-	w := int8(fam.Sign(j, d) * hadamard.Entry(fam.Bucket(j, d), l))
+	w := int8(fam.Sign(j, d) * kernel.Entry(fam.Bucket(j, d), l))
 	keep := ldp.KeepProb(p.Epsilon)
 	base := 1 / float64(p.K*p.M)
 	if y == w {

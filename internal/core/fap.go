@@ -3,8 +3,8 @@ package core
 import (
 	"math/rand"
 
-	"ldpjoin/internal/hadamard"
 	"ldpjoin/internal/hashing"
+	"ldpjoin/internal/kernel"
 	"ldpjoin/internal/ldp"
 )
 
@@ -62,7 +62,7 @@ func FAPPerturb(d uint64, mode Mode, fi FISet, p Params, fam *hashing.Family, rn
 	j := rng.Intn(p.K)
 	l := rng.Intn(p.M)
 	r := rng.Intn(p.M)
-	w := hadamard.Entry(r, l) // v[r] = 1 ⇒ w[l] = H_m[r, l]
+	w := kernel.Entry(r, l) // v[r] = 1 ⇒ w[l] = H_m[r, l]
 	b := ldp.SampleBit(rng, p.Epsilon)
 	return Report{Y: b * int8(w), Row: uint32(j), Col: uint32(l)}
 }

@@ -5,8 +5,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"ldpjoin/internal/hadamard"
 	"ldpjoin/internal/hashing"
+	"ldpjoin/internal/kernel"
 	"ldpjoin/internal/ldp"
 )
 
@@ -22,7 +22,7 @@ func fapProb(d uint64, mode Mode, fi FISet, y int8, j, l int, p Params, fam *has
 	base := 1 / float64(p.K*p.M)
 	var pr float64
 	for r := 0; r < p.M; r++ {
-		w := int8(hadamard.Entry(r, l))
+		w := int8(kernel.Entry(r, l))
 		if y == w {
 			pr += keep / float64(p.M)
 		} else {

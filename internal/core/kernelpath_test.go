@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"ldpjoin/internal/hadamard"
 	"ldpjoin/internal/hashing"
 )
 
@@ -32,9 +31,11 @@ func filledAggregator(p Params, seed int64, n int, domain uint64) *Aggregator {
 // TestRestoreBitExactVsReference: the parallel fused scale+radix-4
 // restore the frequency estimators read must equal — cell for cell, bit
 // for bit — the literal Algorithm 2 reading: scale every count by k·c_ε,
-// then hadamard.Transform each row. The frequent-item proposal a plus
-// column's advance logs is read off these cells, and replay must propose
-// the same set, so approximate equality is not enough.
+// then run the textbook radix-2 butterfly (radix2Transform, a local copy
+// rather than kernel.FWHT, so the check stays independent of the kernel)
+// over each row. The frequent-item proposal a plus column's advance logs
+// is read off these cells, and replay must propose the same set, so
+// approximate equality is not enough.
 func TestRestoreBitExactVsReference(t *testing.T) {
 	for _, p := range []Params{
 		{K: 5, M: 64, Epsilon: 1},
@@ -47,11 +48,25 @@ func TestRestoreBitExactVsReference(t *testing.T) {
 			for x, c := range row {
 				ref[x] = float64(c) * s.scale
 			}
-			hadamard.Transform(ref)
+			radix2Transform(ref)
 			for x := range ref {
 				if got := s.Row(j)[x]; got != ref[x] {
 					t.Fatalf("K=%d M=%d: cell [%d,%d] = %v, reference %v", p.K, p.M, j, x, got, ref[x])
 				}
+			}
+		}
+	}
+}
+
+// radix2Transform is the literal in-place Walsh–Hadamard butterfly,
+// v ← v × H_m.
+func radix2Transform(v []float64) {
+	n := len(v)
+	for h := 1; h < n; h <<= 1 {
+		for i := 0; i < n; i += h << 1 {
+			for j := i; j < i+h; j++ {
+				x, y := v[j], v[j+h]
+				v[j], v[j+h] = x+y, x-y
 			}
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"slices"
 
-	"ldpjoin/internal/hadamard"
 	"ldpjoin/internal/hashing"
 	"ldpjoin/internal/kernel"
 	"ldpjoin/internal/ldp"
@@ -37,7 +36,7 @@ func (p MatrixParams) Validate() error {
 	if p.K <= 0 {
 		return fmt.Errorf("core: matrix sketch depth K must be positive, got %d", p.K)
 	}
-	if !hadamard.IsPowerOfTwo(p.M1) || !hadamard.IsPowerOfTwo(p.M2) {
+	if !kernel.IsPowerOfTwo(p.M1) || !kernel.IsPowerOfTwo(p.M2) {
 		return fmt.Errorf("core: matrix sketch dims must be powers of two, got %dx%d", p.M1, p.M2)
 	}
 	if uint64(p.M1)*uint64(p.M2) > 1<<32 {
@@ -63,9 +62,9 @@ func PerturbTuple(a, b uint64, p MatrixParams, famA, famB *hashing.Family, rng *
 	j := rng.Intn(p.K)
 	l1 := rng.Intn(p.M1)
 	l2 := rng.Intn(p.M2)
-	w := hadamard.Entry(famA.Bucket(j, a), l1) *
+	w := kernel.Entry(famA.Bucket(j, a), l1) *
 		famA.Sign(j, a) * famB.Sign(j, b) *
-		hadamard.Entry(l2, famB.Bucket(j, b))
+		kernel.Entry(l2, famB.Bucket(j, b))
 	bit := ldp.SampleBit(rng, p.Epsilon)
 	return MatrixReport{Y: bit * int8(w), Row: uint32(j), L1: uint32(l1), L2: uint32(l2)}
 }

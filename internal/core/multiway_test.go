@@ -7,9 +7,9 @@ import (
 	"testing"
 
 	"ldpjoin/internal/dataset"
-	"ldpjoin/internal/hadamard"
 	"ldpjoin/internal/hashing"
 	"ldpjoin/internal/join"
+	"ldpjoin/internal/kernel"
 	"ldpjoin/internal/ldp"
 )
 
@@ -33,9 +33,9 @@ func TestPerturbTupleShape(t *testing.T) {
 
 // tupleProb is the exact output distribution of the multiway client.
 func tupleProb(a, b uint64, y int8, j, l1, l2 int, p MatrixParams, famA, famB *hashing.Family) float64 {
-	w := int8(hadamard.Entry(famA.Bucket(j, a), l1) *
+	w := int8(kernel.Entry(famA.Bucket(j, a), l1) *
 		famA.Sign(j, a) * famB.Sign(j, b) *
-		hadamard.Entry(l2, famB.Bucket(j, b)))
+		kernel.Entry(l2, famB.Bucket(j, b)))
 	keep := ldp.KeepProb(p.Epsilon)
 	base := 1 / float64(p.K*p.M1*p.M2)
 	if y == w {

@@ -14,8 +14,9 @@ package core
 import (
 	"fmt"
 
-	"ldpjoin/internal/hadamard"
 	"ldpjoin/internal/hashing"
+	"ldpjoin/internal/kernel"
+	"ldpjoin/internal/ldp"
 )
 
 // Params carries the protocol parameters shared by clients and server: the
@@ -32,7 +33,7 @@ func (p Params) Validate() error {
 	if p.K <= 0 {
 		return fmt.Errorf("core: sketch depth K must be positive, got %d", p.K)
 	}
-	if !hadamard.IsPowerOfTwo(p.M) {
+	if !kernel.IsPowerOfTwo(p.M) {
 		return fmt.Errorf("core: sketch width M must be a power of two, got %d", p.M)
 	}
 	if !(p.Epsilon > 0) {
@@ -69,20 +70,11 @@ func (p Params) SketchBytes() int { return p.K * p.M * 8 }
 // the one perturbed bit, which is how the paper accounts Fig 7.
 func (p Params) ReportBits() int { return 1 }
 
-// ReportBitsExplicit returns the report size when the sampled indices are
-// transmitted explicitly rather than derived from public randomness — the
-// wire format internal/protocol actually ships.
+// ReportBitsExplicit returns the packed report width when the sampled
+// indices are transmitted explicitly rather than derived from public
+// randomness: one sign bit plus ⌈log2 K⌉ + ⌈log2 M⌉ index bits. It is a
+// lower bound, not the wire: internal/protocol ships each report in
+// protocol.ReportSize (7) bytes.
 func (p Params) ReportBitsExplicit() int {
-	return 1 + ceilLog2(uint64(p.K)) + ceilLog2(uint64(p.M))
-}
-
-func ceilLog2(n uint64) int {
-	b := 0
-	for v := n - 1; v > 0; v >>= 1 {
-		b++
-	}
-	if b == 0 {
-		b = 1
-	}
-	return b
+	return 1 + ldp.BitsFor(uint64(p.K)) + ldp.BitsFor(uint64(p.M))
 }

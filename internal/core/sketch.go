@@ -318,8 +318,8 @@ func (s *Sketch) cells() [][]float64 {
 // symmetric) over a float copy of the counts — once, for every caller,
 // and drops the counts (see Sketch). The K rows are independent, so they
 // restore in parallel across GOMAXPROCS; each runs the fused
-// scale+radix-4 transform, which is bit-exact with scaling then
-// hadamard.Transform, so the worker count does not show in any estimate
+// scale+radix-4 transform, which is bit-exact with scaling then the
+// radix-2 butterfly, so the worker count does not show in any estimate
 // read off them.
 func (s *Sketch) restore() [][]float64 {
 	s.mu.Lock()

@@ -122,7 +122,7 @@ func MethodFAGMS() JoinMethod {
 				Estimate: est,
 				Offline:  offline,
 				Online:   time.Since(start),
-				CommBits: float64(len(task.A)+len(task.B)) * float64(bitsFor(task.Domain)),
+				CommBits: float64(len(task.A)+len(task.B)) * float64(ldp.BitsFor(task.Domain)),
 				Space:    float64(2 * p.K * p.M * 8),
 			}
 		},
@@ -266,22 +266,4 @@ func MethodPlus() JoinMethod {
 			}
 		},
 	}
-}
-
-func bitsFor(n uint64) int {
-	b := 0
-	for v := n - 1; v > 0; v >>= 1 {
-		b++
-	}
-	if b == 0 {
-		b = 1
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

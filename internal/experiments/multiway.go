@@ -53,8 +53,11 @@ func newChainTask(sc Scale) chainTask {
 	return ct
 }
 
-// multiwaySketchWidth is the per-dimension width of the chain sketches;
-// a middle table costs k·m² counters, so it is kept moderate.
+// multiwaySketchWidth is the per-dimension width of the chain sketches,
+// shared by both arms. A middle table costs the COMPASS arm k·m² dense
+// counters, which is why it is kept moderate; the LDP arm holds a middle
+// table as sparse runs of report counts, so its cost follows the reports
+// rather than m². Changing the width changes fig15.
 const multiwaySketchWidth = 256
 
 // compassChain runs the non-private COMPASS baseline over the chain.

@@ -3,8 +3,6 @@ package kernel
 import (
 	"math/rand"
 	"testing"
-
-	"ldpjoin/internal/hadamard"
 )
 
 // BenchmarkFWHT measures one row restore at the default deployment
@@ -23,7 +21,7 @@ func BenchmarkFWHT(b *testing.B) {
 	b.Run("naive", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			hadamard.Transform(v)
+			radix2(v)
 		}
 	})
 	b.Run("scaled", func(b *testing.B) {

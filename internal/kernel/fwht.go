@@ -1,5 +1,26 @@
 package kernel
 
+import "math/bits"
+
+// Entry returns H_m[i][j] = (-1)^popcount(i & j), the closed form of the
+// order-m Hadamard matrix defined recursively by H_1 = [1],
+// H_m = [[H_{m/2}, H_{m/2}], [H_{m/2}, -H_{m/2}]]. The order does not
+// appear because the closed form is order-independent as long as i, j
+// are in range. It lets a client compute the one sampled coordinate of
+// v × H_m in O(1) (Algorithm 1) without materializing anything.
+func Entry(i, j int) int {
+	if bits.OnesCount64(uint64(i)&uint64(j))&1 == 0 {
+		return 1
+	}
+	return -1
+}
+
+// IsPowerOfTwo reports whether n is a positive power of two: a valid
+// Hadamard order, and so a valid sketch width.
+func IsPowerOfTwo(n int) bool {
+	return n > 0 && n&(n-1) == 0
+}
+
 // fwhtBlock is the cache-block span in float64s (32 KiB): a row longer
 // than this runs its low stages block-local first, so every butterfly
 // of those stages touches memory that is already cache-resident,
@@ -10,15 +31,16 @@ package kernel
 const fwhtBlock = 4096
 
 // FWHT applies the in-place fast Walsh–Hadamard transform, v ← v × H_m
-// with m = len(v) (a power of two). It is bit-exact with the naive
-// radix-2 butterfly (hadamard.Transform): radix-4 fusion performs the
-// same additions on the same operands, merely skipping the intermediate
+// with m = len(v) (a power of two). The transform is its own inverse up
+// to a factor m — FWHT(FWHT(v)) = m·v — which is why Algorithm 2
+// restores a sketch by multiplying with H_m^T = H_m. It is bit-exact
+// with the textbook radix-2 butterfly: radix-4 fusion performs the same
+// additions on the same operands, merely skipping the intermediate
 // store, and IEEE 754 operations are deterministic functions of their
-// operands. Persisted and federated state may therefore finalize
-// through either implementation interchangeably.
+// operands (TestFWHTBitExact keeps the butterfly as its reference).
 func FWHT(v []float64) {
 	n := len(v)
-	if n == 0 || n&(n-1) != 0 {
+	if !IsPowerOfTwo(n) {
 		panic("kernel: FWHT length must be a power of two")
 	}
 	if n <= fwhtBlock {
@@ -35,10 +57,11 @@ func FWHT(v []float64) {
 // Algorithm 2 finalization in one pass. The scale is folded into the
 // loads of the first butterfly stage, so every element is still
 // multiplied by c exactly once before any addition touches it — the
-// result is bit-identical to Scale(v, c) followed by FWHT(v).
+// result is bit-identical to multiplying every element by c and then
+// calling FWHT(v).
 func FWHTScaled(v []float64, c float64) {
 	n := len(v)
-	if n == 0 || n&(n-1) != 0 {
+	if !IsPowerOfTwo(n) {
 		panic("kernel: FWHTScaled length must be a power of two")
 	}
 	switch n {

@@ -1,7 +1,8 @@
-// Package kernel is the hot-path numeric layer of the server side: the
-// small set of dense-vector primitives every estimate reduces to,
+// Package kernel is the hot-path numeric layer: the small set of
+// primitives every client report and every server estimate reduces to,
 // written to be allocation-free and fast on stock hardware without
-// leaving pure Go.
+// leaving pure Go. Each primitive has exactly one production body here;
+// the naive forms survive only as test references.
 //
 // The paper's server is pure numerics — a join sketch's rows are
 // restored from its report counts by K row-wise O(m log m)
@@ -10,23 +11,25 @@
 // scan — so these loops are where the serving CPU goes. The package
 // provides:
 //
+//   - Entry / IsPowerOfTwo: the O(1) closed-form Hadamard entry the
+//     client perturbation (Algorithm 1) samples, and the width check
+//     every Hadamard-order sketch validates against.
 //   - FWHT / FWHTScaled: cache-blocked radix-4 fast Walsh–Hadamard
-//     transform, bit-exact with the textbook radix-2 butterfly
-//     (hadamard.Transform) because fusing two radix-2 stages performs
-//     the same additions on the same operands. Bit-exactness is a hard
-//     requirement, not a nicety: the frequent-item proposal a plus
-//     column's advance logs is read off restored rows, and replay must
-//     propose the same set, so the transform must produce the same
-//     float64s on every code path and every release.
+//     transform, bit-exact with the textbook radix-2 butterfly (kept
+//     only as the tests' reference) because fusing two radix-2 stages
+//     performs the same additions on the same operands. Bit-exactness
+//     is a hard requirement, not a nicety: the frequent-item proposal
+//     a plus column's advance logs is read off restored rows, and
+//     replay must propose the same set, so the transform must produce
+//     the same float64s on every code path and every release.
 //   - Dot / DotShifted: 4-accumulator unrolled inner products.
 //     DotShifted folds a per-operand constant offset into the loop —
 //     the Theorem 8 |NT|/m subtraction — so the plus-join path needs no
 //     shifted copy of either sketch.
-//   - Scale: fused constant multiply.
 //   - RowApply: a bounded-worker parallel for-loop over independent
 //     rows (replicas), used by the restore and the FI scan.
-//   - MedianInPlace: the row-median reduction without the copy
-//     sketch.Median makes.
+//   - MedianInPlace / Mean: the row reductions — median for the
+//     paper's estimators, mean for the ablation that averages rows.
 //
 // Dot products and medians feed estimates (query results), not
 // persisted state, so they are free to reassociate; only the transforms
@@ -81,19 +84,4 @@ func DotShifted(a, b []float64, ca, cb float64) float64 {
 		s0 += (a[i] - ca) * (b[i] - cb)
 	}
 	return (s0 + s2) + (s1 + s3)
-}
-
-// Scale multiplies every element of v by c in place.
-func Scale(v []float64, c float64) {
-	i := 0
-	for ; i+4 <= len(v); i += 4 {
-		vv := v[i : i+4 : i+4]
-		vv[0] *= c
-		vv[1] *= c
-		vv[2] *= c
-		vv[3] *= c
-	}
-	for ; i < len(v); i++ {
-		v[i] *= c
-	}
 }

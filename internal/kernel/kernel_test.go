@@ -7,20 +7,158 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
-
-	"ldpjoin/internal/hadamard"
-	"ldpjoin/internal/sketch"
 )
 
-// naiveDot is the reference sequential inner product (sketch.Dot's
-// loop, duplicated here so the pin does not move if the reference
-// package ever adopts the kernel).
+// naiveDot is the reference sequential inner product.
 func naiveDot(a, b []float64) float64 {
 	var s float64
 	for i := range a {
 		s += a[i] * b[i]
 	}
 	return s
+}
+
+// radix2 is the textbook in-place radix-2 Walsh–Hadamard butterfly,
+// the reference FWHT and FWHTScaled are pinned to bit for bit.
+func radix2(v []float64) {
+	n := len(v)
+	for h := 1; h < n; h <<= 1 {
+		for i := 0; i < n; i += h << 1 {
+			for j := i; j < i+h; j++ {
+				x, y := v[j], v[j+h]
+				v[j], v[j+h] = x+y, x-y
+			}
+		}
+	}
+}
+
+// sortMedian is the reference median: copy, sort.Float64s, take the
+// middle element or average the middle pair; NaN when empty.
+func sortMedian(v []float64) float64 {
+	if len(v) == 0 {
+		return math.NaN()
+	}
+	tmp := append([]float64(nil), v...)
+	sort.Float64s(tmp)
+	n := len(tmp)
+	if n%2 == 1 {
+		return tmp[n/2]
+	}
+	return (tmp[n/2-1] + tmp[n/2]) / 2
+}
+
+// TestEntryMatchesRecursiveDefinition builds H_8 by the recursive
+// doubling definition and compares it with Entry's closed form.
+func TestEntryMatchesRecursiveDefinition(t *testing.T) {
+	const m = 8
+	h := [][]int{{1}}
+	for len(h) < m {
+		n := len(h)
+		next := make([][]int, 2*n)
+		for i := range next {
+			next[i] = make([]int, 2*n)
+		}
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				next[i][j] = h[i][j]
+				next[i][j+n] = h[i][j]
+				next[i+n][j] = h[i][j]
+				next[i+n][j+n] = -h[i][j]
+			}
+		}
+		h = next
+	}
+	for i := 0; i < m; i++ {
+		for j := 0; j < m; j++ {
+			if Entry(i, j) != h[i][j] {
+				t.Fatalf("Entry(%d,%d) = %d, want %d", i, j, Entry(i, j), h[i][j])
+			}
+		}
+	}
+}
+
+func TestEntrySymmetry(t *testing.T) {
+	f := func(i, j uint16) bool {
+		return Entry(int(i), int(j)) == Entry(int(j), int(i))
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOrthogonalRows checks that distinct rows of H_m are orthogonal and
+// each row has squared norm m — the property behind E[H[h,L]^2] = 1 in the
+// debiasing proofs.
+func TestOrthogonalRows(t *testing.T) {
+	const m = 64
+	for i := 0; i < m; i++ {
+		for j := i; j < m; j++ {
+			dot := 0
+			for l := 0; l < m; l++ {
+				dot += Entry(i, l) * Entry(j, l)
+			}
+			want := 0
+			if i == j {
+				want = m
+			}
+			if dot != want {
+				t.Fatalf("row dot(%d,%d) = %d, want %d", i, j, dot, want)
+			}
+		}
+	}
+}
+
+func TestIsPowerOfTwo(t *testing.T) {
+	for _, c := range []struct {
+		n    int
+		want bool
+	}{{0, false}, {1, true}, {2, true}, {3, false}, {4, true}, {1023, false}, {1024, true}, {-4, false}} {
+		if got := IsPowerOfTwo(c.n); got != c.want {
+			t.Errorf("IsPowerOfTwo(%d) = %v, want %v", c.n, got, c.want)
+		}
+	}
+}
+
+// TestFWHTMatchesMatrix checks FWHT against the definition v × H_m,
+// multiplied out the slow way through Entry.
+func TestFWHTMatchesMatrix(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range []int{1, 2, 4, 8, 64, 256} {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = rng.NormFloat64()
+		}
+		want := make([]float64, n)
+		for j := range want {
+			for i := range v {
+				want[j] += v[i] * float64(Entry(i, j))
+			}
+		}
+		FWHT(v)
+		for i := range want {
+			if diff := v[i] - want[i]; diff > 1e-9 || diff < -1e-9 {
+				t.Fatalf("n=%d: FWHT[%d]=%g, v×H_m %g", n, i, v[i], want[i])
+			}
+		}
+	}
+}
+
+func TestFWHTPanicsOnNonPowerOfTwo(t *testing.T) {
+	for name, f := range map[string]func([]float64){
+		"FWHT":       FWHT,
+		"FWHTScaled": func(v []float64) { FWHTScaled(v, 2) },
+	} {
+		for _, n := range []int{0, 3, 12} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: no panic on length %d", name, n)
+					}
+				}()
+				f(make([]float64, n))
+			}()
+		}
+	}
 }
 
 // randVec draws a length-n vector of integer-valued cells in the range
@@ -38,7 +176,7 @@ func randVec(rng *rand.Rand, n int) []float64 {
 // through 4× the cache block, on integer-valued and on fractional
 // state. This is the guarantee federation and the golden SNAP/PSNP
 // testdata lean on: a sketch finalized through the kernel is
-// byte-identical to one finalized through hadamard.Transform.
+// byte-identical to one finalized through the textbook butterfly.
 func TestFWHTBitExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for n := 1; n <= 4*fwhtBlock; n <<= 1 {
@@ -50,7 +188,7 @@ func TestFWHTBitExact(t *testing.T) {
 				}
 			}
 			got := append([]float64(nil), want...)
-			hadamard.Transform(want)
+			radix2(want)
 			FWHT(got)
 			for i := range want {
 				if got[i] != want[i] {
@@ -72,7 +210,7 @@ func TestFWHTScaledBitExact(t *testing.T) {
 			for i := range want {
 				want[i] *= c
 			}
-			hadamard.Transform(want)
+			radix2(want)
 			FWHTScaled(got, c)
 			for i := range want {
 				if got[i] != want[i] {
@@ -97,6 +235,25 @@ func TestFWHTInvolution(t *testing.T) {
 			if v[i] != float64(n)*orig[i] {
 				t.Fatalf("n=%d: double transform[%d] = %v, want %v", n, i, v[i], float64(n)*orig[i])
 			}
+		}
+	}
+}
+
+// TestTransformInvolution checks H·H = m·I on Gaussian (non-integer)
+// input, where the double transform is exact only up to rounding.
+func TestTransformInvolution(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	const n = 128
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = rng.NormFloat64()
+	}
+	w := append([]float64(nil), v...)
+	FWHT(w)
+	FWHT(w)
+	for i := range v {
+		if diff := w[i] - float64(n)*v[i]; diff > 1e-8 || diff < -1e-8 {
+			t.Fatalf("involution failed at %d: got %g want %g", i, w[i], float64(n)*v[i])
 		}
 	}
 }
@@ -151,27 +308,8 @@ func TestDotShiftedMatchesMinusConstant(t *testing.T) {
 	}
 }
 
-// TestScale pins Scale against the per-element multiply, exactly.
-func TestScale(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for _, n := range []int{0, 1, 3, 4, 7, 100} {
-		v := randVec(rng, n)
-		want := make([]float64, n)
-		for i := range v {
-			want[i] = v[i] * 3.25
-		}
-		Scale(v, 3.25)
-		for i := range v {
-			if v[i] != want[i] {
-				t.Fatalf("n=%d: Scale[%d] = %v, want %v", n, i, v[i], want[i])
-			}
-		}
-	}
-}
-
-// TestMedianInPlace pins MedianInPlace against sketch.Median (which
-// copies and uses sort.Float64s), exactly, including even lengths and
-// duplicates.
+// TestMedianInPlace pins MedianInPlace against sortMedian, exactly,
+// including even lengths, duplicates and the empty vector.
 func TestMedianInPlace(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(7))}
 	if err := quick.Check(func(raw []int16) bool {
@@ -179,7 +317,7 @@ func TestMedianInPlace(t *testing.T) {
 		for i, x := range raw {
 			v[i] = float64(x % 8) // force duplicates
 		}
-		want := sketch.Median(v)
+		want := sortMedian(v)
 		got := MedianInPlace(v)
 		if len(raw) == 0 {
 			return math.IsNaN(got) && math.IsNaN(want)
@@ -187,6 +325,66 @@ func TestMedianInPlace(t *testing.T) {
 		return got == want && sort.Float64sAreSorted(v)
 	}, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestMedian(t *testing.T) {
+	cases := []struct {
+		in   []float64
+		want float64
+	}{
+		{[]float64{3}, 3},
+		{[]float64{1, 2, 3}, 2},
+		{[]float64{4, 1, 3, 2}, 2.5},
+		{[]float64{-5, 10, 0}, 0},
+	}
+	for _, c := range cases {
+		in := append([]float64(nil), c.in...)
+		if got := MedianInPlace(in); got != c.want {
+			t.Errorf("MedianInPlace(%v) = %g, want %g", c.in, got, c.want)
+		}
+	}
+	if !math.IsNaN(MedianInPlace(nil)) {
+		t.Error("MedianInPlace(nil) should be NaN")
+	}
+}
+
+func TestMedianPermutationInvariant(t *testing.T) {
+	f := func(a, b, c, d float64) bool {
+		m1 := MedianInPlace([]float64{a, b, c, d})
+		m2 := MedianInPlace([]float64{d, c, b, a})
+		return m1 == m2 || (math.IsNaN(m1) && math.IsNaN(m2))
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestMeanAndDot(t *testing.T) {
+	if got := Mean([]float64{1, 2, 3, 4}); got != 2.5 {
+		t.Fatalf("Mean = %g, want 2.5", got)
+	}
+	if !math.IsNaN(Mean(nil)) {
+		t.Fatal("Mean(nil) should be NaN")
+	}
+	if got := Dot([]float64{1, 2}, []float64{3, 4}); got != 11 {
+		t.Fatalf("Dot = %g, want 11", got)
+	}
+}
+
+func TestDotPanicsOnMismatch(t *testing.T) {
+	for name, f := range map[string]func(a, b []float64){
+		"Dot":        func(a, b []float64) { Dot(a, b) },
+		"DotShifted": func(a, b []float64) { DotShifted(a, b, 1, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic on length mismatch", name)
+				}
+			}()
+			f([]float64{1}, []float64{1, 2})
+		}()
 	}
 }
 
@@ -215,7 +413,7 @@ func TestRowApplyParallelFWHT(t *testing.T) {
 	for j := range rows {
 		rows[j] = randVec(rng, m)
 		want[j] = append([]float64(nil), rows[j]...)
-		hadamard.Transform(want[j])
+		radix2(want[j])
 	}
 	RowApply(k, func(j int) { FWHTScaled(rows[j], 1) })
 	for j := range rows {

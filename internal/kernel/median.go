@@ -3,10 +3,10 @@ package kernel
 import "math"
 
 // MedianInPlace sorts v in place and returns its median, averaging the
-// middle pair for even lengths — sketch.Median without the defensive
-// copy, for callers that own a scratch buffer. Insertion sort: v is a
-// row-estimate vector of length K (single to low double digits), where
-// insertion sort beats the sort package's interface dispatch and never
+// middle pair for even lengths. It sorts rather than copies, so callers
+// pass a scratch buffer they own. Insertion sort: v is a row-estimate
+// vector of length K (single to low double digits), where insertion
+// sort beats the sort package's interface dispatch and never
 // allocates. For finite inputs the sorted order — and therefore the
 // median — matches sort.Float64s exactly.
 func MedianInPlace(v []float64) float64 {

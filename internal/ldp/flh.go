@@ -127,5 +127,5 @@ func (f *FLH) JoinSize(other *FLH, domain uint64) float64 {
 // choice is data-independent and derivable from public randomness, so it
 // is not counted (matching the Fig 7 accounting of the sketch methods).
 func (f *FLH) ReportBits() int {
-	return bitsFor(f.g)
+	return BitsFor(f.g)
 }

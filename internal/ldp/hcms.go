@@ -3,8 +3,8 @@ package ldp
 import (
 	"math/rand"
 
-	"ldpjoin/internal/hadamard"
 	"ldpjoin/internal/hashing"
+	"ldpjoin/internal/kernel"
 )
 
 // HCMSReport is the message an HCMS client sends: one perturbed Hadamard
@@ -36,7 +36,7 @@ type HCMS struct {
 // must be a power of two (Hadamard order).
 func NewHCMS(fam *hashing.Family, eps float64) *HCMS {
 	ValidateEpsilon(eps)
-	if !hadamard.IsPowerOfTwo(fam.M()) {
+	if !kernel.IsPowerOfTwo(fam.M()) {
 		panic("ldp: HCMS sketch width must be a power of two")
 	}
 	rows := make([][]float64, fam.K())
@@ -51,7 +51,7 @@ func (h *HCMS) Perturb(d uint64, rng *rand.Rand) HCMSReport {
 	k, m := h.fam.K(), h.fam.M()
 	j := rng.Intn(k)
 	l := rng.Intn(m)
-	w := int8(hadamard.Entry(h.fam.Bucket(j, d), l))
+	w := int8(kernel.Entry(h.fam.Bucket(j, d), l))
 	return HCMSReport{
 		Y:   SampleBit(rng, h.eps) * w,
 		Row: uint32(j),
@@ -82,7 +82,7 @@ func (h *HCMS) Finalize() {
 		panic("ldp: HCMS.Finalize called twice")
 	}
 	for j := range h.rows {
-		hadamard.Transform(h.rows[j])
+		kernel.FWHT(h.rows[j])
 	}
 	h.done = true
 }

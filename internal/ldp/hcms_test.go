@@ -6,9 +6,9 @@ import (
 	"testing"
 
 	"ldpjoin/internal/dataset"
-	"ldpjoin/internal/hadamard"
 	"ldpjoin/internal/hashing"
 	"ldpjoin/internal/join"
+	"ldpjoin/internal/kernel"
 )
 
 // TestHCMSSatisfiesLDP enumerates the exact output distribution of the
@@ -24,7 +24,7 @@ func TestHCMSSatisfiesLDP(t *testing.T) {
 
 	// P[(y,j,l) | d] = (1/(k·m)) · (keep if y == H[h_j(d), l] else 1−keep).
 	prob := func(d uint64, y int8, j, l int) float64 {
-		w := int8(hadamard.Entry(fam.Bucket(j, d), l))
+		w := int8(kernel.Entry(fam.Bucket(j, d), l))
 		if y == w {
 			return keep / (k * m)
 		}

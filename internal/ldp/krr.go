@@ -2,6 +2,7 @@ package ldp
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 )
 
@@ -94,17 +95,11 @@ func (k *KRR) JoinSize(other *KRR) float64 {
 // ReportBits returns the communication cost of one report in bits:
 // the full encoded value, ⌈log2 |D|⌉.
 func (k *KRR) ReportBits() int {
-	return bitsFor(k.domain)
+	return BitsFor(k.domain)
 }
 
-// bitsFor returns ⌈log2 n⌉ for n ≥ 1 (at least 1 bit).
-func bitsFor(n uint64) int {
-	b := 0
-	for v := n - 1; v > 0; v >>= 1 {
-		b++
-	}
-	if b == 0 {
-		b = 1
-	}
-	return b
+// BitsFor returns the bits needed to encode one of n values, ⌈log2 n⌉,
+// and at least 1. n = 0 reads as 2^64 values (64 bits).
+func BitsFor(n uint64) int {
+	return max(1, bits.Len64(n-1))
 }

@@ -128,9 +128,9 @@ func TestBitsFor(t *testing.T) {
 	for _, c := range []struct {
 		n    uint64
 		want int
-	}{{1, 1}, {2, 1}, {3, 2}, {4, 2}, {5, 3}, {1024, 10}, {1025, 11}} {
-		if got := bitsFor(c.n); got != c.want {
-			t.Errorf("bitsFor(%d) = %d, want %d", c.n, got, c.want)
+	}{{0, 64}, {1, 1}, {2, 1}, {3, 2}, {4, 2}, {5, 3}, {1024, 10}, {1025, 11}, {1 << 63, 63}, {1<<63 + 1, 64}, {math.MaxUint64, 64}} {
+		if got := BitsFor(c.n); got != c.want {
+			t.Errorf("BitsFor(%d) = %d, want %d", c.n, got, c.want)
 		}
 	}
 }

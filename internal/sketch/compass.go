@@ -1,6 +1,9 @@
 package sketch
 
-import "ldpjoin/internal/hashing"
+import (
+	"ldpjoin/internal/hashing"
+	"ldpjoin/internal/kernel"
+)
 
 // CompassMatrix is the two-dimensional fast-AGMS sketch COMPASS uses for a
 // table with two join attributes (§VI, Fig 4): k replicas of an m1×m2
@@ -119,7 +122,7 @@ func CompassCycle(m1, m2, m3 *CompassMatrix) float64 {
 		}
 		ests[j] = tr
 	}
-	return Median(ests)
+	return kernel.MedianInPlace(ests)
 }
 
 // CompassChain estimates the size of the chain join
@@ -145,7 +148,7 @@ func CompassChain(left *FastAGMS, mids []*CompassMatrix, right *FastAGMS) float6
 		for _, m := range mids {
 			v = m.VecMat(j, v)
 		}
-		ests[j] = Dot(v, right.Row(j))
+		ests[j] = kernel.Dot(v, right.Row(j))
 	}
-	return Median(ests)
+	return kernel.MedianInPlace(ests)
 }

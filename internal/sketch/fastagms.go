@@ -1,22 +1,19 @@
-// Package sketch implements the non-private sketching substrates the paper
-// builds on and compares against: the AGMS (tug-of-war) sketch, the
-// fast-AGMS sketch ("FAGMS" in the figures), the CountMin sketch used for
-// non-private frequent-item tooling, and the COMPASS multiway fast-AGMS
-// sketches used as the non-private baseline for multi-way joins (§VI).
+// Package sketch implements the non-private sketches the paper compares
+// against: the fast-AGMS sketch ("FAGMS" in the figures) and the COMPASS
+// multiway fast-AGMS sketches used as the non-private baseline for
+// multi-way joins (§VI).
 //
-// All sketches are linear: Merge adds two sketches built over disjoint
-// streams and equals the sketch of the concatenated stream. Counters are
-// float64 — counts are integers well below 2^53, so arithmetic stays exact
-// while allowing the same code paths to carry debiased (fractional)
-// estimates.
+// Both are linear: Merge adds two sketches built over disjoint streams
+// and equals the sketch of the concatenated stream. Counters are
+// integer-valued float64, so while products and partial sums stay below
+// 2^53 they are exact and the kernel's reassociated row dot gives the
+// same bits as a sequential one. Long COMPASS chains at large scale can
+// pass 2^53 and differ in the last ulps; they are estimates, not state.
 package sketch
 
 import (
-	"fmt"
-	"math"
-	"sort"
-
 	"ldpjoin/internal/hashing"
+	"ldpjoin/internal/kernel"
 )
 
 // FastAGMS is the fast-AGMS sketch of Cormode & Garofalakis: an array of
@@ -89,9 +86,9 @@ func (s *FastAGMS) InnerProduct(other *FastAGMS) float64 {
 	}
 	ests := make([]float64, len(s.rows))
 	for j := range s.rows {
-		ests[j] = Dot(s.rows[j], other.rows[j])
+		ests[j] = kernel.Dot(s.rows[j], other.rows[j])
 	}
-	return Median(ests)
+	return kernel.MedianInPlace(ests)
 }
 
 // Frequency estimates the frequency of d as the median over rows of
@@ -101,44 +98,5 @@ func (s *FastAGMS) Frequency(d uint64) float64 {
 	for j := range s.rows {
 		ests[j] = s.rows[j][s.fam.Bucket(j, d)] * float64(s.fam.Sign(j, d))
 	}
-	return Median(ests)
-}
-
-// Dot returns the inner product of two equal-length vectors.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("sketch: dot of mismatched lengths %d and %d", len(a), len(b)))
-	}
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-// Median returns the median of v, averaging the middle pair for even
-// lengths. v is not modified.
-func Median(v []float64) float64 {
-	if len(v) == 0 {
-		return math.NaN()
-	}
-	tmp := append([]float64(nil), v...)
-	sort.Float64s(tmp)
-	n := len(tmp)
-	if n%2 == 1 {
-		return tmp[n/2]
-	}
-	return (tmp[n/2-1] + tmp[n/2]) / 2
-}
-
-// Mean returns the arithmetic mean of v.
-func Mean(v []float64) float64 {
-	if len(v) == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s / float64(len(v))
+	return kernel.MedianInPlace(ests)
 }

@@ -3,8 +3,8 @@ package sketch
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
-	"testing/quick"
 
 	"ldpjoin/internal/hashing"
 	"ldpjoin/internal/join"
@@ -18,6 +18,71 @@ func zipfData(seed int64, n int, domain uint64, s float64) []uint64 {
 		out[i] = z.Uint64()
 	}
 	return out
+}
+
+// seqDot is the reference inner product: one accumulator, in index
+// order.
+func seqDot(a, b []float64) float64 {
+	var s float64
+	for i := range a {
+		s += a[i] * b[i]
+	}
+	return s
+}
+
+// sortMedian is the reference median: copy, sort.Float64s, take the
+// middle element or average the middle pair.
+func sortMedian(v []float64) float64 {
+	tmp := append([]float64(nil), v...)
+	sort.Float64s(tmp)
+	n := len(tmp)
+	if n%2 == 1 {
+		return tmp[n/2]
+	}
+	return (tmp[n/2-1] + tmp[n/2]) / 2
+}
+
+// TestFastAGMSMatchesNaiveEstimators pins the kernel-backed estimators
+// to a sequential-dot, sort-median reference by ==: the counters are
+// integer-valued, so every product and partial sum is an exact integer
+// and the kernel's reassociated dot and in-place median cannot move a
+// bit. Both an odd and an even K run, so the median's middle-pair
+// average is covered.
+func TestFastAGMSMatchesNaiveEstimators(t *testing.T) {
+	const n, domain = 20000, 2000
+	t1, t2, t3 := chainFixture(31, n, domain)
+	for _, k := range []int{7, 8} {
+		famA := hashing.NewFamily(40, k, 512)
+		famB := hashing.NewFamily(41, k, 256)
+		sa, sb := NewFastAGMS(famA), NewFastAGMS(famA)
+		sa.UpdateAll(t1)
+		sb.UpdateAll(t2.A)
+		ests := make([]float64, k)
+		for j := range ests {
+			ests[j] = seqDot(sa.Row(j), sb.Row(j))
+		}
+		if got, want := sa.InnerProduct(sb), sortMedian(ests); got != want {
+			t.Fatalf("K=%d: InnerProduct = %v, reference %v", k, got, want)
+		}
+		for d := uint64(0); d < 64; d++ {
+			for j := range ests {
+				ests[j] = sa.Row(j)[famA.Bucket(j, d)] * float64(famA.Sign(j, d))
+			}
+			if got, want := sa.Frequency(d), sortMedian(ests); got != want {
+				t.Fatalf("K=%d: Frequency(%d) = %v, reference %v", k, d, got, want)
+			}
+		}
+		mid := NewCompassMatrix(famA, famB)
+		mid.UpdateAll(t2.A, t2.B)
+		right := NewFastAGMS(famB)
+		right.UpdateAll(t3)
+		for j := range ests {
+			ests[j] = seqDot(mid.VecMat(j, sa.Row(j)), right.Row(j))
+		}
+		if got, want := CompassChain(sa, []*CompassMatrix{mid}, right), sortMedian(ests); got != want {
+			t.Fatalf("K=%d: CompassChain = %v, reference %v", k, got, want)
+		}
+	}
 }
 
 func TestFastAGMSExactOnSingleton(t *testing.T) {
@@ -69,7 +134,7 @@ func TestFastAGMSUnbiasedOverSeeds(t *testing.T) {
 		sa.UpdateAll(da)
 		sb := NewFastAGMS(fam)
 		sb.UpdateAll(db)
-		sum += Dot(sa.Row(0), sb.Row(0))
+		sum += seqDot(sa.Row(0), sb.Row(0))
 	}
 	mean := sum / trials
 	if re := math.Abs(mean-truth) / truth; re > 0.05 {
@@ -143,66 +208,6 @@ func TestInnerProductPanicsOnDifferentFamilies(t *testing.T) {
 	a := NewFastAGMS(hashing.NewFamily(1, 2, 16))
 	b := NewFastAGMS(hashing.NewFamily(2, 2, 16))
 	a.InnerProduct(b)
-}
-
-func TestMedian(t *testing.T) {
-	cases := []struct {
-		in   []float64
-		want float64
-	}{
-		{[]float64{3}, 3},
-		{[]float64{1, 2, 3}, 2},
-		{[]float64{4, 1, 3, 2}, 2.5},
-		{[]float64{-5, 10, 0}, 0},
-	}
-	for _, c := range cases {
-		if got := Median(c.in); got != c.want {
-			t.Errorf("Median(%v) = %g, want %g", c.in, got, c.want)
-		}
-	}
-	if !math.IsNaN(Median(nil)) {
-		t.Error("Median(nil) should be NaN")
-	}
-}
-
-func TestMedianDoesNotMutate(t *testing.T) {
-	v := []float64{3, 1, 2}
-	Median(v)
-	if v[0] != 3 || v[1] != 1 || v[2] != 2 {
-		t.Fatal("Median mutated its input")
-	}
-}
-
-func TestMedianPermutationInvariant(t *testing.T) {
-	f := func(a, b, c, d float64) bool {
-		m1 := Median([]float64{a, b, c, d})
-		m2 := Median([]float64{d, c, b, a})
-		return m1 == m2 || (math.IsNaN(m1) && math.IsNaN(m2))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMeanAndDot(t *testing.T) {
-	if got := Mean([]float64{1, 2, 3, 4}); got != 2.5 {
-		t.Fatalf("Mean = %g, want 2.5", got)
-	}
-	if !math.IsNaN(Mean(nil)) {
-		t.Fatal("Mean(nil) should be NaN")
-	}
-	if got := Dot([]float64{1, 2}, []float64{3, 4}); got != 11 {
-		t.Fatalf("Dot = %g, want 11", got)
-	}
-}
-
-func TestDotPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on length mismatch")
-		}
-	}()
-	Dot([]float64{1}, []float64{1, 2})
 }
 
 func BenchmarkFastAGMSUpdate(b *testing.B) {
