@@ -43,6 +43,39 @@ func TestAddBatchDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestEstimatorAllocations: at the daemon's K = 18 the served pair and
+// frequency estimators keep their row estimates on the stack, and a warm
+// plus join — rows restored, both masses memoized — is two shifted dot
+// passes with nothing allocated.
+func TestEstimatorAllocations(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts under the race detector say nothing about the code")
+	}
+	p := Params{K: 18, M: 1024, Epsilon: 4}
+	fam, rng := p.NewFamily(1), rand.New(rand.NewSource(2))
+	a, b := filledEnd(p, fam, 20000, 4096, rng), filledEnd(p, fam, 20000, 4096, rng)
+	plus := plusColumns(2, p)
+	if _, err := EstimateJoinPlusColumns(plus[0], plus[1]); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		f    func()
+	}{
+		{"JoinSize", func() { a.JoinSize(b) }},
+		{"JoinSizeShifted", func() { a.JoinSizeShifted(b, 1.5, 2.5) }},
+		{"SelfJoinSize", func() { a.SelfJoinSize() }},
+		{"Frequency", func() { a.Frequency(3) }},
+		{"FrequencyMedian", func() { a.FrequencyMedian(3) }},
+		{"FrequencyMeanMedian", func() { a.FrequencyMeanMedian(3) }},
+		{"EstimateJoinPlusColumns", func() { _, _ = EstimateJoinPlusColumns(plus[0], plus[1]) }},
+	} {
+		if n := testing.AllocsPerRun(20, tc.f); n != 0 {
+			t.Errorf("K=%d: %s allocates %v times per call, ceiling 0", p.K, tc.name, n)
+		}
+	}
+}
+
 // TestChainEstimateAllocations: a cold chain estimate allocates its O(M)
 // scratch — one vector buffer, plus the replica estimates when K is
 // beyond maxStackK — and nothing that grows with the middle's non-zero
@@ -51,7 +84,7 @@ func TestChainEstimateAllocations(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts under the race detector say nothing about the code")
 	}
-	for _, k := range []int{9, 18} {
+	for _, k := range []int{9, 18, 40} {
 		ep := Params{K: k, M: 256, Epsilon: 4}
 		mp := MatrixParams{K: k, M1: 256, M2: 256, Epsilon: 4}
 		famA, famB := ep.NewFamily(1), ep.NewFamily(2)

@@ -39,6 +39,7 @@ func TestJoinSizeMatchesCountAlgebra(t *testing.T) {
 		{K: 5, M: 64, Epsilon: 1},
 		{K: 9, M: 256, Epsilon: 4},
 		{K: 18, M: 1024, Epsilon: 4},
+		{K: 40, M: 256, Epsilon: 4},
 	} {
 		fam := hashing.NewFamily(31, p.K, p.M)
 		a, b := NewAggregator(p, fam), NewAggregator(p, fam)

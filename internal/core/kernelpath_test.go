@@ -40,7 +40,7 @@ func TestRestoreBitExactVsReference(t *testing.T) {
 	for _, p := range []Params{
 		{K: 5, M: 64, Epsilon: 1},
 		{K: 9, M: 512, Epsilon: 4},
-		{K: 18, M: 256, Epsilon: 2}, // K > maxStackK
+		{K: 40, M: 256, Epsilon: 2}, // K > maxStackK
 	} {
 		s := filledAggregator(p, 11, 4096, 1<<14).Finalize()
 		for j, row := range s.Counts() {

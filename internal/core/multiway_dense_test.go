@@ -132,7 +132,8 @@ func TestChainEstimateMatchesDenseReference(t *testing.T) {
 		{"one middle", 5, []int{64, 64}, 5000, 300},
 		{"one middle, non-square", 7, []int{32, 128}, 5000, 300},
 		{"two middles", 5, []int{64, 32, 128}, 8000, 200},
-		{"bench shape, K beyond maxStackK", 18, []int{1024, 1024}, 20000, 1 << 16},
+		{"bench shape", 18, []int{1024, 1024}, 20000, 1 << 16},
+		{"K beyond maxStackK", 40, []int{64, 64}, 5000, 300},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const eps = 4
@@ -172,6 +173,7 @@ func TestCycleEstimateMatchesDenseReference(t *testing.T) {
 		{5, 64, 64, 64},
 		{7, 32, 64, 16},
 		{18, 32, 32, 32},
+		{40, 32, 32, 32},
 	} {
 		rng := rand.New(rand.NewSource(int64(tc.k)))
 		famA := hashing.NewFamily(1, tc.k, tc.mA)

@@ -95,6 +95,27 @@ type PlusResult struct {
 // phase-1 sample or in one phase-2 group — so each report can spend the
 // whole budget ε (parallel composition over disjoint users).
 func EstimateJoinPlus(a, b []uint64, domain uint64, opt PlusOptions) PlusResult {
+	stateA, stateB, res := collectPlus(a, b, domain, opt)
+
+	// JoinEst (Algorithm 5), shared with the serving path. Each state is
+	// joined once, so the masses are computed here, under the estimator
+	// opt selects, rather than memoized.
+	estStart := time.Now()
+	est := (*Sketch).FrequencyMedian
+	if opt.MeanFI {
+		est = (*Sketch).Frequency
+	}
+	res.HighFreqA, res.HighFreqB = frequentMass(stateA, est), frequentMass(stateB, est)
+	res.LowEstimate, res.HighEstimate = joinEstPlus(stateA, stateB, res.HighFreqA, res.HighFreqB, opt.LiteralNTSubtraction)
+	res.Estimate = res.LowEstimate + res.HighEstimate
+	res.EstimateTime = time.Since(estStart)
+	return res
+}
+
+// collectPlus runs both collection phases of EstimateJoinPlus and
+// returns the two sides' finalized states, with a result carrying the
+// frequent items, the user split and the build time.
+func collectPlus(a, b []uint64, domain uint64, opt PlusOptions) (*PlusState, *PlusState, PlusResult) {
 	if err := opt.Validate(); err != nil {
 		panic(err)
 	}
@@ -145,29 +166,18 @@ func EstimateJoinPlus(a, b []uint64, domain uint64, opt PlusOptions) PlusResult 
 
 	skLA, skLB := mLA.Finalize(), mLB.Finalize()
 	skHA, skHB := mHA.Finalize(), mHB.Finalize()
-	buildTime := time.Since(buildStart)
 
-	// JoinEst (Algorithm 5), shared with the serving path.
-	estStart := time.Now()
 	stateA := &PlusState{Sample: skA, Low: skLA, High: skHA, Domain: domain, Theta: opt.Theta, FI: fiList}
 	stateB := &PlusState{Sample: skB, Low: skLB, High: skHB, Domain: domain, Theta: opt.Theta, FI: fiList}
-	lEst, hEst, highA, highB := joinEstPlus(stateA, stateB, fiList, opt.LiteralNTSubtraction, opt.MeanFI)
-
-	return PlusResult{
-		Estimate:      lEst + hEst,
-		LowEstimate:   lEst,
-		HighEstimate:  hEst,
+	return stateA, stateB, PlusResult{
 		FrequentItems: fiList,
-		HighFreqA:     highA,
-		HighFreqB:     highB,
 		SampledA:      len(sa),
 		SampledB:      len(sb),
 		GroupA1:       len(a1),
 		GroupA2:       len(a2),
 		GroupB1:       len(b1),
 		GroupB2:       len(b2),
-		BuildTime:     buildTime,
-		EstimateTime:  time.Since(estStart),
+		BuildTime:     time.Since(buildStart),
 	}
 }
 

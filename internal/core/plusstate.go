@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sync"
+	"sync/atomic"
 )
 
 // Seed tweaks separating the two LDPJoinSketch+ phases: phase 1 runs a
@@ -25,7 +27,10 @@ func PlusGroupSeed(seed int64) int64 { return seed ^ plusGroupSeedXor }
 
 // PlusState is the finalized state of one plus column: the phase-1
 // sample sketch, the two phase-2 group sketches, and the frozen
-// advance parameters that keyed phase 2.
+// advance parameters that keyed phase 2. A state is read-only once it
+// has been joined: its first join memoizes the column's frequent mass,
+// which a later change to Sample, FI or any group's report count would
+// leave stale.
 type PlusState struct {
 	Sample *Sketch // phase-1 sample (plain LDPJoinSketch)
 	Low    *Sketch // phase-2 group 1 (low-frequency targets)
@@ -35,6 +40,12 @@ type PlusState struct {
 	Theta  float64
 	// FI is the frozen frequent-item set, sorted ascending.
 	FI []uint64
+
+	// mass is the state's frequent mass under the median estimator (see
+	// highFreq), set on its first join under massMu; readers load it
+	// without the lock.
+	massMu sync.Mutex
+	mass   atomic.Pointer[float64]
 }
 
 // Population is the column's total user count across all three phases.
@@ -84,7 +95,8 @@ func EstimateJoinPlusColumns(a, b *PlusState) (PlusJoinEstimate, error) {
 	if a.Domain != b.Domain || a.Theta != b.Theta || !slices.Equal(a.FI, b.FI) {
 		return PlusJoinEstimate{}, fmt.Errorf("core: plus columns froze different frequent-item sets")
 	}
-	lEst, hEst, highA, highB := joinEstPlus(a, b, a.FI, false, false)
+	highA, highB := a.highFreq(), b.highFreq()
+	lEst, hEst := joinEstPlus(a, b, highA, highB, false)
 	return PlusJoinEstimate{
 		Estimate:     lEst + hEst,
 		LowEstimate:  lEst,
@@ -94,39 +106,50 @@ func EstimateJoinPlusColumns(a, b *PlusState) (PlusJoinEstimate, error) {
 	}, nil
 }
 
-// joinEstPlus is JoinEst (Algorithm 5) over two sides' finalized phase
-// sketches: estimate the frequent population mass from the phase-1
-// samples, subtract each group sketch's uniform non-target
-// contribution |NT|/m (Theorem 8), take sketch products, and scale the
-// group-level estimates back to the population. Shared by
-// EstimateJoinPlus (local simulation) and EstimateJoinPlusColumns
-// (served columns); fi must be the frozen frequent-item set both
-// phase-2 collections were keyed by.
-func joinEstPlus(a, b *PlusState, fi []uint64, literalNT, meanFI bool) (lEst, hEst, highA, highB float64) {
-	estA, estB := a.Sample.FrequencyMedian, b.Sample.FrequencyMedian
-	if meanFI {
-		estA, estB = a.Sample.Frequency, b.Sample.Frequency
+// highFreq is the state's frequent mass under the median estimator,
+// computed on the first call — a join — and memoized: it reads one
+// column's phase-1 sample and nothing of the other side, so every join
+// of the column shares it.
+func (s *PlusState) highFreq() float64 {
+	if m := s.mass.Load(); m != nil {
+		return *m
 	}
+	s.massMu.Lock()
+	defer s.massMu.Unlock()
+	if m := s.mass.Load(); m != nil {
+		return *m
+	}
+	m := frequentMass(s, (*Sketch).FrequencyMedian)
+	s.mass.Store(&m)
+	return m
+}
+
+// frequentMass is the population count of s's frequent-valued users
+// (Algorithm 5, lines 1–4): est's phase-1 estimates of the FI values,
+// scaled from the sample to the population, clipped to the population.
+// Negative estimates carry no mass.
+func frequentMass(s *PlusState, est func(*Sketch, uint64) float64) float64 {
+	pop := s.Population()
+	var high float64
+	for _, d := range s.FI {
+		if f := est(s.Sample, d); f > 0 {
+			high += f * pop / s.Sample.N()
+		}
+	}
+	return min(high, pop)
+}
+
+// joinEstPlus is the rest of JoinEst (Algorithm 5) over two sides'
+// finalized phase sketches, given each side's frequent mass: subtract
+// each group sketch's uniform non-target contribution |NT|/m (Theorem
+// 8), take sketch products, and scale the group-level estimates back to
+// the population. Shared by EstimateJoinPlus (local simulation, which
+// computes the masses afresh) and EstimateJoinPlusColumns (served
+// columns, which memoize them). Both states must carry the frozen
+// frequent-item set both phase-2 collections were keyed by; neither is
+// written.
+func joinEstPlus(a, b *PlusState, highA, highB float64, literalNT bool) (lEst, hEst float64) {
 	popA, popB := a.Population(), b.Population()
-
-	// Population-level frequent mass (Algorithm 5, lines 1–4): phase-1
-	// estimates scaled from the sample to the population. Negative
-	// estimates carry no mass.
-	for _, d := range fi {
-		if f := estA(d); f > 0 {
-			highA += f * popA / a.Sample.N()
-		}
-		if f := estB(d); f > 0 {
-			highB += f * popB / b.Sample.N()
-		}
-	}
-	if highA > popA {
-		highA = popA
-	}
-	if highB > popB {
-		highB = popB
-	}
-
 	ntLA, ntLB := highA, highB           // non-targets of the low sketches are frequent users
 	ntHA, ntHB := popA-highA, popB-highB // and vice versa
 	if !literalNT {                      // scale to the group that built each sketch
@@ -147,5 +170,5 @@ func joinEstPlus(a, b *PlusState, fi []uint64, literalNT, meanFI bool) (lEst, hE
 	scaleH := popA * popB / (a.High.N() * b.High.N())
 	lEst *= scaleL
 	hEst *= scaleH
-	return lEst, hEst, highA, highB
+	return lEst, hEst
 }

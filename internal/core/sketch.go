@@ -14,11 +14,11 @@ import (
 )
 
 // maxStackK is the widest row-estimate vector the query methods keep on
-// the stack. Deployed sketch depths are single to low double digits
-// (the paper's configurations top out well under 16), so point lookups
-// and the FI scan are allocation-free in practice; deeper sketches fall
-// back to one heap scratch per call.
-const maxStackK = 16
+// the stack. The daemon's default and the paper's main configuration run
+// at K = 18, so served joins, point lookups, chain replicas and the FI
+// scan are allocation-free; deeper sketches (the Fig 9 depth sweep
+// reaches 36) fall back to one heap scratch per call.
+const maxStackK = 32
 
 // MaxReports is the most reports one aggregator or sketch of any kind
 // holds: a count is an int32, and no count exceeds n in magnitude, so up
@@ -468,11 +468,8 @@ func (s *Sketch) SelfJoinSize() float64 {
 //
 //ldpjoin:hotpath
 func (s *Sketch) Frequency(d uint64) float64 {
-	var sum float64
-	for j, row := range s.cells() {
-		sum += row[s.fam.Bucket(j, d)] * float64(s.fam.Sign(j, d))
-	}
-	return sum / float64(s.params.K)
+	var buf [maxStackK]float64
+	return kernel.Mean(s.frequencyRows(d, estScratch(&buf, s.params.K)))
 }
 
 // FrequencyMedian estimates f(d) as median_j M[j, h_j(d)]·ξ_j(d) — the
@@ -485,20 +482,33 @@ func (s *Sketch) Frequency(d uint64) float64 {
 //ldpjoin:hotpath
 func (s *Sketch) FrequencyMedian(d uint64) float64 {
 	var buf [maxStackK]float64
-	return s.frequencyMedianInto(d, estScratch(&buf, s.params.K))
+	return kernel.MedianInPlace(s.frequencyRows(d, estScratch(&buf, s.params.K)))
 }
 
-// frequencyMedianInto is FrequencyMedian over a caller-owned scratch
-// buffer (capacity ≥ K, contents irrelevant) — the allocation-free
-// inner call of the FI scan, whose workers each carry one scratch.
+// FrequencyMeanMedian returns Frequency(d) and FrequencyMedian(d), bit
+// for bit, from one pass over the rows: the mean is taken before the
+// median reorders the row estimates.
 //
 //ldpjoin:hotpath
-func (s *Sketch) frequencyMedianInto(d uint64, ests []float64) float64 {
+func (s *Sketch) FrequencyMeanMedian(d uint64) (mean, median float64) {
+	var buf [maxStackK]float64
+	ests := s.frequencyRows(d, estScratch(&buf, s.params.K))
+	mean = kernel.Mean(ests)
+	return mean, kernel.MedianInPlace(ests)
+}
+
+// frequencyRows writes the K row estimates of f(d), M[j, h_j(d)]·ξ_j(d)
+// in row order, over ests (capacity ≥ K, contents irrelevant) — the one
+// pass every frequency estimator reads, and the allocation-free inner
+// call of the FI scan, whose workers each carry one scratch.
+//
+//ldpjoin:hotpath
+func (s *Sketch) frequencyRows(d uint64, ests []float64) []float64 {
 	ests = ests[:0]
 	for j, row := range s.cells() {
 		ests = append(ests, row[s.fam.Bucket(j, d)]*float64(s.fam.Sign(j, d)))
 	}
-	return kernel.MedianInPlace(ests)
+	return ests
 }
 
 // frequentItemsSpan is the smallest domain span the FI scan hands one
@@ -556,11 +566,12 @@ func (s *Sketch) frequentItemsRange(lo, hi uint64, threshold float64, useMean bo
 	var buf [maxStackK]float64
 	ests := estScratch(&buf, s.params.K)[:0]
 	for d := lo; d < hi; d++ {
+		ests = s.frequencyRows(d, ests)
 		var f float64
 		if useMean {
-			f = s.Frequency(d)
+			f = kernel.Mean(ests)
 		} else {
-			f = s.frequencyMedianInto(d, ests)
+			f = kernel.MedianInPlace(ests)
 		}
 		if f > threshold {
 			out = append(out, d)

@@ -144,6 +144,27 @@ func TestFrequencyUnbiased(t *testing.T) {
 	}
 }
 
+// TestFrequencyMeanMedianMatchesSeparateCalls: the one-pass frequency
+// query returns what Frequency and FrequencyMedian return, bit for bit,
+// and the mean is the row sum in row order over K — at K within and
+// beyond maxStackK.
+func TestFrequencyMeanMedianMatchesSeparateCalls(t *testing.T) {
+	for _, p := range []Params{{K: 5, M: 64, Epsilon: 1}, {K: 18, M: 1024, Epsilon: 4}, {K: 40, M: 256, Epsilon: 2}} {
+		s := filledAggregator(p, 3, 20000, 1000).Finalize()
+		for d := uint64(0); d < 200; d++ {
+			mean, median := s.FrequencyMeanMedian(d)
+			var sum float64
+			for j := 0; j < p.K; j++ {
+				sum += s.Row(j)[s.fam.Bucket(j, d)] * float64(s.fam.Sign(j, d))
+			}
+			if f, fm, inline := s.Frequency(d), s.FrequencyMedian(d), sum/float64(p.K); mean != f || median != fm || f != inline {
+				t.Fatalf("K=%d d=%d: FrequencyMeanMedian (%v, %v), Frequency %v, FrequencyMedian %v, row-order mean %v",
+					p.K, d, mean, median, f, fm, inline)
+			}
+		}
+	}
+}
+
 // TestJoinSizeUnbiased is Theorem 3 as a test: the mean of single-row
 // join estimators across independent runs converges on the true join
 // size.

@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"ldpjoin/internal/race"
 )
 
 func TestTableRenderAndCSV(t *testing.T) {
@@ -167,7 +169,10 @@ func TestFig10And11RunTiny(t *testing.T) {
 }
 
 // TestFig13ReportsTimings checks the efficiency table exists with
-// positive offline costs and cheap online costs for sketch methods.
+// positive offline costs and cheap online costs for sketch methods. The
+// online < offline ordering is a wall-clock comparison with a thin
+// margin at tiny scale, which the race detector's slowdown overturns,
+// so it is asserted only without it.
 func TestFig13ReportsTimings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing smoke test")
@@ -182,7 +187,7 @@ func TestFig13ReportsTimings(t *testing.T) {
 		if off <= 0 {
 			t.Errorf("%s/%s: offline %.6f not positive", row[0], row[1], off)
 		}
-		if row[1] == "LDPJoinSketch" && on > off {
+		if row[1] == "LDPJoinSketch" && !race.Enabled && on > off {
 			t.Errorf("%s: LDPJoinSketch online %.6f exceeds offline %.6f", row[0], on, off)
 		}
 	}

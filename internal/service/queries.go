@@ -292,7 +292,8 @@ func (s *Server) frequency(name string, value uint64) (freqEstimate, error) {
 		return freqEstimate{}, statusError(http.StatusBadRequest, "column %q is a %s column; frequency queries need a join column", name, sk.kind.String())
 	}
 	v, cached, err := s.cache.do(cacheKey("freq", name, strconv.FormatUint(value, 10)), func() (any, error) {
-		return freqResult{mean: sk.join.Frequency(value), median: sk.join.FrequencyMedian(value)}, nil
+		mean, median := sk.join.FrequencyMeanMedian(value)
+		return freqResult{mean: mean, median: median}, nil
 	})
 	if err != nil {
 		return freqEstimate{}, err
