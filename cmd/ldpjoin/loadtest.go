@@ -18,8 +18,8 @@
 // Every worker records per-request latency; the summary prints counts,
 // errors, p50/p90/p99/max per op and overall QPS, and -out writes the
 // same numbers as JSON for CI artifacts. -tenant sends every request
-// with an Authorization bearer token, so a rate-limited or ε-budgeted
-// server can be soaked as one tenant. Columns survive the run
+// with an Authorization bearer token, so a rate-limited server can be
+// soaked as one tenant. Columns survive the run
 // (finalized sketches are immutable), so repeated invocations against
 // the same server skip seeding and measure steady state.
 package main

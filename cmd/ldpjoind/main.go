@@ -23,8 +23,10 @@
 // both recovery replay time and disk growth. See internal/store.
 //
 // GET /metrics serves Prometheus text exposition, and -tenant-rate /
-// -tenant-eps-budget turn on per-tenant admission keyed by the
-// Authorization bearer token. See internal/service.
+// -tenant-burst turn on a per-tenant request rate limit keyed by the
+// Authorization bearer token. Privacy budget accounting is the
+// gateway's job: every report is ε-LDP before it leaves its client.
+// See internal/service.
 //
 // Usage:
 //
@@ -75,19 +77,17 @@ func main() {
 	ckptInterval := flag.Duration("ckpt-interval", 0, "background-checkpoint a column with un-checkpointed WAL bytes after this much time (0 = disabled)")
 	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant request rate limit, requests/second (0 = unlimited)")
 	tenantBurst := flag.Int("tenant-burst", 0, "per-tenant burst capacity of the rate limit (0 = 1)")
-	tenantEps := flag.Float64("tenant-eps-budget", 0, "per-tenant privacy budget: total ε a tenant's accepted reports may spend (0 = unlimited)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout for in-flight requests")
 	flag.Parse()
 
 	srv, err := service.NewWithOptions(core.Params{K: *k, M: *m, Epsilon: *eps}, *seed, service.Options{
-		MaxStreamReports:    *maxReports,
-		Attributes:          *attrs,
-		QueryCacheEntries:   *queryCache,
-		DataDir:             *data,
-		Store:               store.Options{CheckpointBytes: *ckptBytes, CheckpointInterval: *ckptInterval},
-		TenantRate:          *tenantRate,
-		TenantBurst:         *tenantBurst,
-		TenantEpsilonBudget: *tenantEps,
+		MaxStreamReports:  *maxReports,
+		Attributes:        *attrs,
+		QueryCacheEntries: *queryCache,
+		DataDir:           *data,
+		Store:             store.Options{CheckpointBytes: *ckptBytes, CheckpointInterval: *ckptInterval},
+		TenantRate:        *tenantRate,
+		TenantBurst:       *tenantBurst,
 	})
 	if err != nil {
 		log.Fatal(err)

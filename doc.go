@@ -36,7 +36,8 @@
 // Chain (multi-way) joins are estimated with NewChainProtocol. The
 // runnable programs under examples/ walk through the paper's motivating
 // applications: private similarity for data valuation, private dataset
-// discovery, multiway joins, and a TCP client/server deployment.
+// discovery, and multiway joins, the last also end to end against the
+// HTTP server.
 //
 // The deployable server side lives in internal/service (the HTTP column
 // API) on top of the ingest columns in internal/ingest; cmd/ldpjoind

@@ -1,6 +1,7 @@
 // Package ingest is the one path through which perturbed reports —
-// whether they arrive from the wire or from a locally simulated
-// population — are folded into LDPJoinSketch aggregation state.
+// those internal/service decodes from a request body, or a locally
+// simulated population's — are folded into LDPJoinSketch aggregation
+// state.
 //
 // A column is one aggregator behind a mutex, and it folds every batch
 // inline, in the caller's goroutine. Column and MatrixColumn are one

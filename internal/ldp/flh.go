@@ -97,9 +97,6 @@ func (f *FLH) Collect(data []uint64, rng *rand.Rand) {
 	}
 }
 
-// N returns the number of reports collected.
-func (f *FLH) N() float64 { return f.n }
-
 // Frequency returns the calibrated OLH-style estimate of f(d):
 // (support(d) − n/g) / (p − 1/g), where support(d) counts reports whose
 // perturbed value matches the report's hash applied to d.

@@ -87,9 +87,6 @@ func (h *HCMS) Finalize() {
 	h.done = true
 }
 
-// N returns the number of reports collected.
-func (h *HCMS) N() float64 { return h.n }
-
 // Frequency returns Apple's debiased count-mean estimate of f(d):
 // (m/(m−1))·(mean_j M[j,h_j(d)] − n/m).
 func (h *HCMS) Frequency(d uint64) float64 {

@@ -37,9 +37,6 @@ func NewKRR(domain uint64, eps float64) *KRR {
 	}
 }
 
-// Domain returns the domain size.
-func (k *KRR) Domain() uint64 { return k.domain }
-
 // Perturb runs the client side: it returns the randomized report for true
 // value d (which must lie in the domain).
 func (k *KRR) Perturb(d uint64, rng *rand.Rand) uint64 {
@@ -70,9 +67,6 @@ func (k *KRR) Collect(data []uint64, rng *rand.Rand) {
 		k.Add(k.Perturb(d, rng))
 	}
 }
-
-// N returns the number of reports collected.
-func (k *KRR) N() float64 { return k.n }
 
 // Frequency returns the calibrated (unbiased) frequency estimate of d.
 func (k *KRR) Frequency(d uint64) float64 {

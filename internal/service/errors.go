@@ -35,9 +35,6 @@ const (
 	codeTooLarge = "payload_too_large"
 	// codeRateLimited: the tenant exceeded its request rate; retry later.
 	codeRateLimited = "rate_limited"
-	// codeBudgetExhausted: the tenant's ε budget is spent; further report
-	// ingestion is refused until the operator raises the budget.
-	codeBudgetExhausted = "budget_exhausted"
 	// codeServerClosed: the server is shutting down; retry elsewhere.
 	codeServerClosed = "server_closed"
 	// codeInternal: a server-side fault (disk, encoding).
@@ -53,8 +50,8 @@ type errorBody struct {
 
 // apiError is a refusal on its way to the client: the HTTP status plus
 // the envelope's payload. Everything beneath the transport — the route
-// functions, the operations and queries, register, the decoders, the
-// tenant ledger — reports a refusal by returning one, and only the
+// functions, the operations and queries, register, the decoders —
+// reports a refusal by returning one, and only the
 // route adapter turns it into bytes (writeAPIError), so nothing that
 // holds a column lock can also be holding a client socket. WAL replay
 // runs the same code and sees the same value as a plain error.
@@ -91,7 +88,7 @@ func writeAPIError(w http.ResponseWriter, err error) {
 // defaultCode maps an HTTP status to its unambiguous envelope code —
 // the statuses where one code fits every use. Statuses with more than
 // one meaning here (409 splits into finalized / not-finalized /
-// conflict, 429 into rate vs budget) must pick their code explicitly.
+// conflict) must pick their code explicitly.
 func defaultCode(status int) string {
 	switch status {
 	case http.StatusBadRequest:

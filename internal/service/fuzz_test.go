@@ -21,10 +21,7 @@ import (
 // refused first request must not leave its name registered: no phantom
 // "collecting" column for a request that contributed nothing. /advance
 // never creates a column, so it is fuzzed against a plus column seeded
-// with a phase-1 sample. The server keeps an ε ledger, and the route
-// byte's next bit sends the request as a tenant whose budget is already
-// spent: whatever else is wrong with a /reports request, its 429 must
-// leave nothing behind either.
+// with a phase-1 sample.
 func FuzzMutatingRoutes(f *testing.F) {
 	p := core.Params{K: 4, M: 16, Epsilon: 2}
 	const seed = 42
@@ -59,6 +56,10 @@ func FuzzMutatingRoutes(f *testing.F) {
 	joinStream := reportStream(fam, func(buf *bytes.Buffer) (reportSink, error) {
 		return protocol.NewReportWriter(buf, p)
 	})
+	var emptyStream bytes.Buffer // a header and no reports
+	ew, err := protocol.NewReportWriter(&emptyStream, p)
+	must(err)
+	must(ew.Flush())
 	sampleStream := plusStream(protocol.PlusSample, p.NewFamily(core.PlusSampleSeed(seed)))
 
 	mp := core.MatrixParams{K: p.K, M1: p.M, M2: p.M, Epsilon: p.Epsilon}
@@ -88,20 +89,19 @@ func FuzzMutatingRoutes(f *testing.F) {
 	f.Add(uint8(reports), "", matrixStream.Bytes())
 	f.Add(uint8(reports), "", sampleStream)
 	f.Add(uint8(reports), "", plusStream(protocol.PlusLow, p.NewFamily(core.PlusGroupSeed(seed))))
+	f.Add(uint8(reports), "", plusStream(protocol.PlusHigh, p.NewFamily(core.PlusGroupSeed(seed))))
+	f.Add(uint8(reports), "", emptyStream.Bytes())
+	f.Add(uint8(reports), "attr=1", matrixStream.Bytes())
 	f.Add(uint8(reports), "", joinStream[:len(joinStream)-3])
 	f.Add(uint8(merge), "", unfinalized)
 	f.Add(uint8(merge), "", finalized)
+	f.Add(uint8(merge), "attr=1", unfinalized)
 	f.Add(uint8(merge), "", unfinalized[:protocol.SnapshotHeaderSize])
 	f.Add(uint8(advance), "domain=7&theta=0.1", []byte(nil))
 	f.Add(uint8(advance), "", []byte(`{"domain":7,"theta":0.1,"fi":[3,1,1]}`))
 	f.Add(uint8(advance), "theta=2", []byte(`{"domain":0}`))
 	f.Add(uint8(advance), "domain=18446744073709551615&theta=0.5", []byte(nil)) // once a scan without end
 	f.Add(uint8(reports), "", []byte("not a report stream"))
-	const broke = uint8(len(routes)) // + route: as the tenant with nothing left
-	f.Add(broke+reports, "", joinStream)
-	f.Add(broke+reports, "", sampleStream)
-	f.Add(broke+reports, "attr=1", matrixStream.Bytes())
-	f.Add(broke+merge, "", unfinalized)
 
 	// One server serves a run of iterations, each under a fresh column
 	// name; it is replaced now and then so accepted columns do not pile
@@ -115,10 +115,9 @@ func FuzzMutatingRoutes(f *testing.F) {
 			srv.Close()
 		}
 	})
-	do := func(tenant, method, path, query string, body []byte) *httptest.ResponseRecorder {
+	do := func(method, path, query string, body []byte) *httptest.ResponseRecorder {
 		r := httptest.NewRequest(method, path, bytes.NewReader(body))
 		r.URL.RawQuery = query // as it arrived: the handlers parse it leniently
-		r.Header.Set("Authorization", "Bearer "+tenant)
 		rec := httptest.NewRecorder()
 		handler.ServeHTTP(rec, r)
 		return rec
@@ -128,31 +127,22 @@ func FuzzMutatingRoutes(f *testing.F) {
 			if srv != nil {
 				srv.Close()
 			}
-			// A budget of one seed stream: each iteration's own tenant can
-			// pay for it, and "broke" spends the whole of it here.
 			var err error
-			if srv, err = NewWithOptions(p, seed, Options{TenantEpsilonBudget: 40 * p.Epsilon}); err != nil {
+			if srv, err = New(p, seed); err != nil {
 				t.Fatal(err)
 			}
 			handler = srv.Handler()
-			if rec := do("broke", "POST", "/v1/columns/spent/reports", "", joinStream); rec.Code != 200 {
-				t.Fatalf("spending the broke tenant's budget: %d %s", rec.Code, rec.Body)
-			}
 		}
 		n++
 		name := fmt.Sprintf("c%d", n)
-		tenant := fmt.Sprintf("t%d", n)
-		if route/uint8(len(routes))%2 == 1 {
-			tenant = "broke"
-		}
 		route %= uint8(len(routes))
 		if route == advance {
-			if rec := do(fmt.Sprintf("seed%d", n), "POST", "/v1/columns/"+name+"/reports", "", sampleStream); rec.Code != 200 {
+			if rec := do("POST", "/v1/columns/"+name+"/reports", "", sampleStream); rec.Code != 200 {
 				t.Fatalf("seeding the plus column: %d %s", rec.Code, rec.Body)
 			}
 		}
 
-		rec := do(tenant, "POST", "/v1/columns/"+name+"/"+routes[route], query, body)
+		rec := do("POST", "/v1/columns/"+name+"/"+routes[route], query, body)
 		if rec.Code == http.StatusOK {
 			return
 		}
@@ -161,7 +151,7 @@ func FuzzMutatingRoutes(f *testing.F) {
 			t.Fatalf("%s answered %d with no error envelope: %s", routes[route], rec.Code, rec.Body)
 		}
 		if route != advance {
-			if status := do(tenant, "GET", "/v1/columns/"+name, "", nil); status.Code != http.StatusNotFound {
+			if status := do("GET", "/v1/columns/"+name, "", nil); status.Code != http.StatusNotFound {
 				t.Fatalf("%s was refused (%d %s) but left column %s behind: %s", routes[route], rec.Code, env["error"].Code, name, status.Body)
 			}
 		}

@@ -289,21 +289,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		p.sample("ldpjoin_recovery_truncated_tails_total", float64(s.recovered.TruncatedTails))
 	}
 
-	// Tenant admission: requests, throttles, and the privacy ledger.
+	// Tenant admission: requests and throttles.
 	if s.tenants != nil {
 		p.family("ldpjoin_tenant_requests_total", "Admitted requests, by tenant.", "counter")
 		p.family("ldpjoin_tenant_throttled_total", "Requests refused by the tenant's rate limit.", "counter")
-		p.family("ldpjoin_tenant_budget_refusals_total", "Report batches refused by the tenant's epsilon budget.", "counter")
-		p.family("ldpjoin_tenant_epsilon_spent", "Privacy budget debited by the tenant's accepted reports (count times the column epsilon).", "gauge")
 		for _, t := range s.tenants.snapshot() {
 			p.sample("ldpjoin_tenant_requests_total", float64(t.requests), "tenant", t.name)
 			p.sample("ldpjoin_tenant_throttled_total", float64(t.throttled), "tenant", t.name)
-			p.sample("ldpjoin_tenant_budget_refusals_total", float64(t.budgetRefusals), "tenant", t.name)
-			p.sample("ldpjoin_tenant_epsilon_spent", t.epsSpent, "tenant", t.name)
-		}
-		if s.tenants.limits.epsBudget > 0 {
-			p.family("ldpjoin_tenant_epsilon_budget", "Configured per-tenant epsilon budget.", "gauge")
-			p.sample("ldpjoin_tenant_epsilon_budget", s.tenants.limits.epsBudget)
 		}
 	}
 

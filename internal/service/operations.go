@@ -78,19 +78,13 @@ var errServerClosed error = statusError(http.StatusServiceUnavailable, "server i
 // every record, acknowledged or not, instead of leaving unacknowledged
 // tails to resurrect on restart.
 //
-// A name is claimed only for a request a fresh column would take and its
-// tenant can pay for: first, when non-nil, is the report batch about to
-// be applied, and a new column that refuses it (group reports before any
-// sample) is never installed; reserve, when non-nil, debits what the
-// request spends (the tenant's ε budget) once every check here has
-// passed and before the column is installed. Like the empty stream, a
-// refused first request must not leave a phantom "collecting" column
-// behind, and the order keeps which refusal wins: finalized and
-// kind/attribute conflicts precede the 429. reserve runs under the
-// lifecycle mutex, so it must not block: the ledger takes its tenant's
-// own mutex and nothing else. For a column that already exists the phase
-// gate is the reports operation's, under opMu.
-func (s *Server) register(name string, kind protocol.Kind, attr int, first batchSet, reserve func() error) (*pendingColumn, error) {
+// A name is claimed only for a request a fresh column would take: first,
+// when non-nil, is the report batch about to be applied, and a new
+// column that refuses it (group reports before any sample) is never
+// installed. Like the empty stream, a refused first request must not
+// leave a phantom "collecting" column behind. For a column that already
+// exists the phase gate is the reports operation's, under opMu.
+func (s *Server) register(name string, kind protocol.Kind, attr int, first batchSet) (*pendingColumn, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed.Load() {
@@ -99,27 +93,20 @@ func (s *Server) register(name string, kind protocol.Kind, attr int, first batch
 	if _, done := s.finished.get(name); done {
 		return nil, apiErrorf(http.StatusConflict, codeFinalized, name, "column %q is already finalized", name)
 	}
-	col, exists := s.pending[name]
-	switch {
-	case !exists:
-		col = &pendingColumn{name: name, kind: kind, attr: attr, state: kinds[kind].newColumn(s, attr)}
-		if first != nil {
-			if err := col.state.admit(first); err != nil {
-				return nil, s.conflict(name, err)
-			}
+	if col, exists := s.pending[name]; exists {
+		if col.kind != kind || col.attr != attr {
+			return nil, apiErrorf(http.StatusConflict, codeConflict, name, "column %q is %s state of attribute %d, not %s state of attribute %d",
+				name, col.kind.String(), col.attr, kind.String(), attr)
 		}
-	case col.kind != kind || col.attr != attr:
-		return nil, apiErrorf(http.StatusConflict, codeConflict, name, "column %q is %s state of attribute %d, not %s state of attribute %d",
-			name, col.kind.String(), col.attr, kind.String(), attr)
+		return col, nil
 	}
-	if reserve != nil {
-		if err := reserve(); err != nil {
-			return nil, err
+	col := &pendingColumn{name: name, kind: kind, attr: attr, state: kinds[kind].newColumn(s, attr)}
+	if first != nil {
+		if err := col.state.admit(first); err != nil {
+			return nil, s.conflict(name, err)
 		}
 	}
-	if !exists {
-		s.pending[name] = col
-	}
+	s.pending[name] = col
 	return col, nil
 }
 
@@ -333,7 +320,7 @@ func (r recoverer) column(info store.ColumnInfo) (*pendingColumn, error) {
 	if err := ops.checkAttr(r.s, info.Attr); err != nil {
 		return nil, fmt.Errorf("recovered column %q: %w", info.Name, err)
 	}
-	return r.s.register(info.Name, info.Kind, info.Attr, nil, nil)
+	return r.s.register(info.Name, info.Kind, info.Attr, nil)
 }
 
 func (r recoverer) finalized(info store.ColumnInfo, snap protocol.ColumnSnapshot) error {

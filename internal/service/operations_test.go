@@ -154,7 +154,7 @@ func TestOperationRefusals(t *testing.T) {
 	// cancelled.
 	nearlyFull := func(kind protocol.Kind) func(*testing.T, *opFixture) {
 		return func(t *testing.T, f *opFixture) {
-			col, err := f.srv.register("F", kind, 0, nil, nil)
+			col, err := f.srv.register("F", kind, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -189,7 +189,7 @@ func TestOperationRefusals(t *testing.T) {
 
 	// The attempts.
 	registerJoin := func(t *testing.T, f *opFixture) error {
-		_, err := f.srv.register("J", protocol.KindJoin, 0, f.joinSet(), nil)
+		_, err := f.srv.register("J", protocol.KindJoin, 0, f.joinSet())
 		return err
 	}
 	reportsJoin := func(t *testing.T, f *opFixture) error {
@@ -227,6 +227,10 @@ func TestOperationRefusals(t *testing.T) {
 		{"closed server/merge", closeServer, mergeJoin, 503, codeServerClosed},
 
 		{"finalized column/register", finalizeBoth, registerJoin, 409, codeFinalized},
+		{"finalized column/register of another kind", finalizeBoth, func(t *testing.T, f *opFixture) error {
+			_, err := f.srv.register("J", protocol.KindMatrix, 0, nil)
+			return err
+		}, 409, codeFinalized},
 		{"finalized column/collecting", finalizeBoth, func(t *testing.T, f *opFixture) error {
 			_, err := f.srv.collecting("P")
 			return err
@@ -239,11 +243,11 @@ func TestOperationRefusals(t *testing.T) {
 		}, 404, codeNotFound},
 
 		{"kind mismatch/register", asIs, func(t *testing.T, f *opFixture) error {
-			_, err := f.srv.register("J", protocol.KindMatrix, 0, nil, nil)
+			_, err := f.srv.register("J", protocol.KindMatrix, 0, nil)
 			return err
 		}, 409, codeConflict},
 		{"attr mismatch/register", asIs, func(t *testing.T, f *opFixture) error {
-			_, err := f.srv.register("J", protocol.KindJoin, 1, f.joinSet(), nil)
+			_, err := f.srv.register("J", protocol.KindJoin, 1, f.joinSet())
 			return err
 		}, 409, codeConflict},
 		{"kind mismatch/advance", asIs, func(t *testing.T, f *opFixture) error {
@@ -256,7 +260,7 @@ func TestOperationRefusals(t *testing.T) {
 			return err
 		}, 409, codeConflict},
 		{"wrong phase/group reports claim a fresh name", asIs, func(t *testing.T, f *opFixture) error {
-			_, err := f.srv.register("Q", protocol.KindPlus, 0, f.plusSet(protocol.PlusLow, f.low), nil)
+			_, err := f.srv.register("Q", protocol.KindPlus, 0, f.plusSet(protocol.PlusLow, f.low))
 			if _, col := f.srv.lookup("Q"); col != nil {
 				t.Error("the refused first request left column Q registered")
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -409,7 +410,8 @@ func TestMetricsExposition(t *testing.T) {
 
 // TestTenantRateLimit: a tenant that exhausts its burst gets 429
 // rate_limited with Retry-After, while another tenant is untouched and
-// health stays exempt.
+// health stays exempt. The rate limit is all the tenant surface there
+// is: /v1/stats and /metrics carry its counters and nothing else.
 func TestTenantRateLimit(t *testing.T) {
 	srv, err := NewWithOptions(core.Params{K: 9, M: 512, Epsilon: 4}, 42,
 		Options{TenantRate: 0.001, TenantBurst: 2})
@@ -457,86 +459,43 @@ func TestTenantRateLimit(t *testing.T) {
 	if resp, _ := do("alice", "/v1/healthz"); resp.StatusCode != 200 {
 		t.Fatalf("health probe throttled: %d", resp.StatusCode)
 	}
-	if resp, err := http.Get(ts.URL + "/metrics"); err != nil || resp.StatusCode != 200 {
+	resp, err = http.Get(ts.URL + "/metrics")
+	if err != nil || resp.StatusCode != 200 {
 		t.Fatalf("metrics scrape throttled: %v %v", err, resp)
-	} else {
-		resp.Body.Close()
 	}
-}
-
-// TestTenantEpsilonBudget: report ingestion debits count × ε against
-// the tenant's budget and refuses the overrunning batch with 429
-// budget_exhausted; queries stay free, and other tenants keep their own
-// ledgers.
-func TestTenantEpsilonBudget(t *testing.T) {
-	p := core.Params{K: 9, M: 512, Epsilon: 4}
-	srv, err := NewWithOptions(p, 42, Options{TenantEpsilonBudget: 100 * p.Epsilon})
+	page, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(srv.Close)
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-
-	stream := encodeColumn(t, p, 9, dataset.Zipf(9, 100, 50, 1.2))
-	doPost := func(tenant, path string, body []byte) (*http.Response, map[string]any) {
-		req, _ := http.NewRequest("POST", ts.URL+path, bytes.NewReader(body))
-		req.Header.Set("Authorization", "Bearer "+tenant)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
+	for _, line := range strings.Split(string(page), "\n") {
+		// The family a sample, HELP or TYPE line belongs to.
+		family := strings.TrimPrefix(strings.TrimPrefix(line, "# HELP "), "# TYPE ")
+		family, _, _ = strings.Cut(family, " ")
+		family, _, _ = strings.Cut(family, "{")
+		if strings.HasPrefix(family, "ldpjoin_tenant_") && family != "ldpjoin_tenant_requests_total" &&
+			family != "ldpjoin_tenant_throttled_total" {
+			t.Errorf("/metrics has a tenant family beyond the rate limit's: %s", line)
 		}
-		defer resp.Body.Close()
-		var out map[string]any
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatalf("decoding response: %v", err)
-		}
-		return resp, out
+	}
+	if !strings.Contains(string(page), `ldpjoin_tenant_throttled_total{tenant="alice"} 1`+"\n") {
+		t.Error("/metrics does not count alice's throttled request")
 	}
 
-	// 100 reports at ε=4 spends the whole 400 budget…
-	if resp, body := doPost("alice", "/v1/columns/A/reports", stream); resp.StatusCode != 200 {
-		t.Fatalf("within-budget ingest: %d %v", resp.StatusCode, body)
+	_, stats := do("carol", "/v1/stats")
+	tenants, _ := stats["tenants"].(map[string]any)
+	if len(tenants) != 3 || tenants["rate"] != 0.001 || tenants["burst"] != 2.0 {
+		t.Fatalf("/v1/stats tenants = %v, want rate, burst and perTenant only", tenants)
 	}
-	// …so one more report overruns it.
-	one := encodeColumn(t, p, 10, []uint64{1})
-	resp, body := doPost("alice", "/v1/columns/A/reports", one)
-	if resp.StatusCode != 429 {
-		t.Fatalf("over-budget ingest: %d %v, want 429", resp.StatusCode, body)
+	perTenant, _ := tenants["perTenant"].(map[string]any)
+	want := map[string][2]float64{"alice": {2, 1}, "bob": {1, 0}, "carol": {1, 0}}
+	if len(perTenant) != len(want) {
+		t.Fatalf("/v1/stats perTenant = %v, want %v", perTenant, want)
 	}
-	if code, _, column := envelope(t, body); code != "budget_exhausted" || column != "A" {
-		t.Fatalf("over-budget envelope: %v", body)
-	}
-	// A refused request leaves nothing behind, even as the first one to a
-	// fresh name: the budget is reserved before the column is installed
-	// (the 429 once left Z listed as collecting with 0 reports).
-	if resp, body := doPost("alice", "/v1/columns/Z/reports", one); resp.StatusCode != 429 {
-		t.Fatalf("over-budget first request: %d %v, want 429", resp.StatusCode, body)
-	}
-	if code, _ := get(t, ts.URL+"/v1/columns/Z"); code != 404 {
-		t.Fatalf("the 429 first request left column Z behind: status %d", code)
-	}
-	if _, list := get(t, ts.URL+"/v1/columns"); list["count"].(float64) != 1 {
-		t.Fatalf("columns after the 429 first request: %v, want A alone", list)
-	}
-	// Another tenant has its own ledger.
-	if resp, body := doPost("bob", "/v1/columns/A/reports", one); resp.StatusCode != 200 {
-		t.Fatalf("bob's ingest hit alice's budget: %d %v", resp.StatusCode, body)
-	}
-	// The ledger shows up in /v1/stats.
-	_, stats := get(t, ts.URL+"/v1/stats")
-	tenants := stats["tenants"].(map[string]any)["perTenant"].(map[string]any)
-	alice := tenants["alice"].(map[string]any)
-	if alice["epsilonSpent"].(float64) != 100*p.Epsilon || alice["budgetRefusals"].(float64) != 2 {
-		t.Fatalf("alice's ledger: %v", alice)
-	}
-	// Which refusal wins is unchanged: a finalized column and a kind
-	// mismatch are refused before the budget is consulted.
-	if code, body := post(t, ts.URL+"/v1/columns/A/finalize", nil); code != 200 {
-		t.Fatalf("finalize: %d %v", code, body)
-	}
-	resp, body = doPost("alice", "/v1/columns/A/reports", one)
-	if code, _, _ := envelope(t, body); resp.StatusCode != 409 || code != "column_finalized" {
-		t.Fatalf("over-budget ingest into a finalized column: %d %v, want 409 column_finalized", resp.StatusCode, body)
+	for name, w := range want {
+		got, _ := perTenant[name].(map[string]any)
+		if len(got) != 2 || got["requests"] != w[0] || got["throttled"] != w[1] {
+			t.Errorf("/v1/stats tenant %s = %v, want requests %g and throttled %g only", name, got, w[0], w[1])
+		}
 	}
 }

@@ -179,11 +179,6 @@ type Options struct {
 	// TenantBurst is the token bucket's capacity when TenantRate is on;
 	// < 1 selects 1.
 	TenantBurst int
-	// TenantEpsilonBudget caps the privacy budget each tenant may spend
-	// through report ingestion: every accepted report debits the
-	// column's ε, and a batch that would overrun the budget is refused
-	// with 429 budget_exhausted. <= 0 disables the ledger's enforcement.
-	TenantEpsilonBudget float64
 }
 
 // finishedColumn is a finalized column of one kind.
@@ -326,9 +321,7 @@ func NewWithOptions(p core.Params, seed int64, o Options) (*Server, error) {
 		maxStream:     maxStream,
 		pending:       make(map[string]*pendingColumn),
 		cache:         newQueryCache(cacheCap),
-		tenants: newTenantRegistry(tenantLimits{
-			rate: o.TenantRate, burst: float64(o.TenantBurst), epsBudget: o.TenantEpsilonBudget,
-		}),
+		tenants:       newTenantRegistry(tenantLimits{rate: o.TenantRate, burst: float64(o.TenantBurst)}),
 	}
 	s.finished.init()
 	if o.DataDir != "" {
@@ -610,9 +603,9 @@ func (s *Server) attrParam(r *http.Request, ops kindOps) (int, error) {
 }
 
 // handleReports is the one ingest route, for every column kind: decode,
-// register (which debits the tenant), then the reports operation. The
-// stream header's kind byte picks the kinds entry that reads the body
-// and the column that folds it; nothing else differs.
+// register, then the reports operation. The stream header's kind byte
+// picks the kinds entry that reads the body and the column that folds
+// it; nothing else differs.
 func (s *Server) handleReports(r *http.Request) (any, error) {
 	name := r.PathValue("name")
 	// Read the stream header first: its kind byte decides which column
@@ -637,19 +630,12 @@ func (s *Server) handleReports(r *http.Request) (any, error) {
 	// Everything the ack needs of the batch is read now: once folded, the
 	// batch belongs to the pool.
 	ingested, group := batch.count(), batch.group()
-	// Reserve the batch's privacy spend against the tenant's budget
-	// inside register — after its checks, before the name is claimed and
-	// before anything is durable or the operation takes the column's
-	// locks. The ledger is reserve-then-refund, so a refusal below — a
-	// phase conflict, a failed append — refunds.
-	reserve, refund := s.reportDebit(r, name, ingested)
-	col, err := s.register(name, h.Kind, attr, batch, reserve)
+	col, err := s.register(name, h.Kind, attr, batch)
 	if err != nil {
 		return nil, err
 	}
 	total, err := s.reports(col, batch)
 	if err != nil {
-		refund()
 		return nil, err
 	}
 	resp := map[string]any{"column": name, "kind": h.Kind.String(), "ingested": ingested, "total": total}
@@ -997,7 +983,7 @@ func (s *Server) handleMerge(r *http.Request) (any, error) {
 		// closed/finalized checks, then the operation WALs the encoded
 		// snapshot — the already-encoded body is exactly the canonical
 		// record payload — before it can reach the column.
-		col, err := s.register(name, kind, attr, nil, nil)
+		col, err := s.register(name, kind, attr, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -1239,17 +1225,14 @@ func (s *Server) handleStats(*http.Request) (any, error) {
 		tenants := make(map[string]any)
 		for _, t := range s.tenants.snapshot() {
 			tenants[t.name] = map[string]any{
-				"requests":       t.requests,
-				"throttled":      t.throttled,
-				"budgetRefusals": t.budgetRefusals,
-				"epsilonSpent":   t.epsSpent,
+				"requests":  t.requests,
+				"throttled": t.throttled,
 			}
 		}
 		stats["tenants"] = map[string]any{
-			"rate":          s.tenants.limits.rate,
-			"burst":         s.tenants.limits.burst,
-			"epsilonBudget": s.tenants.limits.epsBudget,
-			"perTenant":     tenants,
+			"rate":      s.tenants.limits.rate,
+			"burst":     s.tenants.limits.burst,
+			"perTenant": tenants,
 		}
 	}
 	if s.st != nil {

@@ -8,16 +8,13 @@ import (
 	"time"
 )
 
-// Per-tenant admission: a token-bucket rate limit on requests and an
-// ε-budget ledger on report ingestion. The tenant is whoever the
-// gateway says it is — `Authorization: Bearer <tenant>` — which is
-// accounting, not authentication: the server is expected to sit behind
-// a gateway that has already authenticated the caller, and what this
-// layer adds is the per-caller throttle and the privacy ledger. Every
-// accepted report spends ε of some user's privacy budget (the reason
-// durability is a privacy property is the same reason ingestion volume
-// is one), so the ledger debits count × ε per accepted batch and
-// refuses the batch once the configured budget is spent.
+// Per-tenant admission: a token-bucket rate limit on requests. The
+// tenant is whoever the gateway says it is — `Authorization: Bearer
+// <tenant>` — which is accounting, not authentication: the server is
+// expected to sit behind a gateway that has already authenticated the
+// caller, and what this layer adds is the per-caller throttle. Privacy
+// budget accounting is the gateway's job too: every report is already
+// ε-LDP when its client perturbs it, so the server keeps no ledger.
 //
 // Requests without an Authorization header share the "anonymous"
 // tenant, so an unconfigured deployment behaves like one big tenant.
@@ -27,33 +24,28 @@ const anonTenant = "anonymous"
 
 // tenantLimits is the (global, per-tenant) admission configuration.
 type tenantLimits struct {
-	rate      float64 // requests/second refill; <= 0 disables rate limiting
-	burst     float64 // bucket capacity; >= 1 when rate limiting is on
-	epsBudget float64 // total ε a tenant may spend on reports; <= 0 disables
+	rate  float64 // requests/second refill; <= 0 disables rate limiting
+	burst float64 // bucket capacity; >= 1 when rate limiting is on
 }
 
-// tenantState is one tenant's bucket and ledger. The mutex covers the
-// float fields; the struct is tiny and per-tenant, so contention is the
-// tenant's own request concurrency, never cross-tenant.
+// tenantState is one tenant's bucket. The mutex covers the counters;
+// the struct is tiny and per-tenant, so contention is the tenant's own
+// request concurrency, never cross-tenant.
 type tenantState struct {
 	name string
 
-	mu             sync.Mutex
-	tokens         float64
-	lastRefill     time.Time
-	epsSpent       float64
-	requests       int64
-	throttled      int64
-	budgetRefusals int64
+	mu         sync.Mutex
+	tokens     float64
+	lastRefill time.Time
+	requests   int64
+	throttled  int64
 }
 
 // tenantSnapshot is a point-in-time copy for /metrics and /v1/stats.
 type tenantSnapshot struct {
-	name           string
-	requests       int64
-	throttled      int64
-	budgetRefusals int64
-	epsSpent       float64
+	name      string
+	requests  int64
+	throttled int64
 }
 
 type tenantRegistry struct {
@@ -61,13 +53,13 @@ type tenantRegistry struct {
 	m      sync.Map // tenant name -> *tenantState
 }
 
-// newTenantRegistry returns nil when nothing is configured — no
-// admission middleware, no ledger, the pre-PR-7 behavior.
+// newTenantRegistry returns nil when rate limiting is off — no
+// admission middleware at all.
 func newTenantRegistry(l tenantLimits) *tenantRegistry {
-	if l.rate <= 0 && l.epsBudget <= 0 {
+	if l.rate <= 0 {
 		return nil
 	}
-	if l.rate > 0 && l.burst < 1 {
+	if l.burst < 1 {
 		l.burst = 1
 	}
 	return &tenantRegistry{limits: l}
@@ -95,48 +87,21 @@ func (tr *tenantRegistry) state(name string) *tenantState {
 }
 
 // allow admits or throttles one request under the tenant's token
-// bucket. With rate limiting disabled every request is admitted (but
-// still counted, so /metrics shows per-tenant traffic either way).
+// bucket.
 func (tr *tenantRegistry) allow(name string) bool {
 	t := tr.state(name)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if tr.limits.rate > 0 {
-		now := time.Now()
-		t.tokens = min(tr.limits.burst, t.tokens+now.Sub(t.lastRefill).Seconds()*tr.limits.rate)
-		t.lastRefill = now
-		if t.tokens < 1 {
-			t.throttled++
-			return false
-		}
-		t.tokens--
-	}
-	t.requests++
-	return true
-}
-
-// spend debits eps from the tenant's budget, refusing (and debiting
-// nothing) when it would overrun. The debit happens before the WAL
-// append; a failed ingest refunds it, so the ledger tracks accepted
-// reports only.
-func (tr *tenantRegistry) spend(name string, eps float64) bool {
-	t := tr.state(name)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if tr.limits.epsBudget > 0 && t.epsSpent+eps > tr.limits.epsBudget {
-		t.budgetRefusals++
+	now := time.Now()
+	t.tokens = min(tr.limits.burst, t.tokens+now.Sub(t.lastRefill).Seconds()*tr.limits.rate)
+	t.lastRefill = now
+	if t.tokens < 1 {
+		t.throttled++
 		return false
 	}
-	t.epsSpent += eps
+	t.tokens--
+	t.requests++
 	return true
-}
-
-// refund returns a reserved debit after a failed ingest.
-func (tr *tenantRegistry) refund(name string, eps float64) {
-	t := tr.state(name)
-	t.mu.Lock()
-	t.epsSpent -= eps
-	t.mu.Unlock()
 }
 
 // snapshot copies every tenant's counters, sorted by name.
@@ -145,10 +110,7 @@ func (tr *tenantRegistry) snapshot() []tenantSnapshot {
 	tr.m.Range(func(_, v any) bool {
 		t := v.(*tenantState)
 		t.mu.Lock()
-		all = append(all, tenantSnapshot{
-			name: t.name, requests: t.requests, throttled: t.throttled,
-			budgetRefusals: t.budgetRefusals, epsSpent: t.epsSpent,
-		})
+		all = append(all, tenantSnapshot{name: t.name, requests: t.requests, throttled: t.throttled})
 		t.mu.Unlock()
 		return true
 	})
@@ -177,30 +139,4 @@ func (s *Server) admit(next http.Handler) http.Handler {
 		}
 		next.ServeHTTP(w, r)
 	})
-}
-
-// reportDebit prices a report batch — count reports at the column's
-// per-report ε — against the request's tenant. reserve debits the budget
-// or returns the 429 refusal; refund returns a reserved debit after a
-// failed ingest, so the ledger tracks accepted reports only. With no
-// budget configured both do nothing.
-func (s *Server) reportDebit(r *http.Request, column string, count int) (reserve func() error, refund func()) {
-	if s.tenants == nil || s.tenants.limits.epsBudget <= 0 {
-		return nil, func() {}
-	}
-	tenant := tenantFrom(r)
-	eps := float64(count) * s.params.Epsilon
-	reserve = func() error {
-		if s.tenants.spend(tenant, eps) {
-			return nil
-		}
-		t := s.tenants.state(tenant)
-		t.mu.Lock()
-		spent := t.epsSpent
-		t.mu.Unlock()
-		return apiErrorf(http.StatusTooManyRequests, codeBudgetExhausted, column,
-			"tenant %q has spent ε=%g of its ε=%g budget; %d more reports at ε=%g would overrun it",
-			tenant, spent, s.tenants.limits.epsBudget, count, s.params.Epsilon)
-	}
-	return reserve, func() { s.tenants.refund(tenant, eps) }
 }

@@ -54,12 +54,6 @@ func (c *CompassMatrix) UpdateAll(a, b []uint64) {
 // K returns the number of replicas.
 func (c *CompassMatrix) K() int { return len(c.mats) }
 
-// Dims returns the (m1, m2) matrix dimensions.
-func (c *CompassMatrix) Dims() (int, int) { return c.m1, c.m2 }
-
-// Mat returns the j-th matrix, row-major (not a copy).
-func (c *CompassMatrix) Mat(j int) []float64 { return c.mats[j] }
-
 // VecMat returns v × M for the j-th matrix: out[y] = Σ_x v[x]·M[x,y].
 func (c *CompassMatrix) VecMat(j int, v []float64) []float64 {
 	if len(v) != c.m1 {

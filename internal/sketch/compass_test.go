@@ -90,15 +90,20 @@ func TestCompassMatrixSingleton(t *testing.T) {
 	if k != 3 {
 		t.Fatalf("K = %d, want 3", k)
 	}
-	m1, m2 := m.Dims()
-	if m1 != 16 || m2 != 16 {
-		t.Fatalf("dims = (%d,%d), want (16,16)", m1, m2)
-	}
 	for j := 0; j < k; j++ {
+		// The unit vector at row ra picks that row of the 16×16 matrix out.
 		ra, rb := famA.Bucket(j, 5), famB.Bucket(j, 9)
+		unit := make([]float64, 16)
+		unit[ra] = 1
+		row := m.VecMat(j, unit)
+		if len(row) != 16 {
+			t.Fatalf("replica %d row has %d cells, want 16", j, len(row))
+		}
 		want := float64(famA.Sign(j, 5) * famB.Sign(j, 9))
-		if got := m.Mat(j)[ra*16+rb]; got != want {
-			t.Fatalf("replica %d cell = %g, want %g", j, got, want)
+		for y, got := range row {
+			if y == rb && got != want || y != rb && got != 0 {
+				t.Fatalf("replica %d cell [%d,%d] = %g, want only [%d,%d] = %g", j, ra, y, got, ra, rb, want)
+			}
 		}
 	}
 }

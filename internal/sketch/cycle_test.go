@@ -63,8 +63,8 @@ func TestCompassCyclePanics(t *testing.T) {
 func TestFastAGMSAccessors(t *testing.T) {
 	fam := hashing.NewFamily(1, 4, 64)
 	s := NewFastAGMS(fam)
-	if s.M() != 64 || s.Family() != fam || s.K() != 4 {
-		t.Fatalf("accessors wrong: M=%d K=%d", s.M(), s.K())
+	if s.K() != 4 || len(s.Row(3)) != 64 {
+		t.Fatalf("accessors wrong: K=%d, row width %d", s.K(), len(s.Row(3)))
 	}
 }
 
