@@ -2,11 +2,15 @@ package service
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -260,6 +264,76 @@ func TestCrashRecoveryCheckpointRestore(t *testing.T) {
 	}
 	if !bytes.Equal(got, fetchSketch(t, tsRef.URL, "A")) {
 		t.Fatal("checkpoint-restored sketch is not byte-identical to the uninterrupted run")
+	}
+}
+
+// TestFinalizeAckIsDurable: an acknowledged finalize is durable the
+// moment it is acknowledged, although the column's log is still being
+// retired behind it. A copy of the data dir taken right after the ack,
+// before Close and with the retirement possibly mid-way, opens as a
+// server that serves the same sketch bytes and refuses more reports.
+func TestFinalizeAckIsDurable(t *testing.T) {
+	const n, domain = 6000, 400
+	dir, crashed := t.TempDir(), t.TempDir()
+	srv1, ts1, p := durableServer(t, dir)
+	defer srv1.Close()
+	defer ts1.Close()
+	stream := encodeColumn(t, p, 30, dataset.Zipf(4, n, domain, 1.2))
+	if code, out := post(t, ts1.URL+"/v1/columns/A/reports", stream); code != 200 {
+		t.Fatalf("ingest: %d %v", code, out)
+	}
+	if code, out := post(t, ts1.URL+"/v1/columns/A/finalize", nil); code != 200 {
+		t.Fatalf("finalize: %d %v", code, out)
+	}
+	copyDataDir(t, dir, crashed)
+	want := fetchSketch(t, ts1.URL, "A")
+
+	srv2, ts2, _ := durableServer(t, crashed)
+	defer srv2.Close()
+	defer ts2.Close()
+	if !bytes.Equal(fetchSketch(t, ts2.URL, "A"), want) {
+		t.Fatal("sketch recovered from the copy differs from the acknowledged one")
+	}
+	_, stats := get(t, ts2.URL+"/v1/stats")
+	if rec := stats["durability"].(map[string]any)["recovered"].(map[string]any); rec["finalizedColumns"].(float64) != 1 {
+		t.Fatalf("recovered counters: %v, want one finalized column", rec)
+	}
+	code, out := post(t, ts2.URL+"/v1/columns/A/reports", stream)
+	if env, _ := out["error"].(map[string]any); code != http.StatusConflict || env["code"] != codeFinalized {
+		t.Fatalf("reports after recovered finalize: %d %v, want 409 %s", code, out, codeFinalized)
+	}
+}
+
+// copyDataDir copies a live data dir, leaving out the advisory lock and
+// any file deleted while the copy runs — what a crash at that moment
+// would have left on disk.
+func copyDataDir(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		target := filepath.Join(dst, strings.TrimPrefix(path, src))
+		if d.IsDir() {
+			return os.MkdirAll(target, 0o755)
+		}
+		if d.Name() == "LOCK" {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(target, data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

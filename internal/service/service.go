@@ -806,8 +806,9 @@ func (s *Server) handleFinalize(r *http.Request) (any, error) {
 		s.mu.Unlock()
 		return nil, apiErrorf(http.StatusInternalServerError, codeInternal, name, "finalizing column %q: %v", name, err)
 	}
-	// Persist the finalized sketch and retire the column's WAL before
-	// installing it: an acknowledged finalize is durable. If persisting
+	// Persist the finalized sketch as final.snap before installing it:
+	// an acknowledged finalize is durable. The store retires the
+	// column's WAL after it returns, off this request. If persisting
 	// fails the sketch still installs — it cannot be un-finalized — but
 	// the request reports the failure; the WAL stays in place, so a
 	// restart rebuilds the column collecting and an identical sketch is

@@ -12,11 +12,13 @@
 //
 // # Layout
 //
-//	<dir>/manifest.json            names → ids, finalized flags, and the
-//	                               configuration fingerprint (k, m, ε, seed)
+//	<dir>/manifest.json            names → ids, kinds and attribute slots,
+//	                               and the configuration fingerprint
+//	                               (k, m, ε, seed)
 //	<dir>/col-<id>/seg-<seq>.wal   WAL segments (protocol WAL records)
 //	<dir>/col-<id>/ckpt-<seq>.snap SNAP checkpoint covering segs <= seq
-//	<dir>/col-<id>/final.snap      finalized SNAP; the column's terminal state
+//	<dir>/col-<id>/final.snap      finalized SNAP; the column's terminal
+//	                               state and its one finalization record
 //
 // # Lifecycle
 //
@@ -31,17 +33,18 @@
 // A checkpoint (graceful shutdown) seals the log, writes the column's
 // merged unfinalized state as ckpt-<S>.snap where S is the highest
 // segment, then deletes the covered segments. Finalize seals, writes
-// final.snap, marks the manifest, and retires the log entirely. Both
-// file writes are atomic (temp + rename + dir fsync) and ordered
-// write-then-delete, so a crash between the two steps leaves covered
-// segments behind — recovery replays only segments above the newest
-// checkpoint, and a final.snap wins outright, so leftovers cost disk,
-// never double-counted state.
+// final.snap, and returns: the finalize is acknowledged once final.snap
+// is durable, and the log is retired entirely behind the ack, by a
+// goroutine that Close waits for. Both file writes are atomic (temp +
+// rename + dir fsync) and ordered write-then-delete, so a crash between
+// the two steps leaves covered segments behind — recovery replays only
+// segments above the newest checkpoint, and a final.snap wins outright
+// and has its column's leftovers deleted, so they never double-count.
 //
 // # Recovery
 //
-// Recover walks the manifest: finalized columns yield their final
-// snapshot; collecting columns yield the newest checkpoint (if any)
+// Recover walks the manifest: columns with a final.snap yield it;
+// collecting columns yield the newest checkpoint (if any)
 // followed by every WAL record in segments above it, in order. Distinct
 // columns replay concurrently, each on one goroutine. All payloads are
 // CRC-checked at the framing layer, bounds-checked against the store's
@@ -152,9 +155,14 @@ type manifest struct {
 // attributes (Attr, Attr+1) — all derived from the store's base seed via
 // hashing.AttributeSeed, which is what lets recovery re-derive the exact
 // families without persisting them.
+//
+// Finalized is in memory only: the durable sign of finalization is the
+// column's final.snap, so Finalize sets the flag with no I/O and Recover
+// sets it when it finds the file. A manifest that still carries a
+// "finalized" key opens unchanged; the key is ignored.
 type columnMeta struct {
 	ID        uint64        `json:"id"`
-	Finalized bool          `json:"finalized"`
+	Finalized bool          `json:"-"`
 	Kind      protocol.Kind `json:"kind,omitempty"`
 	Attr      int           `json:"attr,omitempty"`
 }
@@ -261,6 +269,11 @@ type Store struct {
 	logs      map[string]*columnLog
 	stats     Stats
 	ckpt      map[string]*ckptTrack // per-column background-checkpoint bookkeeping
+
+	// retiring counts the finalized columns whose log is still being
+	// deleted behind the ack. Add is called under mu while !closed, so
+	// Close's Wait sees every one.
+	retiring sync.WaitGroup
 }
 
 // ckptTrack is the background checkpointer's per-column state: how many
@@ -624,11 +637,13 @@ func (st *Store) writeCheckpoint(name string, meta *columnMeta, covered uint64, 
 }
 
 // Finalize persists a column's terminal state — its finalized SNAP or
-// PSNP — and retires the WAL and any checkpoint. It also installs
-// finalized state under names with no prior log (snapshot import); in
-// both cases the column durably refuses appends from here on. The write
-// is ordered before the retirement, so a crash in between recovers as
-// finalized with some dead segment files left to delete.
+// PSNP — as final.snap and returns once that file is durable; the
+// column durably refuses appends from here on. It also installs
+// finalized state under names with no prior log (snapshot import).
+// final.snap is the only record of finalization, so nothing else is
+// written: the WAL segments and any checkpoint are deleted afterwards,
+// on a goroutine Close waits for, and a crash before they are gone
+// leaves files that the next Recover deletes.
 func (st *Store) Finalize(name string, attr int, snap protocol.ColumnSnapshot) error {
 	if !snap.IsFinalized() {
 		return fmt.Errorf("store: finalize of %q with an unfinalized snapshot", name)
@@ -649,16 +664,22 @@ func (st *Store) Finalize(name string, attr int, snap protocol.ColumnSnapshot) e
 		return err
 	}
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	meta.Finalized = true
-	merr := st.writeManifest()
 	st.stats.Finalized++
 	delete(st.logs, name)
 	delete(st.ckpt, name)
-	st.mu.Unlock()
+	if st.closed {
+		return nil // Close has released the directory; Recover retires the log
+	}
 	// As in Checkpoint: final.snap is durable and wins at recovery, so
-	// failing to delete the retired files is not a failed finalize.
-	_ = removeCovered(dir, ^uint64(0), 0)
-	return merr
+	// deleting the retired files is cleanup, not part of the finalize.
+	st.retiring.Add(1)
+	go func() {
+		defer st.retiring.Done()
+		_ = removeCovered(dir, ^uint64(0), 0)
+	}()
+	return nil
 }
 
 // FinalizePlus is Finalize under the name the benchmark harness calls;
@@ -797,8 +818,8 @@ func (st *Store) recoverColumn(name string, meta *columnMeta, r Replayer) (Recov
 	col := ColumnInfo{Name: name, Kind: meta.Kind, Attr: meta.Attr}
 
 	// A final.snap is the terminal state and wins outright, even when a
-	// crash between its write and the retirement left segments behind.
-	// The manifest flag is fixed up if the crash hit before its write.
+	// crash between its write and the retirement left segments or
+	// checkpoints behind; those are deleted here, as Finalize would have.
 	if data, err := os.ReadFile(filepath.Join(dir, finalName)); err == nil {
 		snap, err := st.decodeSnapshot(meta, data, true)
 		if err != nil {
@@ -807,15 +828,10 @@ func (st *Store) recoverColumn(name string, meta *columnMeta, r Replayer) (Recov
 		if err := deliver(r, col, snap, Replayer.RecoverFinalized, Replayer.RecoverPlusFinalized); err != nil {
 			return stats, err
 		}
-		if !meta.Finalized {
-			st.mu.Lock()
-			meta.Finalized = true
-			err := st.writeManifest()
-			st.mu.Unlock()
-			if err != nil {
-				return stats, err
-			}
-		}
+		st.mu.Lock()
+		meta.Finalized = true
+		st.mu.Unlock()
+		_ = removeCovered(dir, ^uint64(0), 0)
 		stats.FinalizedColumns++
 		return stats, nil
 	} else if !errors.Is(err, os.ErrNotExist) {
@@ -969,9 +985,11 @@ func (st *Store) decodeSnapshot(meta *columnMeta, data []byte, wantFinal bool) (
 	return snap, nil
 }
 
-// Close releases open segment files. It does not checkpoint — that is
-// the service's shutdown step, because only the service holds the
-// column state a checkpoint captures. Close is idempotent.
+// Close releases open segment files, waits for the logs of finalized
+// columns to be deleted, and then releases the directory. It does not
+// checkpoint — that is the service's shutdown step, because only the
+// service holds the column state a checkpoint captures. Close is
+// idempotent.
 func (st *Store) Close() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -985,6 +1003,9 @@ func (st *Store) Close() error {
 			firstErr = err
 		}
 	}
+	// The retirements take no lock of the store, and no new one starts
+	// once closed is set, so this waits for a finite set of deletes.
+	st.retiring.Wait()
 	if err := st.lock.Close(); err != nil && firstErr == nil {
 		firstErr = err
 	}

@@ -2,7 +2,9 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -32,6 +34,7 @@ type replayLog struct {
 	infos         map[string]ColumnInfo
 	plusFinalized map[string]*protocol.PlusSnapshot
 	plusEvents    map[string][]plusEvent
+	finalCalls    int // RecoverFinalized + RecoverPlusFinalized calls
 }
 
 // plusEvent records one plus replay callback, preserving the order the
@@ -64,6 +67,7 @@ func (r *replayLog) RecoverFinalized(col ColumnInfo, snap *protocol.Snapshot) er
 	defer r.mu.Unlock()
 	r.infos[col.Name] = col
 	r.finalized[col.Name] = snap
+	r.finalCalls++
 	return nil
 }
 
@@ -104,6 +108,7 @@ func (r *replayLog) RecoverPlusFinalized(col ColumnInfo, snap *protocol.PlusSnap
 	defer r.mu.Unlock()
 	r.infos[col.Name] = col
 	r.plusFinalized[col.Name] = snap
+	r.finalCalls++
 	return nil
 }
 
@@ -166,6 +171,15 @@ func testSnapshot(t *testing.T, seed int64, n int) *protocol.Snapshot {
 		agg.Add(r)
 	}
 	return protocol.SnapshotOfAggregator(agg)
+}
+
+// testFinalSnapshot is the finalized join snapshot of testReports(seed, n).
+func testFinalSnapshot(seed int64, n int) *protocol.Snapshot {
+	agg := core.NewAggregator(testParams, testParams.NewFamily(testSeed))
+	for _, r := range testReports(seed, n) {
+		agg.Add(r)
+	}
+	return protocol.SnapshotOfSketch(agg.Finalize())
 }
 
 func TestStoreRoundTrip(t *testing.T) {
@@ -404,21 +418,18 @@ func TestStoreFinalizeRetiresLog(t *testing.T) {
 	if err := st.AppendReports("a", 0, [][]core.Report{testReports(1, 80)}); err != nil {
 		t.Fatal(err)
 	}
-	agg := core.NewAggregator(testParams, testParams.NewFamily(testSeed))
-	for _, r := range testReports(1, 80) {
-		agg.Add(r)
-	}
-	final := protocol.SnapshotOfSketch(agg.Finalize())
+	final := testFinalSnapshot(1, 80)
 	if err := st.Finalize("a", 0, final); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.AppendReports("a", 0, [][]core.Report{testReports(2, 5)}); !errors.Is(err, ErrColumnFinalized) {
 		t.Fatalf("append after finalize: got %v, want ErrColumnFinalized", err)
 	}
-	if segs := findAll(t, dir, segSuffix); len(segs) != 0 {
-		t.Fatalf("segments not retired by finalize: %v", segs)
-	}
+	// The log is retired behind the finalize's return; Close waits for it.
 	st.Close()
+	if segs := findAll(t, dir, segSuffix); len(segs) != 0 {
+		t.Fatalf("segments not retired by Close: %v", segs)
+	}
 
 	st2 := open(t, dir, Options{})
 	got := newReplayLog()
@@ -443,6 +454,213 @@ func TestStoreFinalizeRetiresLog(t *testing.T) {
 	}
 	if !bytes.Equal(reenc, want) {
 		t.Fatal("recovered finalized snapshot is not byte-identical")
+	}
+}
+
+// TestStoreFinalizeConcurrentRetiresByClose finalizes eight columns
+// from eight goroutines while appends land in other columns: once Close
+// returns, every finalized column's directory holds its final.snap and
+// nothing else, and the collecting columns keep their segments.
+func TestStoreFinalizeConcurrentRetiresByClose(t *testing.T) {
+	const cols = 8
+	dir := t.TempDir()
+	st := open(t, dir, Options{SegmentBytes: 256, NoSync: true})
+	if _, err := st.Recover(newReplayLog()); err != nil {
+		t.Fatal(err)
+	}
+	for i := range cols {
+		for j := range 3 {
+			if err := st.AppendReports(fmt.Sprintf("f%d", i), 0, [][]core.Report{testReports(int64(10*i+j), 20)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 2*cols)
+	for i := range cols {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			errs <- st.Finalize(fmt.Sprintf("f%d", i), 0, testFinalSnapshot(int64(i), 60))
+		}()
+		go func() {
+			defer wg.Done()
+			for j := range 5 {
+				if err := st.AppendReports(fmt.Sprintf("a%d", i%2), 0, [][]core.Report{testReports(int64(100*i+j), 20)}); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	ids := make(map[string]uint64)
+	st.mu.Lock()
+	for name, meta := range st.man.Columns {
+		ids[name] = meta.ID
+	}
+	st.mu.Unlock()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range cols {
+		if names := dirNames(t, st.colDir(ids[fmt.Sprintf("f%d", i)])); len(names) != 1 || names[0] != finalName {
+			t.Fatalf("column f%d after Close holds %v, want only %s", i, names, finalName)
+		}
+	}
+	for i := range 2 {
+		if segs := findAll(t, st.colDir(ids[fmt.Sprintf("a%d", i)]), segSuffix); len(segs) == 0 {
+			t.Fatalf("collecting column a%d lost its segments", i)
+		}
+	}
+}
+
+// TestStoreCrashAfterFinalSnap is the crash point between a finalize's
+// ack (final.snap durable) and the retirement of its log: segments and
+// a checkpoint still lie beside final.snap. Recovery must deliver the
+// finalized state alone, refuse further appends, and delete the
+// leftovers before it returns.
+func TestStoreCrashAfterFinalSnap(t *testing.T) {
+	dir := t.TempDir()
+	st := open(t, dir, Options{SegmentBytes: 256, NoSync: true})
+	if _, err := st.Recover(newReplayLog()); err != nil {
+		t.Fatal(err)
+	}
+	appendSome := func(from int64) {
+		for i := from; i < from+3; i++ {
+			if err := st.AppendReports("a", 0, [][]core.Report{testReports(i, 20)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	appendSome(0)
+	covered, err := st.Rotate("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SaveCheckpoint("a", covered, testSnapshot(t, 1, 60)); err != nil {
+		t.Fatal(err)
+	}
+	appendSome(3)
+
+	// What a crash right after final.snap leaves: every segment and
+	// checkpoint the retirement would have deleted.
+	colDir := filepath.Dir(findOne(t, dir, ckptSuffix))
+	leftovers := append(findAll(t, colDir, segSuffix), findAll(t, colDir, ckptSuffix)...)
+	saved := make([][]byte, len(leftovers))
+	for i, path := range leftovers {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		saved[i] = data
+	}
+	if len(leftovers) < 2 {
+		t.Fatalf("want segments and a checkpoint to put back, have %d files", len(leftovers))
+	}
+	if err := st.Finalize("a", 0, testFinalSnapshot(1, 120)); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	for i, path := range leftovers {
+		if err := os.WriteFile(path, saved[i], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	st2 := open(t, dir, Options{})
+	got := newReplayLog()
+	stats, err := st2.Recover(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.finalCalls != 1 || stats.FinalizedColumns != 1 || stats.Columns != 0 {
+		t.Fatalf("recovered %+v with %d finalized deliveries, want exactly one", stats, got.finalCalls)
+	}
+	if stats.Reports != 0 || stats.Checkpoints != 0 || len(got.reports["a"]) != 0 || got.checkpoints["a"] != nil {
+		t.Fatalf("recovered %+v: leftovers beside final.snap were replayed", stats)
+	}
+	if names := dirNames(t, colDir); len(names) != 1 || names[0] != finalName {
+		t.Fatalf("column after recovery holds %v, want only %s", names, finalName)
+	}
+	if err := st2.AppendReports("a", 0, [][]core.Report{testReports(9, 5)}); !errors.Is(err, ErrColumnFinalized) {
+		t.Fatalf("append after recovered finalize: got %v, want ErrColumnFinalized", err)
+	}
+}
+
+// TestStoreFinalizedManifestCompat: final.snap alone marks a column
+// finalized, whatever the manifest's older "finalized" key says —
+// true, as earlier versions wrote it, or false, as a crash before their
+// manifest write left it — and recovery rewrites no manifest.
+func TestStoreFinalizedManifestCompat(t *testing.T) {
+	for _, flag := range []bool{true, false} {
+		t.Run(fmt.Sprintf("finalized=%v", flag), func(t *testing.T) {
+			dir := t.TempDir()
+			st := open(t, dir, Options{NoSync: true})
+			if _, err := st.Recover(newReplayLog()); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.AppendReports("a", 0, [][]core.Report{testReports(1, 40)}); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Finalize("a", 0, testFinalSnapshot(1, 40)); err != nil {
+				t.Fatal(err)
+			}
+			st.Close()
+
+			path := filepath.Join(dir, manifestName)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var man map[string]any
+			if err := json.Unmarshal(data, &man); err != nil {
+				t.Fatal(err)
+			}
+			man["columns"].(map[string]any)["a"].(map[string]any)["finalized"] = flag
+			if data, err = json.Marshal(man); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			st2 := open(t, dir, Options{})
+			got := newReplayLog()
+			stats, err := st2.Recover(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.FinalizedColumns != 1 || got.finalized["a"] == nil {
+				t.Fatalf("recovered %+v, want column a finalized", stats)
+			}
+			if err := st2.AppendReports("a", 0, [][]core.Report{testReports(2, 5)}); !errors.Is(err, ErrColumnFinalized) {
+				t.Fatalf("append after recovery: got %v, want ErrColumnFinalized", err)
+			}
+			st2.Close()
+			after, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			now, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !os.SameFile(before, after) || !after.ModTime().Equal(before.ModTime()) || !bytes.Equal(now, data) {
+				t.Fatal("recovery rewrote the manifest")
+			}
+		})
 	}
 }
 
@@ -899,6 +1117,20 @@ func findAll(t *testing.T, dir, suffix string) []string {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// dirNames lists the file names in dir.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name()
+	}
+	return names
 }
 
 func findOne(t *testing.T, dir, suffix string) string {
