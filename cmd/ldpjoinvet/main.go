@@ -1,13 +1,14 @@
-// Command ldpjoinvet runs the ldpjoin invariant suite — nine custom
-// static analyzers enforcing the locking, durability-ordering,
-// error-envelope, atomic-counter, deterministic-iteration,
-// pooled-ownership, hot-path-allocation, lock-order, and
-// waiver-hygiene rules the codebase depends on (see
-// internal/tools/analyzers).
+// Command ldpjoinvet runs the ldpjoin invariant suite — five custom
+// static analyzers enforcing the lock-vs-I/O, atomic-counter,
+// pooled-ownership, lock-order and waiver-hygiene rules the codebase
+// depends on (see internal/tools/analyzers). The first four are kept
+// because each catches a bug no tier-1 test does:
+// TestAnalyzersCatchLiveMutations plants one such bug per analyzer in a
+// copy of internal/service. Waiver hygiene keeps their waivers honest.
 //
 // Usage:
 //
-//	go run ./cmd/ldpjoinvet [-json] [-escapes] ./...
+//	go run ./cmd/ldpjoinvet [-json] ./...
 //
 // Test files are analyzed too: each package loads as its test variant,
 // exactly as `go test` compiles it, so the contracts bind test code
@@ -19,16 +20,10 @@
 // prints a per-analyzer summary of findings and waivers (suppressed
 // under -json), so CI logs show what was checked rather than silence.
 //
-// -escapes additionally cross-checks hotalloc against the real
-// compiler: it shells out to `go build -gcflags=-m` and reports heap
-// allocations the escape analysis observes inside hot functions that
-// the static rules did not flag. It is opt-in because it compiles the
-// tree (cached after the first run).
-//
 // Exit codes:
 //
 //	0  no findings
-//	1  findings (or the -escapes cross-check disagreed)
+//	1  findings
 //	2  the load itself failed: bad pattern, unresolvable package, or
 //	   code that does not type-check
 //
@@ -51,9 +46,8 @@ import (
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array instead of vet-format lines")
-	escapes := flag.Bool("escapes", false, "cross-check hotalloc against go build -gcflags=-m escape analysis")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: ldpjoinvet [-json] [-escapes] [packages]\n\nAnalyzers:\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: ldpjoinvet [-json] [packages]\n\nAnalyzers:\n")
 		for _, a := range analyzers.All() {
 			fmt.Fprintf(flag.CommandLine.Output(), "  %-14s %s\n", a.Name, a.Doc)
 		}
@@ -78,14 +72,6 @@ func main() {
 		fatal(err)
 	}
 	diags := res.Diagnostics
-	if *escapes {
-		extra, err := analyzers.EscapeCrossCheck(dir, pkgs)
-		if err != nil {
-			fatal(err)
-		}
-		diags = append(diags, extra...)
-	}
-
 	if *jsonOut {
 		if err := analyzers.EncodeJSON(os.Stdout, diags); err != nil {
 			fatal(err)

@@ -44,9 +44,9 @@ func TestAddBatchDoesNotAllocate(t *testing.T) {
 }
 
 // TestEstimatorAllocations: at the daemon's K = 18 the served pair and
-// frequency estimators keep their row estimates on the stack, and a warm
-// plus join — rows restored, both masses memoized — is two shifted dot
-// passes with nothing allocated.
+// frequency estimators, and the mean-of-rows ablation, keep their row
+// estimates on the stack, and a warm plus join — rows restored, both
+// masses memoized — is two shifted dot passes with nothing allocated.
 func TestEstimatorAllocations(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts under the race detector say nothing about the code")
@@ -64,6 +64,7 @@ func TestEstimatorAllocations(t *testing.T) {
 	}{
 		{"JoinSize", func() { a.JoinSize(b) }},
 		{"JoinSizeShifted", func() { a.JoinSizeShifted(b, 1.5, 2.5) }},
+		{"JoinSizeMean", func() { a.JoinSizeMean(b) }},
 		{"SelfJoinSize", func() { a.SelfJoinSize() }},
 		{"Frequency", func() { a.Frequency(3) }},
 		{"FrequencyMedian", func() { a.FrequencyMedian(3) }},

@@ -132,8 +132,6 @@ func (ma *MatrixAggregator) Add(r MatrixReport) {
 // skip-and-report bounds check, and the same branch-free treatment of
 // the sign, as Aggregator.AddBatch. A batch that would take the
 // aggregator past MaxReports is refused whole.
-//
-//ldpjoin:hotpath
 func (ma *MatrixAggregator) AddBatch(reports []MatrixReport) error {
 	if ma.done {
 		panic("core: MatrixAggregator.AddBatch after Finalize")
@@ -430,8 +428,6 @@ func (ms *MatrixSketch) Merge(other *MatrixSketch) {
 // vecCounts computes out = v × Y_j, the vector–matrix product over
 // replica j's counts: out[l2] = Σ_{l1} v[l1]·Y_j[l1, l2]. It costs
 // O(nnz), whatever the matrix's size. v has M1 entries and out M2.
-//
-//ldpjoin:hotpath
 func (ms *MatrixSketch) vecCounts(j int, v, out []float64) {
 	clear(out)
 	shift, mask := ms.shift, uint32(ms.params.M2-1)
@@ -551,8 +547,6 @@ func ChainEstimate(left *Sketch, mids []*MatrixSketch, right *Sketch) float64 {
 // chainReplica is replica j's bilinear form a_L·Y_1⋯Y_r·a_R over the
 // counts (see ChainEstimate), unscaled, over the caller's scratch.
 // Alternating the two vectors keeps vecCounts' input and output apart.
-//
-//ldpjoin:hotpath
 func chainReplica(left *Sketch, mids []*MatrixSketch, j int, right *Sketch, scratch []float64) float64 {
 	w := scratch[len(scratch)-right.params.M:]
 	widest := (len(scratch) - len(w)) / 2

@@ -89,8 +89,6 @@ func (a *Aggregator) Add(r Report) {
 // Y is a fair coin by construction, so the loop never branches on it:
 // y+1 is 0 or 2 exactly when y is ±1, which folds the sign into the
 // never-taken validity test, and the cell update is y itself.
-//
-//ldpjoin:hotpath
 func (a *Aggregator) AddBatch(reports []Report) error {
 	if a.done {
 		panic("core: Aggregator.AddBatch after Finalize")
@@ -279,8 +277,6 @@ func (s *Sketch) Counts() [][]int32 {
 // out of c·H·s_j = c²·m·a_j otherwise. Either way dst holds the same
 // integers, so nothing read off it depends on whether a query restored
 // the sketch first.
-//
-//ldpjoin:hotpath
 func (s *Sketch) countsInto(j int, dst []float64) {
 	if c := s.counts.Load(); c != nil {
 		for x, v := range (*c)[j] {
@@ -385,8 +381,6 @@ func estScratch(buf *[maxStackK]float64, k int) []float64 {
 // JoinSize estimates |A ⋈ B| between the populations behind s and other
 // (Eq 5): the median over rows of the restored row inner products
 // s_A·s_B. Both sketches must share the hash family.
-//
-//ldpjoin:hotpath
 func (s *Sketch) JoinSize(other *Sketch) float64 {
 	if !sameFamily(s.fam, other.fam) {
 		panic("core: JoinSize across hash families")
@@ -405,8 +399,6 @@ func (s *Sketch) JoinSize(other *Sketch) float64 {
 // Σ_x (s_A[x]−ca)·(s_B[x]−cb) — Algorithm 5's removal of the uniform
 // |NT|/m non-target contribution (Theorem 8). The offsets fold into the
 // dot-product inner loop, so neither sketch is copied.
-//
-//ldpjoin:hotpath
 func (s *Sketch) JoinSizeShifted(other *Sketch, ca, cb float64) float64 {
 	if !sameFamily(s.fam, other.fam) {
 		panic("core: JoinSizeShifted across hash families")
@@ -424,8 +416,6 @@ func (s *Sketch) JoinSizeShifted(other *Sketch, ca, cb float64) float64 {
 // estimators instead of taking their median. The mean has the same
 // expectation but no resistance to collision spikes; the ablation bench
 // quantifies the difference.
-//
-//ldpjoin:hotpath
 func (s *Sketch) JoinSizeMean(other *Sketch) float64 {
 	if !sameFamily(s.fam, other.fam) {
 		panic("core: JoinSizeMean across hash families")
@@ -448,8 +438,6 @@ func (s *Sketch) JoinSizeMean(other *Sketch) float64 {
 // JoinSize needs no such correction because the two sketches' noises are
 // independent and zero-mean). The bias n·(m·k·c_ε²−1) is subtracted
 // before the row median.
-//
-//ldpjoin:hotpath
 func (s *Sketch) SelfJoinSize() float64 {
 	ceps := ldp.CEpsilon(s.params.Epsilon)
 	bias := (float64(s.params.M)*float64(s.params.K)*ceps*ceps - 1) * float64(s.n)
@@ -465,8 +453,6 @@ func (s *Sketch) SelfJoinSize() float64 {
 // estimate is unbiased, but its error is heavy-tailed: a collision with a
 // heavy item in a single row shifts the mean by f_heavy/k. Use
 // FrequencyMedian when robustness matters more than unbiasedness.
-//
-//ldpjoin:hotpath
 func (s *Sketch) Frequency(d uint64) float64 {
 	var buf [maxStackK]float64
 	return kernel.Mean(s.frequencyRows(d, estScratch(&buf, s.params.K)))
@@ -478,8 +464,6 @@ func (s *Sketch) Frequency(d uint64) float64 {
 // thresholding estimates over a large domain (phase 1 of LDPJoinSketch+):
 // thresholding the mean harvests exactly the values whose estimate was
 // inflated by a collision spike and floods FI with false positives.
-//
-//ldpjoin:hotpath
 func (s *Sketch) FrequencyMedian(d uint64) float64 {
 	var buf [maxStackK]float64
 	return kernel.MedianInPlace(s.frequencyRows(d, estScratch(&buf, s.params.K)))
@@ -488,8 +472,6 @@ func (s *Sketch) FrequencyMedian(d uint64) float64 {
 // FrequencyMeanMedian returns Frequency(d) and FrequencyMedian(d), bit
 // for bit, from one pass over the rows: the mean is taken before the
 // median reorders the row estimates.
-//
-//ldpjoin:hotpath
 func (s *Sketch) FrequencyMeanMedian(d uint64) (mean, median float64) {
 	var buf [maxStackK]float64
 	ests := s.frequencyRows(d, estScratch(&buf, s.params.K))
@@ -501,8 +483,6 @@ func (s *Sketch) FrequencyMeanMedian(d uint64) (mean, median float64) {
 // in row order, over ests (capacity ≥ K, contents irrelevant) — the one
 // pass every frequency estimator reads, and the allocation-free inner
 // call of the FI scan, whose workers each carry one scratch.
-//
-//ldpjoin:hotpath
 func (s *Sketch) frequencyRows(d uint64, ests []float64) []float64 {
 	ests = ests[:0]
 	for j, row := range s.cells() {

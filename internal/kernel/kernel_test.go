@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+
+	"ldpjoin/internal/race"
 )
 
 // naiveDot is the reference sequential inner product.
@@ -421,6 +423,48 @@ func TestRowApplyParallelFWHT(t *testing.T) {
 			if rows[j][i] != want[j][i] {
 				t.Fatalf("row %d cell %d: %v != %v", j, i, rows[j][i], want[j][i])
 			}
+		}
+	}
+}
+
+var (
+	allocSink float64
+	allocRow  []float64
+)
+
+// TestKernelsDoNotAllocate is the allocation ceiling of the package, at
+// 0: every finalize, join and frequency estimate runs on these bodies,
+// so an allocation here is paid on every served query. RowApply
+// is measured on its inline path (one row), which is the single-row and
+// single-CPU case; its parallel path spawns a goroutine per worker. Its
+// fn captures nothing, because a capturing closure escapes into those
+// goroutines and is the caller's allocation, not RowApply's. A count,
+// not a timing, so it blocks on any machine.
+func TestKernelsDoNotAllocate(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts under the race detector say nothing about the code")
+	}
+	rng := rand.New(rand.NewSource(9))
+	small, large := randVec(rng, 1024), randVec(rng, 4*fwhtBlock)
+	a, b := randVec(rng, 1024), randVec(rng, 1024)
+	rows := randVec(rng, 18)
+	allocRow = small
+	for _, tc := range []struct {
+		name string
+		f    func()
+	}{
+		{"FWHT", func() { FWHT(small) }},
+		{"FWHT/blocked", func() { FWHT(large) }},
+		{"FWHTScaled", func() { FWHTScaled(small, 0.5) }},
+		{"FWHTScaled/blocked", func() { FWHTScaled(large, 0.5) }},
+		{"Dot", func() { allocSink = Dot(a, b) }},
+		{"DotShifted", func() { allocSink = DotShifted(a, b, 1.5, 2.5) }},
+		{"MedianInPlace", func() { allocSink = MedianInPlace(rows) }},
+		{"Mean", func() { allocSink = Mean(rows) }},
+		{"RowApply/inline", func() { RowApply(1, func(int) { FWHT(allocRow) }) }},
+	} {
+		if n := testing.AllocsPerRun(20, tc.f); n != 0 {
+			t.Errorf("%s allocates %v times per call, ceiling 0", tc.name, n)
 		}
 	}
 }

@@ -35,7 +35,6 @@ func RowApply(n int, fn func(j int)) {
 	var wg sync.WaitGroup
 	wg.Add(workers - 1)
 	for w := 1; w < workers; w++ {
-		//ldpjoinvet:ignore hotalloc one spawn per worker, amortized over the whole row sweep; inline path above handles the small-n case
 		go func() {
 			defer wg.Done()
 			for {

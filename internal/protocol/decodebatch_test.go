@@ -138,12 +138,12 @@ func TestDecodeBatchEdges(t *testing.T) {
 	}
 }
 
-// TestDecodeBatchDoesNotAllocate is the allocation ceiling of the wire →
-// report kernel, at 0: it decodes into the caller's pooled batch, so one
-// allocation per call is one per DefaultBatchSize reports of every
-// stream and every replayed record. A count, not a timing, so it blocks
-// on any machine (measured 0 when the ceiling moved here from the
-// benchmark gate).
+// TestDecodeBatchDoesNotAllocate is the allocation ceiling of the two
+// wire → report kernels, at 0: each decodes into the caller's pooled
+// batch, so one allocation per call is one per DefaultBatchSize reports
+// of every stream and every replayed record. The matrix case also takes
+// its batch from the pool and returns it, as a replayed record does. A
+// count, not a timing, so it blocks on any machine.
 func TestDecodeBatchDoesNotAllocate(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts under the race detector say nothing about the code")
@@ -164,6 +164,23 @@ func TestDecodeBatchDoesNotAllocate(t *testing.T) {
 	})
 	if n != 0 {
 		t.Errorf("decodeReports allocates %v times per batch, ceiling 0", n)
+	}
+
+	mp := core.MatrixParams{K: 18, M1: 64, M2: 64, Epsilon: 4}
+	tuples := make([]core.MatrixReport, DefaultBatchSize)
+	for i := range tuples {
+		tuples[i] = core.MatrixReport{Y: int8(2*rng.Intn(2) - 1), Row: uint32(rng.Intn(mp.K)), L1: uint32(rng.Intn(mp.M1)), L2: uint32(rng.Intn(mp.M2))}
+	}
+	matrixPayload := AppendMatrixReportsPayload(nil, tuples)
+	n = testing.AllocsPerRun(20, func() {
+		got, err := decodeMatrixReports(GetMatrixBatch(), matrixPayload, mp)
+		if err != nil || len(got) != DefaultBatchSize {
+			t.Fatal(len(got), err)
+		}
+		PutMatrixBatch(got)
+	})
+	if n != 0 {
+		t.Errorf("decodeMatrixReports into a pooled batch allocates %v times per batch, ceiling 0", n)
 	}
 }
 

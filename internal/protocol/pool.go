@@ -35,16 +35,12 @@ var (
 
 // Get returns an empty batch with capacity DefaultBatchSize, recycled
 // when one is available.
-//
-//ldpjoin:hotpath
 func (p *batchPool[R]) Get() []R { return p.pool.Get().(*[DefaultBatchSize]R)[:0] }
 
 // Put recycles a batch obtained from Get (or any slice whose capacity is
 // exactly DefaultBatchSize — see the aliasing analysis above). The
 // caller must not touch b afterwards. Batches of any other capacity are
 // dropped for the garbage collector.
-//
-//ldpjoin:hotpath
 func (p *batchPool[R]) Put(b []R) {
 	if cap(b) != DefaultBatchSize {
 		return
@@ -53,8 +49,6 @@ func (p *batchPool[R]) Put(b []R) {
 }
 
 // GetReportBatch returns an empty report batch from the join pool.
-//
-//ldpjoin:hotpath
 func GetReportBatch() []core.Report { return reportBatches.Get() }
 
 // PutReportBatch recycles a report batch; the caller must not touch b
@@ -63,8 +57,6 @@ func PutReportBatch(b []core.Report) { reportBatches.Put(b) }
 
 // GetMatrixBatch returns an empty matrix-report batch from the matrix
 // pool.
-//
-//ldpjoin:hotpath
 func GetMatrixBatch() []core.MatrixReport { return matrixBatches.Get() }
 
 // PutMatrixBatch recycles a matrix-report batch; the caller must not

@@ -63,8 +63,6 @@ var (
 // the caller's job, which keeps the kernel allocation-free. The failing
 // report, if any, is decoded again through DecodeReport, off the hot
 // path, for its error.
-//
-//ldpjoin:hotpath
 func decodeReports(dst []core.Report, src []byte, expect core.Params) ([]core.Report, error) {
 	base := len(dst)
 	dst = dst[:base+len(src)/ReportSize]
@@ -91,8 +89,6 @@ func reportError(b []byte, expect core.Params) error {
 }
 
 // decodeMatrixReports is decodeReports for matrix reports.
-//
-//ldpjoin:hotpath
 func decodeMatrixReports(dst []core.MatrixReport, src []byte, expect core.MatrixParams) ([]core.MatrixReport, error) {
 	base := len(dst)
 	dst = dst[:base+len(src)/MatrixReportSize]

@@ -14,11 +14,11 @@ import (
 // The mutating path — the three column operations, finalize, snapshot
 // export, checkpoints, recovery — is written once, over the two
 // interfaces below. Every server-side structure of the paper is a linear
-// sketch, so the order of steps (register, debit, gate, WAL-append,
-// apply, ack) is the same for all of them; what differs is which codec
-// reads the bytes and which ingest column folds them, and that is all a
-// kind supplies. A fourth kind is one more file like join.go, matrix.go
-// and plus.go and one more entry in kinds.
+// sketch, so the order of steps (register, gate, WAL-append, apply, ack)
+// is the same for all of them; what differs is which codec reads the
+// bytes and which ingest column folds them, and that is all a kind
+// supplies. A fourth kind is one more file like join.go, matrix.go and
+// plus.go and one more entry in kinds.
 
 // kindOps is what a column kind supplies before a column exists: how to
 // read its report streams, open a column, and place and restore its

@@ -32,9 +32,9 @@ import (
 // handler can write to a client, no response is ever written while a
 // column lock is held: a parked client reading slowly cannot wedge a
 // column's phase machinery (the lockio analyzer checks the handlers, and
-// there is nothing left to check here). The walorder analyzer holds
-// every //ldpjoin:operation function to append-before-apply and refuses
-// an apply anywhere else.
+// there is nothing left to check here). Append-before-apply is held by
+// tests: TestReplayIsLive and the crash-recovery tests fail on a dropped
+// append, TestOperationRefusals on a fold ahead of it.
 
 // pendingColumn is a collecting column: its identity, the kind's column
 // behind the one interface the operations are written over, and the
@@ -129,8 +129,6 @@ func (s *Server) collecting(name string) (*pendingColumn, error) {
 // reports is the one ingest operation, for every column kind: gate, WAL
 // append, fold. It consumes batch (a pooled batch set of the column's
 // kind) and returns the column's report count as of this request.
-//
-//ldpjoin:operation
 func (s *Server) reports(col *pendingColumn, batch batchSet) (total int64, err error) {
 	// The phase gate, the WAL append, and the fold run under the column's
 	// operation mutex so the log is written in acceptance order — see
@@ -186,8 +184,6 @@ func (s *Server) advance(col *pendingColumn, req advanceRequest) (frozen []uint6
 
 // advanceLocked is advance's body; the caller holds col.opMu. The merge
 // operation calls it to adopt a snapshot's phase boundary.
-//
-//ldpjoin:operation
 func (s *Server) advanceLocked(col *pendingColumn, req advanceRequest) (frozen []uint64, err error) {
 	plus, ok := col.state.(plusColumn)
 	if !ok {
@@ -230,8 +226,6 @@ func (s *Server) advanceLocked(col *pendingColumn, req advanceRequest) (frozen [
 // point. That is also how a checkpoint restores the phase on replay: it
 // is the only snapshot that can be a phase ahead there, because a live
 // merge logs its advance record before its merge record.
-//
-//ldpjoin:operation
 func (s *Server) merge(col *pendingColumn, snap protocol.ColumnSnapshot, encoded []byte) (total int64, err error) {
 	col.opMu.Lock()
 	defer col.opMu.Unlock()

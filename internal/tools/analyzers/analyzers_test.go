@@ -11,28 +11,12 @@ func TestLockIO(t *testing.T) {
 	analysistest.Run(t, analyzers.LockIO, "lockio")
 }
 
-func TestWALOrder(t *testing.T) {
-	analysistest.Run(t, analyzers.WALOrder, "walorder")
-}
-
-func TestEnvelope(t *testing.T) {
-	analysistest.Run(t, analyzers.Envelope, "envelope")
-}
-
 func TestAtomicCounter(t *testing.T) {
 	analysistest.Run(t, analyzers.AtomicCounter, "atomiccounter")
 }
 
-func TestMapOrder(t *testing.T) {
-	analysistest.Run(t, analyzers.MapOrder, "maporder")
-}
-
 func TestPoolOwn(t *testing.T) {
 	analysistest.Run(t, analyzers.PoolOwn, "poolown")
-}
-
-func TestHotAlloc(t *testing.T) {
-	analysistest.Run(t, analyzers.HotAlloc, "hotalloc")
 }
 
 func TestLockOrder(t *testing.T) {

@@ -16,7 +16,7 @@ func TestEncodeJSON(t *testing.T) {
 		},
 		{
 			Pos:      token.Position{Filename: "c.go", Line: 1, Column: 1},
-			Analyzer: "hotalloc",
+			Analyzer: "lockio",
 			Message: `message with "quotes" and a
 newline`,
 		},

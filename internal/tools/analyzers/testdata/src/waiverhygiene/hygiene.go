@@ -32,10 +32,10 @@ func (c *counters) deadLockioWaiver() int {
 	return 0
 }
 
-// notInThisRun: maporder is registered but not part of this fixture
+// notInThisRun: poolown is registered but not part of this fixture
 // run, so the waiver's liveness is unknowable here and not judged.
 func (c *counters) notInThisRun() int {
-	//ldpjoinvet:ignore maporder deterministic iteration is deliberate here
+	//ldpjoinvet:ignore poolown the batch is deliberately reused here
 	return 1
 }
 

@@ -2,14 +2,13 @@ package analyzers
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/types"
 	"strings"
 )
 
 // pathHasSegment reports whether pkgPath contains seg as a whole
 // "/"-separated element — "internal/service" and the fixture path
-// ".../testdata/src/walorder/service" both have segment "service",
+// ".../testdata/src/poolown/service" both have segment "service",
 // while "myservice" does not.
 func pathHasSegment(pkgPath, seg string) bool {
 	for part := range strings.SplitSeq(pkgPath, "/") {
@@ -106,15 +105,6 @@ func receiverPkgLastSegment(fn *types.Func) string {
 		return ""
 	}
 	return lastSegment(normPkgPath(fn.Pkg().Path()))
-}
-
-// constIntValue evaluates expr as a constant integer.
-func constIntValue(info *types.Info, expr ast.Expr) (int64, bool) {
-	tv, ok := info.Types[expr]
-	if !ok || tv.Value == nil || tv.Value.Kind() != constant.Int {
-		return 0, false
-	}
-	return constant.Int64Val(tv.Value)
 }
 
 // isPlainInt reports whether t's underlying type is a plain
