@@ -17,9 +17,7 @@
 //
 // Every worker records per-request latency; the summary prints counts,
 // errors, p50/p90/p99/max per op and overall QPS, and -out writes the
-// same numbers as JSON for CI artifacts. -tenant sends every request
-// with an Authorization bearer token, so a rate-limited server can be
-// soaked as one tenant. Columns survive the run
+// same numbers as JSON for CI artifacts. Columns survive the run
 // (finalized sketches are immutable), so repeated invocations against
 // the same server skip seeding and measure steady state.
 package main
@@ -124,7 +122,6 @@ protocol configuration (-k, -m, -eps, -seed) must match the server's.
 	eps := fs.Float64("eps", 4, "privacy budget epsilon")
 	seed := fs.Int64("seed", 1, "public hash seed (shared with the server)")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request HTTP timeout")
-	tenant := fs.String("tenant", "", "send every request as this tenant (Authorization: Bearer <tenant>)")
 	out := fs.String("out", "", "write the run summary as JSON to this file")
 	ingestBatch := fs.Int("ingest-batch", 64, "reports per ingest-op batch (the ingest mix op)")
 	_ = fs.Parse(args)
@@ -145,14 +142,10 @@ protocol configuration (-k, -m, -eps, -seed) must match the server's.
 		return err
 	}
 
-	var rt http.RoundTripper = &http.Transport{
+	client := &http.Client{Timeout: *timeout, Transport: &http.Transport{
 		MaxIdleConns:        2 * *concurrency,
 		MaxIdleConnsPerHost: 2 * *concurrency,
-	}
-	if *tenant != "" {
-		rt = &bearerTransport{next: rt, token: *tenant}
-	}
-	client := &http.Client{Timeout: *timeout, Transport: rt}
+	}}
 
 	names := map[string]string{
 		"a":   *prefix + "_a",   // join, attr 0
@@ -180,7 +173,7 @@ protocol configuration (-k, -m, -eps, -seed) must match the server's.
 	workers, elapsed := driveMix(client, base, ops, *concurrency, *duration)
 	sum := printSummary(ops, workers, elapsed)
 	sum.Server, sum.Concurrency, sum.Mix = base, *concurrency, *mixFlag
-	sum.Tenant, sum.Duration = *tenant, elapsed.String()
+	sum.Duration = elapsed.String()
 	if *out != "" {
 		data, err := json.MarshalIndent(sum, "", "  ")
 		if err != nil {
@@ -192,20 +185,6 @@ protocol configuration (-k, -m, -eps, -seed) must match the server's.
 		fmt.Printf("summary written to %s\n", *out)
 	}
 	return nil
-}
-
-// bearerTransport stamps the loadtest's tenant identity on every
-// request, so per-tenant admission on the server attributes the whole
-// run to one tenant.
-type bearerTransport struct {
-	next  http.RoundTripper
-	token string
-}
-
-func (t *bearerTransport) RoundTrip(r *http.Request) (*http.Response, error) {
-	r = r.Clone(r.Context())
-	r.Header.Set("Authorization", "Bearer "+t.token)
-	return t.next.RoundTrip(r)
 }
 
 // encodeIngestBatch pre-encodes the report batch the ingest op posts.
@@ -370,7 +349,6 @@ type ltOpSummary struct {
 
 type ltSummary struct {
 	Server      string        `json:"server"`
-	Tenant      string        `json:"tenant,omitempty"`
 	Concurrency int           `json:"concurrency"`
 	Duration    string        `json:"duration"`
 	Mix         string        `json:"mix"`

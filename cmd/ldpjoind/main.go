@@ -8,8 +8,8 @@
 // answers pairwise join queries (GET /v1/join?left=A&right=B), chain
 // (multi-way) join queries across adjacent attribute slots
 // (GET /v1/join?path=A,AB,BC,C), and frequency queries, all memoized in
-// a bounded query cache. See internal/service for the API and
-// internal/ingest for the columns.
+// a query cache of service.DefaultQueryCacheEntries results. See
+// internal/service for the API and internal/ingest for the columns.
 //
 // With -data set the server is durable: accepted reports and merges are
 // write-ahead logged (fsynced before the request is acknowledged),
@@ -17,16 +17,16 @@
 // graceful shutdown that drains in-flight requests and checkpoints
 // collecting columns. Restarting on the same -data directory (and the
 // same -k/-m/-eps/-seed) recovers every column — byte-identically,
-// because sketch state is linear. With -ckpt-bytes or -ckpt-interval a
-// background checkpointer also snapshots busy columns while they keep
-// ingesting and compacts the WAL segments the snapshot covers, bounding
-// both recovery replay time and disk growth. See internal/store.
+// because sketch state is linear. With -ckpt-bytes a background
+// checkpointer also snapshots a busy column each time its WAL grows by
+// that many bytes, while it keeps ingesting, and compacts the WAL
+// segments the snapshot covers, bounding both recovery replay and disk
+// growth. See internal/store.
 //
-// GET /metrics serves Prometheus text exposition, and -tenant-rate /
-// -tenant-burst turn on a per-tenant request rate limit keyed by the
-// Authorization bearer token. Privacy budget accounting is the
-// gateway's job: every report is ε-LDP before it leaves its client.
-// See internal/service.
+// GET /metrics serves Prometheus text exposition. The server admits
+// every request: authentication, per-caller rate limits and privacy
+// budget accounting are the gateway's job, and every report is already
+// ε-LDP before it leaves its client. See internal/service.
 //
 // Usage:
 //
@@ -71,23 +71,16 @@ func main() {
 	seed := flag.Int64("seed", 1, "public hash seed (shared with clients)")
 	maxReports := flag.Int("max-reports", 0, "max reports per request body, which is also the per-request memory bound (0 = default; negative is refused)")
 	attrs := flag.Int("attrs", 0, "join-attribute hash families derived from the seed; a chain over n attributes needs n (0 = default)")
-	queryCache := flag.Int("query-cache", 0, "max memoized query results (0 = default; <0 disables memoization)")
 	data := flag.String("data", "", "data directory for WAL + checkpoint durability (empty = in-memory only)")
 	ckptBytes := flag.Int64("ckpt-bytes", 0, "background-checkpoint a column once this many WAL bytes accumulate past its last checkpoint (0 = disabled)")
-	ckptInterval := flag.Duration("ckpt-interval", 0, "background-checkpoint a column with un-checkpointed WAL bytes after this much time (0 = disabled)")
-	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant request rate limit, requests/second (0 = unlimited)")
-	tenantBurst := flag.Int("tenant-burst", 0, "per-tenant burst capacity of the rate limit (0 = 1)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout for in-flight requests")
 	flag.Parse()
 
 	srv, err := service.NewWithOptions(core.Params{K: *k, M: *m, Epsilon: *eps}, *seed, service.Options{
-		MaxStreamReports:  *maxReports,
-		Attributes:        *attrs,
-		QueryCacheEntries: *queryCache,
-		DataDir:           *data,
-		Store:             store.Options{CheckpointBytes: *ckptBytes, CheckpointInterval: *ckptInterval},
-		TenantRate:        *tenantRate,
-		TenantBurst:       *tenantBurst,
+		MaxStreamReports: *maxReports,
+		Attributes:       *attrs,
+		DataDir:          *data,
+		Store:            store.Options{CheckpointBytes: *ckptBytes},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -141,7 +141,10 @@ func TestCrashRecoveryWALReplay(t *testing.T) {
 	// The same recovery is a scrape: what replayed, and how long it took.
 	page := scrape(t, ts2.URL)
 	for _, want := range []string{
+		"\nldpjoin_recovery_columns_total 2\n",
+		"\nldpjoin_recovery_finalized_columns_total 0\n",
 		fmt.Sprintf("\nldpjoin_recovery_reports_total %d\n", 2*n),
+		"\nldpjoin_recovery_merges_total 1\n",
 		"\nldpjoin_recovery_checkpoints_total 0\n",
 		"\nldpjoin_recovery_truncated_tails_total 0\n",
 		"\nldpjoin_recovery_seconds ",
@@ -297,6 +300,9 @@ func TestFinalizeAckIsDurable(t *testing.T) {
 	_, stats := get(t, ts2.URL+"/v1/stats")
 	if rec := stats["durability"].(map[string]any)["recovered"].(map[string]any); rec["finalizedColumns"].(float64) != 1 {
 		t.Fatalf("recovered counters: %v, want one finalized column", rec)
+	}
+	if page := scrape(t, ts2.URL); !strings.Contains(page, "\nldpjoin_recovery_finalized_columns_total 1\n") {
+		t.Fatal("/metrics does not count the recovered finalized column")
 	}
 	code, out := post(t, ts2.URL+"/v1/columns/A/reports", stream)
 	if env, _ := out["error"].(map[string]any); code != http.StatusConflict || env["code"] != codeFinalized {

@@ -33,7 +33,9 @@ const (
 	codeConflict = "column_conflict"
 	// codeTooLarge: the request body exceeds a configured bound.
 	codeTooLarge = "payload_too_large"
-	// codeRateLimited: the tenant exceeded its request rate; retry later.
+	// codeRateLimited: the server refused the request for load; retry
+	// later. Nothing returns 429 today; the code stays so a future
+	// admission bound keeps the envelope's vocabulary.
 	codeRateLimited = "rate_limited"
 	// codeServerClosed: the server is shutting down; retry elsewhere.
 	codeServerClosed = "server_closed"

@@ -14,7 +14,7 @@ import (
 // The mutating path — the three column operations, finalize, snapshot
 // export, checkpoints, recovery — is written once, over the two
 // interfaces below. Every server-side structure of the paper is a linear
-// sketch, so the order of steps (register, gate, WAL-append, apply, ack)
+// sketch, so the order of steps (register, lock opMu, WAL-append, apply, ack)
 // is the same for all of them; what differs is which codec reads the
 // bytes and which ingest column folds them, and that is all a kind
 // supplies. A fourth kind is one more file like join.go, matrix.go and

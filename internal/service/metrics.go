@@ -121,7 +121,7 @@ type promWriter struct {
 }
 
 // escapeLabel escapes a label value per the exposition format: backslash,
-// double-quote, and newline. Column and tenant names are caller-chosen
+// double-quote, and newline. Column names are caller-chosen
 // bytes, so this is load-bearing, not pedantry.
 func escapeLabel(v string) string {
 	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
@@ -281,22 +281,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		// seconds over reports is the replay speed of this deployment.
 		p.family("ldpjoin_recovery_seconds", "Duration of the startup replay of the data directory.", "gauge")
 		p.sample("ldpjoin_recovery_seconds", s.recoveryTime.Seconds())
+		p.family("ldpjoin_recovery_columns_total", "Collecting columns startup recovery rebuilt.", "counter")
+		p.sample("ldpjoin_recovery_columns_total", float64(s.recovered.Columns))
+		p.family("ldpjoin_recovery_finalized_columns_total", "Finalized columns startup recovery restored.", "counter")
+		p.sample("ldpjoin_recovery_finalized_columns_total", float64(s.recovered.FinalizedColumns))
 		p.family("ldpjoin_recovery_reports_total", "Reports replayed from WAL records at startup.", "counter")
 		p.sample("ldpjoin_recovery_reports_total", float64(s.recovered.Reports))
+		p.family("ldpjoin_recovery_merges_total", "Merge records replayed from the WAL at startup.", "counter")
+		p.sample("ldpjoin_recovery_merges_total", float64(s.recovered.Merges))
 		p.family("ldpjoin_recovery_checkpoints_total", "Checkpoint snapshots restored at startup.", "counter")
 		p.sample("ldpjoin_recovery_checkpoints_total", float64(s.recovered.Checkpoints))
 		p.family("ldpjoin_recovery_truncated_tails_total", "WAL segments whose torn tail startup recovery cut.", "counter")
 		p.sample("ldpjoin_recovery_truncated_tails_total", float64(s.recovered.TruncatedTails))
-	}
-
-	// Tenant admission: requests and throttles.
-	if s.tenants != nil {
-		p.family("ldpjoin_tenant_requests_total", "Admitted requests, by tenant.", "counter")
-		p.family("ldpjoin_tenant_throttled_total", "Requests refused by the tenant's rate limit.", "counter")
-		for _, t := range s.tenants.snapshot() {
-			p.sample("ldpjoin_tenant_requests_total", float64(t.requests), "tenant", t.name)
-			p.sample("ldpjoin_tenant_throttled_total", float64(t.throttled), "tenant", t.name)
-		}
 	}
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

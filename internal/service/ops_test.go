@@ -4,12 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -22,9 +23,8 @@ import (
 	"ldpjoin/internal/store"
 )
 
-// opsServer starts a durable server with aggressive background
-// checkpointing (tiny byte trigger, fast tick) and optional tenant
-// limits, sharing params and seed with durableServer.
+// opsServer starts a durable server with the given options, sharing
+// params and seed with durableServer.
 func opsServer(t *testing.T, dir string, opts Options) (*Server, *httptest.Server, core.Params) {
 	t.Helper()
 	p := core.Params{K: 9, M: 512, Epsilon: 4}
@@ -326,8 +326,11 @@ func TestColumnsListing(t *testing.T) {
 	if b["name"] != "B" || b["state"] != "finalized" || b["kind"] != "join" {
 		t.Fatalf("column B entry: %v", b)
 	}
-	if eps := a["epsilonSpent"].(float64); eps != 150*p.Epsilon {
-		t.Fatalf("A epsilonSpent = %g, want %g", eps, 150*p.Epsilon)
+	for _, entry := range []map[string]any{a, b} {
+		keys := slices.Sorted(maps.Keys(entry))
+		if want := []string{"attr", "kind", "name", "reports", "state"}; !slices.Equal(keys, want) {
+			t.Fatalf("column %v has keys %v, want exactly %v", entry["name"], keys, want)
+		}
 	}
 }
 
@@ -340,7 +343,7 @@ var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{([a-zA-Z_][a-zA-Z
 // families an operator dashboards on.
 func TestMetricsExposition(t *testing.T) {
 	dir := t.TempDir()
-	srv, ts, p := opsServer(t, dir, Options{TenantRate: 10000, TenantBurst: 10000})
+	srv, ts, p := opsServer(t, dir, Options{})
 	defer srv.Close()
 	defer ts.Close()
 	stream := encodeColumn(t, p, 5, dataset.Zipf(5, 100, 50, 1.2))
@@ -392,7 +395,9 @@ func TestMetricsExposition(t *testing.T) {
 		"ldpjoin_query_cache_hit_ratio",
 		"ldpjoin_wal_appends_total",
 		"ldpjoin_checkpoint_age_seconds",
-		"ldpjoin_tenant_requests_total",
+		"ldpjoin_recovery_columns_total",
+		"ldpjoin_recovery_finalized_columns_total",
+		"ldpjoin_recovery_merges_total",
 	} {
 		if samples[family] == 0 {
 			t.Errorf("family %s has no samples", family)
@@ -405,97 +410,5 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if !strings.Contains(page.String(), `route="GET /v1/join"`) {
 		t.Fatal("missing per-route sample for GET /v1/join")
-	}
-}
-
-// TestTenantRateLimit: a tenant that exhausts its burst gets 429
-// rate_limited with Retry-After, while another tenant is untouched and
-// health stays exempt. The rate limit is all the tenant surface there
-// is: /v1/stats and /metrics carry its counters and nothing else.
-func TestTenantRateLimit(t *testing.T) {
-	srv, err := NewWithOptions(core.Params{K: 9, M: 512, Epsilon: 4}, 42,
-		Options{TenantRate: 0.001, TenantBurst: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-
-	do := func(tenant, path string) (*http.Response, map[string]any) {
-		req, _ := http.NewRequest("GET", ts.URL+path, nil)
-		if tenant != "" {
-			req.Header.Set("Authorization", "Bearer "+tenant)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var body map[string]any
-		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-			t.Fatalf("decoding response: %v", err)
-		}
-		return resp, body
-	}
-	for i := 0; i < 2; i++ {
-		if resp, body := do("alice", "/v1/stats"); resp.StatusCode != 200 {
-			t.Fatalf("request %d within burst: %d %v", i, resp.StatusCode, body)
-		}
-	}
-	resp, body := do("alice", "/v1/stats")
-	if resp.StatusCode != 429 {
-		t.Fatalf("over-burst request: %d %v, want 429", resp.StatusCode, body)
-	}
-	if code, _, _ := envelope(t, body); code != "rate_limited" {
-		t.Fatalf("over-burst code %q, want rate_limited", code)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("429 carries no Retry-After")
-	}
-	if resp, _ := do("bob", "/v1/stats"); resp.StatusCode != 200 {
-		t.Fatalf("another tenant throttled by alice's bucket: %d", resp.StatusCode)
-	}
-	if resp, _ := do("alice", "/v1/healthz"); resp.StatusCode != 200 {
-		t.Fatalf("health probe throttled: %d", resp.StatusCode)
-	}
-	resp, err = http.Get(ts.URL + "/metrics")
-	if err != nil || resp.StatusCode != 200 {
-		t.Fatalf("metrics scrape throttled: %v %v", err, resp)
-	}
-	page, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range strings.Split(string(page), "\n") {
-		// The family a sample, HELP or TYPE line belongs to.
-		family := strings.TrimPrefix(strings.TrimPrefix(line, "# HELP "), "# TYPE ")
-		family, _, _ = strings.Cut(family, " ")
-		family, _, _ = strings.Cut(family, "{")
-		if strings.HasPrefix(family, "ldpjoin_tenant_") && family != "ldpjoin_tenant_requests_total" &&
-			family != "ldpjoin_tenant_throttled_total" {
-			t.Errorf("/metrics has a tenant family beyond the rate limit's: %s", line)
-		}
-	}
-	if !strings.Contains(string(page), `ldpjoin_tenant_throttled_total{tenant="alice"} 1`+"\n") {
-		t.Error("/metrics does not count alice's throttled request")
-	}
-
-	_, stats := do("carol", "/v1/stats")
-	tenants, _ := stats["tenants"].(map[string]any)
-	if len(tenants) != 3 || tenants["rate"] != 0.001 || tenants["burst"] != 2.0 {
-		t.Fatalf("/v1/stats tenants = %v, want rate, burst and perTenant only", tenants)
-	}
-	perTenant, _ := tenants["perTenant"].(map[string]any)
-	want := map[string][2]float64{"alice": {2, 1}, "bob": {1, 0}, "carol": {1, 0}}
-	if len(perTenant) != len(want) {
-		t.Fatalf("/v1/stats perTenant = %v, want %v", perTenant, want)
-	}
-	for name, w := range want {
-		got, _ := perTenant[name].(map[string]any)
-		if len(got) != 2 || got["requests"] != w[0] || got["throttled"] != w[1] {
-			t.Errorf("/v1/stats tenant %s = %v, want requests %g and throttled %g only", name, got, w[0], w[1])
-		}
 	}
 }

@@ -167,18 +167,9 @@ type Options struct {
 	// column. Empty means in-memory only, the prior behavior.
 	DataDir string
 	// Store tunes the column store when DataDir is set (segment
-	// rotation size, fsync policy, background checkpoint triggers —
-	// store.Options.CheckpointBytes / CheckpointInterval turn the
-	// background checkpointer on).
+	// rotation size, fsync policy, and store.Options.CheckpointBytes,
+	// which turns the background checkpointer on).
 	Store store.Options
-	// TenantRate enables per-tenant request rate limiting: each tenant
-	// (the Authorization bearer token; "anonymous" without one) gets a
-	// token bucket refilled at this many requests per second. <= 0
-	// disables rate limiting.
-	TenantRate float64
-	// TenantBurst is the token bucket's capacity when TenantRate is on;
-	// < 1 selects 1.
-	TenantBurst int
 }
 
 // finishedColumn is a finalized column of one kind.
@@ -242,8 +233,7 @@ type Server struct {
 	st            *store.Store        // nil when DataDir is unset
 	recovered     store.RecoveryStats // what startup replay rebuilt; read-only after New
 	recoveryTime  time.Duration       // how long that replay took; read-only after New
-	ckpt          *store.Checkpointer // nil unless background triggers are configured
-	tenants       *tenantRegistry     // nil unless tenant limits are configured
+	ckpt          *store.Checkpointer // nil unless CheckpointBytes is set
 	metrics       httpMetrics         // per-route request accounting for /metrics
 
 	// mu is the lifecycle mutex: it guards the pending map and every
@@ -321,7 +311,6 @@ func NewWithOptions(p core.Params, seed int64, o Options) (*Server, error) {
 		maxStream:     maxStream,
 		pending:       make(map[string]*pendingColumn),
 		cache:         newQueryCache(cacheCap),
-		tenants:       newTenantRegistry(tenantLimits{rate: o.TenantRate, burst: float64(o.TenantBurst)}),
 	}
 	s.finished.init()
 	if o.DataDir != "" {
@@ -409,8 +398,9 @@ func (s *Server) Close() { _ = s.Shutdown() }
 // persist it as ckpt-<seq>.snap —
 // after which the store deletes the covered segments, bounding what a
 // recovery must replay. It is the callback the store's background
-// checkpointer runs on its policy triggers, and tests (or an operator
-// hook) may call it directly.
+// checkpointer runs on a column whose WAL has outgrown
+// store.Options.CheckpointBytes, and tests (or an operator hook) may
+// call it directly.
 //
 // The column's opMu is held from the rotate through the state capture —
 // the shape handleSnapshot has. The operations hold it across their
@@ -517,8 +507,9 @@ func respond(h route) http.HandlerFunc {
 }
 
 // Handler returns the HTTP handler serving the API above, wrapped in
-// the tenant admission middleware (when configured) and the per-route
-// request accounting /metrics reads.
+// the per-route request accounting /metrics reads. Per-caller admission
+// is the gateway's job, like authentication: the server throttles no
+// one.
 //
 // The closed-server policy is the table's second column, and this loop
 // is the one place it is applied: after Shutdown the mutating routes and
@@ -564,9 +555,7 @@ func (s *Server) Handler() http.Handler {
 	// The exposition page streams as text; it is the one route that is
 	// not a value.
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	// instrument sits outside admit so throttled requests are counted
-	// too; it reads the route pattern the mux stamps on the request.
-	return s.instrument(s.admit(mux))
+	return s.instrument(mux)
 }
 
 // lookup resolves a name to its finalized column or, failing that, its
@@ -1133,19 +1122,16 @@ func (s *Server) handleFrequency(r *http.Request) (any, error) {
 }
 
 // handleColumns lists every column the server knows — collecting and
-// finalized — with its lifecycle state and the privacy spend its
-// reports represent (each accepted report costs its contributor ε, so
-// reports × ε is the column's total privacy expenditure). It stays
-// readable on a closed server, like /v1/status: listing columns is how
-// an operator inspects a draining node.
+// finalized — with its kind, lifecycle state, attribute slot and report
+// count. It stays readable on a closed server, like /v1/status: listing
+// columns is how an operator inspects a draining node.
 func (s *Server) handleColumns(*http.Request) (any, error) {
 	type columnInfo struct {
-		Name         string  `json:"name"`
-		Kind         string  `json:"kind"`
-		State        string  `json:"state"`
-		Attr         int     `json:"attr"`
-		Reports      float64 `json:"reports"`
-		EpsilonSpent float64 `json:"epsilonSpent"`
+		Name    string  `json:"name"`
+		Kind    string  `json:"kind"`
+		State   string  `json:"state"`
+		Attr    int     `json:"attr"`
+		Reports float64 `json:"reports"`
 	}
 	// Snapshot both maps in one critical section so a column mid-finalize
 	// appears exactly once; the reads themselves happen off-lock.
@@ -1158,17 +1144,15 @@ func (s *Server) handleColumns(*http.Request) (any, error) {
 	s.mu.Unlock()
 	list := make([]columnInfo, 0, len(pending)+len(view))
 	for name, col := range pending {
-		n := float64(col.state.N())
 		list = append(list, columnInfo{
 			Name: name, Kind: col.kind.String(), State: "collecting",
-			Attr: col.attr, Reports: n, EpsilonSpent: n * s.params.Epsilon,
+			Attr: col.attr, Reports: float64(col.state.N()),
 		})
 	}
 	for name, fin := range view {
-		n := fin.n()
 		list = append(list, columnInfo{
 			Name: name, Kind: fin.kind.String(), State: "finalized",
-			Attr: fin.attr, Reports: n, EpsilonSpent: n * s.params.Epsilon,
+			Attr: fin.attr, Reports: fin.n(),
 		})
 	}
 	slices.SortFunc(list, func(a, b columnInfo) int { return strings.Compare(a.Name, b.Name) })
@@ -1221,20 +1205,6 @@ func (s *Server) handleStats(*http.Request) (any, error) {
 		},
 		"attributes": len(s.fams),
 		"columns":    columns,
-	}
-	if s.tenants != nil {
-		tenants := make(map[string]any)
-		for _, t := range s.tenants.snapshot() {
-			tenants[t.name] = map[string]any{
-				"requests":  t.requests,
-				"throttled": t.throttled,
-			}
-		}
-		stats["tenants"] = map[string]any{
-			"rate":      s.tenants.limits.rate,
-			"burst":     s.tenants.limits.burst,
-			"perTenant": tenants,
-		}
 	}
 	if s.st != nil {
 		ss := s.st.Stats()

@@ -10,8 +10,8 @@ import (
 // callback for each column that is due. The policy lives in the store —
 // it owns the WAL byte accounting — but the capture itself must go
 // through the service, which owns the only path that can quiesce a
-// column's in-memory aggregation (the per-column checkpoint gate), so
-// the two halves meet at the callback.
+// column's in-memory aggregation (the column's operation lock), so the
+// two halves meet at the callback.
 type Checkpointer struct {
 	st   *Store
 	run  func(name string) error
@@ -21,13 +21,13 @@ type Checkpointer struct {
 }
 
 // StartCheckpointer launches the background checkpoint loop, returning
-// nil when both triggers are disabled (the pre-checkpointer behavior:
-// checkpoints only at shutdown). run is called sequentially, one due
-// column at a time, and must capture the column's state and call
-// SaveCheckpoint; errors are counted in Stats and retried on the next
-// tick, because the bytes tracker is only reset by a successful save.
+// nil when CheckpointBytes is not set (checkpoints then happen only at
+// shutdown). run is called sequentially, one due column at a time, and
+// must capture the column's state and call SaveCheckpoint; errors are
+// counted in Stats and retried on the next tick, because the bytes
+// tracker is only reset by a successful save.
 func (st *Store) StartCheckpointer(run func(name string) error) *Checkpointer {
-	if st.opts.CheckpointBytes <= 0 && st.opts.CheckpointInterval <= 0 {
+	if st.opts.CheckpointBytes <= 0 {
 		return nil
 	}
 	c := &Checkpointer{
@@ -77,10 +77,9 @@ func (c *Checkpointer) loop() {
 }
 
 // checkpointCandidates returns the collecting columns whose
-// un-checkpointed WAL bytes satisfy a trigger: the bytes threshold, or
-// the interval elapsed with any pending bytes at all. Finalized columns
-// never qualify — their tracker is dropped when finalization lands, and
-// the meta check covers the race where it has not yet.
+// un-checkpointed WAL bytes have reached CheckpointBytes. Finalized
+// columns never qualify — their tracker is dropped when finalization
+// lands, and the meta check covers the race where it has not yet.
 func (st *Store) checkpointCandidates() []string {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -88,19 +87,14 @@ func (st *Store) checkpointCandidates() []string {
 		return nil
 	}
 	var due []string
-	now := time.Now()
 	for name, t := range st.ckpt {
-		if t.bytes <= 0 {
+		if t.bytes < st.opts.CheckpointBytes {
 			continue
 		}
 		if meta, ok := st.man.Columns[name]; !ok || meta.Finalized {
 			continue
 		}
-		byBytes := st.opts.CheckpointBytes > 0 && t.bytes >= st.opts.CheckpointBytes
-		byTime := st.opts.CheckpointInterval > 0 && now.Sub(t.last) >= st.opts.CheckpointInterval
-		if byBytes || byTime {
-			due = append(due, name)
-		}
+		due = append(due, name)
 	}
 	return due
 }

@@ -98,18 +98,11 @@ type Options struct {
 	NoSync bool
 	// CheckpointBytes triggers a background checkpoint of a column once
 	// its WAL has grown this many bytes past the last checkpoint cut.
-	// <= 0 disables the bytes trigger.
+	// <= 0 runs no background checkpointer: checkpoints happen only at
+	// shutdown. The bound caps what a recovery replays per column.
 	CheckpointBytes int64
-	// CheckpointInterval triggers a background checkpoint of a column
-	// once this much time has passed since its last checkpoint (or its
-	// first append) while it still has un-checkpointed WAL bytes. <= 0
-	// disables the time trigger. With both triggers disabled no
-	// background checkpointer runs — checkpoints happen only at
-	// shutdown, the pre-PR-7 behavior.
-	CheckpointInterval time.Duration
 	// CheckpointTick is the policy evaluation period of the background
-	// checkpointer; <= 0 derives a tick from the triggers (a quarter of
-	// CheckpointInterval, clamped to [50ms, 1s]).
+	// checkpointer; <= 0 selects one second.
 	CheckpointTick time.Duration
 }
 
@@ -119,9 +112,6 @@ func (o Options) normalized() Options {
 	}
 	if o.CheckpointTick <= 0 {
 		o.CheckpointTick = time.Second
-		if o.CheckpointInterval > 0 {
-			o.CheckpointTick = min(max(o.CheckpointInterval/4, 50*time.Millisecond), time.Second)
-		}
 	}
 	return o
 }
@@ -277,14 +267,13 @@ type Store struct {
 }
 
 // ckptTrack is the background checkpointer's per-column state: how many
-// WAL bytes have landed since the last checkpoint cut, and when that
-// cut was. It exists only for columns with appends this process
-// lifetime (or un-checkpointed segments found at recovery) — exactly
-// the columns a background checkpoint could have work on.
+// WAL bytes have landed since the last checkpoint cut. It exists only
+// for columns with appends this process lifetime (or un-checkpointed
+// segments found at recovery) — exactly the columns a background
+// checkpoint could have work on.
 type ckptTrack struct {
-	bytes int64     // WAL bytes appended since the last persisted checkpoint
-	cut   int64     // bytes at the moment of the in-flight Rotate cut
-	last  time.Time // last persisted checkpoint (or first append / recovery)
+	bytes int64 // WAL bytes appended since the last persisted checkpoint
+	cut   int64 // bytes at the moment of the in-flight Rotate cut
 }
 
 // Open creates or reopens a data directory for the given protocol
@@ -386,7 +375,7 @@ func (st *Store) Stats() Stats {
 func (st *Store) track(name string) *ckptTrack {
 	t, ok := st.ckpt[name]
 	if !ok {
-		t = &ckptTrack{last: time.Now()}
+		t = &ckptTrack{}
 		st.ckpt[name] = t
 	}
 	return t
@@ -763,11 +752,11 @@ func (st *Store) SaveCheckpoint(name string, covered uint64, snap protocol.Colum
 	st.stats.BackgroundCheckpoints++
 	st.stats.LastCheckpointUnixNano = time.Now().UnixNano()
 	t := st.track(name)
-	// Appends since the cut (the gate released after the state capture)
-	// belong to the next checkpoint; only the cut bytes are covered.
+	// Appends since the cut (the column lock is released after the
+	// state capture) belong to the next checkpoint; only the cut bytes
+	// are covered.
 	t.bytes -= t.cut
 	t.cut = 0
-	t.last = time.Now()
 	st.mu.Unlock()
 	return nil
 }
