@@ -277,12 +277,6 @@ func (s *Sketch) Frequency(d uint64) float64 { return s.sk.Frequency(d) }
 // preferable when thresholding over large domains.
 func (s *Sketch) FrequencyMedian(d uint64) float64 { return s.sk.FrequencyMedian(d) }
 
-// HeavyHitters returns the values in [0, domain) whose robustly estimated
-// frequency exceeds share·N.
-func (s *Sketch) HeavyHitters(domain uint64, share float64) []uint64 {
-	return s.sk.FrequentItems(domain, share*s.sk.N(), false)
-}
-
 // Merge adds other's report counts into s. A finalized sketch is its
 // integer counts, so the merge is exact: identical to a sketch built
 // over both populations. The two must hold at most 2³¹−1 reports

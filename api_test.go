@@ -98,26 +98,11 @@ func TestSelfJoinSizeEstimatesF2(t *testing.T) {
 	}
 }
 
-func TestFrequencyAndHeavyHitters(t *testing.T) {
+func TestFrequencyMeanAndMedian(t *testing.T) {
 	proto, _ := ldpjoin.NewProtocol(ldpjoin.Config{K: 9, M: 2048, Epsilon: 4, Seed: 21})
 	data := dataset.Zipf(7, 150000, 2000, 1.5)
 	sk := proto.BuildSketch(data, 23)
 	truth := join.Frequencies(data)
-
-	hh := sk.HeavyHitters(2000, 0.03)
-	found := map[uint64]bool{}
-	for _, d := range hh {
-		found[d] = true
-	}
-	for d, c := range truth {
-		share := float64(c) / 150000
-		if share > 0.06 && !found[d] {
-			t.Errorf("heavy hitter %d (share %.3f) missed", d, share)
-		}
-		if share < 0.005 && found[d] {
-			t.Errorf("light value %d (share %.4f) reported heavy", d, share)
-		}
-	}
 
 	// Mean and median estimators agree on the dominant value.
 	var top uint64

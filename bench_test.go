@@ -1,6 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (one Benchmark per artifact; see DESIGN.md §4 for the
-// experiment index) plus ablation and micro benchmarks. The per-artifact
+// evaluation (one Benchmark per artifact; the experiment index is the
+// registry in internal/experiments/registry.go) plus ablation and micro
+// benchmarks. The per-artifact
 // benches run the full experiment at the tiny scale and attach the
 // headline error metrics via b.ReportMetric, so `go test -bench` output
 // carries the paper-shape numbers; cmd/experiments prints the full
@@ -109,7 +110,7 @@ func BenchmarkFig15Multiway(b *testing.B) {
 	runArtifact(b, "fig15", "LDPJoinSketch(3way)", "Compass(3way)")
 }
 
-// --- Ablation benchmarks (design choices from DESIGN.md §2) ----------
+// --- Ablation benchmarks (each names the design choice it measures) ---
 
 // BenchmarkAblationNTSubtraction compares the paper-literal Algorithm 5
 // non-target subtraction (population counts) against the group-scaled

@@ -44,7 +44,7 @@ func main() {
 		}
 		return
 	}
-	dsName := flag.String("dataset", "zipf1.1", "dataset name (see DESIGN.md Table II) or zipfA.B")
+	dsName := flag.String("dataset", "zipf1.1", "Table II dataset (zipf1.1, zipf1.3, zipf1.5, zipf1.7, zipf1.9, zipf2.0, gaussian, movielens, tpcds, twitter, facebook) or zipfA.B")
 	method := flag.String("method", "sketch", "sketch|plus|fagms|krr|hcms|flh")
 	eps := flag.Float64("eps", 4, "privacy budget epsilon")
 	k := flag.Int("k", 18, "sketch depth (rows)")

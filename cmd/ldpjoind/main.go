@@ -109,8 +109,9 @@ func main() {
 	stop()
 
 	// Ordered teardown: stop accepting, drain in-flight requests, then
-	// checkpoint — the checkpoint must cover every acknowledged request,
-	// so it runs strictly after the listener has gone quiet.
+	// checkpoint — strictly after the listener has gone quiet, so the
+	// checkpoints cover every acknowledged request and a restart replays
+	// no WAL.
 	fmt.Println("ldpjoind shutting down: draining requests, checkpointing columns")
 	dctx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()

@@ -37,13 +37,14 @@ type PlusOptions struct {
 	// subtracts the population-level non-target count from the group
 	// sketches. The default (false) scales the count to the group that
 	// actually built each sketch, which is what Theorem 8 calls for — see
-	// DESIGN.md §2 and the ablation bench.
+	// BenchmarkAblationNTSubtraction in the module root's bench_test.go.
 	LiteralNTSubtraction bool
 	// MeanFI selects the Theorem 7 mean estimator for phase-1 frequent-item
 	// extraction and mass estimation (the paper's literal reading). The
 	// default (false) uses the robust row-median estimator: thresholding
 	// the mean over a large domain harvests collision spikes and floods FI
-	// with false positives — see DESIGN.md §2 and the ablation bench.
+	// with false positives — see BenchmarkAblationFIEstimator in the module
+	// root's bench_test.go.
 	MeanFI bool
 	// Seed drives all randomness: hash families, user shuffling and
 	// client-side perturbation.

@@ -4,11 +4,11 @@
 // Twitter and Facebook ego-networks).
 //
 // Real data is unavailable offline, so each simulacrum reproduces the
-// published domain size, (scaled) row count, and a documented
-// rank-frequency skew chosen to match what is publicly known about each
-// dataset (see DESIGN.md §3). The estimators under test only observe the
-// frequency profile of the join attribute, so this preserves the behaviour
-// the experiments measure.
+// published domain size, (scaled) row count, and a rank-frequency skew
+// chosen to match what is publicly known about each dataset (each
+// entry's Alpha in specs below). The estimators under test only observe
+// the frequency profile of the join attribute, so this preserves the
+// behaviour the experiments measure.
 //
 // Every generator is a pure function of (seed, scale): repeated calls are
 // bit-identical, and experiment pairs (attribute A, attribute B) are two

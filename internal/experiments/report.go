@@ -2,8 +2,8 @@
 // evaluation (§VII): workload generation, parameter sweeps, baselines and
 // the proposed methods, with results rendered as aligned text tables or
 // CSV. Each experiment is a pure function of its Scale, so runs are
-// reproducible; the experiment ↔ module map lives in DESIGN.md §4 and the
-// recorded outcomes in EXPERIMENTS.md.
+// reproducible; the experiment ids are the registry in registry.go, and
+// the module root's bench_test.go runs each as one benchmark.
 package experiments
 
 import (

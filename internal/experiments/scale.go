@@ -4,8 +4,9 @@ import "fmt"
 
 // Scale controls how much of the paper's full workload an experiment
 // runs: the dataset fraction (the paper's tables are 40M+ rows; tests and
-// benches use scaled-down replicas with preserved skew and density, per
-// DESIGN.md §3) and the number of testing rounds averaged per point.
+// benches use scaled-down replicas with preserved skew and density, see
+// dataset.Spec.ScaleDomain) and the number of testing rounds averaged per
+// point.
 type Scale struct {
 	Name   string
 	Frac   float64 // fraction of the published dataset size (and domain)

@@ -26,17 +26,18 @@
 // goroutine scheduling.
 //
 // Federation: a Column is also the unit of cross-node scale-out. It can
-// drain into a mergeable snapshot instead of a finalized sketch
-// (Snapshot), export a point-in-time copy while still collecting
-// (State), and fold in unfinalized state restored from another
-// collector's snapshot (MergeAggregator) — all exact, because
-// unfinalized cells are integers.
+// export a point-in-time copy of its unfinalized state while still
+// collecting (State, or Capture as a mergeable snapshot) and fold in
+// unfinalized state restored from another collector's snapshot
+// (MergeAggregator) — both exact, because unfinalized cells are
+// integers.
 //
-// The same exactness makes the column the replay target of the durable
-// column store (internal/store): WAL recovery feeds logged report
-// batches back through EnqueueAllPooled and checkpoints through
-// MergeAggregator, and because folds commute exactly, the recovered
-// column finalizes to a sketch byte-identical to the uninterrupted run.
+// The same exactness makes the column the source and the replay target
+// of the durable column store (internal/store): a checkpoint is a
+// Capture taken at a WAL cut, WAL recovery feeds logged report batches
+// back through EnqueueAllPooled and checkpoints through MergeAggregator,
+// and because folds commute exactly, the recovered column finalizes to
+// a sketch byte-identical to the uninterrupted run.
 package ingest
 
 import (
@@ -192,8 +193,8 @@ func (e *Engine) NewColumnWithFamily(fam *hashing.Family) *Column {
 // EnqueueAllPooled folds a set of batches into the column, in the
 // caller's goroutine, one AddBatch call per batch so the per-report loop
 // runs inside core on the concrete aggregator. The whole set folds under
-// the column mutex, so the call is atomic with respect to Finalize,
-// Snapshot and State: they see every batch of a request or none of it.
+// the column mutex, so the call is atomic with respect to Finalize and
+// State: they see every batch of a request or none of it.
 // Each report is bounds-checked as it folds. A report outside the sketch
 // (or with an invalid sign) fails the call with AddBatch's error and
 // poisons the column: every later call, Finalize included, returns that
@@ -241,9 +242,9 @@ func (c *column[R, A, S]) Settle() {}
 
 // drain retires the column — no further enqueue, merge, or State call
 // succeeds — and returns its unfinalized aggregator (a fresh empty one
-// for an untouched column, so Snapshot of an empty column still works).
-// It returns the poisoning error if any enqueued report was out of
-// bounds, or ErrFinalized on a second drain.
+// for an untouched column, so an empty column still finalizes). It
+// returns the poisoning error if any enqueued report was out of bounds,
+// or ErrFinalized on a second drain.
 func (c *column[R, A, S]) drain() (A, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -271,19 +272,6 @@ func (c *column[R, A, S]) Finalize() (S, error) {
 		return none, err
 	}
 	return total.Finalize(), nil
-}
-
-// Snapshot drains the column exactly like Finalize but stops before the
-// debias-and-restore step, wrapping the unfinalized state as a mergeable
-// snapshot that shares the aggregator's cells — no intermediate copy.
-// The column cannot be used afterwards; encode the snapshot before
-// anything else touches it.
-func (c *column[R, A, S]) Snapshot() (*protocol.Snapshot, error) {
-	total, err := c.drain()
-	if err != nil {
-		return nil, err
-	}
-	return c.kind.snapshot(total), nil
 }
 
 // State copies the column's current aggregation state into a fresh
@@ -320,8 +308,8 @@ func (c *column[R, A, S]) Capture() (*protocol.Snapshot, error) {
 // from another collector's snapshot — into the column. The merge is
 // exact: unfinalized cells are integer sums, so a column fed by merges
 // finalizes byte-identically to one fed the underlying reports. It
-// follows the enqueue lifecycle (ErrFinalized after Finalize/Snapshot,
-// atomic with respect to both) and consumes agg: an untouched column
+// follows the enqueue lifecycle (ErrFinalized after Finalize, atomic
+// with respect to it) and consumes agg: an untouched column
 // adopts it outright (zero copy), a populated one folds it in cell-wise;
 // either way the caller must not use it afterwards.
 func (c *column[R, A, S]) MergeAggregator(agg A) error {

@@ -61,7 +61,7 @@ func TestMatrixColumnByteIdentical(t *testing.T) {
 }
 
 // TestMatrixColumnLifecycle pins the drain semantics: Enqueue, State,
-// and a second drain all fail with ErrFinalized after Finalize/Snapshot.
+// and a second Finalize all fail with ErrFinalized after Finalize.
 func TestMatrixColumnLifecycle(t *testing.T) {
 	p, famA, famB := matrixTestSetup()
 	e := NewEngine(core.Params{K: p.K, M: p.M1, Epsilon: p.Epsilon}, famA, Options{})
@@ -81,8 +81,8 @@ func TestMatrixColumnLifecycle(t *testing.T) {
 	if _, err := col.State(); err != ErrFinalized {
 		t.Fatalf("State after Finalize: %v, want ErrFinalized", err)
 	}
-	if _, err := col.Snapshot(); err != ErrFinalized {
-		t.Fatalf("second drain: %v, want ErrFinalized", err)
+	if _, err := col.Finalize(); err != ErrFinalized {
+		t.Fatalf("second Finalize: %v, want ErrFinalized", err)
 	}
 
 	// An out-of-bounds report fails its enqueue and then Finalize, never
@@ -97,7 +97,7 @@ func TestMatrixColumnLifecycle(t *testing.T) {
 }
 
 // TestMatrixColumnFederation: two columns each fold half the reports,
-// one drains into a snapshot that merges into the other via
+// one is captured into a snapshot that merges into the other via
 // MergeAggregator — finalizing to the same cells as one column folding
 // everything, exercising the snapshot round trip on the way.
 func TestMatrixColumnFederation(t *testing.T) {
@@ -125,7 +125,7 @@ func TestMatrixColumnFederation(t *testing.T) {
 	if err := enqueue(local, half2); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := remote.Snapshot()
+	snap, err := remote.Capture()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -246,46 +246,30 @@ func (c *PlusColumn) Finalize() (*core.PlusState, error) {
 	}, nil
 }
 
-// export assembles the composite snapshot, taking each backing column's
-// state with take — Snapshot to drain it, Capture to copy it. Callers
-// hold c.mu.
-func (c *PlusColumn) export(take func(*Column) (*protocol.Snapshot, error), fi []uint64) (*protocol.PlusSnapshot, error) {
+// State copies the column's current state into a fresh composite
+// snapshot without consuming it: the point-in-time export that live
+// federation pulls (GET /snapshot) and checkpoints carry. The copy and
+// the phase metadata are read under the column mutex, so a concurrent
+// Advance can never produce a snapshot whose groups disagree with its
+// FI.
+func (c *PlusColumn) State() (*protocol.PlusSnapshot, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	ps := &protocol.PlusSnapshot{Advanced: c.advanced}
 	var err error
-	if ps.Sample, err = take(c.sample); err != nil {
+	if ps.Sample, err = c.sample.Capture(); err != nil {
 		return nil, err
 	}
 	if c.advanced {
-		ps.Domain, ps.Theta, ps.FI = c.domain, c.theta, fi
-		if ps.Low, err = take(c.low); err != nil {
+		ps.Domain, ps.Theta, ps.FI = c.domain, c.theta, slices.Clone(c.fi)
+		if ps.Low, err = c.low.Capture(); err != nil {
 			return nil, err
 		}
-		if ps.High, err = take(c.high); err != nil {
+		if ps.High, err = c.high.Capture(); err != nil {
 			return nil, err
 		}
 	}
 	return ps, nil
-}
-
-// Snapshot drains the column into a mergeable composite snapshot — the
-// checkpoint form of a collecting plus column. Like Column.Snapshot it
-// consumes the column and shares the drained rows; encode before
-// anything else touches it.
-func (c *PlusColumn) Snapshot() (*protocol.PlusSnapshot, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.export((*Column).Snapshot, c.fi)
-}
-
-// State copies the column's current state into a fresh composite
-// snapshot without consuming it: the point-in-time export live
-// federation pulls (GET /snapshot). The copy and the phase metadata
-// are read under the column mutex, so a concurrent Advance can never
-// produce a snapshot whose groups disagree with its FI.
-func (c *PlusColumn) State() (*protocol.PlusSnapshot, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.export((*Column).Capture, slices.Clone(c.fi))
 }
 
 // CheckMerge places an unfinalized composite snapshot's phase against

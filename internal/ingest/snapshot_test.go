@@ -10,9 +10,10 @@ import (
 	"ldpjoin/internal/protocol"
 )
 
-// TestColumnSnapshotMatchesFinalize: draining a column into a snapshot,
-// shipping it through the codec, and finalizing on the other side must
-// reproduce Finalize byte-for-byte.
+// TestColumnSnapshotMatchesFinalize: capturing a column into a
+// snapshot, shipping it through the codec, and finalizing on the other
+// side must reproduce Finalize byte-for-byte — and the capture leaves
+// the column collecting, so it finalizes to the same bytes itself.
 func TestColumnSnapshotMatchesFinalize(t *testing.T) {
 	p := testParams()
 	fam := p.NewFamily(42)
@@ -38,7 +39,7 @@ func TestColumnSnapshotMatchesFinalize(t *testing.T) {
 
 	colB := eng.NewColumn()
 	feed(colB)
-	snap, err := colB.Snapshot()
+	snap, err := colB.Capture()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,15 +65,13 @@ func TestColumnSnapshotMatchesFinalize(t *testing.T) {
 		t.Fatal("snapshot round trip does not reproduce Finalize")
 	}
 
-	// The column is spent, exactly like after Finalize.
-	if _, err := colB.Snapshot(); err != ErrFinalized {
-		t.Fatalf("second Snapshot: got %v, want ErrFinalized", err)
+	// The capture copied the state: the column is still collecting.
+	skB, err := colB.Finalize()
+	if err != nil {
+		t.Fatalf("Finalize after Capture: %v", err)
 	}
-	if _, err := colB.Finalize(); err != ErrFinalized {
-		t.Fatalf("Finalize after Snapshot: got %v, want ErrFinalized", err)
-	}
-	if err := enqueue(colB, reports[:10]); err != ErrFinalized {
-		t.Fatalf("Enqueue after Snapshot: got %v, want ErrFinalized", err)
+	if !bytes.Equal(marshal(t, skB), want) {
+		t.Fatal("Capture changed the column it copied")
 	}
 }
 

@@ -58,8 +58,6 @@ func (c joinColumn) enqueuePooled(b batchSet) error {
 
 func (c joinColumn) capture() (protocol.ColumnSnapshot, error) { return c.Capture() }
 
-func (c joinColumn) drain() (protocol.ColumnSnapshot, error) { return c.Snapshot() }
-
 func (c joinColumn) finalize() (*finishedColumn, error) {
 	sk, err := c.Finalize()
 	if err != nil {

@@ -69,12 +69,10 @@ type column interface {
 	// the caller must not touch b again.
 	enqueuePooled(b batchSet) error
 	// capture copies the column's current state into a mergeable
-	// snapshot without consuming the column. As with drain, a failed
-	// call's snapshot is meaningless (it may hold a nil pointer): check
-	// the error, never the value.
+	// snapshot without consuming the column. A failed call's snapshot is
+	// meaningless (it may hold a nil pointer): check the error, never the
+	// value.
 	capture() (protocol.ColumnSnapshot, error)
-	// drain retires the column into a mergeable snapshot.
-	drain() (protocol.ColumnSnapshot, error)
 	// finalize retires the column into its finalized form; the caller
 	// fills in the attribute slot.
 	finalize() (*finishedColumn, error)

@@ -61,10 +61,12 @@ var lifecycleFixtures = map[protocol.Kind]func(t *testing.T) [3][]lifecycleReq{
 // TestColumnLifecycleEveryKind plays one script against every entry of
 // the kind table: ingest → live /snapshot → /merge into a second server
 // → background checkpoint mid-ingest → kill (no shutdown checkpoint) →
-// reopen → finalize. Both the recovered server and the federated one
-// must export bytes identical to an uninterrupted single-node run — the
-// mutating path is one implementation, and this is the one script that
-// holds every kind to it.
+// reopen → finalize; and, from a copy of the killed server's directory,
+// reopen → graceful Shutdown → reopen → finalize. The recovered servers
+// and the federated one must each export bytes identical to an
+// uninterrupted single-node run — the mutating path is one
+// implementation, and this is the one script that holds every kind to
+// it.
 func TestColumnLifecycleEveryKind(t *testing.T) {
 	for kind := range kinds {
 		fixture, ok := lifecycleFixtures[kind]
@@ -122,6 +124,8 @@ func TestColumnLifecycleEveryKind(t *testing.T) {
 			}
 			play(ts.URL, segs[2])
 			crash(t, srv, ts)
+			graceful := t.TempDir()
+			copyDataDir(t, dir, graceful)
 
 			srv2, ts2 := matrixServer(t, dir)
 			defer srv2.Close()
@@ -131,6 +135,23 @@ func TestColumnLifecycleEveryKind(t *testing.T) {
 			}
 			if got := finalized(ts2.URL); !bytes.Equal(got, want) {
 				t.Fatal("recovered column's export differs from the single-node run")
+			}
+
+			// A graceful Shutdown checkpoints the recovered column whole:
+			// the reopened server restores it and replays no WAL.
+			srv3, ts3 := matrixServer(t, graceful)
+			ts3.Close()
+			if err := srv3.Shutdown(); err != nil {
+				t.Fatalf("graceful shutdown: %v", err)
+			}
+			srv4, ts4 := matrixServer(t, graceful)
+			defer srv4.Close()
+			defer ts4.Close()
+			if rec := srv4.recovered; rec.Checkpoints != 1 || rec.Columns != 1 || rec.Reports != 0 || rec.Merges != 0 {
+				t.Fatalf("reopen after shutdown restored %+v, want 1 column from 1 checkpoint and no WAL records", rec)
+			}
+			if got := finalized(ts4.URL); !bytes.Equal(got, want) {
+				t.Fatal("column reopened after a graceful shutdown exports differently from the single-node run")
 			}
 		})
 	}

@@ -68,8 +68,6 @@ func (c matrixColumn) enqueuePooled(b batchSet) error {
 
 func (c matrixColumn) capture() (protocol.ColumnSnapshot, error) { return c.Capture() }
 
-func (c matrixColumn) drain() (protocol.ColumnSnapshot, error) { return c.Snapshot() }
-
 func (c matrixColumn) finalize() (*finishedColumn, error) {
 	ms, err := c.Finalize()
 	if err != nil {

@@ -260,9 +260,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		p.sample("ldpjoin_wal_bytes_total", float64(ss.Bytes))
 		p.family("ldpjoin_wal_pending_bytes", "WAL bytes not yet covered by a checkpoint.", "gauge")
 		p.sample("ldpjoin_wal_pending_bytes", float64(ss.PendingWALBytes))
-		p.family("ldpjoin_checkpoints_total", "Checkpoints persisted (background + shutdown).", "counter")
+		p.family("ldpjoin_checkpoints_total", "Checkpoints persisted (background, direct and shutdown).", "counter")
 		p.sample("ldpjoin_checkpoints_total", float64(ss.Checkpoints))
-		p.family("ldpjoin_background_checkpoints_total", "Checkpoints cut while ingest continued.", "counter")
+		p.family("ldpjoin_background_checkpoints_total", "Checkpoints cut with the column left collecting: every checkpoint, so equal to ldpjoin_checkpoints_total.", "counter")
 		p.sample("ldpjoin_background_checkpoints_total", float64(ss.BackgroundCheckpoints))
 		p.family("ldpjoin_checkpoint_errors_total", "Failed background checkpoint attempts.", "counter")
 		p.sample("ldpjoin_checkpoint_errors_total", float64(ss.CheckpointErrors))

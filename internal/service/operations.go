@@ -74,9 +74,8 @@ var errServerClosed error = statusError(http.StatusServiceUnavailable, "server i
 // order is load-bearing twice over: a column is never created after
 // Shutdown has snapshotted the pending map (closed is re-checked here,
 // under the lock that set it), and every WAL record belongs to a
-// registered column — which is what lets the shutdown checkpoint retire
-// every record, acknowledged or not, instead of leaving unacknowledged
-// tails to resurrect on restart.
+// registered column — which is what lets the shutdown checkpoints cover
+// every column with log records.
 //
 // A name is claimed only for a request a fresh column would take: first,
 // when non-nil, is the report batch about to be applied, and a new
@@ -234,7 +233,7 @@ func (s *Server) merge(col *pendingColumn, snap protocol.ColumnSnapshot, encoded
 	// never be logged, or replay would reject it too and wedge recovery.
 	m, adopt, err := col.state.prepareMerge(snap)
 	if err != nil {
-		return 0, s.columnConflict(codeConflict, col.name, "merging into column %q: %v", col.name, err)
+		return 0, apiErrorf(http.StatusConflict, codeConflict, col.name, "merging into column %q: %v", col.name, err)
 	}
 	if adopt != nil {
 		if _, err := s.advanceLocked(col, *adopt); err != nil {
@@ -247,46 +246,27 @@ func (s *Server) merge(col *pendingColumn, snap protocol.ColumnSnapshot, encoded
 		}
 	}
 	if err := col.state.merge(m); err != nil {
-		return 0, s.columnConflict(codeConflict, col.name, "merging into column %q: %v", col.name, err)
+		return 0, apiErrorf(http.StatusConflict, codeConflict, col.name, "merging into column %q: %v", col.name, err)
 	}
 	return col.state.N(), nil
 }
 
 // conflict is the refusal of a request the column's state rejects — the
-// wrong side of a plus phase boundary, a column drained underneath it:
+// wrong side of a plus phase boundary, a column finalized underneath it:
 // the column exists, so a conflict, not a malformed request.
 func (s *Server) conflict(name string, err error) error {
-	return s.columnConflict(codeConflict, name, "column %q: %v", name, err)
+	return apiErrorf(http.StatusConflict, codeConflict, name, "column %q: %v", name, err)
 }
 
-// columnConflict is the refusal for an ingest lifecycle conflict
-// (ErrFinalized) with the given envelope code. During shutdown that
-// error usually means the column was drained underneath the request —
-// the column is checkpointed, not finalized — so a closed server answers
-// the retryable 503 instead of a 409 a gateway would treat as terminal
-// and drop its reports over.
-func (s *Server) columnConflict(code, column, format string, args ...any) error {
-	if s.closed.Load() {
-		return errServerClosed
-	}
-	return apiErrorf(http.StatusConflict, code, column, format, args...)
-}
-
-// storeAppendError maps a WAL append failure to its refusal. A sealed
-// log usually means the column is finalized (409, do not retry) — but
-// during shutdown the checkpoint seals logs of columns that are still
-// collecting, and telling a gateway "finalized" then would make it drop
-// its reports for good. The closed flag is always set before any
-// checkpoint seals, so re-checking it here reliably turns that case
-// into the retryable 503.
+// storeAppendError maps a WAL append failure to its refusal: a sealed
+// log means the column is finalized (409, do not retry), and a store
+// closed by Shutdown the retryable 503.
 func (s *Server) storeAppendError(name string, err error) error {
-	if errors.Is(err, store.ErrColumnFinalized) || errors.Is(err, store.ErrClosed) {
-		if s.closed.Load() {
-			return errServerClosed
-		}
-		if errors.Is(err, store.ErrColumnFinalized) {
-			return apiErrorf(http.StatusConflict, codeFinalized, name, "column %q is already finalized", name)
-		}
+	switch {
+	case errors.Is(err, store.ErrClosed) && s.closed.Load():
+		return errServerClosed
+	case errors.Is(err, store.ErrColumnFinalized):
+		return apiErrorf(http.StatusConflict, codeFinalized, name, "column %q is already finalized", name)
 	}
 	return apiErrorf(http.StatusInternalServerError, codeInternal, name, "persisting request for column %q: %v", name, err)
 }

@@ -85,8 +85,6 @@ func (c plusColumn) enqueuePooled(b batchSet) error {
 
 func (c plusColumn) capture() (protocol.ColumnSnapshot, error) { return c.State() }
 
-func (c plusColumn) drain() (protocol.ColumnSnapshot, error) { return c.Snapshot() }
-
 func (c plusColumn) finalize() (*finishedColumn, error) {
 	state, err := c.Finalize()
 	if err != nil {

@@ -109,6 +109,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"net/http"
 	"slices"
@@ -203,13 +204,13 @@ func (c *finishedColumn) snapshot() protocol.ColumnSnapshot {
 	return protocol.SnapshotOfSketch(c.join)
 }
 
-// lostToFinalize reports whether err means the column was retired —
-// finalized or drained — underneath the caller: a benign race, because
-// whoever retired it made (or is making) its state durable.
+// lostToFinalize reports whether err means the column was finalized
+// underneath the caller: a benign race, because the finalize made (or is
+// making) its state durable.
 func lostToFinalize(err error) bool { return errors.Is(err, ingest.ErrFinalized) }
 
 // Server aggregates LDP reports into named columns. It is safe for
-// concurrent use; Close checkpoints a durable server's collecting
+// concurrent use; Shutdown checkpoints a durable server's collecting
 // columns and releases its store.
 //
 // The read path is lock-free: finalized columns live in a copy-on-write
@@ -334,20 +335,21 @@ func NewWithOptions(p core.Params, seed int64, o Options) (*Server, error) {
 }
 
 // Shutdown marks the server closed and — when the server is durable —
-// checkpoints every collecting column into the store and closes it. Each
-// checkpoint drains its column, whose folds are inline, so it covers
-// every acknowledged request, and it retires the column's WAL segments:
-// a reopened server restores from
-// the checkpoint instead of replaying the log. Because columns register
-// in the pending map (under the lock that sets closed) before their
-// first WAL append, the snapshot of that map taken here covers every
-// column with log records — so the checkpoints also retire the records
-// of requests that were cut off mid-flight and never acknowledged,
-// instead of leaving them to resurrect on restart. Mutating requests and
-// snapshot exports arriving afterwards are rejected with 503 rather
-// than racing the shutdown; finalized columns stay queryable. Call it
-// after the HTTP listener has stopped accepting requests. Shutdown is
-// idempotent.
+// checkpoints every collecting column into the store and closes it. The
+// checkpoint is CheckpointNow's, the one the background checkpointer
+// cuts: rotate the column's WAL and capture its state under opMu, so it
+// covers every acknowledged request and its WAL segments retire, and a
+// reopened server restores from the checkpoint instead of replaying the
+// log. Because columns register in the pending map (under the lock that
+// sets closed) before their first WAL append, the snapshot of that map
+// taken here names every column with log records. A request already past
+// the closed check when Shutdown starts either lands before its column's
+// cut, and the checkpoint holds it, or after it, in a fresh segment that
+// a reopened server replays; once the store is closed its append is
+// refused. Mutating requests and snapshot exports arriving afterwards
+// are rejected with 503 rather than racing the shutdown; finalized
+// columns stay queryable. Call it after the HTTP listener has stopped
+// accepting requests. Shutdown is idempotent.
 func (s *Server) Shutdown() error {
 	s.mu.Lock()
 	if s.closed.Load() {
@@ -355,10 +357,7 @@ func (s *Server) Shutdown() error {
 		return nil
 	}
 	s.closed.Store(true)
-	pending := make(map[string]*pendingColumn, len(s.pending))
-	for name, col := range s.pending {
-		pending[name] = col
-	}
+	names := slices.Collect(maps.Keys(s.pending))
 	s.mu.Unlock()
 	// Stop the background checkpointer first: an in-flight background
 	// checkpoint finishes (Stop waits), and after that nothing contends
@@ -368,15 +367,8 @@ func (s *Server) Shutdown() error {
 		return nil
 	}
 	var firstErr error
-	for name, col := range pending {
-		snap, err := col.state.drain()
-		if err == nil {
-			err = s.st.Checkpoint(name, col.attr, snap)
-		}
-		if lostToFinalize(err) {
-			continue // a concurrent finalize won; the store holds its final state
-		}
-		if err != nil && firstErr == nil {
+	for _, name := range names {
+		if err := s.CheckpointNow(name); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("service: checkpointing column %q: %w", name, err)
 		}
 	}
@@ -392,15 +384,15 @@ func (s *Server) Shutdown() error {
 // lossy).
 func (s *Server) Close() { _ = s.Shutdown() }
 
-// CheckpointNow cuts a background checkpoint of one collecting column
-// while the server keeps serving: rotate the column's WAL, capture the
-// in-memory state — exactly the fold of the rotated-out segments — and
-// persist it as ckpt-<seq>.snap —
-// after which the store deletes the covered segments, bounding what a
-// recovery must replay. It is the callback the store's background
-// checkpointer runs on a column whose WAL has outgrown
-// store.Options.CheckpointBytes, and tests (or an operator hook) may
-// call it directly.
+// CheckpointNow cuts a checkpoint of one collecting column while the
+// server keeps serving: rotate the column's WAL, capture the in-memory
+// state — exactly the fold of the rotated-out segments — and persist it
+// as ckpt-<seq>.snap — after which the store deletes the covered
+// segments, bounding what a recovery must replay. It is the one
+// checkpoint: the store's background checkpointer runs it on a column
+// whose WAL has outgrown store.Options.CheckpointBytes, Shutdown runs it
+// on every collecting column, and tests (or an operator hook) may call
+// it directly.
 //
 // The column's opMu is held from the rotate through the state capture —
 // the shape handleSnapshot has. The operations hold it across their
@@ -410,10 +402,10 @@ func (s *Server) Close() { _ = s.Shutdown() }
 // write, and bytes appended meanwhile belong to the next checkpoint
 // (the store's cut accounting handles that split).
 //
-// A column that finalizes, drains, or disappears underneath the
-// attempt is a benign race — its state is (or is becoming) durable by
-// a stronger mechanism — so those paths return nil rather than
-// counting as checkpoint errors.
+// A column that finalizes or disappears underneath the attempt is a
+// benign race — its state is (or is becoming) durable by a stronger
+// mechanism — and one with no durable record has nothing to cover, so
+// those paths return nil rather than counting as checkpoint errors.
 func (s *Server) CheckpointNow(name string) error {
 	if s.st == nil {
 		return nil
@@ -459,9 +451,10 @@ func (s *Server) CheckpointNow(name string) error {
 // no lock, while the lifecycle decisions that matter — register's
 // re-check, Shutdown's pending-map snapshot — read it under the mutex
 // and stay exactly ordered. A request that slips past the check while
-// Close runs still cannot corrupt anything: a drained column refuses it
-// with ErrFinalized and a sealed log with store.ErrColumnFinalized, both
-// of which surface as clean refusals.
+// Shutdown runs still cannot corrupt anything: its append lands before
+// its column's checkpoint cut or after it, in a segment a reopened
+// server replays, or — once the store is closed — is refused with
+// store.ErrClosed, which surfaces as the same 503.
 func (s *Server) refuseClosed() error {
 	if s.closed.Load() {
 		return errServerClosed
@@ -780,7 +773,7 @@ func (s *Server) handleFinalize(r *http.Request) (any, error) {
 	// concurrent finalize of the same column loses with ErrFinalized.
 	fin, err := col.state.finalize()
 	if lostToFinalize(err) {
-		return nil, s.columnConflict(codeFinalized, name, "column %q is already finalized", name)
+		return nil, apiErrorf(http.StatusConflict, codeFinalized, name, "column %q is already finalized", name)
 	}
 	if errors.Is(err, ingest.ErrPlusNotAdvanced) {
 		// The column is untouched (the phase check precedes the drain):

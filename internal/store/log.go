@@ -44,10 +44,11 @@ func parseSeq(name, prefix, suffix string) (uint64, bool) {
 
 // columnLog is the append side of one column's write-ahead log: a
 // directory of numbered segment files, appended to in order, rotated at
-// a size threshold. A log is sealed by checkpoint or finalize: appends
-// arriving afterwards fail, which is what makes "everything the
-// checkpoint does not cover is in a live segment" an invariant instead
-// of a race.
+// a size threshold or by a checkpoint's cut. A log is sealed by
+// finalize and closed by the store's Close: appends arriving afterwards
+// fail, which is what makes "final.snap covers everything appended" an
+// invariant instead of a race, and keeps a closed store's directory
+// untouched.
 type columnLog struct {
 	dir      string
 	segBytes int64
@@ -59,6 +60,7 @@ type columnLog struct {
 	f       *os.File // open segment, nil until the first append
 	size    int64
 	sealed  bool
+	closed  bool
 	broken  bool // a failed write could not be rolled back; refuse appends
 	// frame is scratch for the chunks a report append frames: its next
 	// callback runs under mu, so one buffer that lives as long as the log
@@ -105,6 +107,9 @@ func (l *columnLog) appendFunc(next func() []byte) (int64, error) {
 	defer l.mu.Unlock()
 	if l.sealed {
 		return 0, ErrColumnFinalized
+	}
+	if l.closed {
+		return 0, ErrClosed
 	}
 	if l.broken {
 		return 0, errors.New("store: column log poisoned by an earlier failed write")
@@ -201,11 +206,10 @@ func (l *columnLog) append(frames []byte) (int64, error) {
 	})
 }
 
-// seal closes the log for good: the checkpoint or finalized sketch
-// about to be written covers everything appended so far, and nothing
-// may land after it. It returns the highest segment sequence a
-// checkpoint must cover.
-func (l *columnLog) seal() (uint64, error) {
+// seal closes the log for good: the finalized sketch about to be
+// written covers everything appended so far, and nothing may land after
+// it.
+func (l *columnLog) seal() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.sealed = true
@@ -213,20 +217,18 @@ func (l *columnLog) seal() (uint64, error) {
 	if l.f != nil {
 		err := l.f.Close()
 		l.f = nil
-		if err != nil {
-			return l.lastSeq, err
-		}
+		return err
 	}
-	return l.lastSeq, nil
+	return nil
 }
 
 // rotate closes the open segment without sealing the log: the next
 // append starts a fresh segment, so everything appended so far lives in
-// segments with seq <= the returned value. It is the background
-// checkpointer's cut point — unlike seal, the column keeps accepting
-// appends afterwards, which is what lets a checkpoint run while ingest
-// continues. Returns the highest segment seq that exists (0 = the
-// column has no durable records yet).
+// segments with seq <= the returned value. It is a checkpoint's cut
+// point — unlike seal, the column keeps accepting appends afterwards,
+// which is what lets a checkpoint run while ingest continues. Returns
+// the highest segment seq that exists (0 = the column has no durable
+// records yet).
 func (l *columnLog) rotate() (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -264,11 +266,13 @@ func pendingWALBytes(dir string, after uint64) (int64, error) {
 	return total, nil
 }
 
-// close releases the open segment without sealing (process shutdown
-// that is not a checkpoint — i.e. the crash path in tests).
+// close releases the open segment for the store's Close and refuses
+// every later append: an append that looked the log up before Close must
+// not write into a directory the store has released.
 func (l *columnLog) close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.closed = true
 	if l.f != nil {
 		err := l.f.Close()
 		l.f = nil

@@ -30,9 +30,13 @@
 // recovery truncates it (records behind a tear are unreachable, so
 // nothing may ever be appended behind one).
 //
-// A checkpoint (graceful shutdown) seals the log, writes the column's
-// merged unfinalized state as ckpt-<S>.snap where S is the highest
-// segment, then deletes the covered segments. Finalize seals, writes
+// A checkpoint — cut in the background once a column's WAL outgrows
+// Options.CheckpointBytes, and for every collecting column at graceful
+// shutdown — rotates the log (Rotate: the next append starts a fresh
+// segment), writes the column's unfinalized state as captured at that
+// cut as ckpt-<S>.snap where S is the highest segment the cut closed,
+// then deletes the covered segments (SaveCheckpoint); the column keeps
+// its log open and collecting. Finalize seals, writes
 // final.snap, and returns: the finalize is acknowledged once final.snap
 // is durable, and the log is retired entirely behind the ack, by a
 // goroutine that Close waits for. Both file writes are atomic (temp +
@@ -120,7 +124,7 @@ var (
 	// ErrClosed is returned when the store is used after Close.
 	ErrClosed = errors.New("store: closed")
 	// ErrColumnFinalized is returned when appending to a column whose
-	// log has been sealed by Finalize or Checkpoint.
+	// log has been sealed by Finalize.
 	ErrColumnFinalized = errors.New("store: column is finalized")
 )
 
@@ -161,11 +165,13 @@ type columnMeta struct {
 type Stats struct {
 	Appends     int64 // acknowledged append calls (reports or merges)
 	Bytes       int64 // framed WAL bytes written
-	Checkpoints int64 // checkpoint snapshots persisted (background + shutdown)
+	Checkpoints int64 // checkpoint snapshots persisted
 	Finalized   int64 // finalize + finalized-import persists
 
-	// Background checkpointer counters (zero when it never ran).
-	BackgroundCheckpoints  int64 // checkpoints cut while ingest continued
+	// BackgroundCheckpoints counts the same persists as Checkpoints:
+	// every checkpoint — the background checkpointer's, a direct one,
+	// a shutdown's — is one Rotate cut that leaves the column collecting.
+	BackgroundCheckpoints  int64
 	CheckpointErrors       int64 // failed background checkpoint attempts
 	PendingWALBytes        int64 // WAL bytes not yet covered by a checkpoint, summed over columns
 	LastCheckpointUnixNano int64 // when the newest checkpoint was persisted (0 = never)
@@ -570,61 +576,6 @@ func (st *Store) appendRecord(name string, kind protocol.Kind, attr int, rtype p
 	return nil
 }
 
-// Checkpoint seals the column's log and persists its merged unfinalized
-// state — a join or matrix SNAP, or a plus column's composite PSNP with
-// its phase boundary — after which the covered WAL segments are deleted.
-// The snapshot must contain everything ever appended to the column —
-// which is why the service seals only at shutdown, from the drained
-// column. The column accepts no further appends this process lifetime;
-// a reopened store continues it from the checkpoint.
-func (st *Store) Checkpoint(name string, attr int, snap protocol.ColumnSnapshot) error {
-	if snap.IsFinalized() {
-		return fmt.Errorf("store: checkpoint of %q with a finalized snapshot; use Finalize", name)
-	}
-	meta, log, err := st.column(name, snap.ColumnKind(), attr)
-	if err != nil {
-		return err
-	}
-	covered, err := log.seal()
-	if err != nil {
-		return err
-	}
-	if covered == 0 {
-		// The column has no durable state (its first append never
-		// succeeded), so there is nothing to cover — and writing
-		// ckpt-00000000 would collide with removeCovered's keep-none
-		// sentinel.
-		return nil
-	}
-	if err := st.writeCheckpoint(name, meta, covered, snap); err != nil {
-		return err
-	}
-	st.mu.Lock()
-	st.stats.Checkpoints++
-	delete(st.ckpt, name)
-	st.mu.Unlock()
-	return nil
-}
-
-// writeCheckpoint persists snap as the column's ckpt-<covered>.snap and
-// deletes the segments and older checkpoints it covers.
-func (st *Store) writeCheckpoint(name string, meta *columnMeta, covered uint64, snap protocol.ColumnSnapshot) error {
-	data, err := snap.Encode()
-	if err != nil {
-		return fmt.Errorf("store: encoding checkpoint of %q: %w", name, err)
-	}
-	dir := st.colDir(meta.ID)
-	if err := writeFileAtomic(filepath.Join(dir, ckptName(covered)), data, st.opts.NoSync); err != nil {
-		return err
-	}
-	// The checkpoint is durable at this point; deleting the covered
-	// files is cleanup, never correctness (recovery takes the newest
-	// checkpoint and ignores covered segments), so a failed remove must
-	// not be escalated as a failed checkpoint.
-	_ = removeCovered(dir, covered, covered)
-	return nil
-}
-
 // Finalize persists a column's terminal state — its finalized SNAP or
 // PSNP — as final.snap and returns once that file is durable; the
 // column durably refuses appends from here on. It also installs
@@ -641,7 +592,7 @@ func (st *Store) Finalize(name string, attr int, snap protocol.ColumnSnapshot) e
 	if err != nil {
 		return err
 	}
-	if _, err := log.seal(); err != nil {
+	if err := log.seal(); err != nil {
 		return err
 	}
 	data, err := snap.Encode()
@@ -661,8 +612,8 @@ func (st *Store) Finalize(name string, attr int, snap protocol.ColumnSnapshot) e
 	if st.closed {
 		return nil // Close has released the directory; Recover retires the log
 	}
-	// As in Checkpoint: final.snap is durable and wins at recovery, so
-	// deleting the retired files is cleanup, not part of the finalize.
+	// As in SaveCheckpoint: final.snap is durable and wins at recovery,
+	// so deleting the retired files is cleanup, not part of the finalize.
 	st.retiring.Add(1)
 	go func() {
 		defer st.retiring.Done()
@@ -677,10 +628,15 @@ func (st *Store) FinalizePlus(name string, attr int, snap *protocol.PlusSnapshot
 	return st.Finalize(name, attr, snap)
 }
 
+// errNoRecord is lookupColumn's answer for a name the manifest does not
+// hold: the column's first append failed before the manifest named it,
+// so nothing of it is durable.
+var errNoRecord = errors.New("store: column has no durable record")
+
 // lookupColumn returns the meta and open log of an existing collecting
-// column by name alone — the background checkpointer's lookup, which
-// (unlike column) must not create anything and takes the kind from the
-// manifest instead of asserting one.
+// column by name alone — the checkpoint's lookup, which (unlike column)
+// must not create anything and takes the kind from the manifest instead
+// of asserting one.
 func (st *Store) lookupColumn(name string) (*columnMeta, *columnLog, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -689,7 +645,7 @@ func (st *Store) lookupColumn(name string) (*columnMeta, *columnLog, error) {
 	}
 	meta, ok := st.man.Columns[name]
 	if !ok {
-		return nil, nil, fmt.Errorf("store: unknown column %q", name)
+		return nil, nil, fmt.Errorf("%w: %q", errNoRecord, name)
 	}
 	if meta.Finalized {
 		return meta, nil, ErrColumnFinalized
@@ -698,16 +654,21 @@ func (st *Store) lookupColumn(name string) (*columnMeta, *columnLog, error) {
 	return meta, log, err
 }
 
-// Rotate cuts a collecting column's WAL for a background checkpoint:
-// the open segment is closed — not sealed; the next append starts a
-// fresh segment — and the returned seq is the highest segment the
-// checkpoint must cover. The caller must exclude concurrent appends to
-// this column across Rotate and the in-memory state capture that
-// follows (the service holds the column's operation lock), so that the
-// captured state equals exactly the fold of segments <= covered.
-// covered == 0 means the column has no durable records yet.
+// Rotate cuts a collecting column's WAL for a checkpoint: the open
+// segment is closed — not sealed; the next append starts a fresh
+// segment — and the returned seq is the highest segment the checkpoint
+// must cover. The caller must exclude concurrent appends to this column
+// across Rotate and the in-memory state capture that follows (the
+// service holds the column's operation lock), so that the captured state
+// equals exactly the fold of segments <= covered. covered == 0 means the
+// column has no durable records yet — including a name the manifest does
+// not hold, whose first append failed: a reopened store would not know
+// it either, so there is nothing to cover.
 func (st *Store) Rotate(name string) (covered uint64, err error) {
 	_, log, err := st.lookupColumn(name)
+	if errors.Is(err, errNoRecord) {
+		return 0, nil
+	}
 	if err != nil {
 		return 0, err
 	}
@@ -722,31 +683,41 @@ func (st *Store) Rotate(name string) (covered uint64, err error) {
 	return covered, nil
 }
 
-// SaveCheckpoint persists a background checkpoint of a collecting
-// column: snap — the column's complete in-memory state at the moment
-// Rotate cut the WAL — is written as ckpt-<covered>.snap, after which
-// the covered segments (and older checkpoints) are deleted. Unlike
-// Checkpoint it does not seal the log: the column keeps collecting, and
-// a recovery restores the checkpoint then replays only the segments
-// above covered. A column finalized since the cut is a benign race
-// (ErrColumnFinalized): final.snap already holds a superset of the
-// state, so the checkpoint is simply dropped.
+// SaveCheckpoint persists a checkpoint of a collecting column: snap —
+// the column's complete in-memory state at the moment Rotate cut the
+// WAL — is written as ckpt-<covered>.snap, after which the covered
+// segments (and older checkpoints) are deleted. It does not seal the
+// log: the column keeps collecting, and a recovery restores the
+// checkpoint then replays only the segments above covered. A column
+// finalized since the cut is a benign race (ErrColumnFinalized):
+// final.snap already holds a superset of the state, so the checkpoint is
+// simply dropped.
 func (st *Store) SaveCheckpoint(name string, covered uint64, snap protocol.ColumnSnapshot) error {
 	if snap.IsFinalized() {
-		return fmt.Errorf("store: background checkpoint of %q with a finalized snapshot; use Finalize", name)
+		return fmt.Errorf("store: checkpoint of %q with a finalized snapshot; use Finalize", name)
 	}
 	if covered == 0 {
 		// Nothing durable to cover — and ckpt-00000000 would collide
-		// with removeCovered's keep-none sentinel, as in Checkpoint.
+		// with removeCovered's keep-none sentinel.
 		return nil
 	}
 	meta, _, err := st.lookupColumn(name)
 	if err != nil {
 		return err
 	}
-	if err := st.writeCheckpoint(name, meta, covered, snap); err != nil {
+	data, err := snap.Encode()
+	if err != nil {
+		return fmt.Errorf("store: encoding checkpoint of %q: %w", name, err)
+	}
+	dir := st.colDir(meta.ID)
+	if err := writeFileAtomic(filepath.Join(dir, ckptName(covered)), data, st.opts.NoSync); err != nil {
 		return err
 	}
+	// The checkpoint is durable at this point; deleting the covered
+	// files is cleanup, never correctness (recovery takes the newest
+	// checkpoint and ignores covered segments), so a failed remove must
+	// not be escalated as a failed checkpoint.
+	_ = removeCovered(dir, covered, covered)
 	st.mu.Lock()
 	st.stats.Checkpoints++
 	st.stats.BackgroundCheckpoints++

@@ -323,11 +323,16 @@ func TestStoreCheckpointCoversSegments(t *testing.T) {
 	if err := st.AppendReports("a", 0, [][]core.Report{rep}); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Checkpoint("a", 0, testSnapshot(t, 1, 150)); err != nil {
+	// A name the manifest never recorded has nothing to cover.
+	if covered, err := st.Rotate("b"); covered != 0 || err != nil {
+		t.Fatalf("Rotate of a column with no durable record = %d, %v; want 0, nil", covered, err)
+	}
+	covered, err := st.Rotate("a")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.AppendReports("a", 0, [][]core.Report{rep}); !errors.Is(err, ErrColumnFinalized) {
-		t.Fatalf("append after checkpoint: got %v, want ErrColumnFinalized", err)
+	if err := st.SaveCheckpoint("a", covered, testSnapshot(t, 1, 150)); err != nil {
+		t.Fatal(err)
 	}
 	if segs := findAll(t, dir, segSuffix); len(segs) != 0 {
 		t.Fatalf("segments not retired by checkpoint: %v", segs)
@@ -705,16 +710,33 @@ func TestStoreFingerprintMismatch(t *testing.T) {
 }
 
 func TestStoreClosedRefusesWork(t *testing.T) {
-	st := open(t, t.TempDir(), Options{})
+	dir := t.TempDir()
+	st := open(t, dir, Options{})
 	if _, err := st.Recover(newReplayLog()); err != nil {
 		t.Fatal(err)
 	}
+	if err := st.AppendReports("a", 0, [][]core.Report{testReports(1, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	// An append that looked its log up before Close must not write
+	// behind it: the checkpoint cut rotated the segment, so the append
+	// would start a new one in a directory the store has released.
+	log := st.logs["a"]
+	if _, err := st.Rotate("a"); err != nil {
+		t.Fatal(err)
+	}
 	st.Close()
+	if _, err := log.append(protocol.AppendRecord(nil, protocol.RecordReports, nil)); !errors.Is(err, ErrClosed) {
+		t.Fatalf("append through a log looked up before close: got %v, want ErrClosed", err)
+	}
+	if segs := findAll(t, dir, segSuffix); len(segs) != 1 {
+		t.Fatalf("segments after close: %v, want the one written before it", segs)
+	}
 	if err := st.AppendReports("a", 0, [][]core.Report{testReports(1, 1)}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("append after close: got %v, want ErrClosed", err)
 	}
-	if err := st.Checkpoint("a", 0, testSnapshot(t, 1, 1)); !errors.Is(err, ErrClosed) {
-		t.Fatalf("checkpoint after close: got %v, want ErrClosed", err)
+	if _, err := st.Rotate("a"); !errors.Is(err, ErrClosed) {
+		t.Fatalf("checkpoint cut after close: got %v, want ErrClosed", err)
 	}
 }
 
@@ -779,7 +801,11 @@ func TestStoreMatrixColumn(t *testing.T) {
 	for _, r := range rep {
 		agg.Add(r)
 	}
-	if err := st2.Checkpoint("ab", 0, protocol.SnapshotOfMatrixAggregator(agg)); err != nil {
+	covered, err := st2.Rotate("ab")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st2.SaveCheckpoint("ab", covered, protocol.SnapshotOfMatrixAggregator(agg)); err != nil {
 		t.Fatal(err)
 	}
 	st2.Close()
@@ -996,11 +1022,12 @@ func TestStorePlusColumn(t *testing.T) {
 		Low:    protocol.SnapshotOfAggregator(aggL),
 		High:   protocol.SnapshotOfAggregator(aggH),
 	}
-	if err := st2.Checkpoint("p", 0, ckpt); err != nil {
+	covered, err := st2.Rotate("p")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st2.AppendPlusReports("p", 0, protocol.PlusLow, [][]core.Report{low[:5]}); !errors.Is(err, ErrColumnFinalized) {
-		t.Fatalf("append after plus checkpoint: got %v, want ErrColumnFinalized", err)
+	if err := st2.SaveCheckpoint("p", covered, ckpt); err != nil {
+		t.Fatal(err)
 	}
 	st2.Close()
 
