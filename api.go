@@ -6,7 +6,6 @@ import (
 
 	"ldpjoin/internal/core"
 	"ldpjoin/internal/hashing"
-	"ldpjoin/internal/ingest"
 	"ldpjoin/internal/protocol"
 )
 
@@ -160,23 +159,12 @@ func (a *Aggregator) Snapshot() ([]byte, error) {
 const buildShards = 16
 
 // BuildSketch runs the whole pipeline for a column in parallel (up to
-// buildShards cores): ingest.Collect cuts the population into chunks,
+// buildShards cores): core.Collect cuts the population into chunks,
 // simulates the clients on kernel.RowApply, and merges the partial
 // aggregations. The result is deterministic — a function of (values,
 // seed) only, independent of core count and scheduling.
 func (p *Protocol) BuildSketch(values []uint64, seed int64) *Sketch {
-	return &Sketch{proto: p, sk: ingest.Collect(p.params, p.fam, values, seed, ingest.Options{Shards: buildShards})}
-}
-
-// ExportSnapshot encodes an aggregator's unfinalized state for transfer
-// to another node. The aggregator must belong to this protocol. It is
-// the counterpart of ImportSnapshot; a.Snapshot() is shorthand when the
-// protocol is implied.
-func (p *Protocol) ExportSnapshot(a *Aggregator) ([]byte, error) {
-	if a.proto.cfg != p.cfg {
-		return nil, fmt.Errorf("ldpjoin: aggregator belongs to config %+v, not %+v", a.proto.cfg, p.cfg)
-	}
-	return a.Snapshot()
+	return &Sketch{proto: p, sk: core.Collect(p.params, p.fam, values, seed, buildShards)}
 }
 
 // ImportSnapshot decodes an unfinalized snapshot exported by another

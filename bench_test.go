@@ -10,6 +10,7 @@ package ldpjoin_test
 
 import (
 	"math/rand"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -17,7 +18,6 @@ import (
 	"ldpjoin/internal/core"
 	"ldpjoin/internal/dataset"
 	"ldpjoin/internal/experiments"
-	"ldpjoin/internal/ingest"
 	"ldpjoin/internal/join"
 )
 
@@ -212,19 +212,19 @@ func BenchmarkAblationClientEncoding(b *testing.B) {
 }
 
 // BenchmarkAblationParallelBuild compares single-threaded and
-// all-core simulated sketch construction (ingest.Collect).
+// all-core simulated sketch construction (core.Collect).
 func BenchmarkAblationParallelBuild(b *testing.B) {
 	p := core.Params{K: 18, M: 1024, Epsilon: 4}
 	fam := p.NewFamily(1)
 	data := dataset.Zipf(1, 200000, 20000, 1.3)
 	b.Run("shards-1", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ingest.Collect(p, fam, data, 7, ingest.Options{Shards: 1})
+			core.Collect(p, fam, data, 7, 1)
 		}
 	})
 	b.Run("shards-auto", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ingest.Collect(p, fam, data, 7, ingest.Options{})
+			core.Collect(p, fam, data, 7, runtime.GOMAXPROCS(0))
 		}
 	})
 }

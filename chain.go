@@ -5,7 +5,6 @@ import (
 
 	"ldpjoin/internal/core"
 	"ldpjoin/internal/hashing"
-	"ldpjoin/internal/ingest"
 	"ldpjoin/internal/protocol"
 )
 
@@ -56,7 +55,7 @@ func (cp *ChainProtocol) BuildEnd(attr int, values []uint64, seed int64) (*Sketc
 	if attr != 0 && attr != cp.attrs-1 {
 		return nil, fmt.Errorf("ldpjoin: end tables join on the first or last attribute, got %d", attr)
 	}
-	return &Sketch{sk: ingest.Collect(cp.endP, cp.fams[attr], values, seed, ingest.Options{Shards: buildShards})}, nil
+	return &Sketch{sk: core.Collect(cp.endP, cp.fams[attr], values, seed, buildShards)}, nil
 }
 
 // MatrixSketch is a finalized middle-table sketch.
@@ -126,7 +125,7 @@ func (cp *ChainProtocol) BuildMid(leftAttr int, a, b []uint64, seed int64) (*Mat
 	if len(a) != len(b) {
 		return nil, fmt.Errorf("ldpjoin: middle table columns of unequal length %d and %d", len(a), len(b))
 	}
-	ms := ingest.CollectMatrix(cp.midP, cp.fams[leftAttr], cp.fams[leftAttr+1], a, b, seed, ingest.Options{Shards: buildShards})
+	ms := core.CollectMatrix(cp.midP, cp.fams[leftAttr], cp.fams[leftAttr+1], a, b, seed, buildShards)
 	return &MatrixSketch{ms: ms}, nil
 }
 
@@ -143,29 +142,4 @@ func (cp *ChainProtocol) Estimate(left *Sketch, mids []*MatrixSketch, right *Ske
 		cms[i] = m.ms
 	}
 	return core.ChainEstimate(left.sk, cms, right.sk), nil
-}
-
-// BuildClosing sketches the table that closes a 3-cycle: its A column
-// joins the protocol's last attribute and its B column the first, as in
-// T3(C, A) for the cycle T1(A,B) ⋈ T2(B,C) ⋈ T3(C,A). The protocol must
-// have exactly 3 attributes.
-func (cp *ChainProtocol) BuildClosing(a, b []uint64, seed int64) (*MatrixSketch, error) {
-	if cp.attrs != 3 {
-		return nil, fmt.Errorf("ldpjoin: cycles need a 3-attribute protocol, got %d", cp.attrs)
-	}
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("ldpjoin: closing table columns of unequal length %d and %d", len(a), len(b))
-	}
-	ms := ingest.CollectMatrix(cp.midP, cp.fams[2], cp.fams[0], a, b, seed, ingest.Options{Shards: buildShards})
-	return &MatrixSketch{ms: ms}, nil
-}
-
-// EstimateCycle computes the 3-cycle join size
-// T1(A0,A1) ⋈ T2(A1,A2) ⋈ T3(A2,A0) from sketches built with BuildMid(0),
-// BuildMid(1) and BuildClosing (§VI's "uncomplicated cyclic joins").
-func (cp *ChainProtocol) EstimateCycle(m1, m2, closing *MatrixSketch) (float64, error) {
-	if cp.attrs != 3 {
-		return 0, fmt.Errorf("ldpjoin: cycles need a 3-attribute protocol, got %d", cp.attrs)
-	}
-	return core.CycleEstimate(m1.ms, m2.ms, closing.ms), nil
 }

@@ -34,7 +34,7 @@ func TestFacadeSnapshotFederation(t *testing.T) {
 	agg2 := proto.NewAggregator()
 	agg2.AddColumn(colB, 32)
 
-	snap1, err := proto.ExportSnapshot(agg1)
+	snap1, err := agg1.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,10 +98,6 @@ func TestFacadeSnapshotRejections(t *testing.T) {
 	mut[len(mut)/2] ^= 1
 	if _, err := other.ImportSnapshot(mut); !errors.Is(err, protocol.ErrBadSnapshot) {
 		t.Fatalf("corrupt import: got %v, want ErrBadSnapshot", err)
-	}
-	// ExportSnapshot checks ownership.
-	if _, err := proto.ExportSnapshot(agg); err == nil {
-		t.Fatal("exporting a foreign aggregator accepted")
 	}
 	// A finalized aggregator cannot snapshot or merge.
 	agg.Sketch()

@@ -83,7 +83,7 @@ const minTail = 1 << 12
 
 // MatrixAggregator is the server side for a middle table. Each report
 // adds its sign to one cell of one replica's count matrix Y_j, and the
-// counts are the whole state: a chain or cycle estimate reads them in
+// counts are the whole state: a chain estimate reads them in
 // the report domain (see ChainEstimate), so nothing is ever restored out
 // of the double Hadamard domain and the K·M1·M2 matrix is never built.
 //
@@ -434,64 +434,6 @@ func (ms *MatrixSketch) vecCounts(j int, v, out []float64) {
 	for _, e := range ms.runs[j] {
 		out[e.Cell&mask] += v[e.Cell>>shift] * float64(e.Count)
 	}
-}
-
-// CycleEstimate estimates the size of the 3-cycle join
-// T1(A,B) ⋈ T2(B,C) ⋈ T3(C,A) from LDP matrix sketches — the
-// "uncomplicated cyclic joins" §VI says the encoding handles. Per
-// replica j the estimator is the trace of the sketch product
-// trace(M1_j·M2_j·M3_j), and the final estimate is the median over
-// replicas. Adjacent sketches must share their attribute families (m1's
-// B side with m2's A side, and so on around the cycle).
-//
-// With M_i = c_i·H·Y_i·H and H·H = m·I for a Hadamard matrix of order
-// m, the trace is c₁c₂c₃·mA·mB·mC·trace(Y₁·Y₂·Y₃): a sum over the
-// non-zero counts, computed without restoring any matrix.
-func CycleEstimate(m1, m2, m3 *MatrixSketch) float64 {
-	k := m1.params.K
-	if m2.params.K != k || m3.params.K != k {
-		panic("core: cycle sketches disagree on K")
-	}
-	if m1.famB != m2.famA || m2.famB != m3.famA || m3.famB != m1.famA {
-		panic("core: cycle sketches do not share attribute families")
-	}
-	mA, mB, mC := m1.params.M1, m1.params.M2, m2.params.M2
-	factor := m1.scale * m2.scale * m3.scale * float64(mA) * float64(mB) * float64(mC)
-	var buf [maxStackK]float64
-	ests := estScratch(&buf, k)
-	rowStart := make([]int, mB+1)
-	for j := 0; j < k; j++ {
-		ests = append(ests, factor*traceCounts(m1, m2, m3, j, rowStart))
-	}
-	return kernel.MedianInPlace(ests)
-}
-
-// traceCounts returns trace(Y1_j·Y2_j·Y3_j) =
-// Σ_{a,b,c} Y1[a,b]·Y2[b,c]·Y3[c,a]: for each count Y1[a,b], the counts
-// of row b of Y2, each matched against Y3[c,a] by binary search.
-// rowStart is scratch of M2(m1)+1 ints.
-func traceCounts(m1, m2, m3 *MatrixSketch, j int, rowStart []int) float64 {
-	y1, y2, y3 := m1.runs[j], m2.runs[j], m3.runs[j]
-	// rowStart[b] is the index of row b's first entry in y2.
-	i := 0
-	for b := range rowStart {
-		for i < len(y2) && int(y2[i].Cell>>m2.shift) < b {
-			i++
-		}
-		rowStart[b] = i
-	}
-	maskB, maskC := uint32(m1.params.M2-1), uint32(m2.params.M2-1)
-	var tr float64
-	for _, e1 := range y1 {
-		a, b := e1.Cell>>m1.shift, e1.Cell&maskB
-		for _, e2 := range y2[rowStart[b]:rowStart[b+1]] {
-			cell := (e2.Cell&maskC)<<m3.shift | a
-			if x, ok := slices.BinarySearchFunc(y3, cell, func(e MatrixEntry, c uint32) int { return cmp.Compare(e.Cell, c) }); ok {
-				tr += float64(e1.Count) * float64(e2.Count) * float64(y3[x].Count)
-			}
-		}
-	}
-	return tr
 }
 
 // ChainEstimate estimates the size of the chain join

@@ -67,30 +67,6 @@ func denseChainEstimate(left *Sketch, mids []*MatrixSketch, right *Sketch) float
 	return kernel.MedianInPlace(ests)
 }
 
-// denseCycleEstimate is CycleEstimate over restored matrices: per
-// replica, trace(M1·M2·M3).
-func denseCycleEstimate(m1, m2, m3 *MatrixSketch) float64 {
-	mA, mB, mC := m1.params.M1, m1.params.M2, m2.params.M2
-	ests := make([]float64, m1.params.K)
-	for j := range ests {
-		a1, a2, a3 := denseReplica(m1, j), denseReplica(m2, j), denseReplica(m3, j)
-		prod := make([]float64, mA*mC)
-		for x := 0; x < mA; x++ {
-			for y, v := range a1[x*mB : (x+1)*mB] {
-				for z, w := range a2[y*mC : (y+1)*mC] {
-					prod[x*mC+z] += v * w
-				}
-			}
-		}
-		for x := 0; x < mA; x++ {
-			for z := 0; z < mC; z++ {
-				ests[j] += prod[x*mC+z] * a3[z*mA+x]
-			}
-		}
-	}
-	return kernel.MedianInPlace(ests)
-}
-
 // filledMatrix returns a finalized matrix sketch over n tuples drawn
 // uniformly from [0, domain)².
 func filledMatrix(p MatrixParams, famA, famB *hashing.Family, n int, domain int, rng *rand.Rand) *MatrixSketch {
@@ -159,31 +135,5 @@ func TestChainEstimateMatchesDenseReference(t *testing.T) {
 				t.Fatalf("chain over restored ends %v, over counts %v", got, fromCounts)
 			}
 		})
-	}
-}
-
-// TestCycleEstimateMatchesDenseReference: the trace over counts equals
-// the trace of the restored matrix product to 1e-12 relative, square
-// and not, at K within and beyond maxStackK.
-func TestCycleEstimateMatchesDenseReference(t *testing.T) {
-	for _, tc := range []struct {
-		k          int
-		mA, mB, mC int
-	}{
-		{5, 64, 64, 64},
-		{7, 32, 64, 16},
-		{18, 32, 32, 32},
-		{40, 32, 32, 32},
-	} {
-		rng := rand.New(rand.NewSource(int64(tc.k)))
-		famA := hashing.NewFamily(1, tc.k, tc.mA)
-		famB := hashing.NewFamily(2, tc.k, tc.mB)
-		famC := hashing.NewFamily(3, tc.k, tc.mC)
-		mp := func(m1, m2 int) MatrixParams { return MatrixParams{K: tc.k, M1: m1, M2: m2, Epsilon: 4} }
-		const n, domain = 6000, 40
-		m1 := filledMatrix(mp(tc.mA, tc.mB), famA, famB, n, domain, rng)
-		m2 := filledMatrix(mp(tc.mB, tc.mC), famB, famC, n, domain, rng)
-		m3 := filledMatrix(mp(tc.mC, tc.mA), famC, famA, n, domain, rng)
-		assertClose(t, "cycle estimate", CycleEstimate(m1, m2, m3), denseCycleEstimate(m1, m2, m3))
 	}
 }

@@ -1,7 +1,6 @@
-// Package ingest is the one path through which perturbed reports —
-// those internal/service decodes from a request body, or a locally
-// simulated population's — are folded into LDPJoinSketch aggregation
-// state.
+// Package ingest is the one path through which the perturbed reports
+// internal/service decodes from a request body are folded into
+// LDPJoinSketch aggregation state.
 //
 // A column is one aggregator behind a mutex, and it folds every batch
 // inline, in the caller's goroutine. Column and MatrixColumn are one
@@ -16,14 +15,7 @@
 // from distinct columns, which fold concurrently.
 //
 // An Engine is the column factory: it fixes the protocol parameters
-// and the hash family, and owns no goroutine. It also hosts the
-// deterministic parallel simulation build that used to live in
-// core.CollectParallel: Simulate cuts a column of private values into
-// Options.Shards contiguous chunks, derives one client RNG seed per
-// chunk from (seed, chunk index), and perturbs and folds the chunks on
-// kernel.RowApply. For a fixed (seed, shards) pair the result is a
-// deterministic function of the data — independent of GOMAXPROCS and of
-// goroutine scheduling.
+// and the hash family, and owns no goroutine.
 //
 // Federation: a Column is also the unit of cross-node scale-out. It can
 // export a point-in-time copy of its unfinalized state while still
@@ -43,8 +35,6 @@ package ingest
 import (
 	"errors"
 	"fmt"
-	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -53,47 +43,30 @@ import (
 	"ldpjoin/internal/protocol"
 )
 
-// Options tunes an Engine. The zero value selects defaults.
-type Options struct {
-	// Shards is the number of chunks a simulated column is cut into. It
-	// is part of the deterministic identity of Simulate: for a fixed
-	// (seed, Shards) pair the simulated sketch is reproducible. <= 0
-	// selects GOMAXPROCS.
-	Shards int
-}
-
-// chunks is the number of chunks a simulated build cuts n values into.
-func (o Options) chunks(n int) int {
-	shards := o.Shards
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	return min(shards, n)
-}
+// Options has nothing to tune. Kept for bench/ until ROADMAP 6(a).
+type Options struct{}
 
 // ErrFinalized is returned when reports are enqueued into, or a second
 // finalization is requested of, an already finalized column.
 var ErrFinalized = errors.New("ingest: column already finalized")
 
 // Engine makes columns under one set of protocol parameters and one
-// hash family, and runs Simulate. It owns no goroutine and is safe for
-// concurrent use.
+// hash family. It owns no goroutine and is safe for concurrent use.
 type Engine struct {
 	params core.Params
 	fam    *hashing.Family
-	opts   Options
 }
 
 // NewEngine returns an engine for the given protocol parameters and
 // hash family.
-func NewEngine(p core.Params, fam *hashing.Family, opts Options) *Engine {
+func NewEngine(p core.Params, fam *hashing.Family, _ Options) *Engine {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
 	if fam.K() != p.K || fam.M() != p.M {
 		panic("ingest: hash family does not match params")
 	}
-	return &Engine{params: p, fam: fam, opts: opts}
+	return &Engine{params: p, fam: fam}
 }
 
 // QueueDepth is always 0: nothing queues, every fold lands before its
@@ -332,20 +305,4 @@ func (c *column[R, A, S]) MergeAggregator(agg A) error {
 	}
 	c.n.Add(n)
 	return nil
-}
-
-// Simulate builds a sketch over a column of private values, replacing
-// the retired core.CollectParallel: the column is cut into
-// Options.Shards fixed contiguous chunks, chunk w simulates its clients
-// with a seed derived from (seed, w) on kernel.RowApply, and the partial
-// aggregators are merged in chunk order before finalization. Chunk
-// boundaries and seeds are functions of (len(values), seed, Shards)
-// only, so the result is deterministic and independent of GOMAXPROCS
-// and of goroutine scheduling.
-func (e *Engine) Simulate(values []uint64, seed int64) *core.Sketch {
-	return foldChunks(len(values), e.opts.chunks(len(values)), seed, func(lo, hi int, rng *rand.Rand) *core.Aggregator {
-		agg := core.NewAggregator(e.params, e.fam)
-		agg.CollectColumn(values[lo:hi], rng)
-		return agg
-	}).Finalize()
 }

@@ -2,10 +2,7 @@ package ingest
 
 import (
 	"bytes"
-	"math"
 	"math/rand"
-	"reflect"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -13,7 +10,6 @@ import (
 
 	"ldpjoin/internal/core"
 	"ldpjoin/internal/dataset"
-	"ldpjoin/internal/join"
 	"ldpjoin/internal/protocol"
 	"ldpjoin/internal/race"
 )
@@ -215,100 +211,6 @@ func TestColumnLifecycleErrors(t *testing.T) {
 	}
 	if _, err := bad.Finalize(); err != oob {
 		t.Fatalf("Finalize of a poisoned column err = %v, want %v", err, oob)
-	}
-}
-
-// TestSimulateDeterministicAndAccurate ports the retired
-// core.CollectParallel test: fixed (seed, shards) must reproduce
-// bit-identically, independent of GOMAXPROCS, and the result must match
-// a sequential build using the same per-shard seeds.
-func TestSimulateDeterministicAndAccurate(t *testing.T) {
-	p := testParams()
-	fam := p.NewFamily(20)
-	da := dataset.Zipf(21, 50000, 5000, 1.5)
-	db := dataset.Zipf(22, 50000, 5000, 1.5)
-
-	build := func(data []uint64, seed int64, opt Options) *core.Sketch {
-		return NewEngine(p, fam, opt).Simulate(data, seed)
-	}
-
-	s1 := withProcs(1, func() *core.Sketch { return build(da, 99, Options{Shards: 4}) })
-	s2 := withProcs(4, func() *core.Sketch { return build(da, 99, Options{Shards: 4}) })
-	if !bytes.Equal(marshal(t, s1), marshal(t, s2)) {
-		t.Fatal("Simulate is not GOMAXPROCS independent")
-	}
-	if s1.N() != 50000 {
-		t.Fatalf("simulated N = %g, want 50000", s1.N())
-	}
-
-	// Reference: sequential build over the same chunks and shard seeds.
-	ref := core.NewAggregator(p, fam)
-	chunk := (len(da) + 3) / 4
-	for w := 0; w < 4; w++ {
-		lo, hi := w*chunk, min((w+1)*chunk, len(da))
-		part := core.NewAggregator(p, fam)
-		part.CollectColumn(da[lo:hi], rand.New(rand.NewSource(shardSeed(99, w))))
-		ref.Merge(part)
-	}
-	if !bytes.Equal(marshal(t, ref.Finalize()), marshal(t, s1)) {
-		t.Fatal("Simulate differs from the per-shard sequential reference")
-	}
-
-	sb := build(db, 77, Options{Shards: 4})
-	truth := join.Size(da, db)
-	if re := math.Abs(s1.JoinSize(sb)-truth) / truth; re > 0.4 {
-		t.Fatalf("simulated join RE = %.3f", re)
-	}
-
-	// Degenerate shard counts must still work.
-	if sk := build(da[:10], 1, Options{Shards: 64}); sk.N() != 10 {
-		t.Fatalf("tiny simulate N = %g", sk.N())
-	}
-	if sk := build(da[:100], 1, Options{}); sk.N() != 100 {
-		t.Fatalf("auto-shard N = %g", sk.N())
-	}
-	if sk := Collect(p, fam, da[:100], 1, Options{Shards: 1}); sk.N() != 100 {
-		t.Fatalf("Collect sequential N = %g", sk.N())
-	}
-}
-
-// withProcs runs f with GOMAXPROCS set to procs, restoring it after.
-func withProcs[T any](procs int, f func() T) T {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	return f()
-}
-
-// TestCollectMatrixDeterministicAndAccurate checks the parallel
-// middle-table build: fixed (seed, shards) reproduces exactly whatever
-// GOMAXPROCS, and the chain estimate stays accurate.
-func TestCollectMatrixDeterministicAndAccurate(t *testing.T) {
-	mp := core.MatrixParams{K: 9, M1: 256, M2: 256, Epsilon: 6}
-	famA := core.Params{K: 9, M: 256, Epsilon: 6}.NewFamily(1)
-	famB := core.Params{K: 9, M: 256, Epsilon: 6}.NewFamily(2)
-	const n, domain = 60000, 300
-	a := dataset.Zipf(51, n, domain, 1.5)
-	b := dataset.Zipf(52, n, domain, 1.5)
-
-	collect := func() *core.MatrixSketch { return CollectMatrix(mp, famA, famB, a, b, 9, Options{Shards: 4}) }
-	m1 := withProcs(1, collect)
-	m2 := withProcs(4, collect)
-	if m1.N() != n || m2.N() != n {
-		t.Fatalf("matrix N = %g, %g", m1.N(), m2.N())
-	}
-	if !reflect.DeepEqual(m1.Runs(), m2.Runs()) {
-		t.Fatal("CollectMatrix is not GOMAXPROCS independent")
-	}
-
-	// Accuracy end to end: 3-way chain against the exact size.
-	endP := core.Params{K: 9, M: 256, Epsilon: 6}
-	t1 := dataset.Zipf(53, n, domain, 1.5)
-	t3 := dataset.Zipf(54, n, domain, 1.5)
-	left := Collect(endP, famA, t1, 3, Options{})
-	right := Collect(endP, famB, t3, 4, Options{})
-	truth := join.ChainSize(t1, []join.PairTable{{A: a, B: b}}, t3)
-	est := core.ChainEstimate(left, []*core.MatrixSketch{m1}, right)
-	if re := math.Abs(est-truth) / truth; re > 0.6 {
-		t.Fatalf("chain RE = %.3f (est %.4g truth %.4g)", re, est, truth)
 	}
 }
 

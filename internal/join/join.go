@@ -55,54 +55,6 @@ type PairTable struct {
 // Len returns the number of rows.
 func (t PairTable) Len() int { return len(t.A) }
 
-// CycleSize returns the exact size of the 3-cycle join
-// T1(A,B) ⋈ T2(B,C) ⋈ T3(C,A): the number of row triples (r1, r2, r3)
-// with r1.B = r2.B, r2.C = r3.C and r3.A = r1.A. It is computed by
-// grouping T1 by (A,B) and T3 by (C,A) and walking T2's rows:
-// Σ_{r2} Σ_a f1(a, r2.B)·f3(r2.C, a).
-func CycleSize(t1, t2, t3 PairTable) float64 {
-	if len(t1.A) != len(t1.B) || len(t2.A) != len(t2.B) || len(t3.A) != len(t3.B) {
-		panic("join: PairTable columns of unequal length")
-	}
-	// f1[b][a] = multiplicity of (A=a, B=b) in T1.
-	f1 := make(map[uint64]map[uint64]float64)
-	for i := range t1.A {
-		inner := f1[t1.B[i]]
-		if inner == nil {
-			inner = make(map[uint64]float64)
-			f1[t1.B[i]] = inner
-		}
-		inner[t1.A[i]]++
-	}
-	// f3[c][a] = multiplicity of (C=c, A=a) in T3.
-	f3 := make(map[uint64]map[uint64]float64)
-	for i := range t3.A {
-		inner := f3[t3.A[i]]
-		if inner == nil {
-			inner = make(map[uint64]float64)
-			f3[t3.A[i]] = inner
-		}
-		inner[t3.B[i]]++
-	}
-	var s float64
-	for i := range t2.A {
-		byA1 := f1[t2.A[i]] // rows of T1 with B = r2.B, keyed by A
-		byA3 := f3[t2.B[i]] // rows of T3 with C = r2.C, keyed by A
-		if len(byA1) == 0 || len(byA3) == 0 {
-			continue
-		}
-		if len(byA3) < len(byA1) {
-			byA1, byA3 = byA3, byA1
-		}
-		for a, c1 := range byA1 {
-			if c3, ok := byA3[a]; ok {
-				s += c1 * c3
-			}
-		}
-	}
-	return s
-}
-
 // ChainSize returns the exact size of the chain join
 // left(A0) ⋈ mids[0](A0,A1) ⋈ ... ⋈ mids[n-1](A_{n-1},A_n) ⋈ right(A_n),
 // computed by dynamic programming over frequency maps: O(total rows).

@@ -106,7 +106,7 @@ func wireKinds() []wireKind {
 			name: "plus", size: ReportSize, record: RecordPlusReports,
 			stream: joinStream(func(w io.Writer) (*ReportWriter, error) { return NewPlusReportWriter(w, jp, PlusHigh) }),
 			payload: func(n int) []byte {
-				return AppendPlusReportsPayload(nil, PlusHigh, goldenJoinReports(n))
+				return AppendReportsPayload([]byte{byte(PlusHigh)}, goldenJoinReports(n))
 			},
 			drain: func(stream []byte, max int) ([]byte, int, error) {
 				br := bufio.NewReader(bytes.NewReader(stream))
@@ -117,14 +117,14 @@ func wireKinds() []wireKind {
 				var got []core.Report
 				rd, group, err := NewPlusBatchReaderFrom(br, h, jp)
 				_, n, err := drainStream(rd, err, max, func(r core.Report) { got = append(got, r) })
-				return AppendPlusReportsPayload(nil, group, got), n, err
+				return AppendReportsPayload([]byte{byte(group)}, got), n, err
 			},
 			decodePayload: func(payload []byte) ([]byte, error) {
-				group, reports, err := DecodePlusReportsPayload(payload, jp)
+				group, reports, err := decodePlusReports(payload, jp)
 				if err != nil {
 					return nil, err
 				}
-				return AppendPlusReportsPayload(nil, group, reports), nil
+				return AppendReportsPayload([]byte{byte(group)}, reports), nil
 			},
 			payloadPrefix: 1,
 			outOfBounds:   []int{1, 3},

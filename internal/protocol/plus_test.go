@@ -140,28 +140,40 @@ func TestPlusStreamRoundTrip(t *testing.T) {
 	}
 }
 
+// decodePlusReports reads a RecordPlusReports payload the way store
+// recovery does: SplitPlusReportsPayload for the group byte, then
+// DecodeReportsPayload for the reports after it.
+func decodePlusReports(payload []byte, p core.Params) (PlusGroup, []core.Report, error) {
+	group, body, err := SplitPlusReportsPayload(payload)
+	if err != nil {
+		return 0, nil, err
+	}
+	reports, err := DecodeReportsPayload(body, p)
+	return group, reports, err
+}
+
 func TestPlusReportsPayload(t *testing.T) {
 	p := snapParams()
 	in := []core.Report{{Y: 1, Row: 3, Col: 15}, {Y: -1, Row: 0, Col: 0}}
-	payload := AppendPlusReportsPayload(nil, PlusLow, in)
-	group, out, err := DecodePlusReportsPayload(payload, p)
+	payload := AppendReportsPayload([]byte{byte(PlusLow)}, in)
+	group, out, err := decodePlusReports(payload, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if group != PlusLow || len(out) != len(in) || out[0] != in[0] || out[1] != in[1] {
 		t.Fatalf("round trip mismatch: group %v, %v vs %v", group, out, in)
 	}
-	if _, _, err := DecodePlusReportsPayload(nil, p); !errors.Is(err, ErrBadRecord) {
+	if _, _, err := decodePlusReports(nil, p); !errors.Is(err, ErrBadRecord) {
 		t.Fatalf("empty payload: got %v", err)
 	}
-	if _, _, err := DecodePlusReportsPayload([]byte{3}, p); !errors.Is(err, ErrBadRecord) {
+	if _, _, err := decodePlusReports([]byte{3}, p); !errors.Is(err, ErrBadRecord) {
 		t.Fatalf("bad group: got %v", err)
 	}
-	if _, _, err := DecodePlusReportsPayload([]byte{0, 1, 2}, p); !errors.Is(err, ErrBadRecord) {
+	if _, _, err := decodePlusReports([]byte{0, 1, 2}, p); !errors.Is(err, ErrBadRecord) {
 		t.Fatalf("ragged payload: got %v", err)
 	}
-	oob := AppendPlusReportsPayload(nil, PlusSample, []core.Report{{Y: 1, Row: 9, Col: 0}})
-	if _, _, err := DecodePlusReportsPayload(oob, p); !errors.Is(err, ErrBadRecord) {
+	oob := AppendReportsPayload([]byte{byte(PlusSample)}, []core.Report{{Y: 1, Row: 9, Col: 0}})
+	if _, _, err := decodePlusReports(oob, p); !errors.Is(err, ErrBadRecord) {
 		t.Fatalf("out-of-bounds report: got %v", err)
 	}
 }
@@ -201,14 +213,14 @@ func TestPlusAdvancePayload(t *testing.T) {
 func TestPlusRecordTypesAccepted(t *testing.T) {
 	p := snapParams()
 	reports := []core.Report{{Y: 1, Row: 1, Col: 2}}
-	log := AppendRecord(nil, RecordPlusReports, AppendPlusReportsPayload(nil, PlusSample, reports))
+	log := AppendRecord(nil, RecordPlusReports, AppendReportsPayload([]byte{byte(PlusSample)}, reports))
 	log = AppendRecord(log, RecordPlusAdvance, AppendPlusAdvancePayload(nil, 50, 0.1, []uint64{3}))
 	r := bytes.NewReader(log)
 	typ, payload, err := ReadRecord(r)
 	if err != nil || typ != RecordPlusReports {
 		t.Fatalf("first record: %v %v", typ, err)
 	}
-	if _, got, err := DecodePlusReportsPayload(payload, p); err != nil || len(got) != 1 {
+	if _, got, err := decodePlusReports(payload, p); err != nil || len(got) != 1 {
 		t.Fatalf("plus reports payload: %v %v", got, err)
 	}
 	typ, payload, err = ReadRecord(r)
@@ -348,16 +360,16 @@ func TestPlusSnapshotValidateRejectsBadState(t *testing.T) {
 // bit for bit.
 func FuzzPlusReportsPayload(f *testing.F) {
 	p := snapParams()
-	f.Add(AppendPlusReportsPayload(nil, PlusSample, []core.Report{
+	f.Add(AppendReportsPayload([]byte{byte(PlusSample)}, []core.Report{
 		{Y: 1, Row: 0, Col: 0},
 		{Y: -1, Row: 3, Col: 15},
 	}))
-	f.Add(AppendPlusReportsPayload(nil, PlusHigh, nil))
+	f.Add(AppendReportsPayload([]byte{byte(PlusHigh)}, nil))
 	f.Add([]byte{})
 	f.Add([]byte{3, 1, 0, 0, 0, 0, 0, 0})
 	f.Add(bytes.Repeat([]byte{0xff}, ReportSize+1))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		group, reports, err := DecodePlusReportsPayload(data, p)
+		group, reports, err := decodePlusReports(data, p)
 		if err != nil {
 			if !errors.Is(err, ErrBadRecord) {
 				t.Fatalf("unexpected error class: %v", err)
@@ -372,7 +384,7 @@ func FuzzPlusReportsPayload(f *testing.F) {
 				t.Fatalf("accepted out-of-bounds report %d: %v", i, r)
 			}
 		}
-		if !bytes.Equal(AppendPlusReportsPayload(nil, group, reports), data) {
+		if !bytes.Equal(AppendReportsPayload([]byte{byte(group)}, reports), data) {
 			t.Fatal("accepted payload is not canonical")
 		}
 	})

@@ -246,14 +246,6 @@ func DecodeMatrixReportsPayload(payload []byte, expect core.MatrixParams) ([]cor
 	return decodePayload(payload, expect, &reportCodecMatrix)
 }
 
-// AppendPlusReportsPayload encodes a batch of phase-tagged reports as a
-// RecordPlusReports payload: the PlusGroup byte, then the same 7-byte
-// wire encoding the report streams use.
-func AppendPlusReportsPayload(buf []byte, group PlusGroup, reports []core.Report) []byte {
-	buf = append(buf, byte(group))
-	return AppendReportsPayload(buf, reports)
-}
-
 // SplitPlusReportsPayload checks the group byte a RecordPlusReports
 // payload leads with and returns it with the rest: a RecordReports
 // payload, for DecodeReportsPayload, whole or in slices.
@@ -266,21 +258,6 @@ func SplitPlusReportsPayload(payload []byte) (PlusGroup, []byte, error) {
 		return 0, nil, fmt.Errorf("%w: invalid plus group %d", ErrBadRecord, group)
 	}
 	return group, payload[1:], nil
-}
-
-// DecodePlusReportsPayload decodes a RecordPlusReports payload,
-// bounds-checking the group byte and every report against the expected
-// parameters exactly like the stream decoder.
-func DecodePlusReportsPayload(payload []byte, expect core.Params) (PlusGroup, []core.Report, error) {
-	group, body, err := SplitPlusReportsPayload(payload)
-	if err != nil {
-		return 0, nil, err
-	}
-	reports, err := DecodeReportsPayload(body, expect)
-	if err != nil {
-		return 0, nil, err
-	}
-	return group, reports, nil
 }
 
 // AppendPlusAdvancePayload encodes a RecordPlusAdvance payload:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -143,4 +144,98 @@ func TestShutdownDuringIngest(t *testing.T) {
 	if code, out := get(t, ts3.URL+"/v1/columns/X"); code != http.StatusNotFound {
 		t.Errorf("X after kill+reopen: %d %v, want 404", code, out)
 	}
+}
+
+// TestIdleShutdownRewritesNoCheckpoint: a column's checkpoint holds its
+// whole state until a request lands, so a server reopened on a
+// checkpointed directory and shut down without a request writes
+// nothing — every ckpt-* file keeps its name, size and mtime — and one
+// more request, or a WAL tail replayed after a crash, makes the next
+// Shutdown checkpoint that column alone.
+func TestIdleShutdownRewritesNoCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	srv1, ts1, p := durableServer(t, dir)
+	for i, name := range []string{"A", "B"} {
+		body := encodeColumn(t, p, int64(30+i), dataset.Zipf(int64(30+i), 2000, 200, 1.2))
+		if code, out := post(t, ts1.URL+"/v1/columns/"+name+"/reports", body); code != 200 {
+			t.Fatalf("ingest into %s: %d %v", name, code, out)
+		}
+	}
+	ts1.Close()
+	if err := srv1.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	before := checkpointFiles(t, dir)
+	if len(before) != 2 {
+		t.Fatalf("first shutdown left checkpoints %v, want one per column", before)
+	}
+
+	srv2, ts2, _ := durableServer(t, dir)
+	ts2.Close()
+	if err := srv2.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if n := srv2.st.Stats().Checkpoints; n != 0 {
+		t.Errorf("idle shutdown cut %d checkpoints, want 0", n)
+	}
+	if after := checkpointFiles(t, dir); !maps.Equal(after, before) {
+		t.Errorf("idle shutdown rewrote checkpoints:\nbefore %v\nafter  %v", before, after)
+	}
+
+	srv3, ts3, _ := durableServer(t, dir)
+	if code, out := post(t, ts3.URL+"/v1/columns/A/reports", encodeColumn(t, p, 40, dataset.Zipf(40, 500, 200, 1.2))); code != 200 {
+		t.Fatalf("ingest after reopen: %d %v", code, out)
+	}
+	ts3.Close()
+	if err := srv3.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if n := srv3.st.Stats().Checkpoints; n != 1 {
+		t.Errorf("shutdown after one request cut %d checkpoints, want 1", n)
+	}
+	after := checkpointFiles(t, dir)
+	changed := 0
+	for path, info := range after {
+		if before[path] != info {
+			changed++
+		}
+	}
+	if len(after) != 2 || changed != 1 {
+		t.Errorf("shutdown after a request to A: checkpoints %v (before %v), want A's replaced and B's kept", after, before)
+	}
+
+	// A WAL tail a crash left behind is work too: the reopen replays it,
+	// and the next Shutdown checkpoints it although no request came.
+	srv4, ts4, _ := durableServer(t, dir)
+	if code, out := post(t, ts4.URL+"/v1/columns/B/reports", encodeColumn(t, p, 41, dataset.Zipf(41, 500, 200, 1.2))); code != 200 {
+		t.Fatalf("ingest before the crash: %d %v", code, out)
+	}
+	crash(t, srv4, ts4)
+	srv5, ts5, _ := durableServer(t, dir)
+	ts5.Close()
+	if err := srv5.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if n := srv5.st.Stats().Checkpoints; n != 1 {
+		t.Errorf("shutdown after replaying B's WAL tail cut %d checkpoints, want 1", n)
+	}
+}
+
+// checkpointFiles lists every ckpt-* file under a data directory with
+// its size and modification time.
+func checkpointFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "col-*", "ckpt-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string]string, len(paths))
+	for _, path := range paths {
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[path] = fmt.Sprintf("%d bytes, %v", info.Size(), info.ModTime().UnixNano())
+	}
+	return files
 }

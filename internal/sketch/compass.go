@@ -74,51 +74,6 @@ func (c *CompassMatrix) VecMat(j int, v []float64) []float64 {
 	return out
 }
 
-// CompassCycle estimates the size of the 3-cycle join
-// T1(A,B) ⋈ T2(B,C) ⋈ T3(C,A) from non-private COMPASS matrix sketches:
-// per replica the trace of the sketch product, median over replicas.
-// Adjacent sketches must share their attribute families around the
-// cycle.
-func CompassCycle(m1, m2, m3 *CompassMatrix) float64 {
-	k := m1.K()
-	if m2.K() != k || m3.K() != k {
-		panic("sketch: cycle sketches disagree on K")
-	}
-	if m1.famB != m2.famA || m2.famB != m3.famA || m3.famB != m1.famA {
-		panic("sketch: cycle sketches do not share attribute families")
-	}
-	mA, mB, mC := m1.m1, m1.m2, m2.m2
-	ests := make([]float64, k)
-	prod := make([]float64, mA*mC)
-	for j := 0; j < k; j++ {
-		for i := range prod {
-			prod[i] = 0
-		}
-		a1, a2, a3 := m1.mats[j], m2.mats[j], m3.mats[j]
-		for x := 0; x < mA; x++ {
-			row1 := a1[x*mB : (x+1)*mB]
-			out := prod[x*mC : (x+1)*mC]
-			for y, v := range row1 {
-				if v == 0 {
-					continue
-				}
-				row2 := a2[y*mC : (y+1)*mC]
-				for z, w := range row2 {
-					out[z] += v * w
-				}
-			}
-		}
-		var tr float64
-		for x := 0; x < mA; x++ {
-			for z := 0; z < mC; z++ {
-				tr += prod[x*mC+z] * a3[z*mA+x]
-			}
-		}
-		ests[j] = tr
-	}
-	return kernel.MedianInPlace(ests)
-}
-
 // CompassChain estimates the size of the chain join
 // T_left(A0) ⋈ T_1(A0,A1) ⋈ ... ⋈ T_n(A_{n-1},A_n) ⋈ T_right(A_n)
 // from the end-table vector sketches and the middle-table matrix sketches:

@@ -161,3 +161,15 @@ func TestCompassPanics(t *testing.T) {
 		CompassChain(left, []*CompassMatrix{NewCompassMatrix(famA, famB2)}, right)
 	}()
 }
+
+func TestCompassVecMatPanics(t *testing.T) {
+	famA := hashing.NewFamily(1, 2, 8)
+	famB := hashing.NewFamily(2, 2, 8)
+	c := NewCompassMatrix(famA, famB)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	c.VecMat(0, make([]float64, 9))
+}

@@ -167,3 +167,11 @@ func BenchmarkFastAGMSInnerProduct(b *testing.B) {
 		sa.InnerProduct(sb)
 	}
 }
+
+func TestFastAGMSAccessors(t *testing.T) {
+	fam := hashing.NewFamily(1, 4, 64)
+	s := NewFastAGMS(fam)
+	if s.K() != 4 || len(s.Row(3)) != 64 {
+		t.Fatalf("accessors wrong: K=%d, row width %d", s.K(), len(s.Row(3)))
+	}
+}

@@ -660,10 +660,11 @@ func (st *Store) lookupColumn(name string) (*columnMeta, *columnLog, error) {
 // must cover. The caller must exclude concurrent appends to this column
 // across Rotate and the in-memory state capture that follows (the
 // service holds the column's operation lock), so that the captured state
-// equals exactly the fold of segments <= covered. covered == 0 means the
-// column has no durable records yet — including a name the manifest does
-// not hold, whose first append failed: a reopened store would not know
-// it either, so there is nothing to cover.
+// equals exactly the fold of segments <= covered. covered == 0 means
+// there is nothing to cover: the column has no durable records yet —
+// including a name the manifest does not hold, whose first append
+// failed: a reopened store would not know it either — or none since its
+// last checkpoint, which already holds its whole state.
 func (st *Store) Rotate(name string) (covered uint64, err error) {
 	_, log, err := st.lookupColumn(name)
 	if errors.Is(err, errNoRecord) {
@@ -672,12 +673,19 @@ func (st *Store) Rotate(name string) (covered uint64, err error) {
 	if err != nil {
 		return 0, err
 	}
+	st.mu.Lock()
+	t, ok := st.ckpt[name]
+	idle := !ok || t.bytes == 0
+	st.mu.Unlock()
+	if idle {
+		return 0, nil
+	}
 	covered, err = log.rotate()
 	if err != nil {
 		return 0, err
 	}
 	st.mu.Lock()
-	t := st.track(name)
+	t = st.track(name)
 	t.cut = t.bytes
 	st.mu.Unlock()
 	return covered, nil
