@@ -77,10 +77,12 @@ func TestEstimatorAllocations(t *testing.T) {
 	}
 }
 
-// TestChainEstimateAllocations: a cold chain estimate allocates its O(M)
-// scratch — one vector buffer, plus the replica estimates when K is
-// beyond maxStackK — and nothing that grows with the middle's non-zero
-// counts.
+// TestChainEstimateAllocations: a 3-way chain estimate allocates
+// nothing — one fused pass over the middle's run per replica, reading
+// both ends' counts as they are — and a longer chain its one O(M)
+// product scratch; past maxStackK the replica estimates add one more.
+// Neither grows with the middles' non-zero counts. A restored end costs
+// its derive once (not counted here), and nothing on every chain after.
 func TestChainEstimateAllocations(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts under the race detector say nothing about the code")
@@ -88,18 +90,33 @@ func TestChainEstimateAllocations(t *testing.T) {
 	for _, k := range []int{9, 18, 40} {
 		ep := Params{K: k, M: 256, Epsilon: 4}
 		mp := MatrixParams{K: k, M1: 256, M2: 256, Epsilon: 4}
-		famA, famB := ep.NewFamily(1), ep.NewFamily(2)
+		famA, famB, famC := ep.NewFamily(1), ep.NewFamily(2), ep.NewFamily(3)
 		rng := rand.New(rand.NewSource(3))
 		left := filledEnd(ep, famA, 1000, 500, rng)
 		right := filledEnd(ep, famB, 1000, 500, rng)
-		ceiling := 1.0
+		far := filledEnd(ep, famC, 1000, 500, rng)
+		restored := filledEnd(ep, famA, 1000, 500, rng)
+		restored.FrequencyMedian(0) // restores it, and it alone
+		var ests float64
 		if k > maxStackK {
-			ceiling = 2
+			ests = 1
 		}
 		for _, n := range []int{100, 100_000} {
 			mid := filledMatrix(mp, famA, famB, n, 500, rng)
-			if got := testing.AllocsPerRun(10, func() { ChainEstimate(left, []*MatrixSketch{mid}, right) }); got != ceiling {
-				t.Errorf("K=%d, %d tuples: ChainEstimate allocates %v times, want %v", k, n, got, ceiling)
+			next := filledMatrix(mp, famB, famC, n, 500, rng)
+			ChainEstimate(restored, []*MatrixSketch{mid}, right) // derives its counts, once
+			for _, tc := range []struct {
+				name    string
+				ceiling float64
+				f       func()
+			}{
+				{"one middle", ests, func() { ChainEstimate(left, []*MatrixSketch{mid}, right) }},
+				{"two middles", 1 + ests, func() { ChainEstimate(left, []*MatrixSketch{mid, next}, far) }},
+				{"restored end, warm", ests, func() { ChainEstimate(restored, []*MatrixSketch{mid}, right) }},
+			} {
+				if got := testing.AllocsPerRun(10, tc.f); got != tc.ceiling {
+					t.Errorf("K=%d, %d tuples, %s: ChainEstimate allocates %v times, want %v", k, n, tc.name, got, tc.ceiling)
+				}
 			}
 		}
 	}

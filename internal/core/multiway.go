@@ -427,13 +427,26 @@ func (ms *MatrixSketch) Merge(other *MatrixSketch) {
 
 // vecCounts computes out = v × Y_j, the vector–matrix product over
 // replica j's counts: out[l2] = Σ_{l1} v[l1]·Y_j[l1, l2]. It costs
-// O(nnz), whatever the matrix's size. v has M1 entries and out M2.
-func (ms *MatrixSketch) vecCounts(j int, v, out []float64) {
+// O(nnz), whatever the matrix's size. v has M1 entries and out M2; v is
+// an end's counts on a chain's first middle, a product after that.
+func vecCounts[V int32 | float64](ms *MatrixSketch, j int, v []V, out []float64) {
 	clear(out)
 	shift, mask := ms.shift, uint32(ms.params.M2-1)
 	for _, e := range ms.runs[j] {
-		out[e.Cell&mask] += v[e.Cell>>shift] * float64(e.Count)
+		out[e.Cell&mask] += float64(v[e.Cell>>shift]) * float64(e.Count)
 	}
+}
+
+// bilinear returns v·Y_j·w = Σ_e v[l1(e)]·Y_j(e)·w[l2(e)], one pass over
+// replica j's run: the product vecCounts would write, dotted with w as
+// it goes. w is the right end's counts, read as they are.
+func bilinear[V int32 | float64](ms *MatrixSketch, j int, v []V, w []int32) float64 {
+	shift, mask := ms.shift, uint32(ms.params.M2-1)
+	var sum float64
+	for _, e := range ms.runs[j] {
+		sum += float64(v[e.Cell>>shift]) * float64(e.Count) * float64(w[e.Cell&mask])
+	}
+	return sum
 }
 
 // ChainEstimate estimates the size of the chain join
@@ -448,9 +461,17 @@ func (ms *MatrixSketch) vecCounts(j int, v, out []float64) {
 // H·H = m·I, so every H·H on the chain — end to middle, and middle to
 // middle — is a scalar, and the estimate is F·a_L·Y_1⋯Y_r·a_R, where F
 // is c_L·c_R·c_1⋯c_r times every dimension two neighbours share: one
-// O(nnz) vector–count product per middle, and no transform while the
-// ends hold their counts (an end a join or frequency query restored
-// gives its counts back through one FWHT per row; see Sketch).
+// O(nnz) vector–count product per middle but the last, and one pass
+// over the last middle's run that reads both a_R and the product (or,
+// in a 3-way chain, a_L itself). The ends are read through Counts, so
+// an end a join or frequency query restored derives its counts once,
+// on the first chain that reads it, and no chain after that transforms
+// anything (see Sketch). Every term is an integer product, so the
+// estimate does not depend on the order of the sums, nor on which
+// queries came first.
+//
+// A 3-way chain allocates nothing at K ≤ maxStackK; a longer one
+// allocates one O(M) scratch for its products.
 func ChainEstimate(left *Sketch, mids []*MatrixSketch, right *Sketch) float64 {
 	k := left.params.K
 	if right.params.K != k {
@@ -459,7 +480,7 @@ func ChainEstimate(left *Sketch, mids []*MatrixSketch, right *Sketch) float64 {
 	if len(mids) == 0 {
 		panic("core: a chain needs at least one middle table")
 	}
-	dim, widest := left.params.M, left.params.M
+	dim, widest := left.params.M, 0
 	factor := left.scale * right.scale * float64(dim)
 	for _, m := range mids {
 		if m.params.K != k {
@@ -477,29 +498,36 @@ func ChainEstimate(left *Sketch, mids []*MatrixSketch, right *Sketch) float64 {
 	}
 	var buf [maxStackK]float64
 	ests := estScratch(&buf, k)
-	// One scratch for the whole replica loop: two ping-pong vectors wide
-	// enough for every step, and the right end's counts.
-	scratch := make([]float64, 2*widest+dim)
+	// One scratch for the whole replica loop, and none for a 3-way
+	// chain: two ping-pong vectors wide enough for every product.
+	var scratch []float64
+	if len(mids) > 1 {
+		scratch = make([]float64, 2*widest)
+	}
+	a, b := left.Counts(), right.Counts()
 	for j := 0; j < k; j++ {
-		ests = append(ests, factor*chainReplica(left, mids, j, right, scratch))
+		ests = append(ests, factor*chainReplica(a[j], mids, j, b[j], scratch))
 	}
 	return kernel.MedianInPlace(ests)
 }
 
 // chainReplica is replica j's bilinear form a_L·Y_1⋯Y_r·a_R over the
-// counts (see ChainEstimate), unscaled, over the caller's scratch.
-// Alternating the two vectors keeps vecCounts' input and output apart.
-func chainReplica(left *Sketch, mids []*MatrixSketch, j int, right *Sketch, scratch []float64) float64 {
-	w := scratch[len(scratch)-right.params.M:]
-	widest := (len(scratch) - len(w)) / 2
-	bufs := [2][]float64{scratch[:widest], scratch[widest : 2*widest]}
-	v := bufs[0][:left.params.M]
-	left.countsInto(j, v)
-	for i, m := range mids {
+// end counts aL and aR (see ChainEstimate), unscaled, over the caller's
+// scratch. Alternating the two vectors keeps vecCounts' input and output
+// apart.
+func chainReplica(aL []int32, mids []*MatrixSketch, j int, aR []int32, scratch []float64) float64 {
+	last := mids[len(mids)-1]
+	if len(mids) == 1 {
+		return bilinear(last, j, aL, aR)
+	}
+	widest := len(scratch) / 2
+	bufs := [2][]float64{scratch[:widest], scratch[widest:]}
+	v := bufs[0][:mids[0].params.M2]
+	vecCounts(mids[0], j, aL, v)
+	for i, m := range mids[1 : len(mids)-1] {
 		out := bufs[(i+1)%2][:m.params.M2]
-		m.vecCounts(j, v, out)
+		vecCounts(m, j, v, out)
 		v = out
 	}
-	right.countsInto(j, w)
-	return kernel.Dot(v, w)
+	return bilinear(last, j, v, aR)
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -212,12 +213,19 @@ func sameFamily(a, b *hashing.Family) bool {
 // the bottleneck; neither is vectorised), and a served column is joined
 // many times for each restore.
 //
-// Once restored, the sketch keeps s and drops the counts, so a queried
-// sketch costs 8 bytes a cell, as a float sketch would, and an
-// unqueried one 4. The counts stay exact all the same: H·s = c·m·a, and
-// the float error of the two transforms is far below ½ for any count an
-// int32 holds, so rounding H·s/(c·m) gives back a, integer for integer
-// (countsInto).
+// Once restored, the sketch keeps s and drops the counts, so a sketch
+// that is only joined or probed costs 8 bytes a cell, as a float sketch
+// would, and an unqueried one 4. The counts stay exact all the same:
+// H·s = c·m·a, and the float error of the two transforms is far below ½
+// for any count an int32 holds, so rounding H·s/(c·m) gives back a,
+// integer for integer. Counts derives them that way on the first call
+// that needs them — a chain end, a snapshot, a merge — and keeps them,
+// so such a sketch holds both, 12 bytes a cell, until a Merge, and every
+// later chain reads its counts with no transform. On bench/'s
+// query-scan that reads peak_rss_mb 2–3 % over dropping the counts for
+// good; keeping them on every restored sketch instead read 27 % over,
+// and deriving them on every read made the transform most of a served
+// chain.
 type Sketch struct {
 	params Params
 	fam    *hashing.Family
@@ -225,8 +233,10 @@ type Sketch struct {
 	scale  float64 // k·c_ε, the debias factor of Algorithm 2
 
 	// At least one of counts and restored is set: counts until the
-	// first restore, restored from then on (until a Merge). restore and
-	// Merge switch them under mu; readers load them without it.
+	// first restore, restored from then on, and both once Counts has
+	// derived the counts back; a Merge leaves counts alone again.
+	// restore, Counts and Merge set them under mu, each only once it is
+	// complete; readers load them without it.
 	mu       sync.Mutex
 	counts   atomic.Pointer[[][]int32]
 	restored atomic.Pointer[[][]float64] // c·H·a per row
@@ -252,44 +262,37 @@ func (s *Sketch) Family() *hashing.Family { return s.fam }
 // N returns the number of reports summarized.
 func (s *Sketch) N() float64 { return float64(s.n) }
 
-// Counts returns the K rows of report counts, for the snapshot codec:
-// the sketch's own rows while it has not been restored (the caller must
-// not mutate them), rows rounded back out of the restored ones, freshly
-// allocated, after.
+// Counts returns the K rows of report counts, not a copy: the caller
+// must not mutate them. A sketch a query restored has dropped its
+// counts; the first call after that derives them back out of the
+// restored rows, once for every caller, and keeps them (see Sketch).
+// Each row is copied, transformed and rounded, H·s_j = c·m·a_j, the K
+// rows in parallel as restore runs them, so a chain end, a snapshot or
+// a merge pays the transform once, not on every read.
 func (s *Sketch) Counts() [][]int32 {
 	if c := s.counts.Load(); c != nil {
 		return *c
 	}
-	rows := make([][]int32, s.params.K)
-	v := make([]float64, s.params.M)
-	for j := range rows {
-		s.countsInto(j, v)
-		rows[j] = make([]int32, len(v))
-		for x, c := range v {
-			rows[j][x] = int32(c)
-		}
-	}
-	return rows
-}
-
-// countsInto writes row j's report counts, as floats, into dst (M
-// cells): converted from the counts while the sketch holds them, rounded
-// out of c·H·s_j = c²·m·a_j otherwise. Either way dst holds the same
-// integers, so nothing read off it depends on whether a query restored
-// the sketch first.
-func (s *Sketch) countsInto(j int, dst []float64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if c := s.counts.Load(); c != nil {
-		for x, v := range (*c)[j] {
-			dst[x] = float64(v)
+		return *c
+	}
+	cells, m := *s.restored.Load(), s.params.M
+	inv := 1 / (s.scale * float64(m))
+	flat := make([]int32, len(cells)*m)
+	rows := make([][]int32, len(cells))
+	kernel.RowApply(len(rows), func(j int) {
+		v := slices.Clone(cells[j])
+		kernel.FWHT(v)
+		row := flat[j*m : (j+1)*m : (j+1)*m]
+		for x, c := range v {
+			row[x] = int32(c*inv + roundMagic - roundMagic)
 		}
-		return
-	}
-	copy(dst, (*s.restored.Load())[j])
-	kernel.FWHT(dst)
-	inv := 1 / (s.scale * float64(s.params.M))
-	for x, v := range dst {
-		dst[x] = v*inv + roundMagic - roundMagic
-	}
+		rows[j] = row
+	})
+	s.counts.Store(&rows)
+	return rows
 }
 
 // roundMagic rounds by addition: x + 1.5·2⁵² has a unit last place, so
@@ -356,12 +359,13 @@ func (s *Sketch) Merge(other *Sketch) {
 	if err := room(s.n, other.n); err != nil {
 		panic(err)
 	}
-	// Under mu, so a restore never reads counts mid-merge; the merged
-	// sketch holds counts again, and restores on its next query.
+	// Both sides' counts first, since deriving them takes mu; then the
+	// sum under mu, so a restore never reads counts mid-merge. The merged
+	// sketch holds counts alone again, and restores on its next query.
+	rows, add := s.Counts(), other.Counts()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rows := s.Counts()
-	addCounts(rows, other.Counts())
+	addCounts(rows, add)
 	s.n += other.n
 	s.counts.Store(&rows)
 	s.restored.Store(nil)
